@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .marking import STRATEGIES
+from .marking import STRATEGIES, check_theta
 
 
 class ConfigError(ValueError):
@@ -45,8 +45,10 @@ def _validate(cfg: RunConfig):
     if cfg.strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, "
                           f"got {cfg.strategy!r}")
-    if not 0.0 <= cfg.theta <= 1.0:
-        raise ConfigError(f"theta out of range [0, 1]: {cfg.theta}")
+    try:
+        check_theta(cfg.theta, cfg.strategy)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not cfg.tol > 0.0:
         raise ConfigError(f"tol must be > 0: {cfg.tol}")
     if cfg.beta is not None and not cfg.beta > 0.0:

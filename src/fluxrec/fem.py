@@ -128,29 +128,16 @@ class TraceFunction:
         return TraceFunction(self.space, self.values.copy())
 
 
-def p1_gradients(mesh: Mesh) -> np.ndarray:
-    """Gradients of the three barycentric basis functions, shape (m, 3, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.areas()
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    for k in range(3):
-        e = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-        grads[:, k, 0] = -e[:, 1]
-        grads[:, k, 1] = e[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return grads
-
-
 def element_gradients(fun: FeFunction) -> np.ndarray:
     """Constant gradient of a P1 function per triangle, shape (m, 2)."""
-    grads = p1_gradients(fun.mesh)
+    grads = fun.mesh.p1_gradients
     vals = fun.values[fun.mesh.triangles]
     return np.einsum("tk,tkd->td", vals, grads)
 
 
 def _stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix (unit coefficient)."""
-    grads = p1_gradients(mesh)
+    grads = mesh.p1_gradients
     areas = mesh.areas()
     local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
     tri = mesh.triangles
@@ -290,17 +277,26 @@ def transfer(fun: FeFunction, fine_mesh: Mesh) -> FeFunction:
 
     Old vertices keep their values and every bisection midpoint receives the
     average of its parent edge endpoints, so the transferred function is the
-    same function on the domain.
+    same function on the domain.  Midpoints are filled a block at a time: a
+    block runs from the first unfilled vertex up to the first vertex with a
+    parent inside the block, which for :func:`~fluxrec.mesh.bisect` output
+    is one block per refinement level.
     """
     coarse = fun.mesh
     _check_descendant(coarse, fine_mesh)
-    nc = coarse.n_vertices
-    out = np.empty(fine_mesh.n_vertices)
-    out[:nc] = fun.values
+    n = fine_mesh.n_vertices
+    out = np.empty(n)
+    out[:coarse.n_vertices] = fun.values
     parents = fine_mesh.vertex_parents
-    for v in range(nc, fine_mesh.n_vertices):
-        a, b = parents[v]
-        out[v] = 0.5 * (out[a] + out[b])
+    newest_parent = parents.max(axis=1)
+    lo = coarse.n_vertices
+    while lo < n:
+        # newest_parent[lo] < lo, so every block holds at least one vertex
+        later = np.flatnonzero(newest_parent[lo:] >= lo)
+        hi = lo + later[0] if later.size else n
+        block = parents[lo:hi]
+        out[lo:hi] = 0.5 * (out[block[:, 0]] + out[block[:, 1]])
+        lo = hi
     return FeFunction(FeSpace(fine_mesh), out)
 
 

@@ -36,17 +36,24 @@ def _eta_per_element(indicators: ElementIndicators) -> np.ndarray:
     return np.sqrt(indicators.eta_sq)
 
 
-def _check_theta(theta, lo_open=False):
-    if lo_open:
+def check_theta(theta, strategy):
+    """Raise ``ValueError`` unless theta is in the strategy's range.
+
+    Dörfler marking needs ``0 < theta <= 1`` (a zero fraction would mark
+    nothing); the other strategies take ``0 <= theta <= 1``.
+    """
+    if strategy == "doerfler":
         if not (0.0 < theta <= 1.0):
-            raise ValueError(f"theta must be in (0, 1], got {theta}")
+            raise ValueError(f"theta must be in (0, 1] for {strategy} "
+                             f"marking, got {theta}")
     elif not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
+        raise ValueError(f"theta must be in [0, 1] for {strategy} "
+                         f"marking, got {theta}")
 
 
 def mark_maximum(indicators: ElementIndicators, theta: float) -> MarkingDecision:
     """Mark every element whose indicator reaches theta times the maximum."""
-    _check_theta(theta)
+    check_theta(theta, "maximum")
     eta = _eta_per_element(indicators)
     eta_max = eta.max() if eta.size else 0.0
     if eta_max == 0.0:
@@ -65,7 +72,7 @@ def mark_equidistribution(indicators: ElementIndicators, theta: float,
     the worst element always qualifies because the global estimator still
     exceeds the tolerance.
     """
-    _check_theta(theta)
+    check_theta(theta, "equidistribution")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     eta = _eta_per_element(indicators)
@@ -80,7 +87,7 @@ def mark_equidistribution(indicators: ElementIndicators, theta: float,
 def mark_modified_equidistribution(indicators: ElementIndicators,
                                    theta: float) -> MarkingDecision:
     """Mark elements above theta times the equidistributed global estimator."""
-    _check_theta(theta)
+    check_theta(theta, "modified_equidistribution")
     eta = _eta_per_element(indicators)
     total = indicators.eta
     if total == 0.0:
@@ -99,7 +106,7 @@ def mark_doerfler(indicators: ElementIndicators, theta: float) -> MarkingDecisio
     extended by all ties with the last included value so the marked minimum
     dominates the unmarked maximum exactly.
     """
-    _check_theta(theta, lo_open=True)
+    check_theta(theta, "doerfler")
     eta_sq = indicators.eta_sq
     order = np.lexsort((np.arange(eta_sq.size), -eta_sq))
     cumulative = np.cumsum(eta_sq[order])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,22 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _unique_edges(triangles, n_vertices):
+    """Sorted unique edges of a triangle array, keyed ``a * n_vertices + b``.
+
+    Returns ``(faces, tri_faces, counts)``: the ``(k, 2)`` sorted vertex
+    pairs in key order, the ``(m, 3)`` face ids of the edge opposite each
+    local vertex, and the number of triangles holding each face.
+    """
+    t = triangles
+    edges = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
+    keys = edges.min(axis=1) * n_vertices + edges.max(axis=1)
+    uniq, inverse, counts = np.unique(keys, return_inverse=True,
+                                      return_counts=True)
+    faces = np.column_stack(np.divmod(uniq, n_vertices))
+    return faces, inverse.reshape(3, -1).T.copy(), counts
+
+
 class Mesh:
     """Immutable conforming triangulation with per-face boundary tags.
 
@@ -90,9 +107,9 @@ class Mesh:
         For vertices created as edge midpoints, the ids of the edge
         endpoints; (-1, -1) for vertices of the initial mesh.
 
-    The face table (faces, incident triangles, tags, fixed unit normals) is
-    derived in the constructor and the instance is treated as immutable:
-    :func:`bisect` returns a new mesh.
+    The face table (faces, incident triangles, tags, fixed unit normals)
+    and the triangle areas are derived in the constructor and the instance
+    is treated as immutable: :func:`bisect` returns a new mesh.
     """
 
     def __init__(self, vertices, triangles, refinement_edge, boundary_tags,
@@ -115,7 +132,7 @@ class Mesh:
         for arr in (self.vertices, self.triangles, self.refinement_edge,
                     self.generation, self.vertex_parents, self.faces,
                     self.face_tris, self.face_tags, self.face_normals,
-                    self.tri_faces):
+                    self.tri_faces, self._areas):
             arr.setflags(write=False)
 
     @property
@@ -146,7 +163,10 @@ class Mesh:
         if (t[:, 0] == t[:, 1]).any() or (t[:, 1] == t[:, 2]).any() \
                 or (t[:, 0] == t[:, 2]).any():
             raise MeshError("triangle with repeated vertex ids")
-        if (self.signed_areas() <= 0.0).any():
+        p = self.vertices[t]
+        self._areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        if (self._areas <= 0.0).any():
             raise MeshError("triangle with non-positive signed area "
                             "(vertices must be counterclockwise)")
         if not np.all((self.refinement_edge >= 0) & (self.refinement_edge < 3)):
@@ -154,21 +174,16 @@ class Mesh:
 
     def _build_face_table(self, boundary_tags):
         t = self.triangles
-        m = self.n_triangles
-        # local edge k is opposite local vertex k
-        edges = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        edges_sorted = np.sort(edges, axis=1)
-        faces, inverse = np.unique(edges_sorted, axis=0, return_inverse=True)
+        faces, self.tri_faces, counts = _unique_edges(t, self.n_vertices)
         self.faces = faces
-        self.tri_faces = inverse.reshape(3, m).T.copy()
 
+        # face ids in triangle-major order; a stable sort keeps the lower
+        # triangle id first within each face
         flat_f = self.tri_faces.ravel()
-        flat_t = np.repeat(np.arange(m), 3)
-        order = np.lexsort((flat_t, flat_f))
-        ff, tt = flat_f[order], flat_t[order]
+        order = np.argsort(flat_f, kind="stable")
+        ff, tt = flat_f[order], order // 3
         first = np.ones(ff.size, dtype=bool)
         first[1:] = ff[1:] != ff[:-1]
-        counts = np.bincount(ff, minlength=faces.shape[0])
         if (counts > 2).any():
             raise MeshError("non-manifold face shared by more than 2 triangles")
         face_tris = np.full((faces.shape[0], 2), -1, dtype=np.int64)
@@ -209,13 +224,25 @@ class Mesh:
         self.face_lengths = lengths
         self.face_lengths.setflags(write=False)
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-
     def areas(self) -> np.ndarray:
-        return self.signed_areas()
+        """Triangle areas, computed once by the constructor (read-only)."""
+        return self._areas
+
+    @cached_property
+    def p1_gradients(self) -> np.ndarray:
+        """Gradients of the three barycentric basis functions, shape (m, 3, 2).
+
+        Computed on first use and kept read-only on the instance.
+        """
+        p = self.vertices[self.triangles]
+        grads = np.empty((self.n_triangles, 3, 2))
+        for k in range(3):
+            e = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+            grads[:, k, 0] = -e[:, 1]
+            grads[:, k, 1] = e[:, 0]
+        grads /= (2.0 * self._areas)[:, None, None]
+        grads.setflags(write=False)
+        return grads
 
     def faces_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         return np.flatnonzero(self.face_tags == int(tag))
@@ -283,8 +310,9 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
     triangles = np.asarray(spec["triangles"], dtype=np.int64)
     ref_edge = _longest_edge_labels(vertices, triangles)
 
+    faces, _, counts = _unique_edges(triangles, vertices.shape[0])
     tags = {}
-    for f_a, f_b in _boundary_edges(triangles):
+    for f_a, f_b in faces[counts == 1].tolist():
         mid = 0.5 * (vertices[f_a] + vertices[f_b])
         side = _side_of(mid, spec["sides"])
         if side is None:
@@ -293,14 +321,6 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
         tag = BoundaryTag.GAMMA_I if side in gamma_i else BoundaryTag.GAMMA_A
         tags[(f_a, f_b)] = tag
     return Mesh(vertices, triangles, ref_edge, tags)
-
-
-def _boundary_edges(triangles):
-    edges = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]],
-                            triangles[:, [0, 1]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return [tuple(int(v) for v in e) for e in uniq[counts == 1]]
 
 
 def _side_of(point, sides, tol=1e-12):
@@ -326,15 +346,22 @@ def _longest_edge_labels(vertices, triangles) -> np.ndarray:
 
 
 def bisect(mesh: Mesh, marked) -> Mesh:
-    """Bisect the marked triangles, restoring conformity recursively.
+    """Bisect the marked triangles by newest-vertex bisection (NVB).
 
-    Every marked triangle is bisected at least once along its refinement
-    edge.  Neighbors whose shared edge would otherwise carry a hanging node
-    are bisected first (compatible-pair bisection), which is guaranteed to
-    need at most one extra level per neighbor.  Children inherit generation
-    ``parent + 1`` and the midpoint becomes the newest vertex of both
-    children.
+    This is the array form of ``refineNVB`` from Funken, Praetorius and
+    Wissgott, "Efficient implementation of adaptive P1-FEM in Matlab"
+    (CMAM 2011).  The refinement edges of the marked triangles are marked
+    on the face table, and the marking is closed under "a marked edge of a
+    triangle marks its refinement edge".  Every marked edge gets one
+    midpoint, numbered after the existing vertices in face order, so all new
+    vertices have both parents in the input mesh.  Each triangle then splits
+    by its pattern of marked edges into 1, 2, 3 or 4 children; the midpoint
+    a child was cut off by is its newest vertex, and every bisection adds 1
+    to the generation.  Marked boundary faces split into two faces with the
+    same tag.  The result is the smallest conforming NVB refinement that
+    bisects every marked triangle, whatever the order of the marking.
 
+    Output triangles are stored newest vertex first (refinement edge 0).
     Returns a new mesh; with an empty marking the input mesh is returned
     unchanged.
     """
@@ -344,98 +371,60 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise MeshError("marked triangle id out of range")
 
-    verts = [tuple(v) for v in mesh.vertices]
-    parents = [tuple(pp) for pp in mesh.vertex_parents]
-    tri_v = [tuple(t) for t in mesh.triangles]
-    tri_ref = list(mesh.refinement_edge)
-    tri_gen = list(mesh.generation)
-    alive = [True] * len(tri_v)
-    btags = mesh.boundary_tag_map()
+    # rotate to (newest vertex, refinement edge start, refinement edge end);
+    # column k of ``edge`` stays the face opposite local vertex k
+    rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
+    p, a, b = np.take_along_axis(mesh.triangles, rot, axis=1).T
+    edge = np.take_along_axis(mesh.tri_faces, rot, axis=1)
 
-    edge_tris: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(tri_v):
-        for key in (_edge_key(b, c), _edge_key(c, a), _edge_key(a, b)):
-            edge_tris.setdefault(key, []).append(t)
+    split = np.zeros(mesh.n_faces, dtype=bool)
+    split[edge[marked, 0]] = True
+    while True:
+        pending = (split[edge[:, 1]] | split[edge[:, 2]]) & ~split[edge[:, 0]]
+        if not pending.any():
+            break
+        split[edge[pending, 0]] = True
 
-    midpoints: dict[tuple[int, int], int] = {}
+    cut = np.flatnonzero(split)
+    n = mesh.n_vertices
+    mid = np.full(mesh.n_faces, -1, dtype=np.int64)
+    mid[cut] = np.arange(n, n + cut.size)
+    ends = mesh.faces[cut]
+    vertices = np.concatenate([
+        mesh.vertices,
+        0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])])
 
-    def ref_key(t):
-        a, b, c = tri_v[t]
-        r = tri_ref[t]
-        vs = (a, b, c)
-        return _edge_key(vs[(r + 1) % 3], vs[(r + 2) % 3])
+    # midpoints of the refinement edge, of (b, p) and of (p, a)
+    m0, m1, m2 = mid[edge].T
+    refined = m0 >= 0
+    left, right = refined & (m2 >= 0), refined & (m1 >= 0)
+    children = (
+        (~refined, (p, a, b), 0),
+        (refined & ~left, (m0, p, a), 1),
+        (left, (m2, m0, p), 2), (left, (m2, a, m0), 2),
+        (refined & ~right, (m0, b, p), 1),
+        (right, (m1, m0, b), 2), (right, (m1, p, m0), 2),
+    )
+    triangles = np.concatenate([np.column_stack(tri)[sel]
+                                for sel, tri, _ in children])
+    generation = np.concatenate([mesh.generation[sel] + depth
+                                 for sel, _, depth in children])
 
-    def midpoint_of(key):
-        vid = midpoints.get(key)
-        if vid is None:
-            a, b = key
-            vid = len(verts)
-            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
-                          (verts[a][1] + verts[b][1]) / 2.0))
-            parents.append(key)
-            midpoints[key] = vid
-            tag = btags.pop(key, None)
-            if tag is not None:
-                btags[_edge_key(a, vid)] = tag
-                btags[_edge_key(vid, b)] = tag
-        return vid
-
-    def split(t, mid):
-        a, b, c = tri_v[t]
-        r = tri_ref[t]
-        vs = (a, b, c)
-        peak, ea, eb = vs[r], vs[(r + 1) % 3], vs[(r + 2) % 3]
-        alive[t] = False
-        for key in (_edge_key(b, c), _edge_key(c, a), _edge_key(a, b)):
-            edge_tris[key].remove(t)
-        gen = tri_gen[t] + 1
-        # children (peak, ea, mid) and (peak, mid, eb); the midpoint is the
-        # newest vertex of both, so its opposite edge becomes the label
-        for child, ref in (((peak, ea, mid), 2), ((peak, mid, eb), 1)):
-            cid = len(tri_v)
-            tri_v.append(child)
-            tri_ref.append(ref)
-            tri_gen.append(gen)
-            alive.append(True)
-            x, y, z = child
-            for key in (_edge_key(y, z), _edge_key(z, x), _edge_key(x, y)):
-                edge_tris.setdefault(key, []).append(cid)
-
-    steps = 0
-    for target in marked.tolist():
-        if not alive[target]:
-            continue  # already bisected during an earlier closure pass
-        stack = [target]
-        while stack:
-            steps += 1
-            if steps > 10 * len(tri_v):
-                raise RuntimeError(
-                    "bisection closure exceeded its step budget; "
-                    "refinement-edge labeling is inconsistent")
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            key = ref_key(t)
-            others = [o for o in edge_tris.get(key, ()) if o != t]
-            neighbor = others[0] if others else None
-            if neighbor is not None and ref_key(neighbor) != key:
-                stack.append(neighbor)
-                continue
-            mid = midpoint_of(key)
-            split(t, mid)
-            if neighbor is not None:
-                split(neighbor, mid)
-            stack.pop()
-
-    keep = [i for i, a in enumerate(alive) if a]
+    bf = np.flatnonzero(mesh.face_tags != int(BoundaryTag.INTERIOR))
+    fa, fb = mesh.faces[bf].T
+    fm = mid[bf]
+    halved = fm >= 0
+    tags = mesh.face_tags[bf]
+    pieces = zip(np.concatenate([fa, fb[halved]]).tolist(),
+                 np.concatenate([np.where(halved, fm, fb), fm[halved]]).tolist(),
+                 np.concatenate([tags, tags[halved]]).tolist())
     return Mesh(
-        np.asarray(verts, dtype=float),
-        np.asarray([tri_v[i] for i in keep], dtype=np.int64),
-        np.asarray([tri_ref[i] for i in keep], dtype=np.int64),
-        btags,
-        generation=np.asarray([tri_gen[i] for i in keep], dtype=np.int64),
-        vertex_parents=np.asarray(parents, dtype=np.int64),
+        vertices,
+        triangles,
+        np.zeros(triangles.shape[0], dtype=np.int64),
+        {(u, v): tag for u, v, tag in pieces},
+        generation=generation,
+        vertex_parents=np.concatenate([mesh.vertex_parents, ends]),
         level=mesh.level + 1,
         root=mesh.root,
     )

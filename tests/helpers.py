@@ -2,15 +2,16 @@
 
 These deliberately avoid the production code paths: plane coefficients come
 from solving 3x3 linear systems, integrals of polynomials from the exact
-monomial formula on the reference triangle, and the optimality system from
-one dense monolithic solve.
+monomial formula on the reference triangle, the optimality system from
+one dense monolithic solve, newest-vertex bisection from a recursive loop
+over Python dicts and prolongation from a loop over vertices.
 """
 
 import math
 
 import numpy as np
 
-from fluxrec.mesh import BoundaryTag
+from fluxrec.mesh import BoundaryTag, Mesh, MeshError
 
 
 def monomial_integral_ref_triangle(a: int, b: int) -> float:
@@ -132,3 +133,137 @@ def brute_force_indicators(triplet, data):
         eta1[t] += areas[t] * r_sq
 
     return eta1, eta2
+
+
+def edge_key(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def recursive_bisect(mesh: Mesh, marked) -> Mesh:
+    """Oracle for :func:`fluxrec.mesh.bisect`: one triangle at a time, with
+    recursive conforming closure.
+
+    Every marked triangle is bisected at least once along its refinement
+    edge.  Neighbors whose shared edge would otherwise carry a hanging node
+    are bisected first (compatible-pair bisection), which is guaranteed to
+    need at most one extra level per neighbor.  Children inherit generation
+    ``parent + 1`` and the midpoint becomes the newest vertex of both
+    children.
+
+    Returns a new mesh; with an empty marking the input mesh is returned
+    unchanged.
+    """
+    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    if marked.size == 0:
+        return mesh
+    if marked.min() < 0 or marked.max() >= mesh.n_triangles:
+        raise MeshError("marked triangle id out of range")
+
+    verts = [tuple(v) for v in mesh.vertices]
+    parents = [tuple(pp) for pp in mesh.vertex_parents]
+    tri_v = [tuple(t) for t in mesh.triangles]
+    tri_ref = list(mesh.refinement_edge)
+    tri_gen = list(mesh.generation)
+    alive = [True] * len(tri_v)
+    btags = mesh.boundary_tag_map()
+
+    edge_tris: dict[tuple[int, int], list[int]] = {}
+    for t, (a, b, c) in enumerate(tri_v):
+        for key in (edge_key(b, c), edge_key(c, a), edge_key(a, b)):
+            edge_tris.setdefault(key, []).append(t)
+
+    midpoints: dict[tuple[int, int], int] = {}
+
+    def ref_key(t):
+        a, b, c = tri_v[t]
+        r = tri_ref[t]
+        vs = (a, b, c)
+        return edge_key(vs[(r + 1) % 3], vs[(r + 2) % 3])
+
+    def midpoint_of(key):
+        vid = midpoints.get(key)
+        if vid is None:
+            a, b = key
+            vid = len(verts)
+            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
+                          (verts[a][1] + verts[b][1]) / 2.0))
+            parents.append(key)
+            midpoints[key] = vid
+            tag = btags.pop(key, None)
+            if tag is not None:
+                btags[edge_key(a, vid)] = tag
+                btags[edge_key(vid, b)] = tag
+        return vid
+
+    def split(t, mid):
+        a, b, c = tri_v[t]
+        r = tri_ref[t]
+        vs = (a, b, c)
+        peak, ea, eb = vs[r], vs[(r + 1) % 3], vs[(r + 2) % 3]
+        alive[t] = False
+        for key in (edge_key(b, c), edge_key(c, a), edge_key(a, b)):
+            edge_tris[key].remove(t)
+        gen = tri_gen[t] + 1
+        # children (peak, ea, mid) and (peak, mid, eb); the midpoint is the
+        # newest vertex of both, so its opposite edge becomes the label
+        for child, ref in (((peak, ea, mid), 2), ((peak, mid, eb), 1)):
+            cid = len(tri_v)
+            tri_v.append(child)
+            tri_ref.append(ref)
+            tri_gen.append(gen)
+            alive.append(True)
+            x, y, z = child
+            for key in (edge_key(y, z), edge_key(z, x), edge_key(x, y)):
+                edge_tris.setdefault(key, []).append(cid)
+
+    steps = 0
+    for target in marked.tolist():
+        if not alive[target]:
+            continue  # already bisected during an earlier closure pass
+        stack = [target]
+        while stack:
+            steps += 1
+            if steps > 10 * len(tri_v):
+                raise RuntimeError(
+                    "bisection closure exceeded its step budget; "
+                    "refinement-edge labeling is inconsistent")
+            t = stack[-1]
+            if not alive[t]:
+                stack.pop()
+                continue
+            key = ref_key(t)
+            others = [o for o in edge_tris.get(key, ()) if o != t]
+            neighbor = others[0] if others else None
+            if neighbor is not None and ref_key(neighbor) != key:
+                stack.append(neighbor)
+                continue
+            mid = midpoint_of(key)
+            split(t, mid)
+            if neighbor is not None:
+                split(neighbor, mid)
+            stack.pop()
+
+    keep = [i for i, a in enumerate(alive) if a]
+    return Mesh(
+        np.asarray(verts, dtype=float),
+        np.asarray([tri_v[i] for i in keep], dtype=np.int64),
+        np.asarray([tri_ref[i] for i in keep], dtype=np.int64),
+        btags,
+        generation=np.asarray([tri_gen[i] for i in keep], dtype=np.int64),
+        vertex_parents=np.asarray(parents, dtype=np.int64),
+        level=mesh.level + 1,
+        root=mesh.root,
+    )
+
+
+def loop_transfer(values, fine_mesh):
+    """Oracle for :func:`fluxrec.fem.transfer`: fill midpoints one vertex at
+    a time in id order from the coarse nodal ``values``."""
+    nc = len(values)
+    out = np.empty(fine_mesh.n_vertices)
+    out[:nc] = values
+    parents = fine_mesh.vertex_parents
+    for v in range(nc, fine_mesh.n_vertices):
+        a, b = parents[v]
+        out[v] = 0.5 * (out[a] + out[b])
+    return out

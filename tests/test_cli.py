@@ -47,6 +47,14 @@ class TestRunCommand:
         rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_doerfler_theta_zero_fails_before_work(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("strategy = doerfler\ntheta = 0\n")
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestForwardCommand:
     def test_deterministic_files(self, tmp_path):

@@ -41,6 +41,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="theta"):
             parse_config("theta = 1.5")
 
+    def test_theta_range_per_strategy(self):
+        assert parse_config("strategy = maximum\ntheta = 0").theta == 0.0
+        with pytest.raises(ConfigError, match="doerfler"):
+            parse_config("strategy = doerfler\ntheta = 0")
+
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("theta = 0.5\nthetaa = 0.5")

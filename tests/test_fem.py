@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
     FeSpace,
+    TraceFunction,
     TraceSpace,
     _boundary_mass,
     _stiffness,
@@ -26,7 +29,7 @@ from fluxrec.fem import (
 )
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect, build_initial_mesh
 
-from helpers import monomial_integral_ref_triangle
+from helpers import loop_transfer, monomial_integral_ref_triangle, recursive_bisect
 
 
 def reference_triangle_mesh():
@@ -313,6 +316,36 @@ class TestTransfer:
         sib_b = bisect(other_root, [0])
         with pytest.raises(ValueError, match="descendant"):
             transfer(f_a, sib_b)
+
+    @given(domain=st.sampled_from(["square", "lshape"]),
+           oracle_meshes=st.booleans(), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_matches_vertex_loop(self, domain, oracle_meshes, data):
+        """Bit-for-bit equal to the per-vertex loop on multi-level
+        descendants, also where midpoints are numbered in recursion order."""
+        refine = recursive_bisect if oracle_meshes else bisect
+        chain = [build_initial_mesh(domain, "bottom")]
+        for _ in range(data.draw(st.integers(1, 5), label="levels")):
+            mesh = chain[-1]
+            chain.append(refine(mesh, data.draw(st.lists(
+                st.integers(0, mesh.n_triangles - 1), min_size=1,
+                max_size=max(1, mesh.n_triangles // 2)), label="marked")))
+        coarse = chain[data.draw(st.integers(0, len(chain) - 2),
+                                 label="coarse level")]
+        fine = chain[-1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        f = FeFunction(FeSpace(coarse), rng.standard_normal(coarse.n_vertices))
+        assert np.array_equal(transfer(f, fine).values,
+                              loop_transfer(f.values, fine))
+
+        trace = TraceSpace.from_mesh(coarse)
+        q = TraceFunction(trace, rng.standard_normal(trace.n_dofs))
+        embedded = np.zeros(coarse.n_vertices)
+        embedded[trace.vertex_ids] = q.values
+        qf = transfer_trace(q, fine)
+        assert np.array_equal(qf.values,
+                              loop_transfer(embedded, fine)[qf.space.vertex_ids])
 
     def test_trace_transfer(self, refined_square):
         trace = TraceSpace.from_mesh(refined_square)

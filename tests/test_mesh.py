@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from fluxrec.mesh import (
     BoundaryTag,
@@ -11,6 +13,8 @@ from fluxrec.mesh import (
     mesh_size,
     patches,
 )
+
+from helpers import recursive_bisect
 
 
 def brute_force_conforming(mesh):
@@ -181,6 +185,63 @@ class TestBisect:
             mesh = bisect(mesh, marked)
             observed = np.unique(np.round(mesh.angles(), 12))
             assert np.all(np.isin(observed, angle_set))
+
+
+def _coords(mesh, ids):
+    return tuple(map(tuple, mesh.vertices[ids].tolist()))
+
+
+def _canonical(mesh):
+    """Id-free description of a mesh: triangles as coordinates starting at
+    the newest vertex plus generation, tagged boundary faces, and every
+    midpoint with its parent edge."""
+    rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
+    tris = np.take_along_axis(mesh.triangles, rot, axis=1)
+    triangles = sorted((_coords(mesh, tri), int(g))
+                       for tri, g in zip(tris, mesh.generation))
+    tags = {(frozenset(_coords(mesh, list(key))), int(tag))
+            for key, tag in mesh.boundary_tag_map().items()}
+    born = np.flatnonzero(mesh.vertex_parents[:, 0] >= 0)
+    parents = {(_coords(mesh, [v])[0],
+                frozenset(_coords(mesh, mesh.vertex_parents[v])))
+               for v in born}
+    return triangles, tags, parents
+
+
+def _centroid_keys(mesh):
+    return [tuple(c) for c in
+            np.round(mesh.vertices[mesh.triangles].mean(axis=1), 12).tolist()]
+
+
+class TestBisectOracle:
+    """The array NVB gives the recursive closure's triangles, tags and
+    vertex parents; ids differ, so markings are matched by centroid."""
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_matches_recursive_closure(self, domain, data):
+        mesh = oracle = build_initial_mesh(domain, "bottom")
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            marked = data.draw(st.lists(
+                st.integers(0, mesh.n_triangles - 1), min_size=1,
+                max_size=max(1, mesh.n_triangles // 3)), label="marked")
+            by_centroid = {c: t for t, c in enumerate(_centroid_keys(oracle))}
+            centroids = _centroid_keys(mesh)
+            oracle_marked = [by_centroid[centroids[t]] for t in marked]
+            mesh = bisect(mesh, marked)
+            oracle = recursive_bisect(oracle, oracle_marked)
+            assert mesh.n_vertices == oracle.n_vertices
+            assert mesh.n_triangles == oracle.n_triangles
+            assert _canonical(mesh) == _canonical(oracle)
+
+    def test_new_vertices_have_old_parents(self, lshape_mesh):
+        rng = np.random.default_rng(5)
+        mesh = lshape_mesh
+        for _ in range(6):
+            n_old = mesh.n_vertices
+            mesh = bisect(mesh, rng.choice(mesh.n_triangles, size=3))
+            assert (mesh.vertex_parents[n_old:] < n_old).all()
+            assert (mesh.refinement_edge == 0).all()
 
 
 class TestMeshSize:
