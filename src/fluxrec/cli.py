@@ -7,7 +7,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, parse_config
-from .driver import LoopConfig, run_adaptive
+from .driver import LoopConfig, PartialRunError, run_adaptive
 from .export import (
     export_flux_txt,
     export_history_csv,
@@ -70,7 +70,17 @@ def _cmd_run(args) -> int:
         strategy=cfg.strategy, theta=cfg.theta, tol=cfg.tol,
         max_iters=cfg.max_iters, max_triangles=cfg.max_triangles,
         solver=SolverSettings(cg_tol=cfg.cg_tol))
-    history = run_adaptive(problem, loop)
+    try:
+        history = run_adaptive(problem, loop)
+    except PartialRunError as exc:
+        # keep the iterations that finished before the solver failed
+        if exc.history.records:
+            export_history_csv(exc.history,
+                               os.path.join(out_dir, "history.csv"))
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"stop_reason={exc.history.stop_reason} after "
+              f"{len(exc.history.records)} iterations", file=sys.stderr)
+        return 2
 
     export_history_csv(history, os.path.join(out_dir, "history.csv"))
     final = history.final_triplet

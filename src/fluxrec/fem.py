@@ -26,6 +26,9 @@ GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 GAUSS3_POINTS = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
 GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
+# exact P1 mass matrix of a unit-length face
+_FACE_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -147,6 +150,15 @@ def _stiffness(mesh: Mesh) -> sp.csr_matrix:
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _face_mass(row_faces, col_faces, lens, shape) -> sp.csr_matrix:
+    """Sum of the P1 face mass matrices, face ``k`` coupling the dofs
+    ``row_faces[k]`` (rows) with ``col_faces[k]`` (columns)."""
+    vals = lens[:, None, None] * _FACE_MASS[None, :, :]
+    rows = np.repeat(row_faces, 2, axis=1).ravel()
+    cols = np.tile(col_faces, (1, 2)).ravel()
+    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
 def _boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
     """Boundary mass matrix over faces with the given tag, size n x n."""
     n = mesh.n_vertices
@@ -154,12 +166,7 @@ def _boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
     if face_ids.size == 0:
         return sp.csr_matrix((n, n))
     faces = mesh.faces[face_ids]
-    lens = mesh.face_lengths[face_ids]
-    local = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-    vals = lens[:, None, None] * local[None, :, :]
-    rows = np.repeat(faces, 2, axis=1).ravel()
-    cols = np.tile(faces, (1, 2)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _face_mass(faces, faces, mesh.face_lengths[face_ids], (n, n))
 
 
 def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet) -> sp.csr_matrix:
@@ -202,24 +209,32 @@ def volume_load(mesh: Mesh, f) -> np.ndarray:
     return F
 
 
-def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data") -> np.ndarray:
-    """Load vector of a boundary density over the tagged faces, 2-point Gauss."""
-    n = mesh.n_vertices
-    F = np.zeros(n)
-    if g is None:
-        return F
+def _boundary_gauss2(mesh: Mesh, g, tag: BoundaryTag, what):
+    """2-point Gauss rule over the faces with the given tag.
+
+    Yields ``(faces, t, wl, gv)`` per Gauss node: the face vertex pairs, the
+    node's position ``t`` on [0, 1] from ``faces[:, 0]``, the weight times
+    the face length and the data ``g`` at the node.
+    """
     face_ids = mesh.faces_with_tag(tag)
-    if face_ids.size == 0:
-        return F
     faces = mesh.faces[face_ids]
     pa = mesh.vertices[faces[:, 0]]
     pb = mesh.vertices[faces[:, 1]]
     lens = mesh.face_lengths[face_ids]
     for t, w in zip(GAUSS2_POINTS, GAUSS2_WEIGHTS):
         x = pa + t * (pb - pa)
-        gv = _eval_data(g, x[:, 0], x[:, 1], what)
-        np.add.at(F, faces[:, 0], w * lens * gv * (1.0 - t))
-        np.add.at(F, faces[:, 1], w * lens * gv * t)
+        yield faces, t, w * lens, _eval_data(g, x[:, 0], x[:, 1], what)
+
+
+def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data") -> np.ndarray:
+    """Load vector of a boundary density over the tagged faces, 2-point Gauss."""
+    n = mesh.n_vertices
+    F = np.zeros(n)
+    if g is None or mesh.faces_with_tag(tag).size == 0:
+        return F
+    for faces, t, wl, gv in _boundary_gauss2(mesh, g, tag, what):
+        np.add.at(F, faces[:, 0], wl * gv * (1.0 - t))
+        np.add.at(F, faces[:, 1], wl * gv * t)
     return F
 
 
@@ -244,19 +259,13 @@ def assemble_trace_operators(mesh: Mesh):
     trace = TraceSpace.from_mesh(mesh)
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face")
-    dof_of = trace.dof_of_vertex()
     face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
-    faces_local = dof_of[mesh.faces[face_ids]]
+    faces = mesh.faces[face_ids]
+    faces_local = trace.dof_of_vertex()[faces]
     lens = mesh.face_lengths[face_ids]
-    local = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-    vals = lens[:, None, None] * local[None, :, :]
-    rows = np.repeat(faces_local, 2, axis=1).ravel()
-    cols = np.tile(faces_local, (1, 2)).ravel()
     m = trace.n_dofs
-    M_i = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(m, m)).tocsr()
-    full_rows = np.repeat(mesh.faces[face_ids], 2, axis=1).ravel()
-    B = sp.coo_matrix((vals.ravel(), (full_rows, cols)),
-                      shape=(mesh.n_vertices, m)).tocsr()
+    M_i = _face_mass(faces_local, faces_local, lens, (m, m))
+    B = _face_mass(faces, faces_local, lens, (mesh.n_vertices, m))
     M_a = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
     return M_i, B, M_a
 

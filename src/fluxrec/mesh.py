@@ -11,6 +11,7 @@ accessible (``GAMMA_A``, where measurements live) or inaccessible
 from __future__ import annotations
 
 import itertools
+import weakref
 from enum import IntEnum
 from functools import cached_property
 
@@ -110,6 +111,9 @@ class Mesh:
     The face table (faces, incident triangles, tags, fixed unit normals)
     and the triangle areas are derived in the constructor and the instance
     is treated as immutable: :func:`bisect` returns a new mesh.
+    ``state_operators`` is a weak map ``(alpha, gamma) ->`` state operator
+    through which the solver shares ``A`` and its factor between the live
+    systems on this mesh; it keeps no operator alive.
     """
 
     def __init__(self, vertices, triangles, refinement_edge, boundary_tags,
@@ -126,6 +130,7 @@ class Mesh:
         self.vertex_parents = np.ascontiguousarray(vertex_parents, dtype=np.int64)
         self.level = int(level)
         self.root = _next_root() if root is None else root
+        self.state_operators = weakref.WeakValueDictionary()
 
         self._validate_geometry()
         self._build_face_table(boundary_tags)

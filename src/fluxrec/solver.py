@@ -11,21 +11,18 @@ application costs one state-type and one costate-type inner solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import (
-    GAUSS2_POINTS,
-    GAUSS2_WEIGHTS,
     CoefficientSet,
     FeFunction,
     FeSpace,
     TraceFunction,
     TraceSpace,
-    _eval_data,
+    _boundary_gauss2,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
@@ -47,17 +44,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances for the outer reduced-CG iteration and the inner solves."""
+    """Tolerance and iteration cap of the reduced-CG iteration."""
 
     cg_tol: float = 1e-10
     cg_max_iters: int = 1000
-    inner_solver: str = "direct"  # or "cg"
 
     def __post_init__(self):
         if not self.cg_tol > 0.0:
             raise ValueError("cg_tol must be > 0")
-        if self.inner_solver not in ("direct", "cg"):
-            raise ValueError("inner_solver must be 'direct' or 'cg'")
 
 
 @dataclass(frozen=True)
@@ -94,13 +88,32 @@ class OptimalTriplet:
         return self.u.mesh
 
 
+class _StateOperator:
+    """``A = alpha K + gamma M_{GammaA}`` (read-only) and its SuperLU
+    factor, built on the first solve."""
+
+    def __init__(self, mesh: Mesh, coeffs: CoefficientSet):
+        self.A = assemble_bilinear(mesh, coeffs)
+        for arr in (self.A.data, self.A.indices, self.A.indptr):
+            arr.setflags(write=False)
+        self.lu = None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is None:
+            self.lu = spla.splu(self.A.tocsc())
+        return self.lu.solve(rhs)
+
+
 class DiscreteSystem:
     """All operators of the optimality system assembled on one mesh.
 
     Holds the weighted bilinear operator ``A``, the load vector ``F``, the
     boundary mass matrices, the flux coupling ``B`` and the measurement
-    moment vector ``Z_i = int_{GammaA} z phi_i``.  Factorizations are cached
-    so repeated inner solves are cheap.
+    moment vector ``Z_i = int_{GammaA} z phi_i``.  ``A`` does not depend on
+    beta: it and its SuperLU factor are shared with every live system on
+    the same mesh with equal ``(alpha, gamma)``, so a sweep over beta
+    assembles and factors ``A`` once.  The mesh holds them weakly, so the
+    factor is freed with the last system that uses it.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData):
@@ -108,7 +121,12 @@ class DiscreteSystem:
         self.data = data
         self.space = FeSpace(mesh)
         self.trace = TraceSpace.from_mesh(mesh)
-        self.A = assemble_bilinear(mesh, data.coeffs)
+        key = (data.coeffs.alpha, data.coeffs.gamma)
+        self._state = mesh.state_operators.get(key)
+        if self._state is None:
+            self._state = mesh.state_operators[key] = \
+                _StateOperator(mesh, data.coeffs)
+        self.A = self._state.A
         self.F = assemble_load(mesh, data.f, data.u_a, data.coeffs)
         self.M_i, self.B, self.M_a = assemble_trace_operators(mesh)
         if data.z is not None:
@@ -118,23 +136,14 @@ class DiscreteSystem:
         else:
             self.Z = None
             self.z_sq = 0.0
-        self._A_lu = None
         self._Mi_lu = None
 
     @property
     def beta(self) -> float:
         return self.data.coeffs.beta
 
-    def solve_A(self, rhs: np.ndarray, settings: SolverSettings) -> np.ndarray:
-        if settings.inner_solver == "direct":
-            if self._A_lu is None:
-                self._A_lu = spla.splu(self.A.tocsc())
-            return self._A_lu.solve(rhs)
-        x, info = spla.cg(self.A, rhs, rtol=settings.cg_tol / 10.0,
-                          atol=0.0, maxiter=10 * settings.cg_max_iters)
-        if info != 0:
-            raise SolverError(f"inner CG on the state operator failed (info={info})")
-        return x
+    def solve_A(self, rhs: np.ndarray) -> np.ndarray:
+        return self._state.solve(rhs)
 
     def solve_Mi(self, rhs: np.ndarray) -> np.ndarray:
         if self._Mi_lu is None:
@@ -148,16 +157,10 @@ class DiscreteSystem:
 
 def _boundary_l2_sq_of_data(mesh: Mesh, z) -> float:
     """``int_{GammaA} z^2`` with the same 2-point Gauss rule as the loads."""
-    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
-    faces = mesh.faces[face_ids]
-    pa = mesh.vertices[faces[:, 0]]
-    pb = mesh.vertices[faces[:, 1]]
-    lens = mesh.face_lengths[face_ids]
     total = 0.0
-    for t, w in zip(GAUSS2_POINTS, GAUSS2_WEIGHTS):
-        x = pa + t * (pb - pa)
-        zv = _eval_data(z, x[:, 0], x[:, 1], "measurement z")
-        total += float((w * lens * zv ** 2).sum())
+    for _, _, wl, zv in _boundary_gauss2(mesh, z, BoundaryTag.GAMMA_A,
+                                         "measurement z"):
+        total += float((wl * zv ** 2).sum())
     return total
 
 
@@ -165,7 +168,7 @@ def solve_state(q: TraceFunction, system: DiscreteSystem,
                 settings: SolverSettings) -> FeFunction:
     """Forward solve ``A u = F - B q`` for the temperature field."""
     rhs = system.F - system.B @ q.values
-    return FeFunction(system.space, system.solve_A(rhs, settings))
+    return FeFunction(system.space, system.solve_A(rhs))
 
 
 def solve_costate(u: FeFunction, system: DiscreteSystem,
@@ -173,7 +176,7 @@ def solve_costate(u: FeFunction, system: DiscreteSystem,
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
     system.require_z()
     rhs = system.M_a @ u.values - system.Z
-    return FeFunction(system.space, system.solve_A(rhs, settings))
+    return FeFunction(system.space, system.solve_A(rhs))
 
 
 def objective(q: TraceFunction, system: DiscreteSystem,
@@ -191,8 +194,8 @@ def objective(q: TraceFunction, system: DiscreteSystem,
 def hessian_apply(w: np.ndarray, system: DiscreteSystem,
                   settings: SolverSettings) -> np.ndarray:
     """Apply the reduced operator ``H = beta M_i + B^T A^-1 M_a A^-1 B``."""
-    du = system.solve_A(system.B @ w, settings)
-    dp = system.solve_A(system.M_a @ du, settings)
+    du = system.solve_A(system.B @ w)
+    dp = system.solve_A(system.M_a @ du)
     return system.beta * (system.M_i @ w) + system.B.T @ dp
 
 
@@ -215,7 +218,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     machine-precision floor so warm starts cannot stall the iteration).
     """
     system.require_z()
-    u0 = FeFunction(system.space, system.solve_A(system.F, settings))
+    u0 = FeFunction(system.space, system.solve_A(system.F))
     p0 = solve_costate(u0, system, settings)
     b = system.B.T @ p0.values
 

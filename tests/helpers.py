@@ -4,12 +4,14 @@ These deliberately avoid the production code paths: plane coefficients come
 from solving 3x3 linear systems, integrals of polynomials from the exact
 monomial formula on the reference triangle, the optimality system from
 one dense monolithic solve, newest-vertex bisection from a recursive loop
-over Python dicts and prolongation from a loop over vertices.
+over Python dicts, prolongation from a loop over vertices and state solves
+from unpreconditioned conjugate gradients.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError
 
@@ -267,3 +269,34 @@ def loop_transfer(values, fine_mesh):
         a, b = parents[v]
         out[v] = 0.5 * (out[a] + out[b])
     return out
+
+
+def face_loop_boundary_operators(mesh):
+    """Oracle for :func:`fluxrec.fem.assemble_trace_operators`: the dense
+    ``(M_i, B, M_a)`` summed one boundary face at a time."""
+    n = mesh.n_vertices
+    gamma_i = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
+    dof = {int(v): k for k, v in enumerate(gamma_i)}
+    M_i = np.zeros((len(dof), len(dof)))
+    B = np.zeros((n, len(dof)))
+    M_a = np.zeros((n, n))
+    for f in range(mesh.n_faces):
+        tag = mesh.face_tags[f]
+        a, b = (int(v) for v in mesh.faces[f])
+        h = mesh.face_lengths[f]
+        for r, c, w in ((a, a, 1 / 3), (a, b, 1 / 6), (b, a, 1 / 6),
+                        (b, b, 1 / 3)):
+            if tag == BoundaryTag.GAMMA_A:
+                M_a[r, c] += h * w
+            elif tag == BoundaryTag.GAMMA_I:
+                M_i[dof[r], dof[c]] += h * w
+                B[r, dof[c]] += h * w
+    return M_i, B, M_a
+
+
+def inner_cg_solve(A, rhs, rtol=1e-11, maxiter=10_000):
+    """Oracle for the factored state solve: plain CG on the SPD operator."""
+    x, info = spla.cg(A, rhs, rtol=rtol, atol=0.0, maxiter=maxiter)
+    if info != 0:
+        raise RuntimeError(f"inner CG on the state operator failed (info={info})")
+    return x

@@ -47,6 +47,35 @@ class TestRunCommand:
         rc = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_solver_failure_writes_partial_history(self, run_dir, capsys,
+                                                   monkeypatch):
+        import fluxrec.driver as driver
+        from fluxrec.export import read_history_csv
+        from fluxrec.solver import SolverError
+
+        solve = driver.solve_optimality
+        calls = []
+
+        def fail_at_iteration_1(system, settings, warm_start=None):
+            calls.append(system.mesh.n_triangles)
+            if len(calls) == 2:
+                raise SolverError("injected failure", iterations=3,
+                                  residual=1.0)
+            return solve(system, settings, warm_start=warm_start)
+
+        monkeypatch.setattr(driver, "solve_optimality", fail_at_iteration_1)
+        tmp_path, cfg = run_dir
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        rows = read_history_csv(out / "history.csv")
+        assert [row["iter"] for row in rows] == [0]
+        assert rows[0]["n_triangles"] == calls[0]
+        assert not (out / "final.vtk").exists()
+        err = capsys.readouterr().err
+        assert "stop_reason=solver_failure" in err
+        assert "injected failure" in err
+
     def test_doerfler_theta_zero_fails_before_work(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("strategy = doerfler\ntheta = 0\n")

@@ -29,7 +29,12 @@ from fluxrec.fem import (
 )
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect, build_initial_mesh
 
-from helpers import loop_transfer, monomial_integral_ref_triangle, recursive_bisect
+from helpers import (
+    face_loop_boundary_operators,
+    loop_transfer,
+    monomial_integral_ref_triangle,
+    recursive_bisect,
+)
 
 
 def reference_triangle_mesh():
@@ -227,6 +232,18 @@ class TestTraceOperators:
         trace = TraceSpace.from_mesh(refined_square)
         nonzero_rows = np.flatnonzero(np.abs(B.toarray()).sum(axis=1) > 0)
         assert np.array_equal(nonzero_rows, trace.vertex_ids)
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_match_face_loop_bitwise(self, domain):
+        mesh = build_initial_mesh(domain, "bottom")
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            mesh = bisect(mesh, rng.choice(mesh.n_triangles,
+                                           mesh.n_triangles // 2 + 1,
+                                           replace=False))
+        for got, want in zip(assemble_trace_operators(mesh),
+                             face_loop_boundary_operators(mesh)):
+            assert np.array_equal(got.toarray(), want)
 
     def test_mi_positive_definite(self, refined_square):
         M_i, _, _ = assemble_trace_operators(refined_square)

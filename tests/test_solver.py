@@ -1,8 +1,12 @@
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
+import fluxrec.solver as solver
 from fluxrec.fem import FeFunction, FeSpace, TraceFunction
-from fluxrec.mesh import bisect
+from fluxrec.mesh import Mesh, bisect
 from fluxrec.solver import (
     DiscreteSystem,
     SolverError,
@@ -16,7 +20,7 @@ from fluxrec.solver import (
     solve_state,
 )
 
-from helpers import dense_optimality
+from helpers import dense_optimality, inner_cg_solve
 
 
 def zero_trace(system):
@@ -51,9 +55,8 @@ class TestSolveState:
     def test_inner_cg_agrees_with_direct(self, smooth_system):
         q = zero_trace(smooth_system)
         u_direct = solve_state(q, smooth_system, SolverSettings())
-        u_cg = solve_state(q, smooth_system,
-                           SolverSettings(inner_solver="cg"))
-        assert np.abs(u_direct.values - u_cg.values).max() < 1e-8
+        u_cg = inner_cg_solve(smooth_system.A, smooth_system.F)
+        assert np.abs(u_direct.values - u_cg).max() < 1e-8
 
 
 class TestSolveCostate:
@@ -173,7 +176,7 @@ class TestSolveOptimality:
         system = DiscreteSystem(refined_square,
                                 big.data(z=smooth_measurement))
         triplet = solve_optimality(system, settings)
-        u0 = FeFunction(system.space, system.solve_A(system.F, settings))
+        u0 = FeFunction(system.space, system.solve_A(system.F))
         p0 = solve_costate(u0, system, settings)
         p0_trace = TraceFunction(
             system.trace, p0.values[system.trace.vertex_ids])
@@ -258,6 +261,109 @@ class TestSolveOptimality:
             solve_optimality(smooth_system, tight)
         assert err.value.iterations == 1
         assert err.value.residual > 0
+
+
+SWEEP_BETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+
+
+def fresh_copy(mesh):
+    """A new Mesh instance with the same arrays and tags as ``mesh``."""
+    return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
+                mesh.boundary_tag_map(), generation=mesh.generation,
+                vertex_parents=mesh.vertex_parents, level=mesh.level,
+                root=mesh.root)
+
+
+@pytest.fixture()
+def mesh32(refined_square):
+    """A 32-triangle square mesh private to one test."""
+    return bisect(refined_square, np.arange(refined_square.n_triangles))
+
+
+@pytest.fixture()
+def splu_shapes(monkeypatch):
+    """Shapes of the matrices factored by the solver during the test."""
+    shapes = []
+    splu = solver.spla.splu
+
+    def counting(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    return shapes
+
+
+def with_coeffs(data, **changes):
+    return dataclasses.replace(
+        data, coeffs=dataclasses.replace(data.coeffs, **changes))
+
+
+class TestSharedStateOperator:
+    def test_beta_sweep_factors_state_operator_once(
+            self, mesh32, smooth_problem, smooth_measurement, settings,
+            splu_shapes):
+        n = mesh32.n_vertices
+        for beta in SWEEP_BETAS:
+            data = smooth_problem.with_overrides(beta=beta).data(
+                z=smooth_measurement)
+            system = DiscreteSystem(mesh32, data)
+            solve_optimality(system, settings)
+        # one state factor, one GammaI mass factor per beta
+        assert splu_shapes.count((n, n)) == 1
+        assert len(splu_shapes) == 1 + len(SWEEP_BETAS)
+
+    def test_no_sharing_across_coefficients_or_meshes(
+            self, mesh32, smooth_problem, smooth_measurement, splu_shapes):
+        data = smooth_problem.data(z=smooth_measurement)
+        systems = [
+            DiscreteSystem(mesh32, data),
+            DiscreteSystem(mesh32, with_coeffs(data, alpha=2.0)),
+            DiscreteSystem(mesh32, with_coeffs(data, gamma=2.0)),
+            DiscreteSystem(fresh_copy(mesh32), data),
+        ]
+        for system in systems:
+            system.solve_A(system.F)
+        assert len({id(system.A) for system in systems}) == len(systems)
+        assert splu_shapes.count((mesh32.n_vertices,) * 2) == len(systems)
+        shared = DiscreteSystem(mesh32,
+                                with_coeffs(data, beta=data.coeffs.beta / 7))
+        assert shared.A is systems[0].A
+
+    def test_triplets_match_unshared_solve_bitwise(
+            self, mesh32, smooth_problem, smooth_measurement, settings):
+        data = [smooth_problem.with_overrides(beta=beta).data(
+            z=smooth_measurement) for beta in (1e-3, 1e-6)]
+        first = DiscreteSystem(mesh32, data[0])
+        solve_optimality(first, settings)
+        second = DiscreteSystem(mesh32, data[1])
+        assert second.A is first.A
+        shared = solve_optimality(second, settings)
+        alone = solve_optimality(DiscreteSystem(fresh_copy(mesh32), data[1]),
+                                 settings)
+        assert shared.iterations == alone.iterations
+        for name in ("u", "p", "q"):
+            assert np.array_equal(getattr(shared, name).values,
+                                  getattr(alone, name).values)
+
+    def test_shared_operator_is_read_only(self, mesh32, smooth_problem,
+                                          smooth_measurement):
+        system = DiscreteSystem(mesh32, smooth_problem.data(
+            z=smooth_measurement))
+        for arr in (system.A.data, system.A.indices, system.A.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_kept_mesh_pins_no_factor(self, mesh32, smooth_problem,
+                                      smooth_measurement, settings):
+        system = DiscreteSystem(mesh32, smooth_problem.data(
+            z=smooth_measurement))
+        triplet = solve_optimality(system, settings)
+        assert len(mesh32.state_operators) == 1
+        del system
+        gc.collect()
+        assert triplet.mesh is mesh32
+        assert len(mesh32.state_operators) == 0
 
 
 class TestResidualApply:
