@@ -14,13 +14,7 @@ from .driver import (
     run_uniform,
     true_errors,
 )
-from .estimator import (
-    ElementIndicators,
-    estimate,
-    face_jumps,
-    global_estimator,
-    oscillations,
-)
+from .estimator import ElementIndicators, estimate
 from .fem import (
     CoefficientSet,
     FeFunction,
@@ -31,7 +25,6 @@ from .fem import (
     assemble_load,
     assemble_trace_operators,
     interpolate,
-    norms,
     transfer,
 )
 from .marking import (
@@ -42,7 +35,7 @@ from .marking import (
     mark_maximum,
     mark_modified_equidistribution,
 )
-from .mesh import BoundaryTag, Mesh, bisect, build_initial_mesh, mesh_size, patches
+from .mesh import BoundaryTag, Mesh, bisect, build_initial_mesh
 from .problems import (
     Measurement,
     ProblemSpec,
@@ -54,8 +47,6 @@ from .solver import (
     OptimalTriplet,
     ProblemData,
     SolverSettings,
-    reduced_gradient,
-    residual_apply,
     solve_costate,
     solve_optimality,
     solve_state,

@@ -88,17 +88,3 @@ def parse_config(text: str) -> RunConfig:
                               f"{value!r}") from exc
     _validate(cfg)
     return cfg
-
-
-def format_config(cfg: RunConfig) -> str:
-    """Serialize a config so that parsing it back gives an equal config."""
-    lines = []
-    for key in _PARSERS:
-        value = getattr(cfg, key)
-        if value is None:
-            continue
-        if isinstance(value, float):
-            lines.append(f"{key} = {value!r}")
-        else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

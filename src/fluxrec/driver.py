@@ -18,7 +18,7 @@ import numpy as np
 from .estimator import ElementIndicators, estimate
 from .fem import h1_norm, trace_l2, transfer, transfer_trace
 from .fem import FeFunction, TraceFunction
-from .marking import MarkingDecision, mark
+from .marking import STRATEGIES, MarkingDecision, check_theta, mark
 from .mesh import Mesh, bisect
 from .problems import (
     Measurement,
@@ -52,6 +52,12 @@ class LoopConfig:
     reference_levels: int = REFERENCE_LEVELS
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown marking strategy {self.strategy!r}; "
+                             f"available: {STRATEGIES}")
+        check_theta(self.theta, self.strategy)
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_triangles < 1:

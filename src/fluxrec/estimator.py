@@ -2,7 +2,10 @@
 
 Each triangle carries two squared indicators: one for the state equation
 (element residual of the source plus flux/Robin face residuals) and one for
-the costate equation (misfit-driven face residuals).  Data oscillation
+the costate equation (misfit-driven face residuals).  The costate equation
+has no volume residual to compute: with P1 elements and constant alpha the
+divergence term vanishes elementwise, and the costate equation has no
+volume source, so its element residual is identically zero.  Data oscillation
 terms measure what elementwise and facewise integral averages miss.  A face
 shared by two triangles contributes its full jump term to both of them, so
 the global estimator counts interior jumps twice; that only changes the
@@ -22,6 +25,7 @@ from .fem import (
     GAUSS3_WEIGHTS,
     _eval_data,
     element_gradients,
+    midpoint_samples,
 )
 from .mesh import BoundaryTag, Mesh
 from .solver import OptimalTriplet, ProblemData
@@ -73,26 +77,6 @@ class ElementIndicators:
     @property
     def osc(self) -> float:
         return float(np.sqrt(self.osc_sq_total))
-
-
-def element_residuals(triplet: OptimalTriplet, f):
-    """Interior residual samples at the three edge midpoints per triangle.
-
-    For P1 elements with constant diffusivity the divergence terms vanish,
-    so the state residual reduces to the source data and the costate
-    residual to zero; both are still returned as sample arrays so callers
-    integrate them like general data.
-    """
-    mesh = triplet.mesh
-    p = mesh.vertices[mesh.triangles]
-    r1 = np.zeros((mesh.n_triangles, 3))
-    for g, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        mid = 0.5 * (p[:, i] + p[:, j])
-        if f is not None:
-            r1[:, g] = _eval_data(f, mid[:, 0], mid[:, 1], "source f")
-        # second derivatives of the P1 state vanish: nothing to add
-    r2 = np.zeros_like(r1)
-    return r1, r2
 
 
 class _FaceSamples:
@@ -186,40 +170,23 @@ def _trace_values(values, mesh, face_ids, tpar):
     return va[:, None] * (1.0 - tpar) + vb[:, None] * tpar
 
 
-def face_jumps(triplet: OptimalTriplet, data: ProblemData):
-    """Quadrature samples of the two face residuals on every face.
-
-    Returns ``(j1, j2, weights)`` as (n_faces, 3) arrays; the weights are on
-    the reference interval and sum to one per face (a zero third weight
-    marks the 2-point faces).  The jump sign follows the mesh's fixed face
-    normals; only squared quantities enter the estimator.
-    """
-    fs = _FaceSamples(triplet, data)
-    return fs.j1, fs.j2, fs.weights
-
-
-def estimate(triplet: OptimalTriplet, data: ProblemData,
-             mesh: Mesh | None = None) -> ElementIndicators:
+def estimate(triplet: OptimalTriplet, data: ProblemData) -> ElementIndicators:
     """Per-triangle indicators and data oscillations for a solved triplet."""
-    if mesh is None:
-        mesh = triplet.mesh
-    elif mesh is not triplet.mesh:
-        raise ValueError("indicators must be computed on the triplet's mesh")
-
+    mesh = triplet.mesh
     areas = mesh.areas()
     lengths = mesh.face_lengths
-    r1, r2 = element_residuals(triplet, data.f)
+    # for P1 with constant alpha the state residual is the source itself
+    r1 = midpoint_samples(mesh, data.f)
     # ||R||^2_{0,T} by midpoint quadrature, then scaled by h_T^2 = area
     w_vol = areas[:, None] / 3.0
     r1_norm_sq = (w_vol * r1 ** 2).sum(axis=1)
-    r2_norm_sq = (w_vol * r2 ** 2).sum(axis=1)
 
     fs = _FaceSamples(triplet, data)
     face1 = lengths * fs.norm_sq(fs.j1, lengths)  # h_F * ||J1||^2
     face2 = lengths * fs.norm_sq(fs.j2, lengths)
 
     eta1_sq = areas * r1_norm_sq + face1[mesh.tri_faces].sum(axis=1)
-    eta2_sq = areas * r2_norm_sq + face2[mesh.tri_faces].sum(axis=1)
+    eta2_sq = face2[mesh.tri_faces].sum(axis=1)
 
     r1_mean = r1.mean(axis=1)
     osc_f_sq = areas * (w_vol * (r1 - r1_mean[:, None]) ** 2).sum(axis=1)
@@ -229,22 +196,3 @@ def estimate(triplet: OptimalTriplet, data: ProblemData,
     return ElementIndicators(mesh=mesh, eta1_sq=eta1_sq, eta2_sq=eta2_sq,
                              osc_f_sq=osc_f_sq, osc_j1_sq=osc_j1_sq,
                              osc_j2_sq=osc_j2_sq)
-
-
-def oscillations(triplet: OptimalTriplet, data: ProblemData,
-                 mesh: Mesh | None = None):
-    """Oscillation parts only: ``(osc_f_sq, osc_j1_sq, osc_j2_sq)``."""
-    ind = estimate(triplet, data, mesh)
-    return ind.osc_f_sq, ind.osc_j1_sq, ind.osc_j2_sq
-
-
-def global_estimator(indicators: ElementIndicators, subset=None) -> float:
-    """Estimator over a triangle subset (all triangles by default)."""
-    if subset is None:
-        return indicators.eta
-    subset = np.asarray(sorted(subset), dtype=np.int64)
-    if subset.size == 0:
-        return 0.0
-    if subset.min() < 0 or subset.max() >= indicators.mesh.n_triangles:
-        raise ValueError("subset contains triangle ids out of range")
-    return float(np.sqrt(indicators.eta_sq[subset].sum()))

@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .driver import AdaptiveHistory
 from .fem import FeFunction, TraceFunction
-from .mesh import BoundaryTag, Mesh, boundary_paths
+from .mesh import BoundaryTag, Mesh, boundary_arclength
 from .problems import Measurement
 
 CSV_HEADER = ("iter,n_vertices,n_triangles,n_flux_dofs,"
@@ -93,17 +91,9 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
 
 def export_flux_txt(q: TraceFunction, path) -> None:
     """Write the flux as two-column 'arclength value' text, walking GammaI."""
-    mesh = q.mesh
-    dof_of = q.space.dof_of_vertex()
-    lines = []
-    offset = 0.0
-    for chain in boundary_paths(mesh, BoundaryTag.GAMMA_I):
-        pts = mesh.vertices[chain]
-        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-        t = offset + np.concatenate([[0.0], np.cumsum(seg)])
-        for ti, v in zip(t, chain):
-            lines.append(f"{_fmt(ti)} {_fmt(q.values[dof_of[v]])}")
-        offset = t[-1]
+    vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
+    values = q.values[q.space.dof_of_vertex()[vertex_ids]]
+    lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in zip(t, values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -114,17 +104,3 @@ def write_measurement(measurement: Measurement, path) -> None:
              for (x, y), v in zip(measurement.points, measurement.values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_measurement(path) -> np.ndarray:
-    """Samples back as an (n, 3) array of x, y, value."""
-    rows = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if ln:
-                rows.append([float(tok) for tok in ln.split()])
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"malformed measurement file {path}")
-    return arr

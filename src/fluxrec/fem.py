@@ -190,19 +190,36 @@ def _eval_data(fun, x, y, what):
     return vals
 
 
+# local vertex pairs of the three edge midpoints, in quadrature order
+_MIDPOINT_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def midpoint_samples(mesh: Mesh, f) -> np.ndarray:
+    """Source ``f`` at the three edge midpoints per triangle, shape (m, 3).
+
+    Column ``g`` is the midpoint of local edge ``_MIDPOINT_EDGES[g]``; a
+    missing source (None) samples as zero.
+    """
+    out = np.zeros((mesh.n_triangles, 3))
+    if f is None:
+        return out
+    p = mesh.vertices[mesh.triangles]
+    for g, (i, j) in enumerate(_MIDPOINT_EDGES):
+        mid = 0.5 * (p[:, i] + p[:, j])
+        out[:, g] = _eval_data(f, mid[:, 0], mid[:, 1], "source f")
+    return out
+
+
 def volume_load(mesh: Mesh, f) -> np.ndarray:
     """Load vector of the source term, 3-point edge-midpoint quadrature."""
-    n = mesh.n_vertices
-    F = np.zeros(n)
+    F = np.zeros(mesh.n_vertices)
     if f is None:
         return F
-    p = mesh.vertices[mesh.triangles]
+    fv = midpoint_samples(mesh, f)
     areas = mesh.areas()
     tri = mesh.triangles
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        mid = 0.5 * (p[:, i] + p[:, j])
-        fv = _eval_data(f, mid[:, 0], mid[:, 1], "source f")
-        w = areas / 3.0 * fv
+    for g, (i, j) in enumerate(_MIDPOINT_EDGES):
+        w = areas / 3.0 * fv[:, g]
         # the P1 basis takes value 1/2 at the two midpoint-adjacent vertices
         np.add.at(F, tri[:, i], 0.5 * w)
         np.add.at(F, tri[:, j], 0.5 * w)
@@ -355,19 +372,6 @@ def h1_norm(fun: FeFunction) -> float:
     return float(np.sqrt(l2_norm(fun) ** 2 + h1_seminorm(fun) ** 2))
 
 
-def boundary_l2(fun: FeFunction, tag: BoundaryTag) -> float:
-    """Exact L2 norm of the trace over faces with the given tag."""
-    mesh = fun.mesh
-    face_ids = mesh.faces_with_tag(tag)
-    if face_ids.size == 0:
-        return 0.0
-    va = fun.values[mesh.faces[face_ids, 0]]
-    vb = fun.values[mesh.faces[face_ids, 1]]
-    lens = mesh.face_lengths[face_ids]
-    integ = lens / 6.0 * 2.0 * (va ** 2 + vb ** 2 + va * vb)
-    return float(np.sqrt(integ.sum()))
-
-
 def trace_l2(fun: TraceFunction) -> float:
     """Exact L2(GammaI) norm of a trace function."""
     mesh = fun.mesh
@@ -379,16 +383,3 @@ def trace_l2(fun: TraceFunction) -> float:
     lens = mesh.face_lengths[face_ids]
     integ = lens / 6.0 * 2.0 * (va ** 2 + vb ** 2 + va * vb)
     return float(np.sqrt(integ.sum()))
-
-
-def norms(fun) -> dict:
-    """All applicable norms of a function as a name -> value dict."""
-    if isinstance(fun, TraceFunction):
-        return {"l2_gamma_i": trace_l2(fun)}
-    return {
-        "l2": l2_norm(fun),
-        "h1_semi": h1_seminorm(fun),
-        "h1": h1_norm(fun),
-        "l2_gamma_a": boundary_l2(fun, BoundaryTag.GAMMA_A),
-        "l2_gamma_i": boundary_l2(fun, BoundaryTag.GAMMA_I),
-    }

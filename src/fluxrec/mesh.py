@@ -252,26 +252,6 @@ class Mesh:
     def faces_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         return np.flatnonzero(self.face_tags == int(tag))
 
-    def boundary_tag_map(self) -> dict:
-        """Sorted vertex pair -> tag for every boundary face."""
-        out = {}
-        for f in np.flatnonzero(self.face_tags != int(BoundaryTag.INTERIOR)):
-            out[(int(self.faces[f, 0]), int(self.faces[f, 1]))] = \
-                BoundaryTag(int(self.face_tags[f]))
-        return out
-
-    def angles(self) -> np.ndarray:
-        """All interior angles in radians, shape (m, 3)."""
-        p = self.vertices[self.triangles]
-        out = np.empty((self.n_triangles, 3))
-        for k in range(3):
-            u = p[:, (k + 1) % 3] - p[:, k]
-            v = p[:, (k + 2) % 3] - p[:, k]
-            cos = np.einsum("ij,ij->i", u, v) / (
-                np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1]))
-            out[:, k] = np.arccos(np.clip(cos, -1.0, 1.0))
-        return out
-
 
 def _next_root() -> int:
     return next(_root_counter)
@@ -435,46 +415,6 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     )
 
 
-def mesh_size(mesh: Mesh):
-    """Per-triangle and per-face size measures.
-
-    Returns ``(h_t, h_f)`` with ``h_t = area(T) ** (1/2)`` and
-    ``h_f = length(F)``.
-    """
-    return np.sqrt(mesh.areas()), mesh.face_lengths.copy()
-
-
-def patches(mesh: Mesh):
-    """Face-neighbor and vertex-neighbor patches for every triangle.
-
-    Returns ``(omega, d)`` where ``omega[t]`` holds the ids of ``t`` and all
-    triangles sharing a face with it, and ``d[t]`` holds the ids of all
-    triangles sharing at least a vertex with ``t`` (both sorted arrays,
-    ``omega[t]`` is always a subset of ``d[t]``).
-    """
-    m = mesh.n_triangles
-    omega = []
-    for t in range(m):
-        ids = {t}
-        for f in mesh.tri_faces[t]:
-            for nb in mesh.face_tris[f]:
-                if nb >= 0:
-                    ids.add(int(nb))
-        omega.append(np.array(sorted(ids), dtype=np.int64))
-
-    vertex_tris: dict[int, list[int]] = {}
-    for t in range(m):
-        for v in mesh.triangles[t]:
-            vertex_tris.setdefault(int(v), []).append(t)
-    d = []
-    for t in range(m):
-        ids = set()
-        for v in mesh.triangles[t]:
-            ids.update(vertex_tris[int(v)])
-        d.append(np.array(sorted(ids), dtype=np.int64))
-    return omega, d
-
-
 def boundary_paths(mesh: Mesh, tag: BoundaryTag):
     """Ordered vertex chains of the boundary part with the given tag.
 
@@ -519,3 +459,22 @@ def boundary_paths(mesh: Mesh, tag: BoundaryTag):
         raise MeshError("tagged boundary part contains a closed loop")
     paths.sort(key=lambda ch: coord(ch[0]))
     return paths
+
+
+def boundary_arclength(mesh: Mesh, tag: BoundaryTag, gap: float):
+    """Vertex ids and arc-length abscissae along :func:`boundary_paths`.
+
+    The components are laid out one after another with their true lengths;
+    each starts ``gap`` after the end of the previous one.  Returns
+    ``(vertex_ids, t)``, both concatenated over the components.
+    """
+    paths = boundary_paths(mesh, tag)
+    out = []
+    offset = 0.0
+    for path in paths:
+        pts = mesh.vertices[path]
+        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        t = offset + np.concatenate([[0.0], np.cumsum(seg)])
+        out.append(t)
+        offset = t[-1] + gap
+    return np.concatenate(paths), np.concatenate(out)

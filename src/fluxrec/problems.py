@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fem import CoefficientSet, TraceSpace, interpolate
-from .mesh import BoundaryTag, Mesh, boundary_paths, build_initial_mesh, bisect
+from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bisect
 from .solver import DiscreteSystem, ProblemData, SolverSettings, solve_state
 
 BUILTIN_NAMES = ("square_smooth", "square_jump", "lshape_spike")
@@ -107,7 +107,7 @@ class Measurement:
     arclength: np.ndarray
     generation_triangles: int = 0
     generation_level: int = 0
-    _segments: np.ndarray = field(default=None, repr=False)
+    _segments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -179,10 +179,9 @@ def generate_measurement(problem: ProblemSpec, extra_levels: int = 5,
     system = DiscreteSystem(mesh, problem.data())
     u = solve_state(q, system, settings)
 
-    paths = boundary_paths(mesh, BoundaryTag.GAMMA_A)
-    vertex_ids = [v for path in paths for v in path]
+    # a unit gap between components, so interpolation never bridges two
+    vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A, 1.0)
     points = mesh.vertices[vertex_ids]
-    arclength = _cumulative_arclength(paths, mesh)
     values = u.values[vertex_ids]
 
     noise = problem.noise if override_noise is None else override_noise
@@ -196,24 +195,6 @@ def generate_measurement(problem: ProblemSpec, extra_levels: int = 5,
     return Measurement(points=points, values=values, arclength=arclength,
                        generation_triangles=mesh.n_triangles,
                        generation_level=mesh.level)
-
-
-def _cumulative_arclength(paths, mesh) -> np.ndarray:
-    """Concatenated arc-length parameters over ordered boundary paths.
-
-    Components are laid out one after another with their true geometric
-    lengths, separated by a unit gap so interpolation never bridges two
-    components.
-    """
-    out = []
-    offset = 0.0
-    for path in paths:
-        pts = mesh.vertices[path]
-        seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-        t = offset + np.concatenate([[0.0], np.cumsum(seg)])
-        out.append(t)
-        offset = t[-1] + 1.0
-    return np.concatenate(out)
 
 
 def check_no_inverse_crime(measurement: Measurement, mesh: Mesh):

@@ -27,8 +27,6 @@ from .fem import (
     assemble_load,
     assemble_trace_operators,
     boundary_load,
-    transfer,
-    transfer_trace,
 )
 from .mesh import BoundaryTag, Mesh
 
@@ -199,15 +197,6 @@ def hessian_apply(w: np.ndarray, system: DiscreteSystem,
     return system.beta * (system.M_i @ w) + system.B.T @ dp
 
 
-def reduced_gradient(q: TraceFunction, system: DiscreteSystem,
-                     settings: SolverSettings) -> TraceFunction:
-    """Riesz representative of J'(q): solves ``M_i g = beta M_i q - B^T p``."""
-    u = solve_state(q, system, settings)
-    p = solve_costate(u, system, settings)
-    rhs = system.beta * (system.M_i @ q.values) - system.B.T @ p.values
-    return TraceFunction(system.trace, system.solve_Mi(rhs))
-
-
 def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
                      warm_start: TraceFunction | None = None) -> OptimalTriplet:
     """Solve the discrete optimality system on the system's mesh.
@@ -266,30 +255,3 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     u = solve_state(q_fun, system, settings)
     p = solve_costate(u, system, settings)
     return OptimalTriplet(u=u, p=p, q=q_fun, iterations=iterations, residual=res)
-
-
-def residual_apply(triplet: OptimalTriplet, test: FeFunction, which: str,
-                   system: DiscreteSystem) -> float:
-    """Residual functional of the state or costate equation at a test function.
-
-    For a test function in the triplet's own space this vanishes to solver
-    tolerance (Galerkin orthogonality).  The test function may also live on
-    a bisection descendant of the triplet's mesh; the triplet is then
-    prolongated exactly and the residual evaluated with operators assembled
-    on the finer mesh.
-    """
-    if which not in ("state", "costate"):
-        raise ValueError("which must be 'state' or 'costate'")
-    if test.mesh is triplet.mesh:
-        sys_t = system
-        u, p, q = triplet.u, triplet.p, triplet.q
-    else:
-        sys_t = DiscreteSystem(test.mesh, system.data)
-        u = transfer(triplet.u, test.mesh)
-        p = transfer(triplet.p, test.mesh)
-        q = transfer_trace(triplet.q, test.mesh)
-    t = test.values
-    if which == "state":
-        return float(t @ (sys_t.F - sys_t.B @ q.values - sys_t.A @ u.values))
-    sys_t.require_z()
-    return float(t @ (sys_t.M_a @ u.values - sys_t.Z - sys_t.A @ p.values))

@@ -1,19 +1,25 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and test-only utilities used by the test suite.
 
-These deliberately avoid the production code paths: plane coefficients come
-from solving 3x3 linear systems, integrals of polynomials from the exact
-monomial formula on the reference triangle, the optimality system from
-one dense monolithic solve, newest-vertex bisection from a recursive loop
-over Python dicts, prolongation from a loop over vertices and state solves
-from unpreconditioned conjugate gradients.
+The oracles deliberately avoid the production code paths: plane
+coefficients come from solving 3x3 linear systems, integrals of polynomials
+from the exact monomial formula on the reference triangle, the optimality
+system from one dense monolithic solve, newest-vertex bisection from a
+recursive loop over Python dicts, prolongation from a loop over vertices
+and state solves from unpreconditioned conjugate gradients.  The utilities
+(mesh angles and patches, residual functionals, the reduced gradient, a
+boundary norm and config/measurement round trips) are only needed by tests,
+so they live here rather than in the library.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from fluxrec.fem import FeFunction, TraceFunction, transfer, transfer_trace
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError
+from fluxrec.solver import DiscreteSystem, solve_costate, solve_state
 
 
 def monomial_integral_ref_triangle(a: int, b: int) -> float:
@@ -167,7 +173,7 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     tri_ref = list(mesh.refinement_edge)
     tri_gen = list(mesh.generation)
     alive = [True] * len(tri_v)
-    btags = mesh.boundary_tag_map()
+    btags = boundary_tag_map(mesh)
 
     edge_tris: dict[tuple[int, int], list[int]] = {}
     for t, (a, b, c) in enumerate(tri_v):
@@ -300,3 +306,131 @@ def inner_cg_solve(A, rhs, rtol=1e-11, maxiter=10_000):
     if info != 0:
         raise RuntimeError(f"inner CG on the state operator failed (info={info})")
     return x
+
+
+def boundary_tag_map(mesh: Mesh) -> dict:
+    """Sorted vertex pair -> tag for every boundary face."""
+    out = {}
+    for f in np.flatnonzero(mesh.face_tags != int(BoundaryTag.INTERIOR)):
+        out[(int(mesh.faces[f, 0]), int(mesh.faces[f, 1]))] = \
+            BoundaryTag(int(mesh.face_tags[f]))
+    return out
+
+
+def angles(mesh: Mesh) -> np.ndarray:
+    """All interior angles in radians, shape (m, 3)."""
+    p = mesh.vertices[mesh.triangles]
+    out = np.empty((mesh.n_triangles, 3))
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        cos = np.einsum("ij,ij->i", u, v) / (
+            np.hypot(u[:, 0], u[:, 1]) * np.hypot(v[:, 0], v[:, 1]))
+        out[:, k] = np.arccos(np.clip(cos, -1.0, 1.0))
+    return out
+
+
+def patches(mesh: Mesh):
+    """Face-neighbor and vertex-neighbor patches for every triangle.
+
+    Returns ``(omega, d)`` where ``omega[t]`` holds the ids of ``t`` and all
+    triangles sharing a face with it, and ``d[t]`` holds the ids of all
+    triangles sharing at least a vertex with ``t`` (both sorted arrays,
+    ``omega[t]`` is always a subset of ``d[t]``).
+    """
+    m = mesh.n_triangles
+    omega = []
+    for t in range(m):
+        ids = {t}
+        for f in mesh.tri_faces[t]:
+            for nb in mesh.face_tris[f]:
+                if nb >= 0:
+                    ids.add(int(nb))
+        omega.append(np.array(sorted(ids), dtype=np.int64))
+
+    vertex_tris: dict[int, list[int]] = {}
+    for t in range(m):
+        for v in mesh.triangles[t]:
+            vertex_tris.setdefault(int(v), []).append(t)
+    d = []
+    for t in range(m):
+        ids = set()
+        for v in mesh.triangles[t]:
+            ids.update(vertex_tris[int(v)])
+        d.append(np.array(sorted(ids), dtype=np.int64))
+    return omega, d
+
+
+def boundary_l2(fun: FeFunction, tag: BoundaryTag) -> float:
+    """Exact L2 norm of the trace over faces with the given tag."""
+    mesh = fun.mesh
+    face_ids = mesh.faces_with_tag(tag)
+    if face_ids.size == 0:
+        return 0.0
+    va = fun.values[mesh.faces[face_ids, 0]]
+    vb = fun.values[mesh.faces[face_ids, 1]]
+    lens = mesh.face_lengths[face_ids]
+    integ = lens / 6.0 * 2.0 * (va ** 2 + vb ** 2 + va * vb)
+    return float(np.sqrt(integ.sum()))
+
+
+def reduced_gradient(q: TraceFunction, system, settings) -> TraceFunction:
+    """Riesz representative of J'(q): solves ``M_i g = beta M_i q - B^T p``."""
+    u = solve_state(q, system, settings)
+    p = solve_costate(u, system, settings)
+    rhs = system.beta * (system.M_i @ q.values) - system.B.T @ p.values
+    return TraceFunction(system.trace, system.solve_Mi(rhs))
+
+
+def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
+    """Residual functional of the state or costate equation at a test function.
+
+    For a test function in the triplet's own space this vanishes to solver
+    tolerance (Galerkin orthogonality).  The test function may also live on
+    a bisection descendant of the triplet's mesh; the triplet is then
+    prolongated exactly and the residual evaluated with operators assembled
+    on the finer mesh.
+    """
+    if which not in ("state", "costate"):
+        raise ValueError("which must be 'state' or 'costate'")
+    if test.mesh is triplet.mesh:
+        sys_t = system
+        u, p, q = triplet.u, triplet.p, triplet.q
+    else:
+        sys_t = DiscreteSystem(test.mesh, system.data)
+        u = transfer(triplet.u, test.mesh)
+        p = transfer(triplet.p, test.mesh)
+        q = transfer_trace(triplet.q, test.mesh)
+    t = test.values
+    if which == "state":
+        return float(t @ (sys_t.F - sys_t.B @ q.values - sys_t.A @ u.values))
+    sys_t.require_z()
+    return float(t @ (sys_t.M_a @ u.values - sys_t.Z - sys_t.A @ p.values))
+
+
+def format_config(cfg) -> str:
+    """Serialize a run config so that parsing it back gives an equal config."""
+    lines = []
+    for fld in dataclasses.fields(cfg):
+        value = getattr(cfg, fld.name)
+        if value is None:
+            continue
+        if isinstance(value, float):
+            lines.append(f"{fld.name} = {value!r}")
+        else:
+            lines.append(f"{fld.name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def read_measurement(path) -> np.ndarray:
+    """Samples of a measurement file back as an (n, 3) array of x, y, value."""
+    rows = []
+    with open(path) as fh:
+        for ln in fh:
+            ln = ln.strip()
+            if ln:
+                rows.append([float(tok) for tok in ln.split()])
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"malformed measurement file {path}")
+    return arr

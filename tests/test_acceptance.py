@@ -18,11 +18,15 @@ from fluxrec.solver import (
     DiscreteSystem,
     SolverSettings,
     objective,
-    reduced_gradient,
     solve_optimality,
 )
 
-from helpers import dense_optimality
+from helpers import (
+    angles,
+    boundary_tag_map,
+    dense_optimality,
+    reduced_gradient,
+)
 
 
 def report(num, ok, detail):
@@ -313,7 +317,7 @@ def test_criterion_9_mesh_fuzz():
                                 replace=False)
             mesh = bisect(mesh, marked)  # constructor re-checks conformity
             n_calls += 1
-            min_angles.append(mesh.angles().min())
+            min_angles.append(angles(mesh).min())
         # newest-vertex bisection keeps the angle classes of two uniform
         # rounds: the minimum angle is constant from iteration 2 onward
         stable = np.array(min_angles[2:])
@@ -352,7 +356,7 @@ def _brute_force_conforming(mesh):
         for i, j in ((0, 1), (1, 2), (2, 0)):
             key = tuple(sorted((int(tri[i]), int(tri[j]))))
             edge_count[key] = edge_count.get(key, 0) + 1
-    tags = mesh.boundary_tag_map()
+    tags = boundary_tag_map(mesh)
     for key, cnt in edge_count.items():
         assert cnt in (1, 2)
         assert (cnt == 1) == (key in tags)

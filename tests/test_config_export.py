@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fluxrec.config import ConfigError, RunConfig, format_config, parse_config
+from fluxrec.config import ConfigError, RunConfig, parse_config
 from fluxrec.export import (
     CSV_HEADER,
     export_flux_txt,
     export_history_csv,
     export_vtk,
     read_history_csv,
-    read_measurement,
     write_measurement,
 )
 from fluxrec.fem import FeFunction, FeSpace, TraceSpace, interpolate
+
+from helpers import format_config, read_measurement
 
 
 class TestParseConfig:

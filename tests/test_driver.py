@@ -168,6 +168,25 @@ class TestTrueErrors:
         assert hist.final_triplet.mesh is hist.final_mesh
 
 
+class TestLoopConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(strategy="nope"),
+        dict(strategy="maximum", theta=7.0),
+        dict(strategy="doerfler", theta=0.0),
+        dict(tol=0.0),
+        dict(tol=float("nan")),
+    ])
+    def test_bad_config_fails_before_work(self, monkeypatch, kwargs):
+        import fluxrec.driver as driver
+
+        def no_work(*args, **kw):
+            raise AssertionError("measurement generated for a bad config")
+
+        monkeypatch.setattr(driver, "generate_measurement", no_work)
+        with pytest.raises(ValueError):
+            run_adaptive(builtin_problem("square_smooth"), LoopConfig(**kwargs))
+
+
 class TestSolverFailure:
     def test_partial_history_attached(self, smooth_problem,
                                       smooth_measurement):

@@ -1,19 +1,13 @@
 import numpy as np
-import pytest
 
-from fluxrec.estimator import (
-    element_residuals,
-    estimate,
-    face_jumps,
-    global_estimator,
-    oscillations,
-)
+from fluxrec.estimator import _FaceSamples, estimate
 from fluxrec.fem import (
     FeFunction,
     FeSpace,
     TraceFunction,
     TraceSpace,
     interpolate,
+    midpoint_samples,
 )
 from fluxrec.mesh import BoundaryTag, build_initial_mesh
 from fluxrec.solver import OptimalTriplet, ProblemData, solve_optimality
@@ -42,19 +36,28 @@ def zero_data(coeffs):
 
 class TestElementResiduals:
     def test_zero_source(self, refined_square, smooth_problem):
-        triplet = make_triplet(refined_square)
-        r1, r2 = element_residuals(triplet, lambda x, y: 0.0 * x)
+        r1 = midpoint_samples(refined_square, lambda x, y: 0.0 * x)
+        assert r1.shape == (refined_square.n_triangles, 3)
         assert np.abs(r1).max() == 0.0
-        assert np.abs(r2).max() == 0.0
 
-    def test_costate_residual_always_zero(self, refined_square):
+    def test_costate_residual_always_zero(self, refined_square,
+                                          smooth_problem):
+        """The costate indicator is made of face residuals alone."""
         rng = np.random.default_rng(0)
         triplet = make_triplet(
             refined_square,
             u_vals=rng.standard_normal(refined_square.n_vertices),
             p_vals=rng.standard_normal(refined_square.n_vertices))
-        _, r2 = element_residuals(triplet, lambda x, y: x + y)
-        assert np.abs(r2).max() == 0.0
+        data = ProblemData(coeffs=smooth_problem.coeffs,
+                           f=lambda x, y: x + y,
+                           u_a=lambda x, y: 0.0 * x,
+                           z=lambda x, y: 0.0 * x)
+        fs = _FaceSamples(triplet, data)
+        lengths = refined_square.face_lengths
+        face2 = lengths * fs.norm_sq(fs.j2, lengths)
+        ind = estimate(triplet, data)
+        assert np.array_equal(ind.eta2_sq,
+                              face2[refined_square.tri_faces].sum(axis=1))
 
     def test_linear_source_norm(self, smooth_problem):
         # || f ||^2 over the reference triangle with f = x equals 1/12
@@ -69,8 +72,7 @@ class TestElementResiduals:
                            (0, 2): BoundaryTag.GAMMA_A,
                            (1, 2): BoundaryTag.GAMMA_A},
         )
-        triplet = make_triplet(mesh)
-        r1, _ = element_residuals(triplet, lambda x, y: x)
+        r1 = midpoint_samples(mesh, lambda x, y: x)
         area = mesh.areas()[0]
         norm_sq = float((area / 3.0 * r1 ** 2).sum())
         assert np.isclose(norm_sq, monomial_integral_ref_triangle(2, 0),
@@ -82,14 +84,14 @@ class TestFaceJumps:
                                                   smooth_problem):
         u = interpolate(lambda x, y: x, FeSpace(refined_square))
         triplet = make_triplet(refined_square, u_vals=u.values)
-        j1, _, _ = face_jumps(triplet, zero_data(smooth_problem.coeffs))
+        j1 = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).j1
         interior = refined_square.faces_with_tag(BoundaryTag.INTERIOR)
         assert np.abs(j1[interior]).max() < 1e-12
 
     def test_gamma_i_zero_state_zero_flux(self, refined_square,
                                           smooth_problem):
         triplet = make_triplet(refined_square)
-        j1, _, _ = face_jumps(triplet, zero_data(smooth_problem.coeffs))
+        j1 = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).j1
         gi = refined_square.faces_with_tag(BoundaryTag.GAMMA_I)
         assert np.abs(j1[gi]).max() == 0.0
 
@@ -99,7 +101,7 @@ class TestFaceJumps:
         mesh = build_initial_mesh("square", "bottom")
         u = interpolate(lambda x, y: y, FeSpace(mesh))
         triplet = make_triplet(mesh, u_vals=u.values)
-        j1, _, _ = face_jumps(triplet, zero_data(smooth_problem.coeffs))
+        j1 = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).j1
         top = [f for f in mesh.faces_with_tag(BoundaryTag.GAMMA_A)
                if np.allclose(mesh.vertices[mesh.faces[f], 1], 1.0)]
         assert len(top) == 1
@@ -107,7 +109,7 @@ class TestFaceJumps:
 
     def test_weights_sum_to_one(self, refined_square, smooth_problem):
         triplet = make_triplet(refined_square)
-        _, _, w = face_jumps(triplet, zero_data(smooth_problem.coeffs))
+        w = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).weights
         assert np.allclose(w.sum(axis=1), 1.0)
 
 
@@ -173,8 +175,7 @@ class TestOscillations:
         triplet = make_triplet(
             refined_square, u_vals=u.values,
             q_vals=np.full(trace.n_dofs, 2.0))
-        osc_f, osc_j1, osc_j2 = oscillations(
-            triplet, zero_data(smooth_problem.coeffs))
+        osc_j1 = estimate(triplet, zero_data(smooth_problem.coeffs)).osc_j1_sq
         gi = refined_square.faces_with_tag(BoundaryTag.GAMMA_I)
         interior = refined_square.faces_with_tag(BoundaryTag.INTERIOR)
         assert np.abs(osc_j1[gi]).max() < 1e-15
@@ -209,41 +210,9 @@ class TestOscillations:
         triplet = solve_optimality(smooth_system, settings)
         ind = estimate(triplet, smooth_system.data)
         mesh = smooth_system.mesh
-        from fluxrec.estimator import _FaceSamples
-
         fs = _FaceSamples(triplet, smooth_system.data)
         lengths = mesh.face_lengths
         assert np.all(ind.osc_j1_sq
                       <= lengths * fs.norm_sq(fs.j1, lengths) + 1e-15)
         assert np.all(ind.osc_j2_sq
                       <= lengths * fs.norm_sq(fs.j2, lengths) + 1e-15)
-
-
-class TestGlobalEstimator:
-    def test_empty_subset(self, smooth_system, settings):
-        triplet = solve_optimality(smooth_system, settings)
-        ind = estimate(triplet, smooth_system.data)
-        assert global_estimator(ind, subset=[]) == 0.0
-
-    def test_full_subset_equals_eta(self, smooth_system, settings):
-        triplet = solve_optimality(smooth_system, settings)
-        ind = estimate(triplet, smooth_system.data)
-        full = range(smooth_system.mesh.n_triangles)
-        assert np.isclose(global_estimator(ind, subset=full), ind.eta)
-        assert np.isclose(global_estimator(ind), ind.eta)
-
-    def test_additivity_over_disjoint_split(self, smooth_system, settings):
-        triplet = solve_optimality(smooth_system, settings)
-        ind = estimate(triplet, smooth_system.data)
-        m = smooth_system.mesh.n_triangles
-        first = list(range(m // 2))
-        second = list(range(m // 2, m))
-        total_sq = (global_estimator(ind, first) ** 2
-                    + global_estimator(ind, second) ** 2)
-        assert np.isclose(total_sq, ind.eta ** 2, rtol=1e-12)
-
-    def test_out_of_range_subset(self, smooth_system, settings):
-        triplet = solve_optimality(smooth_system, settings)
-        ind = estimate(triplet, smooth_system.data)
-        with pytest.raises(ValueError, match="out of range"):
-            global_estimator(ind, subset=[10_000])

@@ -15,13 +15,11 @@ from fluxrec.fem import (
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
-    boundary_l2,
     element_gradients,
     h1_norm,
     h1_seminorm,
     interpolate,
     l2_norm,
-    norms,
     trace_l2,
     transfer,
     transfer_trace,
@@ -30,6 +28,8 @@ from fluxrec.fem import (
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect, build_initial_mesh
 
 from helpers import (
+    boundary_l2,
+    boundary_tag_map,
     face_loop_boundary_operators,
     loop_transfer,
     monomial_integral_ref_triangle,
@@ -129,7 +129,7 @@ class TestAssembleBilinear:
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.vertices.copy(), mesh.triangles[perm].copy(),
                         mesh.refinement_edge[perm].copy(),
-                        mesh.boundary_tag_map(),
+                        boundary_tag_map(mesh),
                         generation=mesh.generation[perm].copy())
         A = assemble_bilinear(mesh, COEFFS).toarray()
         B = assemble_bilinear(shuffled, COEFFS).toarray()
@@ -393,15 +393,10 @@ class TestNorms:
         q = interpolate(lambda x, y: x, trace)
         assert np.isclose(trace_l2(q) ** 2, 1.0 / 3.0, rtol=1e-13)
 
-    def test_norms_dict(self, refined_square):
+    def test_h1_norm_from_parts(self, refined_square):
         f = interpolate(lambda x, y: x, FeSpace(refined_square))
-        out = norms(f)
-        assert set(out) == {"l2", "h1_semi", "h1", "l2_gamma_a", "l2_gamma_i"}
-        assert np.isclose(out["h1"],
-                          np.sqrt(out["l2"] ** 2 + out["h1_semi"] ** 2))
-        trace = TraceSpace.from_mesh(refined_square)
-        q = interpolate(lambda x, y: x, trace)
-        assert set(norms(q)) == {"l2_gamma_i"}
+        assert np.isclose(h1_norm(f),
+                          np.sqrt(l2_norm(f) ** 2 + h1_seminorm(f) ** 2))
 
 
 class TestValidation:

@@ -10,11 +10,9 @@ from fluxrec.mesh import (
     bisect,
     boundary_paths,
     build_initial_mesh,
-    mesh_size,
-    patches,
 )
 
-from helpers import recursive_bisect
+from helpers import angles, boundary_tag_map, patches, recursive_bisect
 
 
 def brute_force_conforming(mesh):
@@ -24,7 +22,7 @@ def brute_force_conforming(mesh):
         for i, j in ((0, 1), (1, 2), (2, 0)):
             key = tuple(sorted((int(tri[i]), int(tri[j]))))
             edge_count[key] = edge_count.get(key, 0) + 1
-    tags = mesh.boundary_tag_map()
+    tags = boundary_tag_map(mesh)
     for key, cnt in edge_count.items():
         if cnt == 2:
             assert key not in tags
@@ -135,8 +133,7 @@ class TestBisect:
     def test_children_areas_halved(self, square_mesh):
         fine = bisect(square_mesh, [0, 1])
         assert np.allclose(fine.areas(), 0.25)
-        h_t, _ = mesh_size(fine)
-        assert np.allclose(h_t, 0.5)
+        assert np.allclose(np.sqrt(fine.areas()), 0.5)
 
     def test_max_size_non_increasing(self, lshape_mesh):
         rng = np.random.default_rng(7)
@@ -177,13 +174,13 @@ class TestBisect:
     def test_angle_classes_stable(self, square_mesh):
         """All angles stay inside the set produced by two uniform rounds."""
         uniform2 = bisect(bisect(square_mesh, [0, 1]), [0, 1, 2, 3])
-        angle_set = np.unique(np.round(uniform2.angles(), 12))
+        angle_set = np.unique(np.round(angles(uniform2), 12))
         rng = np.random.default_rng(11)
         mesh = square_mesh
         for _ in range(10):
             marked = rng.choice(mesh.n_triangles, size=1)
             mesh = bisect(mesh, marked)
-            observed = np.unique(np.round(mesh.angles(), 12))
+            observed = np.unique(np.round(angles(mesh), 12))
             assert np.all(np.isin(observed, angle_set))
 
 
@@ -200,7 +197,7 @@ def _canonical(mesh):
     triangles = sorted((_coords(mesh, tri), int(g))
                        for tri, g in zip(tris, mesh.generation))
     tags = {(frozenset(_coords(mesh, list(key))), int(tag))
-            for key, tag in mesh.boundary_tag_map().items()}
+            for key, tag in boundary_tag_map(mesh).items()}
     born = np.flatnonzero(mesh.vertex_parents[:, 0] >= 0)
     parents = {(_coords(mesh, [v])[0],
                 frozenset(_coords(mesh, mesh.vertex_parents[v])))
@@ -246,13 +243,12 @@ class TestBisectOracle:
 
 class TestMeshSize:
     def test_reference_triangle(self, square_mesh):
-        h_t, h_f = mesh_size(square_mesh)
-        assert np.allclose(h_t, np.sqrt(0.5))
+        assert np.allclose(np.sqrt(square_mesh.areas()), np.sqrt(0.5))
         bottom = square_mesh.faces_with_tag(BoundaryTag.GAMMA_I)[0]
-        assert np.isclose(h_f[bottom], 1.0)
+        assert np.isclose(square_mesh.face_lengths[bottom], 1.0)
 
     def test_h_f_is_length(self, lshape_mesh):
-        _, h_f = mesh_size(lshape_mesh)
+        h_f = lshape_mesh.face_lengths
         pa = lshape_mesh.vertices[lshape_mesh.faces[:, 0]]
         pb = lshape_mesh.vertices[lshape_mesh.faces[:, 1]]
         assert np.allclose(h_f, np.linalg.norm(pb - pa, axis=1))
@@ -310,7 +306,7 @@ class TestNormalsAndPaths:
     def test_face_table_recomputable(self, refined_square):
         mesh = refined_square
         rebuilt = Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                       mesh.refinement_edge.copy(), mesh.boundary_tag_map(),
+                       mesh.refinement_edge.copy(), boundary_tag_map(mesh),
                        generation=mesh.generation.copy())
         assert np.array_equal(rebuilt.faces, mesh.faces)
         assert np.array_equal(rebuilt.face_tris, mesh.face_tris)

@@ -157,6 +157,8 @@ class TestMultiComponentGammaA:
         # left and right sides only: a padded arc-length gap in between
         assert not meas._segments.all()
         assert meas._segments.any()
+        # exactly one gap, one arc-length unit wide
+        assert np.diff(meas.arclength)[~meas._segments].tolist() == [1.0]
 
     def test_evaluation_on_both_components(self, split_problem):
         meas = generate_measurement(split_problem, extra_levels=3)
@@ -197,4 +199,5 @@ class TestMultiComponentGammaA:
         # bottom chain (2 vertices) then top chain (2 vertices)
         assert len(rows) == 4
         arcs = [float(r[0]) for r in rows]
-        assert arcs == sorted(arcs)
+        # the chains follow each other without a gap
+        assert arcs == [0.0, 1.0, 1.0, 2.0]

@@ -13,14 +13,19 @@ from fluxrec.solver import (
     SolverSettings,
     hessian_apply,
     objective,
-    reduced_gradient,
-    residual_apply,
     solve_costate,
     solve_optimality,
     solve_state,
 )
 
-from helpers import dense_optimality, inner_cg_solve
+from helpers import (
+    boundary_tag_map,
+    dense_optimality,
+    inner_cg_solve,
+    patches,
+    reduced_gradient,
+    residual_apply,
+)
 
 
 def zero_trace(system):
@@ -269,7 +274,7 @@ SWEEP_BETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 def fresh_copy(mesh):
     """A new Mesh instance with the same arrays and tags as ``mesh``."""
     return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
-                mesh.boundary_tag_map(), generation=mesh.generation,
+                boundary_tag_map(mesh), generation=mesh.generation,
                 vertex_parents=mesh.vertex_parents, level=mesh.level,
                 root=mesh.root)
 
@@ -392,7 +397,6 @@ class TestResidualApply:
         """A hat on a new fine vertex sees a generally nonzero residual,
         bounded by the indicator-weighted local norms."""
         from fluxrec.estimator import estimate
-        from fluxrec.mesh import patches
 
         triplet = solve_optimality(smooth_system, settings)
         mesh = smooth_system.mesh
