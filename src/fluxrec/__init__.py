@@ -11,7 +11,6 @@ from .driver import (
     LoopConfig,
     overkill_reference,
     run_adaptive,
-    run_uniform,
     true_errors,
 )
 from .estimator import ElementIndicators, estimate

@@ -6,8 +6,8 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, parse_config
-from .driver import LoopConfig, PartialRunError, run_adaptive
+from .config import ConfigError, RunConfig, build_run, parse_config
+from .driver import PartialRunError, run_adaptive
 from .export import (
     export_flux_txt,
     export_history_csv,
@@ -16,7 +16,6 @@ from .export import (
     write_measurement,
 )
 from .problems import builtin_problem, generate_measurement
-from .solver import SolverSettings
 
 SYNOPSIS = """usage: fluxrec <command> [options]
 
@@ -62,14 +61,8 @@ def _cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg: RunConfig = parse_config(fh.read())
     out_dir = args.out if args.out is not None else cfg.out_dir
+    problem, loop = build_run(cfg)
     os.makedirs(out_dir, exist_ok=True)
-
-    problem = builtin_problem(cfg.problem).with_overrides(
-        beta=cfg.beta, noise=cfg.noise, seed=cfg.seed)
-    loop = LoopConfig(
-        strategy=cfg.strategy, theta=cfg.theta, tol=cfg.tol,
-        max_iters=cfg.max_iters, max_triangles=cfg.max_triangles,
-        solver=SolverSettings(cg_tol=cfg.cg_tol))
     try:
         history = run_adaptive(problem, loop)
     except PartialRunError as exc:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .marking import STRATEGIES, check_theta
+from .driver import LoopConfig
+from .problems import ProblemSpec, builtin_problem
+from .solver import SolverSettings
 
 
 class ConfigError(ValueError):
@@ -41,28 +43,19 @@ _PARSERS = {
 }
 
 
-def _validate(cfg: RunConfig):
-    if cfg.strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, "
-                          f"got {cfg.strategy!r}")
-    try:
-        check_theta(cfg.theta, cfg.strategy)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not cfg.tol > 0.0:
-        raise ConfigError(f"tol must be > 0: {cfg.tol}")
-    if cfg.beta is not None and not cfg.beta > 0.0:
-        raise ConfigError(f"beta must be > 0: {cfg.beta}")
-    if not 0.0 <= cfg.noise <= 1.0:
-        raise ConfigError(f"noise out of range [0, 1]: {cfg.noise}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0: {cfg.seed}")
-    if cfg.max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1: {cfg.max_iters}")
-    if cfg.max_triangles < 1:
-        raise ConfigError(f"max_triangles must be >= 1: {cfg.max_triangles}")
-    if not cfg.cg_tol > 0.0:
-        raise ConfigError(f"cg_tol must be > 0: {cfg.cg_tol}")
+def build_run(cfg: RunConfig) -> tuple[ProblemSpec, LoopConfig]:
+    """The problem and loop settings that a run config describes.
+
+    Each object checks its own fields, so a bad value raises ``ValueError``
+    naming its key before any measurement is generated or system solved.
+    """
+    problem = builtin_problem(cfg.problem).with_overrides(
+        beta=cfg.beta, noise=cfg.noise, seed=cfg.seed)
+    loop = LoopConfig(
+        strategy=cfg.strategy, theta=cfg.theta, tol=cfg.tol,
+        max_iters=cfg.max_iters, max_triangles=cfg.max_triangles,
+        solver=SolverSettings(cg_tol=cfg.cg_tol))
+    return problem, loop
 
 
 def parse_config(text: str) -> RunConfig:
@@ -86,5 +79,8 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: "
                               f"{value!r}") from exc
-    _validate(cfg)
+    try:
+        build_run(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg

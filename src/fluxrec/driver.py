@@ -4,8 +4,7 @@ Each iteration solves the discrete optimality system on the current mesh,
 computes the residual indicators and oscillations, marks elements and
 bisects them.  The loop stops on the equidistribution terminate flag, when
 the estimator falls below the tolerance, or when it runs out of iterations
-or triangles.  A uniform-refinement baseline shares the same pipeline and
-history schema.
+or triangles.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ class LoopConfig:
     max_triangles: int = 50_000
     solver: SolverSettings = field(default_factory=SolverSettings)
     record_true_errors: bool = False
-    measurement_levels: int = MEASUREMENT_LEVELS
-    reference_levels: int = REFERENCE_LEVELS
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -112,23 +109,9 @@ class PartialRunError(RuntimeError):
 def run_adaptive(problem: ProblemSpec, config: LoopConfig,
                  measurement: Measurement | None = None) -> AdaptiveHistory:
     """Run the adaptive reconstruction loop on a benchmark problem."""
-    return _run(problem, config, measurement, uniform=False)
-
-
-def run_uniform(problem: ProblemSpec, config: LoopConfig,
-                measurement: Measurement | None = None) -> AdaptiveHistory:
-    """Uniform-refinement baseline: every iteration marks all triangles."""
-    return _run(problem, config, measurement, uniform=True)
-
-
-def _run(problem, config, measurement, uniform):
     if measurement is None:
-        levels = config.measurement_levels
-        if uniform:
-            # a uniform run climbs exactly one level per iteration; keep the
-            # data-generation mesh strictly ahead of it
-            levels = max(levels, config.max_iters + 1)
-        measurement = generate_measurement(problem, extra_levels=levels)
+        measurement = generate_measurement(problem,
+                                           extra_levels=MEASUREMENT_LEVELS)
     mesh = problem.initial_mesh()
     data = problem.data(z=measurement)
     history = AdaptiveHistory(problem=problem, config=config,
@@ -146,14 +129,7 @@ def _run(problem, config, measurement, uniform):
             history.final_mesh = mesh
             raise PartialRunError(str(exc), history) from exc
         indicators = estimate(triplet, data)
-
-        if uniform:
-            decision = MarkingDecision(
-                marked=np.arange(mesh.n_triangles), threshold_used=0.0,
-                strategy="uniform")
-        else:
-            decision = mark(indicators, config.strategy, config.theta,
-                            config.tol)
+        decision = mark(indicators, config.strategy, config.theta, config.tol)
 
         history.records.append(IterationRecord(
             k=k,
@@ -174,7 +150,7 @@ def _run(problem, config, measurement, uniform):
         if decision.terminate:
             history.stop_reason = "terminate"
             break
-        if not uniform and config.strategy != "equidistribution" \
+        if config.strategy != "equidistribution" \
                 and indicators.eta <= config.tol:
             history.stop_reason = "tol"
             break
@@ -197,23 +173,22 @@ def _run(problem, config, measurement, uniform):
     history.final_mesh = mesh
     history.final_triplet = triplet
     if keep_triplets and history.records:
-        reference = overkill_reference(
-            mesh, data, levels=config.reference_levels, settings=config.solver)
+        reference = overkill_reference(mesh, data, config.solver)
         attach_true_errors(history, reference)
     return history
 
 
-def overkill_reference(mesh: Mesh, data, levels: int = REFERENCE_LEVELS,
-                       settings: SolverSettings | None = None) -> OptimalTriplet:
+def overkill_reference(mesh: Mesh, data,
+                       settings: SolverSettings) -> OptimalTriplet:
     """Reference triplet on a uniformly over-refined descendant mesh.
 
     The comparator for the error decay is the regularized discrete limit,
     approximated by solving the same optimality system (same data, same
-    regularization) a few uniform refinements past the final mesh.
+    regularization) ``REFERENCE_LEVELS`` uniform refinements past the final
+    mesh.
     """
-    settings = settings or SolverSettings()
     fine = mesh
-    for _ in range(levels):
+    for _ in range(REFERENCE_LEVELS):
         fine = bisect(fine, np.arange(fine.n_triangles))
     system = DiscreteSystem(fine, data)
     return solve_optimality(system, settings)

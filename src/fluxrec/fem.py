@@ -109,9 +109,6 @@ class FeFunction:
     def mesh(self) -> Mesh:
         return self.space.mesh
 
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.space, self.values.copy())
-
 
 @dataclass
 class TraceFunction:
@@ -126,9 +123,6 @@ class TraceFunction:
     @property
     def mesh(self) -> Mesh:
         return self.space.mesh
-
-    def copy(self) -> "TraceFunction":
-        return TraceFunction(self.space, self.values.copy())
 
 
 def element_gradients(fun: FeFunction) -> np.ndarray:
@@ -339,7 +333,7 @@ def transfer_trace(fun: TraceFunction, fine_mesh: Mesh) -> TraceFunction:
 def _check_descendant(coarse: Mesh, fine: Mesh):
     if fine is coarse:
         return
-    ok = (fine.root == coarse.root
+    ok = (fine.root is coarse.root
           and fine.level >= coarse.level
           and fine.n_vertices >= coarse.n_vertices
           and np.array_equal(fine.vertices[:coarse.n_vertices], coarse.vertices))

@@ -10,7 +10,6 @@ accessible (``GAMMA_A``, where measurements live) or inaccessible
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from enum import IntEnum
 from functools import cached_property
@@ -27,8 +26,6 @@ class BoundaryTag(IntEnum):
 class MeshError(ValueError):
     """Invalid mesh topology, geometry or boundary tagging."""
 
-
-_root_counter = itertools.count()
 
 # Built-in domains: vertex coordinates, counterclockwise triangles and the
 # boundary outline split into named straight sides.
@@ -107,6 +104,9 @@ class Mesh:
     vertex_parents : (n, 2) int array, optional
         For vertices created as edge midpoints, the ids of the edge
         endpoints; (-1, -1) for vertices of the initial mesh.
+    root : object, optional
+        Token shared by a mesh and its bisection descendants and compared
+        by identity; a new lineage gets a fresh ``object()``.
 
     The face table (faces, incident triangles, tags, fixed unit normals)
     and the triangle areas are derived in the constructor and the instance
@@ -129,7 +129,7 @@ class Mesh:
             vertex_parents = np.full((self.n_vertices, 2), -1, dtype=np.int64)
         self.vertex_parents = np.ascontiguousarray(vertex_parents, dtype=np.int64)
         self.level = int(level)
-        self.root = _next_root() if root is None else root
+        self.root = object() if root is None else root
         self.state_operators = weakref.WeakValueDictionary()
 
         self._validate_geometry()
@@ -251,10 +251,6 @@ class Mesh:
 
     def faces_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         return np.flatnonzero(self.face_tags == int(tag))
-
-
-def _next_root() -> int:
-    return next(_root_counter)
 
 
 def build_initial_mesh(domain: str, gamma_i) -> Mesh:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fem import CoefficientSet, TraceSpace, interpolate
 from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bisect
-from .solver import DiscreteSystem, ProblemData, SolverSettings, solve_state
+from .solver import DiscreteSystem, ProblemData, solve_state
 
 BUILTIN_NAMES = ("square_smooth", "square_jump", "lshape_spike")
 
@@ -37,6 +37,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise level must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
 
     def initial_mesh(self) -> Mesh:
         return build_initial_mesh(self.domain, self.gamma_i)
@@ -154,22 +156,21 @@ class Measurement:
         return self.arclength[valid[which]] + d_a[rows, which]
 
 
-def generate_measurement(problem: ProblemSpec, extra_levels: int = 5,
-                         override_noise: float | None = None,
-                         settings: SolverSettings | None = None) -> Measurement:
+def generate_measurement(problem: ProblemSpec,
+                         extra_levels: int = 5) -> Measurement:
     """Synthesize boundary temperature data from the true flux.
 
     The state equation is solved with ``q = q_true`` on the initial mesh
     uniformly refined ``extra_levels`` times; the GammaA trace is sampled at
-    the fine boundary vertices and perturbed multiplicatively,
-    ``value * (1 + noise * xi)`` with ``xi`` uniform in [-1, 1] from the
-    problem's seed.  Generating on a strictly finer mesh than the inversion
-    start avoids the inverse crime of reusing one discretization for both.
+    the fine boundary vertices and perturbed multiplicatively with the
+    problem's noise level, ``value * (1 + noise * xi)`` with ``xi`` uniform
+    in [-1, 1] from the problem's seed.  Generating on a strictly finer mesh
+    than the inversion start avoids the inverse crime of reusing one
+    discretization for both.
     """
     if extra_levels < 2:
         raise ValueError("extra_levels must be >= 2 to keep the forward mesh "
                          "finer than the inversion start")
-    settings = settings or SolverSettings()
     mesh = problem.initial_mesh()
     for _ in range(extra_levels):
         mesh = bisect(mesh, np.arange(mesh.n_triangles))
@@ -177,20 +178,17 @@ def generate_measurement(problem: ProblemSpec, extra_levels: int = 5,
     trace = TraceSpace.from_mesh(mesh)
     q = interpolate(problem.q_true, trace)
     system = DiscreteSystem(mesh, problem.data())
-    u = solve_state(q, system, settings)
+    u = solve_state(q, system)
 
     # a unit gap between components, so interpolation never bridges two
     vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A, 1.0)
     points = mesh.vertices[vertex_ids]
     values = u.values[vertex_ids]
 
-    noise = problem.noise if override_noise is None else override_noise
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise level must be in [0, 1]")
-    if noise > 0.0:
+    if problem.noise > 0.0:
         rng = np.random.default_rng(problem.seed)
         xi = rng.uniform(-1.0, 1.0, size=values.shape)
-        values = values * (1.0 + noise * xi)
+        values = values * (1.0 + problem.noise * xi)
 
     return Measurement(points=points, values=values, arclength=arclength,
                        generation_triangles=mesh.n_triangles,

@@ -40,12 +40,14 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+CG_MAX_ITERS = 1000
+
+
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerance and iteration cap of the reduced-CG iteration."""
+    """Relative tolerance of the reduced-CG iteration."""
 
     cg_tol: float = 1e-10
-    cg_max_iters: int = 1000
 
     def __post_init__(self):
         if not self.cg_tol > 0.0:
@@ -162,15 +164,13 @@ def _boundary_l2_sq_of_data(mesh: Mesh, z) -> float:
     return total
 
 
-def solve_state(q: TraceFunction, system: DiscreteSystem,
-                settings: SolverSettings) -> FeFunction:
+def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
     """Forward solve ``A u = F - B q`` for the temperature field."""
     rhs = system.F - system.B @ q.values
     return FeFunction(system.space, system.solve_A(rhs))
 
 
-def solve_costate(u: FeFunction, system: DiscreteSystem,
-                  settings: SolverSettings) -> FeFunction:
+def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
     system.require_z()
     rhs = system.M_a @ u.values - system.Z
@@ -179,18 +179,21 @@ def solve_costate(u: FeFunction, system: DiscreteSystem,
 
 def objective(q: TraceFunction, system: DiscreteSystem,
               settings: SolverSettings, u: FeFunction | None = None) -> float:
-    """Regularized misfit ``J(q)``, consistent with the assembled operators."""
+    """Regularized misfit ``J(q)``, consistent with the assembled operators.
+
+    ``settings`` is not read; it stays in the signature for callers that
+    pass it positionally.
+    """
     system.require_z()
     if u is None:
-        u = solve_state(q, system, settings)
+        u = solve_state(q, system)
     uv = u.values
     misfit = float(uv @ (system.M_a @ uv) - 2.0 * (system.Z @ uv) + system.z_sq)
     reg = float(q.values @ (system.M_i @ q.values))
     return 0.5 * misfit + 0.5 * system.beta * reg
 
 
-def hessian_apply(w: np.ndarray, system: DiscreteSystem,
-                  settings: SolverSettings) -> np.ndarray:
+def hessian_apply(w: np.ndarray, system: DiscreteSystem) -> np.ndarray:
     """Apply the reduced operator ``H = beta M_i + B^T A^-1 M_a A^-1 B``."""
     du = system.solve_A(system.B @ w)
     dp = system.solve_A(system.M_a @ du)
@@ -204,18 +207,20 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     Runs CG on the reduced operator with the GammaI mass matrix as
     preconditioner.  The iteration stops when the M_i-weighted residual
     drops below ``cg_tol`` relative to the initial residual (plus a
-    machine-precision floor so warm starts cannot stall the iteration).
+    machine-precision floor so warm starts cannot stall the iteration);
+    it raises :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not
+    get there.
     """
     system.require_z()
     u0 = FeFunction(system.space, system.solve_A(system.F))
-    p0 = solve_costate(u0, system, settings)
+    p0 = solve_costate(u0, system)
     b = system.B.T @ p0.values
 
     if warm_start is not None:
         if warm_start.mesh is not system.mesh:
             raise ValueError("warm start lives on a different mesh")
         q = warm_start.values.copy()
-        r = b - hessian_apply(q, system, settings)
+        r = b - hessian_apply(q, system)
     else:
         q = np.zeros(system.trace.n_dofs)
         r = b.copy()
@@ -228,8 +233,8 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     iterations = 0
     res = r0
     d = z.copy()
-    while res > tol and iterations < settings.cg_max_iters:
-        Hd = hessian_apply(d, system, settings)
+    while res > tol and iterations < CG_MAX_ITERS:
+        Hd = hessian_apply(d, system)
         denom = float(d @ Hd)
         if denom <= 0.0:
             raise SolverError(
@@ -252,6 +257,6 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
             iterations=iterations, residual=res)
 
     q_fun = TraceFunction(system.trace, q)
-    u = solve_state(q_fun, system, settings)
-    p = solve_costate(u, system, settings)
+    u = solve_state(q_fun, system)
+    p = solve_costate(u, system)
     return OptimalTriplet(u=u, p=p, q=q_fun, iterations=iterations, residual=res)

@@ -7,8 +7,9 @@ system from one dense monolithic solve, newest-vertex bisection from a
 recursive loop over Python dicts, prolongation from a loop over vertices
 and state solves from unpreconditioned conjugate gradients.  The utilities
 (mesh angles and patches, residual functionals, the reduced gradient, a
-boundary norm and config/measurement round trips) are only needed by tests,
-so they live here rather than in the library.
+boundary norm, config/measurement round trips and the uniform-refinement
+run) are only needed by tests, so they live here rather than in the
+library.
 """
 
 import dataclasses
@@ -17,8 +18,10 @@ import math
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
 from fluxrec.fem import FeFunction, TraceFunction, transfer, transfer_trace
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError
+from fluxrec.problems import generate_measurement
 from fluxrec.solver import DiscreteSystem, solve_costate, solve_state
 
 
@@ -374,10 +377,10 @@ def boundary_l2(fun: FeFunction, tag: BoundaryTag) -> float:
     return float(np.sqrt(integ.sum()))
 
 
-def reduced_gradient(q: TraceFunction, system, settings) -> TraceFunction:
+def reduced_gradient(q: TraceFunction, system) -> TraceFunction:
     """Riesz representative of J'(q): solves ``M_i g = beta M_i q - B^T p``."""
-    u = solve_state(q, system, settings)
-    p = solve_costate(u, system, settings)
+    u = solve_state(q, system)
+    p = solve_costate(u, system)
     rhs = system.beta * (system.M_i @ q.values) - system.B.T @ p.values
     return TraceFunction(system.trace, system.solve_Mi(rhs))
 
@@ -434,3 +437,18 @@ def read_measurement(path) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"malformed measurement file {path}")
     return arr
+
+
+def run_uniform(problem, config, measurement=None):
+    """Uniform refinement: the adaptive loop marking every triangle.
+
+    Maximum marking with ``theta = 0`` marks all triangles.  A uniform run
+    climbs one level per iteration, so generated data start at least one
+    level past its last mesh.
+    """
+    if measurement is None:
+        levels = max(MEASUREMENT_LEVELS, config.max_iters + 1)
+        measurement = generate_measurement(problem, extra_levels=levels)
+    return run_adaptive(
+        problem, dataclasses.replace(config, strategy="maximum", theta=0.0),
+        measurement=measurement)

@@ -91,8 +91,7 @@ def strategy_runs():
         "equidistribution": dict(theta=0.5, tol=0.199 * eta0),
     }
     for strategy, kw in params.items():
-        config = LoopConfig(strategy=strategy, max_iters=15,
-                            measurement_levels=8, **kw)
+        config = LoopConfig(strategy=strategy, max_iters=15, **kw)
         runs[strategy] = run_adaptive(problem, config,
                                       measurement=measurement)
     elapsed = time.time() - start
@@ -196,7 +195,7 @@ def test_criterion_4_gradient_check(solver_settings):
     q0 = TraceFunction(system.trace,
                        triplet.q.values
                        + 0.1 * rng.standard_normal(system.trace.n_dofs))
-    g = reduced_gradient(q0, system, solver_settings)
+    g = reduced_gradient(q0, system)
     Mig = system.M_i @ g.values
     h = 1e-6
     start = time.time()
@@ -369,7 +368,7 @@ def test_criterion_10_equidistribution_termination():
                          measurement=measurement)
     eta0 = probe.records[0].eta
     config = LoopConfig(strategy="equidistribution", theta=0.5,
-                        tol=0.3 * eta0, max_iters=25, measurement_levels=8)
+                        tol=0.3 * eta0, max_iters=25)
     history = run_adaptive(problem, config, measurement=measurement)
     terminated = history.stop_reason == "terminate"
     final_eta = history.records[-1].eta

@@ -76,9 +76,16 @@ class TestRunCommand:
         assert "stop_reason=solver_failure" in err
         assert "injected failure" in err
 
-    def test_doerfler_theta_zero_fails_before_work(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "strategy = doerfler\ntheta = 0\n",
+        "problem = nope\n",
+        "seed = -1\n",
+        "beta = 0\n",
+    ], ids=["doerfler_theta_zero", "unknown_problem", "negative_seed",
+            "zero_beta"])
+    def test_bad_config_fails_before_work(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("strategy = doerfler\ntheta = 0\n")
+        cfg.write_text(text)
         out = tmp_path / "out"
         rc = cli_main(["run", "--config", str(cfg), "--out", str(out)])
         assert rc == 2

@@ -72,6 +72,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strategy"):
             parse_config("strategy = bisection")
 
+    def test_unknown_problem(self):
+        with pytest.raises(ConfigError, match="problem"):
+            parse_config("problem = nope")
+
 
 class TestHistoryCsv:
     def test_single_row(self, tmp_path, smooth_problem, smooth_measurement):

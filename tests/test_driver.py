@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fluxrec.driver import (
-    LoopConfig,
-    run_adaptive,
-    run_uniform,
-    true_errors,
-)
+from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.fem import FeFunction, FeSpace, transfer
 from fluxrec.problems import builtin_problem
 from fluxrec.solver import SolverSettings
+
+from helpers import run_uniform
 
 
 class TestRunAdaptive:
@@ -62,18 +59,6 @@ class TestRunAdaptive:
             if marked.size and unmarked.size:
                 assert eta_t[unmarked].max() <= eta_t[marked].max() + 1e-15
 
-    def test_theta_zero_reproduces_uniform(self, smooth_problem,
-                                           smooth_measurement):
-        config = LoopConfig(strategy="maximum", theta=0.0, max_iters=4,
-                            tol=1e-15)
-        adaptive = run_adaptive(smooth_problem, config,
-                                measurement=smooth_measurement)
-        uniform = run_uniform(smooth_problem, config,
-                              measurement=smooth_measurement)
-        assert (adaptive.column("n_triangles")
-                == uniform.column("n_triangles")).all()
-        assert adaptive.column("n_triangles").tolist() == [2, 4, 8, 16]
-
     def test_max_triangles_cap(self, smooth_problem, smooth_measurement):
         config = LoopConfig(strategy="maximum", theta=0.0, max_iters=20,
                             tol=1e-15, max_triangles=30)
@@ -106,16 +91,6 @@ class TestRunUniform:
         config = LoopConfig(max_iters=3, tol=1e-15)
         hist = run_uniform(p, config)
         assert hist.column("n_triangles").tolist() == [6, 12, 24]
-
-    def test_history_schema_matches_adaptive(self, smooth_problem,
-                                             smooth_measurement,
-                                             smooth_history):
-        config = LoopConfig(max_iters=2, tol=1e-15)
-        uni = run_uniform(smooth_problem, config,
-                          measurement=smooth_measurement)
-        adaptive_fields = vars(smooth_history.records[0]).keys()
-        uniform_fields = vars(uni.records[0]).keys()
-        assert adaptive_fields == uniform_fields
 
 
 class TestTrueErrors:
@@ -189,12 +164,12 @@ class TestLoopConfig:
 
 class TestSolverFailure:
     def test_partial_history_attached(self, smooth_problem,
-                                      smooth_measurement):
+                                      smooth_measurement, monkeypatch):
+        import fluxrec.solver as solver
         from fluxrec.driver import PartialRunError
 
-        config = LoopConfig(max_iters=5, tol=1e-15,
-                            solver=SolverSettings(cg_tol=1e-10,
-                                                  cg_max_iters=0))
+        monkeypatch.setattr(solver, "CG_MAX_ITERS", 0)
+        config = LoopConfig(max_iters=5, tol=1e-15)
         with pytest.raises(PartialRunError) as err:
             run_adaptive(smooth_problem, config,
                          measurement=smooth_measurement)
@@ -228,16 +203,13 @@ class TestAdaptiveVsUniform:
         """To reach the uniform run's final estimator level, the adaptive
         run on the singular benchmark should use no more triangles."""
         problem = builtin_problem("lshape_spike")
-        uni = run_uniform(problem,
-                          LoopConfig(max_iters=8, tol=1e-15,
-                                     measurement_levels=9))
+        uni = run_uniform(problem, LoopConfig(max_iters=8, tol=1e-15))
         eta_target = uni.records[-1].eta
         uni_tris = uni.records[-1].n_triangles
 
         ada = run_adaptive(problem,
                            LoopConfig(strategy="maximum", theta=0.5,
-                                      max_iters=20, tol=1e-15,
-                                      measurement_levels=9),
+                                      max_iters=20, tol=1e-15),
                            measurement=uni.measurement)
         eta = ada.column("eta")
         reached = np.flatnonzero(eta <= eta_target)

@@ -43,6 +43,10 @@ class TestBuiltinProblems:
         # original data unchanged
         assert p.coeffs.alpha == 1.0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            builtin_problem("square_smooth").with_overrides(seed=-1)
+
 
 class TestGenerateMeasurement:
     def test_noise_free_matches_forward_trace(self, smooth_problem):
@@ -66,12 +70,6 @@ class TestGenerateMeasurement:
         noisy = generate_measurement(noisy_p, extra_levels=3)
         rel = np.abs(noisy.values - clean.values) / np.abs(clean.values)
         assert rel.max() <= 0.01 + 1e-15
-
-    def test_override_noise_argument(self, smooth_problem):
-        noisy = generate_measurement(smooth_problem, extra_levels=3,
-                                     override_noise=0.5)
-        clean = generate_measurement(smooth_problem, extra_levels=3)
-        assert not np.array_equal(noisy.values, clean.values)
 
     def test_extra_levels_precondition(self, smooth_problem):
         with pytest.raises(ValueError, match="extra_levels"):
@@ -182,8 +180,9 @@ class TestMultiComponentGammaA:
         # degenerates to uniform refinement; generate data deep enough that
         # the inverse-crime guard stays clear
         config = LoopConfig(strategy="maximum", theta=0.5, max_iters=6,
-                            tol=1e-12, measurement_levels=8)
-        hist = run_adaptive(split_problem, config)
+                            tol=1e-12)
+        measurement = generate_measurement(split_problem, extra_levels=8)
+        hist = run_adaptive(split_problem, config, measurement=measurement)
         eta = hist.column("eta")
         assert eta[-1] < eta[0]
 

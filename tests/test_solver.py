@@ -34,43 +34,41 @@ def zero_trace(system):
 
 class TestSolveState:
     def test_constant_ambient_gives_constant_state(self, refined_square,
-                                                   smooth_problem, settings):
+                                                   smooth_problem):
         c = 2.5
         data = smooth_problem.data()
         data = type(data)(coeffs=data.coeffs,
                           f=lambda x, y: 0.0 * x,
                           u_a=lambda x, y: c + 0.0 * x)
         system = DiscreteSystem(refined_square, data)
-        u = solve_state(zero_trace(system), system, settings)
+        u = solve_state(zero_trace(system), system)
         assert np.allclose(u.values, c, atol=1e-10)
 
-    def test_zero_data_zero_state(self, refined_square, smooth_problem,
-                                  settings):
+    def test_zero_data_zero_state(self, refined_square, smooth_problem):
         data = smooth_problem.data()
         data = type(data)(coeffs=data.coeffs, f=None, u_a=None)
         system = DiscreteSystem(refined_square, data)
-        u = solve_state(zero_trace(system), system, settings)
+        u = solve_state(zero_trace(system), system)
         assert np.abs(u.values).max() < 1e-12
 
-    def test_matches_dense_solve(self, smooth_system, settings):
-        u = solve_state(zero_trace(smooth_system), smooth_system, settings)
+    def test_matches_dense_solve(self, smooth_system):
+        u = solve_state(zero_trace(smooth_system), smooth_system)
         dense = np.linalg.solve(smooth_system.A.toarray(), smooth_system.F)
         assert np.abs(u.values - dense).max() < 1e-9
 
     def test_inner_cg_agrees_with_direct(self, smooth_system):
         q = zero_trace(smooth_system)
-        u_direct = solve_state(q, smooth_system, SolverSettings())
+        u_direct = solve_state(q, smooth_system)
         u_cg = inner_cg_solve(smooth_system.A, smooth_system.F)
         assert np.abs(u_direct.values - u_cg).max() < 1e-8
 
 
 class TestSolveCostate:
-    def test_matching_data_zero_costate(self, refined_square, smooth_problem,
-                                        settings):
+    def test_matching_data_zero_costate(self, refined_square, smooth_problem):
         # z equals the trace of the state: zero misfit, zero costate
         data0 = smooth_problem.data()
         system0 = DiscreteSystem(refined_square, data0)
-        u = solve_state(zero_trace(system0), system0, settings)
+        u = solve_state(zero_trace(system0), system0)
 
         def z(x, y):
             # nodal interpolation of u along the boundary (P1 trace)
@@ -86,22 +84,22 @@ class TestSolveCostate:
 
         data = smooth_problem.data(z=z)
         system = DiscreteSystem(refined_square, data)
-        p = solve_costate(u, system, settings)
+        p = solve_costate(u, system)
         assert np.abs(p.values).max() < 1e-10
 
-    def test_zero_everything(self, refined_square, smooth_problem, settings):
+    def test_zero_everything(self, refined_square, smooth_problem):
         data = type(smooth_problem.data())(
             coeffs=smooth_problem.coeffs, f=None, u_a=None,
             z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
         u = FeFunction(system.space, np.zeros(system.space.n_dofs))
-        p = solve_costate(u, system, settings)
+        p = solve_costate(u, system)
         assert np.abs(p.values).max() < 1e-12
 
-    def test_matches_dense_solve(self, smooth_system, settings):
+    def test_matches_dense_solve(self, smooth_system):
         u = FeFunction(smooth_system.space,
                        np.ones(smooth_system.space.n_dofs))
-        p = solve_costate(u, smooth_system, settings)
+        p = solve_costate(u, smooth_system)
         rhs = smooth_system.M_a @ u.values - smooth_system.Z
         dense = np.linalg.solve(smooth_system.A.toarray(), rhs)
         assert np.abs(p.values - dense).max() < 1e-9
@@ -125,7 +123,7 @@ def _eval_p1_on_boundary(mesh, values, point):
 class TestReducedGradient:
     def test_zero_at_optimum(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
-        g = reduced_gradient(triplet.q, smooth_system, settings)
+        g = reduced_gradient(triplet.q, smooth_system)
         scale = np.abs(triplet.q.values).max()
         assert np.abs(g.values).max() <= 10 * settings.cg_tol * scale
 
@@ -146,7 +144,7 @@ class TestReducedGradient:
         q0 = TraceFunction(smooth_system.trace,
                            triplet.q.values + 0.1 * rng.standard_normal(
                                smooth_system.trace.n_dofs))
-        g = reduced_gradient(q0, smooth_system, settings)
+        g = reduced_gradient(q0, smooth_system)
         Mig = smooth_system.M_i @ g.values
         h = 1e-6
         for _ in range(10):
@@ -182,7 +180,7 @@ class TestSolveOptimality:
                                 big.data(z=smooth_measurement))
         triplet = solve_optimality(system, settings)
         u0 = FeFunction(system.space, system.solve_A(system.F))
-        p0 = solve_costate(u0, system, settings)
+        p0 = solve_costate(u0, system)
         p0_trace = TraceFunction(
             system.trace, p0.values[system.trace.vertex_ids])
         assert trace_l2(triplet.q) <= 1e-4 * trace_l2(p0_trace)
@@ -219,13 +217,13 @@ class TestSolveOptimality:
                           smooth_system, settings)
             assert j_star <= j + 1e-14
 
-    def test_hessian_symmetry(self, smooth_system, settings):
+    def test_hessian_symmetry(self, smooth_system):
         rng = np.random.default_rng(12)
         m = smooth_system.trace.n_dofs
         w1 = rng.standard_normal(m)
         w2 = rng.standard_normal(m)
-        h1 = hessian_apply(w1, smooth_system, settings)
-        h2 = hessian_apply(w2, smooth_system, settings)
+        h1 = hessian_apply(w1, smooth_system)
+        h2 = hessian_apply(w2, smooth_system)
         a = float(h1 @ w2)
         b = float(w1 @ h2)
         assert np.isclose(a, b, rtol=1e-10)
@@ -260,8 +258,12 @@ class TestSolveOptimality:
         scale = np.abs(cold.q.values).max()
         assert np.abs(cold.q.values - warm.q.values).max() < 1e-7 * scale
 
-    def test_non_convergence_reports_iterations(self, smooth_system):
-        tight = SolverSettings(cg_tol=1e-14, cg_max_iters=1)
+    def test_non_convergence_reports_iterations(self, smooth_system,
+                                                monkeypatch):
+        import fluxrec.solver as solver
+
+        monkeypatch.setattr(solver, "CG_MAX_ITERS", 1)
+        tight = SolverSettings(cg_tol=1e-14)
         with pytest.raises(SolverError) as err:
             solve_optimality(smooth_system, tight)
         assert err.value.iterations == 1
