@@ -15,7 +15,11 @@ from .export import (
     read_history_csv,
     write_measurement,
 )
-from .problems import builtin_problem, generate_measurement
+from .problems import (
+    MEASUREMENT_LEVELS,
+    builtin_problem,
+    generate_measurement,
+)
 
 SYNOPSIS = """usage: fluxrec <command> [options]
 
@@ -49,7 +53,7 @@ def _build_parser() -> _Parser:
     p_fwd.add_argument("--problem", default="square_smooth")
     p_fwd.add_argument("--noise", type=float, default=0.0)
     p_fwd.add_argument("--seed", type=int, default=0)
-    p_fwd.add_argument("--levels", type=int, default=5)
+    p_fwd.add_argument("--levels", type=int, default=MEASUREMENT_LEVELS)
     p_fwd.add_argument("--out", default="measurement.txt")
 
     p_rep = sub.add_parser("report", help="print a summary table")

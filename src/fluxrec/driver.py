@@ -20,6 +20,7 @@ from .fem import FeFunction, TraceFunction
 from .marking import STRATEGIES, MarkingDecision, check_theta, mark
 from .mesh import Mesh, bisect
 from .problems import (
+    MEASUREMENT_LEVELS,
     Measurement,
     ProblemSpec,
     check_no_inverse_crime,
@@ -34,7 +35,6 @@ from .solver import (
     solve_optimality,
 )
 
-MEASUREMENT_LEVELS = 5
 REFERENCE_LEVELS = 3
 
 

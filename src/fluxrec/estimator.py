@@ -27,7 +27,7 @@ from .fem import (
     element_gradients,
     midpoint_samples,
 )
-from .mesh import BoundaryTag, Mesh
+from .mesh import BoundaryTag
 from .solver import OptimalTriplet, ProblemData
 
 
@@ -37,10 +37,10 @@ class ElementIndicators:
 
     ``eta1_sq`` and ``eta2_sq`` are per-triangle, the face oscillation
     arrays are per-face.  All entries are non-negative and the global
-    squared estimator is the plain sum of ``eta_sq``.
+    squared estimator is the plain sum of ``eta_sq``.  The mesh is not
+    kept, so a history of indicators pins no mesh.
     """
 
-    mesh: Mesh
     eta1_sq: np.ndarray
     eta2_sq: np.ndarray
     osc_f_sq: np.ndarray
@@ -193,6 +193,6 @@ def estimate(triplet: OptimalTriplet, data: ProblemData) -> ElementIndicators:
     osc_j1_sq = lengths * fs.osc_sq(fs.j1, lengths)
     osc_j2_sq = lengths * fs.osc_sq(fs.j2, lengths)
 
-    return ElementIndicators(mesh=mesh, eta1_sq=eta1_sq, eta2_sq=eta2_sq,
+    return ElementIndicators(eta1_sq=eta1_sq, eta2_sq=eta2_sq,
                              osc_f_sq=osc_f_sq, osc_j1_sq=osc_j1_sq,
                              osc_j2_sq=osc_j2_sq)

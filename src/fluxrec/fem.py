@@ -220,33 +220,27 @@ def volume_load(mesh: Mesh, f) -> np.ndarray:
     return F
 
 
-def _boundary_gauss2(mesh: Mesh, g, tag: BoundaryTag, what):
-    """2-point Gauss rule over the faces with the given tag.
-
-    Yields ``(faces, t, wl, gv)`` per Gauss node: the face vertex pairs, the
-    node's position ``t`` on [0, 1] from ``faces[:, 0]``, the weight times
-    the face length and the data ``g`` at the node.
+def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data"):
+    """Load vector ``int g phi_i`` of a boundary density over the tagged
+    faces and ``int g^2``, both by 2-point Gauss from one sampling of ``g``.
     """
+    F = np.zeros(mesh.n_vertices)
+    g_sq = 0.0
     face_ids = mesh.faces_with_tag(tag)
+    if g is None or face_ids.size == 0:
+        return F, g_sq
     faces = mesh.faces[face_ids]
     pa = mesh.vertices[faces[:, 0]]
     pb = mesh.vertices[faces[:, 1]]
     lens = mesh.face_lengths[face_ids]
     for t, w in zip(GAUSS2_POINTS, GAUSS2_WEIGHTS):
         x = pa + t * (pb - pa)
-        yield faces, t, w * lens, _eval_data(g, x[:, 0], x[:, 1], what)
-
-
-def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data") -> np.ndarray:
-    """Load vector of a boundary density over the tagged faces, 2-point Gauss."""
-    n = mesh.n_vertices
-    F = np.zeros(n)
-    if g is None or mesh.faces_with_tag(tag).size == 0:
-        return F
-    for faces, t, wl, gv in _boundary_gauss2(mesh, g, tag, what):
+        wl = w * lens
+        gv = _eval_data(g, x[:, 0], x[:, 1], what)
         np.add.at(F, faces[:, 0], wl * gv * (1.0 - t))
         np.add.at(F, faces[:, 1], wl * gv * t)
-    return F
+        g_sq += float((wl * gv ** 2).sum())
+    return F, g_sq
 
 
 def assemble_load(mesh: Mesh, f, u_a, coeffs: CoefficientSet) -> np.ndarray:
@@ -254,7 +248,7 @@ def assemble_load(mesh: Mesh, f, u_a, coeffs: CoefficientSet) -> np.ndarray:
     F = volume_load(mesh, f)
     if u_a is not None:
         F += coeffs.gamma * boundary_load(mesh, u_a, BoundaryTag.GAMMA_A,
-                                          "ambient temperature u_a")
+                                          "ambient temperature u_a")[0]
     return F
 
 

@@ -18,6 +18,8 @@ from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bis
 from .solver import DiscreteSystem, ProblemData, solve_state
 
 BUILTIN_NAMES = ("square_smooth", "square_jump", "lshape_spike")
+# default uniform refinements of the initial mesh that generate the data
+MEASUREMENT_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,9 @@ class Measurement:
         return self.arclength[valid[which]] + d_a[rows, which]
 
 
-def generate_measurement(problem: ProblemSpec,
-                         extra_levels: int = 5) -> Measurement:
+def generate_measurement(
+        problem: ProblemSpec,
+        extra_levels: int = MEASUREMENT_LEVELS) -> Measurement:
     """Synthesize boundary temperature data from the true flux.
 
     The state equation is solved with ``q = q_true`` on the initial mesh

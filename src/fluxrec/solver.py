@@ -22,7 +22,6 @@ from .fem import (
     FeSpace,
     TraceFunction,
     TraceSpace,
-    _boundary_gauss2,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
@@ -88,20 +87,97 @@ class OptimalTriplet:
         return self.u.mesh
 
 
+# parts of at most this many vertices are not cut further
+_ND_LEAF = 4
+
+
+def _nested_dissection(mesh: Mesh) -> np.ndarray:
+    """Geometric nested-dissection order of the mesh vertices (George 1973).
+
+    A part of more than ``_ND_LEAF`` vertices is cut at the median
+    coordinate along the longer side of its bounding box.  Of the edges
+    crossing the cut, the endpoints on the side with fewer of them form a
+    vertex separator: no edge joins the two halves left over.  The order
+    lists the left half, the right half, then the separator, recursively;
+    separators and leaves keep ascending vertex ids.  All parts of one level
+    are cut together, so the work per level is a fixed number of array
+    passes.  Returns ``p`` with ``p[i]`` the vertex at position ``i``.
+    """
+    n = mesh.n_vertices
+    coords, ranks = zip(*(np.unique(mesh.vertices[:, k], return_inverse=True)
+                          for k in (0, 1)))
+    a, b = mesh.faces.T.copy()
+    block = np.zeros(n, dtype=np.int64)  # first position of a vertex's block
+    verts = np.arange(n if n > _ND_LEAF else 0)  # vertices still to be cut
+    part = np.zeros(verts.size, dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)  # first position of each part
+    tag = np.empty(n, dtype=np.int32)
+    while verts.size:
+        n_parts = first.size
+        size = np.bincount(part, minlength=n_parts)
+        offset = np.cumsum(size) - size
+        r = [rk[verts] for rk in ranks]
+        extent = []
+        for c, rk in zip(coords, r):
+            lo = np.full(n_parts, n)
+            hi = np.zeros(n_parts, dtype=np.int64)
+            np.minimum.at(lo, part, rk)
+            np.maximum.at(hi, part, rk)
+            extent.append(c[hi] - c[lo])
+        key = part * n + np.where((extent[1] > extent[0])[part], r[1], r[0])
+        s = np.sort(key)
+        median = s[offset + size // 2]
+        # cut just below the median, or just above it if nothing lies below
+        cut = np.where(np.searchsorted(s, median) > offset, median, median + 1)
+        right = key >= cut[part]
+        # vertices on the cut: endpoints of edges joining the two sides of
+        # one part (tags 2 * part + side; -4 xor a valid tag is never 1)
+        t = 2 * part + right
+        tag.fill(-4)
+        tag[verts] = t
+        crossing = np.flatnonzero((tag[a] ^ tag[b]) == 1)
+        on_cut = np.zeros(n, dtype=bool)
+        on_cut[a[crossing]] = True
+        on_cut[b[crossing]] = True
+        on_cut = on_cut[verts]
+        # the separator is the side of the cut with fewer of them
+        ends = np.bincount(t, on_cut, 2 * n_parts)
+        sep = on_cut & (right == (ends[1::2] <= ends[0::2])[part])
+        child = 3 * part + np.where(sep, 2, right)  # left, right, separator
+        count = np.bincount(child, minlength=3 * n_parts)
+        child_first = np.repeat(first - offset, 3) + np.cumsum(count) - count
+        final = count <= _ND_LEAF
+        final[2::3] = True
+        block[verts] = child_first[child]
+        keep = ~final[child]
+        verts = verts[keep]
+        part = (np.cumsum(~final) - 1)[child[keep]]
+        first = child_first[~final]
+    return np.argsort(block * n + np.arange(n))
+
+
 class _StateOperator:
-    """``A = alpha K + gamma M_{GammaA}`` (read-only) and its SuperLU
-    factor, built on the first solve."""
+    """``A = alpha K + gamma M_{GammaA}``, its nested-dissection order ``p``
+    (both read-only) and the SuperLU factor of ``A[p][:, p]``, built on the
+    first solve.  ``A`` is symmetric positive definite, so the factor keeps
+    the order and skips pivoting."""
 
     def __init__(self, mesh: Mesh, coeffs: CoefficientSet):
         self.A = assemble_bilinear(mesh, coeffs)
-        for arr in (self.A.data, self.A.indices, self.A.indptr):
+        self.p = _nested_dissection(mesh)
+        for arr in (self.A.data, self.A.indices, self.A.indptr, self.p):
             arr.setflags(write=False)
         self.lu = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        p = self.p
         if self.lu is None:
-            self.lu = spla.splu(self.A.tocsc())
-        return self.lu.solve(rhs)
+            self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
+                                diag_pivot_thresh=0.0,
+                                options=dict(SymmetricMode=True))
+        x = np.empty_like(rhs)
+        x[p] = self.lu.solve(rhs[p])
+        return x
 
 
 class DiscreteSystem:
@@ -130,9 +206,9 @@ class DiscreteSystem:
         self.F = assemble_load(mesh, data.f, data.u_a, data.coeffs)
         self.M_i, self.B, self.M_a = assemble_trace_operators(mesh)
         if data.z is not None:
-            self.Z = boundary_load(mesh, data.z, BoundaryTag.GAMMA_A,
-                                   "measurement z")
-            self.z_sq = _boundary_l2_sq_of_data(mesh, data.z)
+            self.Z, self.z_sq = boundary_load(mesh, data.z,
+                                              BoundaryTag.GAMMA_A,
+                                              "measurement z")
         else:
             self.Z = None
             self.z_sq = 0.0
@@ -153,15 +229,6 @@ class DiscreteSystem:
     def require_z(self):
         if self.Z is None:
             raise ValueError("problem data carries no measurement z")
-
-
-def _boundary_l2_sq_of_data(mesh: Mesh, z) -> float:
-    """``int_{GammaA} z^2`` with the same 2-point Gauss rule as the loads."""
-    total = 0.0
-    for _, _, wl, zv in _boundary_gauss2(mesh, z, BoundaryTag.GAMMA_A,
-                                         "measurement z"):
-        total += float((wl * zv ** 2).sum())
-    return total
 
 
 def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:

@@ -4,12 +4,13 @@ The oracles deliberately avoid the production code paths: plane
 coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve, newest-vertex bisection from a
-recursive loop over Python dicts, prolongation from a loop over vertices
-and state solves from unpreconditioned conjugate gradients.  The utilities
-(mesh angles and patches, residual functionals, the reduced gradient, a
-boundary norm, config/measurement round trips and the uniform-refinement
-run) are only needed by tests, so they live here rather than in the
-library.
+recursive loop over Python dicts, prolongation from a loop over vertices,
+state solves from unpreconditioned conjugate gradients and from SuperLU in
+its default order, and the measurement moments from two samplings of z.
+The utilities (mesh angles and patches, residual functionals, the reduced
+gradient, a boundary norm, config/measurement round trips and the
+uniform-refinement run) are only needed by tests, so they live here rather
+than in the library.
 """
 
 import dataclasses
@@ -19,7 +20,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
-from fluxrec.fem import FeFunction, TraceFunction, transfer, transfer_trace
+from fluxrec.fem import (
+    GAUSS2_POINTS,
+    GAUSS2_WEIGHTS,
+    FeFunction,
+    TraceFunction,
+    transfer,
+    transfer_trace,
+)
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError
 from fluxrec.problems import generate_measurement
 from fluxrec.solver import DiscreteSystem, solve_costate, solve_state
@@ -301,6 +309,39 @@ def face_loop_boundary_operators(mesh):
                 M_i[dof[r], dof[c]] += h * w
                 B[r, dof[c]] += h * w
     return M_i, B, M_a
+
+
+def default_order_factor(A):
+    """Oracle for the state factor: SuperLU in its default COLAMD column
+    order with partial pivoting."""
+    return spla.splu(A.tocsc())
+
+
+def two_pass_measurement_moments(mesh, z):
+    """Oracle for ``DiscreteSystem.Z`` and ``z_sq``: ``z`` is sampled at the
+    GammaA 2-point Gauss nodes once for the load vector and once more for
+    ``int z^2``."""
+    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
+    faces = mesh.faces[face_ids]
+    pa = mesh.vertices[faces[:, 0]]
+    pb = mesh.vertices[faces[:, 1]]
+    lens = mesh.face_lengths[face_ids]
+
+    def samples():
+        for t, w in zip(GAUSS2_POINTS, GAUSS2_WEIGHTS):
+            x = pa + t * (pb - pa)
+            zv = np.broadcast_to(np.asarray(z(x[:, 0], x[:, 1]), dtype=float),
+                                 x[:, 0].shape).astype(float)
+            yield t, w * lens, zv
+
+    Z = np.zeros(mesh.n_vertices)
+    for t, wl, zv in samples():
+        np.add.at(Z, faces[:, 0], wl * zv * (1.0 - t))
+        np.add.at(Z, faces[:, 1], wl * zv * t)
+    z_sq = 0.0
+    for _, wl, zv in samples():
+        z_sq += float((wl * zv ** 2).sum())
+    return Z, z_sq
 
 
 def inner_cg_solve(A, rhs, rtol=1e-11, maxiter=10_000):

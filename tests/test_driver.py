@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import fluxrec.driver as driver
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.fem import FeFunction, FeSpace, transfer
 from fluxrec.problems import builtin_problem
@@ -66,6 +69,25 @@ class TestRunAdaptive:
                             measurement=smooth_measurement)
         assert hist.stop_reason == "max_triangles"
         assert hist.column("n_triangles").max() <= 30
+
+    def test_history_pins_no_mesh(self, smooth_problem, smooth_measurement,
+                                  monkeypatch):
+        """Without true errors the history keeps no mesh but the last."""
+        first = []
+        bisect = driver.bisect
+
+        def recording(mesh, marked):
+            if not first:
+                first.append(weakref.ref(mesh))
+            return bisect(mesh, marked)
+
+        monkeypatch.setattr(driver, "bisect", recording)
+        config = LoopConfig(max_iters=4, tol=1e-12)
+        hist = run_adaptive(smooth_problem, config,
+                            measurement=smooth_measurement)
+        gc.collect()
+        assert len(hist.records) == 4
+        assert first[0]() is None
 
     def test_nested_spaces(self, smooth_history):
         """Coarse nodal functions transfer exactly at coarse vertices."""

@@ -12,15 +12,13 @@ from fluxrec.marking import (
     mark_maximum,
     mark_modified_equidistribution,
 )
-from fluxrec.mesh import build_initial_mesh
 
 
 def indicators_from(eta):
     """ElementIndicators carrying the given per-element eta values."""
     eta = np.asarray(eta, dtype=float)
-    mesh = build_initial_mesh("square", "bottom")  # mesh is a carrier only
     zeros_f = np.zeros(eta.size)
-    return ElementIndicators(mesh=mesh, eta1_sq=eta ** 2,
+    return ElementIndicators(eta1_sq=eta ** 2,
                              eta2_sq=np.zeros(eta.size),
                              osc_f_sq=zeros_f,
                              osc_j1_sq=np.zeros(0), osc_j2_sq=np.zeros(0))

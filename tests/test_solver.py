@@ -3,10 +3,17 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 import fluxrec.solver as solver
 from fluxrec.fem import FeFunction, FeSpace, TraceFunction
 from fluxrec.mesh import Mesh, bisect
+from fluxrec.problems import (
+    BUILTIN_NAMES,
+    builtin_problem,
+    generate_measurement,
+)
 from fluxrec.solver import (
     DiscreteSystem,
     SolverError,
@@ -20,11 +27,13 @@ from fluxrec.solver import (
 
 from helpers import (
     boundary_tag_map,
+    default_order_factor,
     dense_optimality,
     inner_cg_solve,
     patches,
     reduced_gradient,
     residual_apply,
+    two_pass_measurement_moments,
 )
 
 
@@ -371,6 +380,75 @@ class TestSharedStateOperator:
         gc.collect()
         assert triplet.mesh is mesh32
         assert len(mesh32.state_operators) == 0
+
+
+@pytest.fixture(scope="module")
+def builtin_data():
+    """Problem and data with a coarse measurement per built-in problem."""
+    out = {}
+    for name in BUILTIN_NAMES:
+        problem = builtin_problem(name)
+        measurement = generate_measurement(problem, extra_levels=2)
+        out[name] = problem, problem.data(z=measurement)
+    return out
+
+
+def random_nvb_mesh(mesh, data):
+    """A few uniform sweeps, then a few random markings, drawn from data."""
+    for _ in range(data.draw(st.integers(0, 4), label="uniform")):
+        mesh = bisect(mesh, np.arange(mesh.n_triangles))
+    for _ in range(data.draw(st.integers(0, 4), label="steps")):
+        mesh = bisect(mesh, data.draw(st.lists(
+            st.integers(0, mesh.n_triangles - 1), min_size=1,
+            max_size=max(1, mesh.n_triangles // 2)), label="marked"))
+    return mesh
+
+
+class TestNestedDissection:
+    """The state factor in nested-dissection order against SuperLU in its
+    default order."""
+
+    @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_solve_matches_default_order(self, builtin_data, name, data):
+        problem, pdata = builtin_data[name]
+        mesh = random_nvb_mesh(problem.initial_mesh(), data)
+        system = DiscreteSystem(mesh, pdata)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        rhs = rng.standard_normal(mesh.n_vertices)
+        x = system.solve_A(rhs)
+        ref = default_order_factor(system.A).solve(rhs)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        p = solver._nested_dissection(mesh)
+        assert np.array_equal(np.sort(p), np.arange(mesh.n_vertices))
+        assert np.array_equal(p, solver._nested_dissection(mesh))
+
+    def test_fill_on_uniform_square(self, smooth_problem):
+        """The benchmark sweep's 65,536-triangle mesh."""
+        mesh = smooth_problem.initial_mesh()
+        for _ in range(15):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        assert mesh.n_triangles == 65_536
+        system = DiscreteSystem(mesh, smooth_problem.data())
+        system.solve_A(system.F)
+        lu = system._state.lu
+        ref = default_order_factor(system.A)
+        assert lu.L.nnz + lu.U.nnz <= 0.7 * (ref.L.nnz + ref.U.nnz)
+
+
+class TestMeasurementMoments:
+    @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_match_two_passes(self, builtin_data, name, data):
+        """One sampling of z gives the two-sampling Z and z_sq bitwise."""
+        problem, pdata = builtin_data[name]
+        mesh = random_nvb_mesh(problem.initial_mesh(), data)
+        system = DiscreteSystem(mesh, pdata)
+        Z, z_sq = two_pass_measurement_moments(mesh, pdata.z)
+        assert np.array_equal(system.Z, Z)
+        assert system.z_sq == z_sq
 
 
 class TestResidualApply:
