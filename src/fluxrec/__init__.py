@@ -24,7 +24,7 @@ from .fem import (
     assemble_load,
     assemble_trace_operators,
     interpolate,
-    transfer,
+    prolong,
 )
 from .marking import (
     MarkingDecision,

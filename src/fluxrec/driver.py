@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import ElementIndicators, estimate
-from .fem import h1_norm, trace_l2, transfer, transfer_trace
-from .fem import FeFunction, TraceFunction
+from .fem import TraceFunction, prolong, transfer_trace
+from .fem import _boundary_mass, _mass, _stiffness
 from .marking import STRATEGIES, MarkingDecision, check_theta, mark
-from .mesh import Mesh, bisect
+from .mesh import BoundaryTag, Mesh, bisect
 from .problems import (
     MEASUREMENT_LEVELS,
     Measurement,
@@ -172,9 +172,12 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
     # mesh of the last recorded solve
     history.final_mesh = mesh
     history.final_triplet = triplet
-    if keep_triplets and history.records:
-        reference = overkill_reference(mesh, data, config.solver)
-        attach_true_errors(history, reference)
+    if keep_triplets:
+        history.reference = overkill_reference(mesh, data, config.solver)
+        errors = true_errors([r.triplet for r in history.records],
+                             history.reference)
+        for record, row in zip(history.records, errors.tolist()):
+            record.err_u, record.err_p, record.err_q = row
     return history
 
 
@@ -194,37 +197,31 @@ def overkill_reference(mesh: Mesh, data,
     return solve_optimality(system, settings)
 
 
-def true_errors(triplet: OptimalTriplet, reference: OptimalTriplet):
-    """Energy-norm errors of a triplet against a reference triplet.
+def true_errors(triplets, reference: OptimalTriplet) -> np.ndarray:
+    """Errors of triplets against a reference triplet, one row each.
 
-    The reference must live on the same mesh or on a bisection descendant;
-    the triplet is prolongated exactly onto the reference mesh (pointwise
-    identical to evaluating it there), so the H1/L2 error integrals are
-    exact for the piecewise-linear pair.
+    The reference must live on the mesh of every triplet or on a bisection
+    descendant of it.  Each triplet's ``u``, ``p`` and ``q`` (zero off
+    GammaI) are prolongated exactly onto the reference mesh as one block
+    ``D`` of differences, so every error is an exact P1 integral: a diagonal
+    entry of ``D^T S D`` with ``S`` the reference mesh's stiffness plus mass
+    matrix for ``u`` and ``p``, or the GammaI boundary mass for ``q``.
 
-    Returns ``(err_u, err_p, err_q)``:
-    H1 errors of state and costate, L2(GammaI) error of the flux.
+    Returns a ``(len(triplets), 3)`` array with columns
+    ``(err_u, err_p, err_q)``: H1 errors of state and costate and the
+    L2(GammaI) error of the flux.
     """
     if reference is None:
         raise ValueError("reference triplet is missing")
     fine = reference.mesh
-    u_k = transfer(triplet.u, fine) if triplet.mesh is not fine else triplet.u
-    p_k = transfer(triplet.p, fine) if triplet.mesh is not fine else triplet.p
-    q_k = transfer_trace(triplet.q, fine) if triplet.mesh is not fine \
-        else triplet.q
-    du = FeFunction(u_k.space, reference.u.values - u_k.values)
-    dp = FeFunction(p_k.space, reference.p.values - p_k.values)
-    dq = TraceFunction(q_k.space, reference.q.values - q_k.values)
-    return h1_norm(du), h1_norm(dp), trace_l2(dq)
-
-
-def attach_true_errors(history: AdaptiveHistory, reference: OptimalTriplet):
-    """Fill err_u / err_p / err_q columns of a history with kept triplets."""
-    history.reference = reference
-    for record in history.records:
-        if record.triplet is None:
-            raise ValueError("history was run without record_true_errors")
-        err_u, err_p, err_q = true_errors(record.triplet, reference)
-        record.err_u = err_u
-        record.err_p = err_p
-        record.err_q = err_q
+    S = _stiffness(fine) + _mass(fine)
+    M_i = _boundary_mass(fine, BoundaryTag.GAMMA_I)
+    ref = np.column_stack([reference.u.values, reference.p.values,
+                           reference.q.embedded()])
+    out = np.empty((len(triplets), 3))
+    for k, t in enumerate(triplets):
+        D = ref - prolong(np.column_stack([t.u.values, t.p.values,
+                                           t.q.embedded()]), t.mesh, fine)
+        SD = np.column_stack([S @ D[:, :2], M_i @ D[:, 2]])
+        out[k] = np.sqrt(np.maximum(np.einsum("ij,ij->j", D, SD), 0.0))
+    return out

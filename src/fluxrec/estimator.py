@@ -142,10 +142,7 @@ class _FaceSamples:
 
         gi = np.flatnonzero(mesh.face_tags == int(BoundaryTag.GAMMA_I))
         if gi.size:
-            dof_of = triplet.q.space.dof_of_vertex()
-            qa = triplet.q.values[dof_of[mesh.faces[gi, 0]]]
-            qb = triplet.q.values[dof_of[mesh.faces[gi, 1]]]
-            q_vals = qa[:, None] * (1.0 - tpar[gi]) + qb[:, None] * tpar[gi]
+            q_vals = _trace_values(triplet.q.embedded(), mesh, gi, tpar[gi])
             j1[gi] = -q_vals - flux_u0[gi][:, None]
             j2[gi] = -flux_p0[gi][:, None]
 

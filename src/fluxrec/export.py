@@ -92,7 +92,7 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
 def export_flux_txt(q: TraceFunction, path) -> None:
     """Write the flux as two-column 'arclength value' text, walking GammaI."""
     vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
-    values = q.values[q.space.dof_of_vertex()[vertex_ids]]
+    values = q.embedded()[vertex_ids]
     lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in zip(t, values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,4 +1,4 @@
-"""P1 finite element spaces, assembly and norms on triangular meshes.
+"""P1 finite element spaces, assembly and prolongation on triangular meshes.
 
 The bilinear form is the weighted inner product
 ``a(u, v) = (alpha grad u, grad v) + (gamma u, v)_{Gamma_a}``;
@@ -28,6 +28,9 @@ GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 # exact P1 mass matrix of a unit-length face
 _FACE_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
+
+# exact P1 mass matrix of a unit-area triangle
+_TRIANGLE_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,12 @@ class TraceFunction:
     def mesh(self) -> Mesh:
         return self.space.mesh
 
+    def embedded(self) -> np.ndarray:
+        """Nodal values on every mesh vertex, zero off GammaI."""
+        out = np.zeros(self.mesh.n_vertices)
+        out[self.space.vertex_ids] = self.values
+        return out
+
 
 def element_gradients(fun: FeFunction) -> np.ndarray:
     """Constant gradient of a P1 function per triangle, shape (m, 2)."""
@@ -132,25 +141,29 @@ def element_gradients(fun: FeFunction) -> np.ndarray:
     return np.einsum("tk,tkd->td", vals, grads)
 
 
+def _assemble(row_dofs, col_dofs, local, shape) -> sp.csr_matrix:
+    """Sum of the local ``d x d`` matrices ``local[c]``, cell ``c`` coupling
+    the dofs ``row_dofs[c]`` (rows) with ``col_dofs[c]`` (columns)."""
+    d = local.shape[1]
+    rows = np.repeat(row_dofs, d, axis=1).ravel()
+    cols = np.tile(col_dofs, (1, d)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
 def _stiffness(mesh: Mesh) -> sp.csr_matrix:
     """P1 stiffness matrix (unit coefficient)."""
     grads = mesh.p1_gradients
     areas = mesh.areas()
     local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
     n = mesh.n_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _assemble(mesh.triangles, mesh.triangles, local, (n, n))
 
 
-def _face_mass(row_faces, col_faces, lens, shape) -> sp.csr_matrix:
-    """Sum of the P1 face mass matrices, face ``k`` coupling the dofs
-    ``row_faces[k]`` (rows) with ``col_faces[k]`` (columns)."""
-    vals = lens[:, None, None] * _FACE_MASS[None, :, :]
-    rows = np.repeat(row_faces, 2, axis=1).ravel()
-    cols = np.tile(col_faces, (1, 2)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()
+def _mass(mesh: Mesh) -> sp.csr_matrix:
+    """Exact P1 mass matrix over the domain."""
+    local = mesh.areas()[:, None, None] * _TRIANGLE_MASS
+    n = mesh.n_vertices
+    return _assemble(mesh.triangles, mesh.triangles, local, (n, n))
 
 
 def _boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
@@ -160,7 +173,8 @@ def _boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
     if face_ids.size == 0:
         return sp.csr_matrix((n, n))
     faces = mesh.faces[face_ids]
-    return _face_mass(faces, faces, mesh.face_lengths[face_ids], (n, n))
+    local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
+    return _assemble(faces, faces, local, (n, n))
 
 
 def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet) -> sp.csr_matrix:
@@ -267,10 +281,10 @@ def assemble_trace_operators(mesh: Mesh):
     face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
     faces = mesh.faces[face_ids]
     faces_local = trace.dof_of_vertex()[faces]
-    lens = mesh.face_lengths[face_ids]
+    local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
     m = trace.n_dofs
-    M_i = _face_mass(faces_local, faces_local, lens, (m, m))
-    B = _face_mass(faces, faces_local, lens, (mesh.n_vertices, m))
+    M_i = _assemble(faces_local, faces_local, local, (m, m))
+    B = _assemble(faces, faces_local, local, (mesh.n_vertices, m))
     M_a = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
     return M_i, B, M_a
 
@@ -286,23 +300,28 @@ def interpolate(fun, space) -> "FeFunction | TraceFunction":
     return FeFunction(space, vals)
 
 
-def transfer(fun: FeFunction, fine_mesh: Mesh) -> FeFunction:
-    """Exact prolongation of a P1 function to a descendant mesh.
+def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:
+    """Exact prolongation of P1 nodal values to a descendant mesh.
 
-    Old vertices keep their values and every bisection midpoint receives the
-    average of its parent edge endpoints, so the transferred function is the
-    same function on the domain.  Midpoints are filled a block at a time: a
+    ``values`` holds one row per vertex of ``coarse``, shape ``(n,)`` or
+    ``(n, k)``; the result has one row per vertex of ``fine``.  Old
+    vertices keep their values and every bisection midpoint receives the
+    average of its parent edge endpoints, so each column is the same
+    function on the domain.  Midpoints are filled a block at a time: a
     block runs from the first unfilled vertex up to the first vertex with a
     parent inside the block, which for :func:`~fluxrec.mesh.bisect` output
     is one block per refinement level.
     """
-    coarse = fun.mesh
-    _check_descendant(coarse, fine_mesh)
-    n = fine_mesh.n_vertices
-    out = np.empty(n)
-    out[:coarse.n_vertices] = fun.values
-    parents = fine_mesh.vertex_parents
-    newest_parent = parents.max(axis=1)
+    values = np.asarray(values, dtype=float)
+    if values.shape[:1] != (coarse.n_vertices,):
+        raise ValueError(f"prolong expects {coarse.n_vertices} rows, "
+                         f"got shape {values.shape}")
+    _check_descendant(coarse, fine)
+    n = fine.n_vertices
+    out = np.empty((n,) + values.shape[1:])
+    out[:coarse.n_vertices] = values
+    parents = fine.vertex_parents
+    newest_parent = np.maximum(parents[:, 0], parents[:, 1])
     lo = coarse.n_vertices
     while lo < n:
         # newest_parent[lo] < lo, so every block holds at least one vertex
@@ -311,17 +330,14 @@ def transfer(fun: FeFunction, fine_mesh: Mesh) -> FeFunction:
         block = parents[lo:hi]
         out[lo:hi] = 0.5 * (out[block[:, 0]] + out[block[:, 1]])
         lo = hi
-    return FeFunction(FeSpace(fine_mesh), out)
+    return out
 
 
 def transfer_trace(fun: TraceFunction, fine_mesh: Mesh) -> TraceFunction:
     """Prolongation of a GammaI trace function to a descendant mesh."""
-    coarse = fun.mesh
-    embedded = np.zeros(coarse.n_vertices)
-    embedded[fun.space.vertex_ids] = fun.values
-    fine_full = transfer(FeFunction(FeSpace(coarse), embedded), fine_mesh)
+    fine_full = prolong(fun.embedded(), fun.mesh, fine_mesh)
     fine_trace = TraceSpace.from_mesh(fine_mesh)
-    return TraceFunction(fine_trace, fine_full.values[fine_trace.vertex_ids])
+    return TraceFunction(fine_trace, fine_full[fine_trace.vertex_ids])
 
 
 def _check_descendant(coarse: Mesh, fine: Mesh):
@@ -335,39 +351,8 @@ def _check_descendant(coarse: Mesh, fine: Mesh):
         parents = fine.vertex_parents[coarse.n_vertices:]
         ok = parents.size == 0 or (
             parents.min() >= 0
-            and np.all(parents.max(axis=1)
+            and np.all(np.maximum(parents[:, 0], parents[:, 1])
                        < np.arange(coarse.n_vertices, fine.n_vertices)))
     if not ok:
         raise ValueError("target mesh is not a bisection descendant "
-                         "of the function's mesh")
-
-
-def l2_norm(fun: FeFunction) -> float:
-    """Exact L2(Omega) norm of a P1 function."""
-    vals = fun.values[fun.mesh.triangles]
-    areas = fun.mesh.areas()
-    integ = areas / 12.0 * (vals.sum(axis=1) ** 2 + (vals ** 2).sum(axis=1))
-    return float(np.sqrt(integ.sum()))
-
-
-def h1_seminorm(fun: FeFunction) -> float:
-    grads = element_gradients(fun)
-    areas = fun.mesh.areas()
-    return float(np.sqrt((areas * (grads ** 2).sum(axis=1)).sum()))
-
-
-def h1_norm(fun: FeFunction) -> float:
-    return float(np.sqrt(l2_norm(fun) ** 2 + h1_seminorm(fun) ** 2))
-
-
-def trace_l2(fun: TraceFunction) -> float:
-    """Exact L2(GammaI) norm of a trace function."""
-    mesh = fun.mesh
-    dof_of = fun.space.dof_of_vertex()
-    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
-    fl = dof_of[mesh.faces[face_ids]]
-    va = fun.values[fl[:, 0]]
-    vb = fun.values[fl[:, 1]]
-    lens = mesh.face_lengths[face_ids]
-    integ = lens / 6.0 * 2.0 * (va ** 2 + vb ** 2 + va * vb)
-    return float(np.sqrt(integ.sum()))
+                         "of the coarse mesh")

@@ -158,14 +158,17 @@ def _nested_dissection(mesh: Mesh) -> np.ndarray:
 
 class _StateOperator:
     """``A = alpha K + gamma M_{GammaA}``, its nested-dissection order ``p``
-    (both read-only) and the SuperLU factor of ``A[p][:, p]``, built on the
-    first solve.  ``A`` is symmetric positive definite, so the factor keeps
-    the order and skips pivoting."""
+    and the inverse order ``p_inv`` (all read-only), and the SuperLU factor
+    of ``A[p][:, p]``, built on the first solve.  ``A`` is symmetric
+    positive definite, so the factor keeps the order and skips pivoting."""
 
     def __init__(self, mesh: Mesh, coeffs: CoefficientSet):
         self.A = assemble_bilinear(mesh, coeffs)
         self.p = _nested_dissection(mesh)
-        for arr in (self.A.data, self.A.indices, self.A.indptr, self.p):
+        self.p_inv = np.empty_like(self.p)
+        self.p_inv[self.p] = np.arange(self.p.size)
+        for arr in (self.A.data, self.A.indices, self.A.indptr, self.p,
+                    self.p_inv):
             arr.setflags(write=False)
         self.lu = None
 
@@ -175,9 +178,7 @@ class _StateOperator:
             self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                                 diag_pivot_thresh=0.0,
                                 options=dict(SymmetricMode=True))
-        x = np.empty_like(rhs)
-        x[p] = self.lu.solve(rhs[p])
-        return x
+        return self.lu.solve(rhs[p])[self.p_inv]
 
 
 class DiscreteSystem:

@@ -5,6 +5,7 @@ coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve, newest-vertex bisection from a
 recursive loop over Python dicts, prolongation from a loop over vertices,
+norms and true errors from per-triangle and per-face formulas,
 state solves from unpreconditioned conjugate gradients and from SuperLU in
 its default order, and the measurement moments from two samplings of z.
 The utilities (mesh angles and patches, residual functionals, the reduced
@@ -18,17 +19,26 @@ import math
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from hypothesis import strategies as st
 
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
 from fluxrec.fem import (
     GAUSS2_POINTS,
     GAUSS2_WEIGHTS,
     FeFunction,
+    FeSpace,
     TraceFunction,
-    transfer,
+    element_gradients,
+    prolong,
     transfer_trace,
 )
-from fluxrec.mesh import BoundaryTag, Mesh, MeshError
+from fluxrec.mesh import (
+    BoundaryTag,
+    Mesh,
+    MeshError,
+    bisect,
+    build_initial_mesh,
+)
 from fluxrec.problems import generate_measurement
 from fluxrec.solver import DiscreteSystem, solve_costate, solve_state
 
@@ -275,8 +285,38 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     )
 
 
+def nvb_chain(domain, data, refine=bisect):
+    """Initial mesh of ``domain`` and 1-5 bisections of random markings
+    drawn from the hypothesis ``data``; each mesh descends from all before
+    it."""
+    chain = [build_initial_mesh(domain, "bottom")]
+    for _ in range(data.draw(st.integers(1, 5), label="levels")):
+        mesh = chain[-1]
+        chain.append(refine(mesh, data.draw(st.lists(
+            st.integers(0, mesh.n_triangles - 1), min_size=1,
+            max_size=max(1, mesh.n_triangles // 2)), label="marked")))
+    return chain
+
+
+def graded_mesh(initial, seed, sweeps=3):
+    """``initial`` after a few bisections of a random half of the triangles."""
+    rng = np.random.default_rng(seed)
+    mesh = initial
+    for _ in range(sweeps):
+        mesh = bisect(mesh, rng.choice(mesh.n_triangles,
+                                       mesh.n_triangles // 2 + 1,
+                                       replace=False))
+    return mesh
+
+
+def dof_lookup_trace_values(q: TraceFunction, vertex_ids) -> np.ndarray:
+    """Oracle for reading a trace function at GammaI vertices through the
+    vertex -> trace dof map."""
+    return q.values[q.space.dof_of_vertex()[vertex_ids]]
+
+
 def loop_transfer(values, fine_mesh):
-    """Oracle for :func:`fluxrec.fem.transfer`: fill midpoints one vertex at
+    """Oracle for :func:`fluxrec.fem.prolong`: fill midpoints one vertex at
     a time in id order from the coarse nodal ``values``."""
     nc = len(values)
     out = np.empty(fine_mesh.n_vertices)
@@ -286,6 +326,55 @@ def loop_transfer(values, fine_mesh):
         a, b = parents[v]
         out[v] = 0.5 * (out[a] + out[b])
     return out
+
+
+def l2_norm(fun: FeFunction) -> float:
+    """Exact L2(Omega) norm of a P1 function."""
+    vals = fun.values[fun.mesh.triangles]
+    areas = fun.mesh.areas()
+    integ = areas / 12.0 * (vals.sum(axis=1) ** 2 + (vals ** 2).sum(axis=1))
+    return float(np.sqrt(integ.sum()))
+
+
+def h1_seminorm(fun: FeFunction) -> float:
+    grads = element_gradients(fun)
+    areas = fun.mesh.areas()
+    return float(np.sqrt((areas * (grads ** 2).sum(axis=1)).sum()))
+
+
+def h1_norm(fun: FeFunction) -> float:
+    return float(np.sqrt(l2_norm(fun) ** 2 + h1_seminorm(fun) ** 2))
+
+
+def trace_l2(fun: TraceFunction) -> float:
+    """Exact L2(GammaI) norm of a trace function."""
+    mesh = fun.mesh
+    dof_of = fun.space.dof_of_vertex()
+    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
+    fl = dof_of[mesh.faces[face_ids]]
+    va = fun.values[fl[:, 0]]
+    vb = fun.values[fl[:, 1]]
+    lens = mesh.face_lengths[face_ids]
+    integ = lens / 6.0 * 2.0 * (va ** 2 + vb ** 2 + va * vb)
+    return float(np.sqrt(integ.sum()))
+
+
+def three_transfer_true_errors(triplet, reference):
+    """Oracle for :func:`fluxrec.driver.true_errors` of one triplet: ``u``,
+    ``p`` and the zero-filled ``q`` are prolongated one at a time by the
+    vertex loop, and the differences measured by the per-triangle and
+    per-face norm formulas above.  Returns ``(err_u, err_p, err_q)``."""
+    fine = reference.mesh
+    space = FeSpace(fine)
+    du = FeFunction(space, reference.u.values
+                    - loop_transfer(triplet.u.values, fine))
+    dp = FeFunction(space, reference.p.values
+                    - loop_transfer(triplet.p.values, fine))
+    q = np.zeros(triplet.mesh.n_vertices)
+    q[triplet.q.space.vertex_ids] = triplet.q.values
+    q_fine = loop_transfer(q, fine)[reference.q.space.vertex_ids]
+    dq = TraceFunction(reference.q.space, reference.q.values - q_fine)
+    return h1_norm(du), h1_norm(dp), trace_l2(dq)
 
 
 def face_loop_boundary_operators(mesh):
@@ -439,17 +528,17 @@ def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
         raise ValueError("which must be 'state' or 'costate'")
     if test.mesh is triplet.mesh:
         sys_t = system
-        u, p, q = triplet.u, triplet.p, triplet.q
+        u, p, q = triplet.u.values, triplet.p.values, triplet.q.values
     else:
         sys_t = DiscreteSystem(test.mesh, system.data)
-        u = transfer(triplet.u, test.mesh)
-        p = transfer(triplet.p, test.mesh)
-        q = transfer_trace(triplet.q, test.mesh)
+        u, p = prolong(np.column_stack([triplet.u.values, triplet.p.values]),
+                       triplet.mesh, test.mesh).T
+        q = transfer_trace(triplet.q, test.mesh).values
     t = test.values
     if which == "state":
-        return float(t @ (sys_t.F - sys_t.B @ q.values - sys_t.A @ u.values))
+        return float(t @ (sys_t.F - sys_t.B @ q - sys_t.A @ u))
     sys_t.require_z()
-    return float(t @ (sys_t.M_a @ u.values - sys_t.Z - sys_t.A @ p.values))
+    return float(t @ (sys_t.M_a @ u - sys_t.Z - sys_t.A @ p))
 
 
 def format_config(cfg) -> str:

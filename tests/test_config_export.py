@@ -12,9 +12,22 @@ from fluxrec.export import (
     read_history_csv,
     write_measurement,
 )
-from fluxrec.fem import FeFunction, FeSpace, TraceSpace, interpolate
+from fluxrec.fem import (
+    FeFunction,
+    FeSpace,
+    TraceFunction,
+    TraceSpace,
+    interpolate,
+)
+from fluxrec.mesh import BoundaryTag, boundary_arclength
+from fluxrec.problems import BUILTIN_NAMES, builtin_problem
 
-from helpers import format_config, read_measurement
+from helpers import (
+    dof_lookup_trace_values,
+    format_config,
+    graded_mesh,
+    read_measurement,
+)
 
 
 class TestParseConfig:
@@ -206,6 +219,21 @@ class TestFluxExport:
         rows = np.array([[float(v) for v in ln.split()]
                          for ln in path.read_text().strip().splitlines()])
         assert np.allclose(rows[:, 1], rows[:, 0] ** 2)
+
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_bytes_match_dof_lookup(self, tmp_path, name):
+        mesh = graded_mesh(builtin_problem(name).initial_mesh(), seed=5)
+        trace = TraceSpace.from_mesh(mesh)
+        rng = np.random.default_rng(6)
+        q = TraceFunction(trace, rng.standard_normal(trace.n_dofs))
+        path = tmp_path / "flux.txt"
+        export_flux_txt(q, path)
+        vertex_ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_I, 0.0)
+        values = dof_lookup_trace_values(q, vertex_ids)
+        expected = "".join(f"{ti:.16e} {v:.16e}\n"
+                           for ti, v in zip(t, values))
+        assert path.read_bytes() == expected.encode()
 
 
 class TestMeasurementFile:

@@ -4,14 +4,22 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 import fluxrec.driver as driver
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
-from fluxrec.fem import FeFunction, FeSpace, transfer
+from fluxrec.fem import (
+    FeFunction,
+    FeSpace,
+    TraceFunction,
+    TraceSpace,
+    prolong,
+)
 from fluxrec.problems import builtin_problem
-from fluxrec.solver import SolverSettings
+from fluxrec.solver import OptimalTriplet, SolverSettings
 
-from helpers import run_uniform
+from helpers import nvb_chain, run_uniform, three_transfer_true_errors
 
 
 class TestRunAdaptive:
@@ -94,10 +102,9 @@ class TestRunAdaptive:
         meshes = [rec.triplet.mesh for rec in smooth_history.records]
         coarse, fine = meshes[0], meshes[-1]
         rng = np.random.default_rng(3)
-        f = FeFunction(FeSpace(coarse),
-                       rng.standard_normal(coarse.n_vertices))
-        g = transfer(f, fine)
-        assert np.array_equal(g.values[:coarse.n_vertices], f.values)
+        f = rng.standard_normal(coarse.n_vertices)
+        g = prolong(f, coarse, fine)
+        assert np.array_equal(g[:coarse.n_vertices], f)
 
 
 class TestRunUniform:
@@ -118,12 +125,12 @@ class TestRunUniform:
 class TestTrueErrors:
     def test_self_comparison_is_zero(self, smooth_history):
         trip = smooth_history.records[-1].triplet
-        err_u, err_p, err_q = true_errors(trip, trip)
-        assert err_u <= 1e-12 and err_p <= 1e-12 and err_q <= 1e-12
+        errors = true_errors([trip], trip)
+        assert errors.shape == (1, 3)
+        assert np.all(errors <= 1e-12)
 
     def test_constant_flux_difference(self, refined_square, smooth_problem,
                                       smooth_measurement):
-        from fluxrec.fem import TraceFunction
         from fluxrec.solver import DiscreteSystem, solve_optimality
 
         system = DiscreteSystem(refined_square,
@@ -134,7 +141,7 @@ class TestTrueErrors:
         shifted = type(trip)(
             u=trip.u, p=trip.p,
             q=TraceFunction(trip.q.space, trip.q.values + 1.0))
-        _, _, err_q = true_errors(trip, shifted)
+        err_q = true_errors([trip], shifted)[0, 2]
         assert np.isclose(err_q, 1.0, rtol=1e-12)
 
     def test_errors_decrease_with_refinement(self, smooth_history):
@@ -145,7 +152,41 @@ class TestTrueErrors:
 
     def test_missing_reference(self, smooth_history):
         with pytest.raises(ValueError, match="missing"):
-            true_errors(smooth_history.records[0].triplet, None)
+            true_errors([smooth_history.records[0].triplet], None)
+
+    def test_non_descendant_reference(self, smooth_history):
+        records = smooth_history.records
+        with pytest.raises(ValueError, match="descendant"):
+            true_errors([records[-1].triplet], records[0].triplet)
+
+    def test_history_columns_match(self, smooth_history):
+        errors = true_errors([r.triplet for r in smooth_history.records],
+                             smooth_history.reference)
+        for name, column in zip(("err_u", "err_p", "err_q"), errors.T):
+            assert np.array_equal(smooth_history.column(name), column)
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_matches_three_transfer_oracle(self, domain, data):
+        """Random triplets on every mesh of a random NVB chain, the last
+        one included, against a random reference on the last mesh."""
+        chain = nvb_chain(domain, data)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+
+        def random_triplet(mesh):
+            space = FeSpace(mesh)
+            trace = TraceSpace.from_mesh(mesh)
+            return OptimalTriplet(
+                FeFunction(space, rng.standard_normal(space.n_dofs)),
+                FeFunction(space, rng.standard_normal(space.n_dofs)),
+                TraceFunction(trace, rng.standard_normal(trace.n_dofs)))
+
+        triplets = [random_triplet(mesh) for mesh in chain]
+        reference = random_triplet(chain[-1])
+        errors = true_errors(triplets, reference)
+        oracle = [three_transfer_true_errors(t, reference) for t in triplets]
+        assert np.allclose(errors, oracle, rtol=1e-12, atol=0.0)
 
     def test_reference_levels(self, smooth_history):
         ref = smooth_history.reference

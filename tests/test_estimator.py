@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from fluxrec.estimator import _FaceSamples, estimate
 from fluxrec.fem import (
+    GAUSS2_POINTS,
     FeFunction,
     FeSpace,
     TraceFunction,
@@ -10,9 +12,15 @@ from fluxrec.fem import (
     midpoint_samples,
 )
 from fluxrec.mesh import BoundaryTag, build_initial_mesh
+from fluxrec.problems import BUILTIN_NAMES, builtin_problem
 from fluxrec.solver import OptimalTriplet, ProblemData, solve_optimality
 
-from helpers import brute_force_indicators, monomial_integral_ref_triangle
+from helpers import (
+    brute_force_indicators,
+    dof_lookup_trace_values,
+    graded_mesh,
+    monomial_integral_ref_triangle,
+)
 
 
 def make_triplet(mesh, u_vals=None, p_vals=None, q_vals=None):
@@ -111,6 +119,24 @@ class TestFaceJumps:
         triplet = make_triplet(refined_square)
         w = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).weights
         assert np.allclose(w.sum(axis=1), 1.0)
+
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_gamma_i_flux_samples_match_dof_lookup(self, name):
+        """With u = 0 the GammaI state jump is -q at the Gauss points, read
+        bitwise as through the vertex -> trace dof map."""
+        problem = builtin_problem(name)
+        mesh = graded_mesh(problem.initial_mesh(), seed=7)
+        trace = TraceSpace.from_mesh(mesh)
+        rng = np.random.default_rng(8)
+        trip = make_triplet(mesh, q_vals=rng.standard_normal(trace.n_dofs))
+        fs = _FaceSamples(trip, zero_data(problem.data().coeffs))
+        gi = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
+        qa = dof_lookup_trace_values(trip.q, mesh.faces[gi, 0])
+        qb = dof_lookup_trace_values(trip.q, mesh.faces[gi, 1])
+        tpar = np.array([GAUSS2_POINTS[0], GAUSS2_POINTS[1], 0.5])
+        q_vals = qa[:, None] * (1.0 - tpar) + qb[:, None] * tpar
+        assert np.array_equal(fs.j1[gi], -q_vals)
 
 
 class TestEstimate:

@@ -4,6 +4,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from fluxrec.driver import true_errors
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
@@ -11,28 +12,31 @@ from fluxrec.fem import (
     TraceFunction,
     TraceSpace,
     _boundary_mass,
+    _mass,
     _stiffness,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
     element_gradients,
-    h1_norm,
-    h1_seminorm,
     interpolate,
-    l2_norm,
-    trace_l2,
-    transfer,
+    prolong,
     transfer_trace,
     volume_load,
 )
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect, build_initial_mesh
+from fluxrec.solver import OptimalTriplet
 
 from helpers import (
     boundary_l2,
     boundary_tag_map,
     face_loop_boundary_operators,
+    graded_mesh,
+    h1_norm,
+    h1_seminorm,
+    l2_norm,
     loop_transfer,
     monomial_integral_ref_triangle,
+    nvb_chain,
     recursive_bisect,
 )
 
@@ -235,12 +239,8 @@ class TestTraceOperators:
 
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     def test_match_face_loop_bitwise(self, domain):
-        mesh = build_initial_mesh(domain, "bottom")
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            mesh = bisect(mesh, rng.choice(mesh.n_triangles,
-                                           mesh.n_triangles // 2 + 1,
-                                           replace=False))
+        mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=1,
+                           sweeps=5)
         for got, want in zip(assemble_trace_operators(mesh),
                              face_loop_boundary_operators(mesh)):
             assert np.array_equal(got.toarray(), want)
@@ -292,15 +292,13 @@ class TestInterpolate:
 class TestTransfer:
     def test_constant_preserved(self, square_mesh):
         fine = bisect(square_mesh, [0, 1])
-        one = FeFunction(FeSpace(square_mesh), np.ones(4))
-        assert np.all(transfer(one, fine).values == 1.0)
+        assert np.all(prolong(np.ones(4), square_mesh, fine) == 1.0)
 
     def test_midpoint_average(self, square_mesh):
         fine = bisect(square_mesh, [0, 1])
-        f = FeFunction(FeSpace(square_mesh), np.array([0.0, 1.0, 1.0, 2.0]))
-        out = transfer(f, fine)
+        out = prolong(np.array([0.0, 1.0, 1.0, 2.0]), square_mesh, fine)
         # vertex 4 is the diagonal midpoint of (0,0)-(1,1)
-        assert out.values[4] == 1.0
+        assert out[4] == 1.0
 
     def test_h1_norm_invariant(self, square_mesh):
         rng = np.random.default_rng(2)
@@ -308,7 +306,7 @@ class TestTransfer:
         mesh = square_mesh
         for _ in range(3):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
-        g = transfer(f, mesh)
+        g = FeFunction(FeSpace(mesh), prolong(f.values, square_mesh, mesh))
         assert np.isclose(h1_norm(g), h1_norm(f), rtol=1e-12)
         assert np.isclose(l2_norm(g), l2_norm(f), rtol=1e-12)
 
@@ -319,20 +317,23 @@ class TestTransfer:
         for _ in range(4):
             marked = rng.choice(mesh.n_triangles, size=1)
             mesh = bisect(mesh, marked)
-        g = transfer(f, mesh)
+        g = FeFunction(FeSpace(mesh), prolong(f.values, square_mesh, mesh))
         assert np.isclose(h1_seminorm(g), h1_seminorm(f), rtol=1e-12)
 
     def test_non_descendant_rejected(self, square_mesh, lshape_mesh):
-        f = FeFunction(FeSpace(square_mesh), np.zeros(4))
         with pytest.raises(ValueError, match="descendant"):
-            transfer(f, lshape_mesh)
+            prolong(np.zeros(4), square_mesh, lshape_mesh)
         # sibling branches are not descendants either
         sib_a = bisect(square_mesh, [0])
-        f_a = FeFunction(FeSpace(sib_a), np.zeros(sib_a.n_vertices))
         other_root = build_initial_mesh("square", "bottom")
         sib_b = bisect(other_root, [0])
         with pytest.raises(ValueError, match="descendant"):
-            transfer(f_a, sib_b)
+            prolong(np.zeros(sib_a.n_vertices), sib_a, sib_b)
+
+    def test_wrong_row_count_rejected(self, square_mesh):
+        fine = bisect(square_mesh, [0])
+        with pytest.raises(ValueError, match="rows"):
+            prolong(np.zeros(5), square_mesh, fine)
 
     @given(domain=st.sampled_from(["square", "lshape"]),
            oracle_meshes=st.booleans(), data=st.data())
@@ -340,29 +341,41 @@ class TestTransfer:
     def test_matches_vertex_loop(self, domain, oracle_meshes, data):
         """Bit-for-bit equal to the per-vertex loop on multi-level
         descendants, also where midpoints are numbered in recursion order."""
-        refine = recursive_bisect if oracle_meshes else bisect
-        chain = [build_initial_mesh(domain, "bottom")]
-        for _ in range(data.draw(st.integers(1, 5), label="levels")):
-            mesh = chain[-1]
-            chain.append(refine(mesh, data.draw(st.lists(
-                st.integers(0, mesh.n_triangles - 1), min_size=1,
-                max_size=max(1, mesh.n_triangles // 2)), label="marked")))
+        chain = nvb_chain(domain, data,
+                          recursive_bisect if oracle_meshes else bisect)
         coarse = chain[data.draw(st.integers(0, len(chain) - 2),
                                  label="coarse level")]
         fine = chain[-1]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                               label="seed"))
-        f = FeFunction(FeSpace(coarse), rng.standard_normal(coarse.n_vertices))
-        assert np.array_equal(transfer(f, fine).values,
-                              loop_transfer(f.values, fine))
+        f = rng.standard_normal(coarse.n_vertices)
+        assert np.array_equal(prolong(f, coarse, fine),
+                              loop_transfer(f, fine))
 
         trace = TraceSpace.from_mesh(coarse)
         q = TraceFunction(trace, rng.standard_normal(trace.n_dofs))
         embedded = np.zeros(coarse.n_vertices)
         embedded[trace.vertex_ids] = q.values
+        assert np.array_equal(q.embedded(), embedded)
         qf = transfer_trace(q, fine)
         assert np.array_equal(qf.values,
                               loop_transfer(embedded, fine)[qf.space.vertex_ids])
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=20, deadline=None)
+    def test_block_equals_columns(self, domain, data):
+        """An (n, 3) block prolongates bitwise like its three columns."""
+        chain = nvb_chain(domain, data)
+        coarse = chain[data.draw(st.integers(0, len(chain) - 1),
+                                 label="coarse level")]
+        fine = chain[-1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        block = rng.standard_normal((coarse.n_vertices, 3))
+        out = prolong(block, coarse, fine)
+        assert out.shape == (fine.n_vertices, 3)
+        for j in range(3):
+            assert np.array_equal(out[:, j], prolong(block[:, j], coarse, fine))
 
     def test_trace_transfer(self, refined_square):
         trace = TraceSpace.from_mesh(refined_square)
@@ -373,30 +386,78 @@ class TestTransfer:
         assert np.allclose(qf.values, 1.0 + 2.0 * xs, rtol=1e-14)
 
 
+def interpolated_triplet(mesh, u, p, q):
+    space = FeSpace(mesh)
+    return OptimalTriplet(interpolate(u, space), interpolate(p, space),
+                          interpolate(q, TraceSpace.from_mesh(mesh)))
+
+
+def zero(x, y):
+    return 0.0 * x
+
+
+def errors_against_zero(u, p, q, meshes, fine):
+    """:func:`~fluxrec.driver.true_errors` of the interpolated triplet
+    ``(u, p, q)`` on each of ``meshes`` against the zero triplet on
+    ``fine``, a descendant of all of them."""
+    return true_errors([interpolated_triplet(m, u, p, q) for m in meshes],
+                       interpolated_triplet(fine, zero, zero, zero))
+
+
 class TestNorms:
-    def test_constant_on_unit_square(self, refined_square):
-        one = FeFunction(FeSpace(refined_square),
-                         np.ones(refined_square.n_vertices))
-        assert np.isclose(l2_norm(one), 1.0)
-        assert h1_seminorm(one) == 0.0
+    """Exact P1 integrals: ``true_errors`` against a zero reference and the
+    assembled volume matrices."""
 
-    def test_linear_on_unit_square(self, refined_square):
-        f = interpolate(lambda x, y: x, FeSpace(refined_square))
-        assert np.isclose(l2_norm(f) ** 2, 1.0 / 3.0, rtol=1e-13)
-        assert np.isclose(h1_seminorm(f), 1.0, rtol=1e-13)
+    def test_constant_on_unit_square(self, square_mesh, refined_square):
+        one = lambda x, y: 1.0 + 0.0 * x
+        errors = errors_against_zero(one, one, one,
+                                     [square_mesh, refined_square],
+                                     refined_square)
+        assert np.allclose(errors, 1.0, rtol=1e-13, atol=0.0)
+        c = np.ones(refined_square.n_vertices)
+        assert np.isclose(c @ (_mass(refined_square) @ c), 1.0, rtol=1e-13)
 
-    def test_trace_norm_bottom_edge(self, refined_square):
+    def test_linear_on_unit_square(self, square_mesh, refined_square):
+        x = refined_square.vertices[:, 0]
+        assert np.isclose(x @ (_mass(refined_square) @ x), 1.0 / 3.0,
+                          rtol=1e-13)
+        assert np.isclose(x @ (_stiffness(refined_square) @ x), 1.0,
+                          rtol=1e-13)
+        errors = errors_against_zero(lambda x, y: x, lambda x, y: y,
+                                     lambda x, y: x,
+                                     [square_mesh, refined_square],
+                                     refined_square)
+        assert np.allclose(errors[:, :2] ** 2, 4.0 / 3.0, rtol=1e-13,
+                           atol=0.0)
+
+    def test_trace_norm_bottom_edge(self, square_mesh, refined_square):
         f = interpolate(lambda x, y: x, FeSpace(refined_square))
         assert np.isclose(boundary_l2(f, BoundaryTag.GAMMA_I) ** 2,
                           1.0 / 3.0, rtol=1e-13)
-        trace = TraceSpace.from_mesh(refined_square)
-        q = interpolate(lambda x, y: x, trace)
-        assert np.isclose(trace_l2(q) ** 2, 1.0 / 3.0, rtol=1e-13)
+        errors = errors_against_zero(lambda x, y: x, lambda x, y: x,
+                                     lambda x, y: x,
+                                     [square_mesh, refined_square],
+                                     refined_square)
+        assert np.allclose(errors[:, 2] ** 2, 1.0 / 3.0, rtol=1e-13,
+                           atol=0.0)
 
     def test_h1_norm_from_parts(self, refined_square):
-        f = interpolate(lambda x, y: x, FeSpace(refined_square))
-        assert np.isclose(h1_norm(f),
-                          np.sqrt(l2_norm(f) ** 2 + h1_seminorm(f) ** 2))
+        """The H1 error is the per-triangle L2 and seminorm formulas
+        combined."""
+        rng = np.random.default_rng(4)
+        space = FeSpace(refined_square)
+        trace = TraceSpace.from_mesh(refined_square)
+        funs = [FeFunction(space, rng.standard_normal(space.n_dofs))
+                for _ in range(2)]
+        triplet = OptimalTriplet(*funs, TraceFunction(
+            trace, rng.standard_normal(trace.n_dofs)))
+        errors = true_errors([triplet], interpolated_triplet(
+            refined_square, zero, zero, zero))[0]
+        for err, f in zip(errors[:2], funs):
+            assert np.isclose(err, np.sqrt(l2_norm(f) ** 2
+                                           + h1_seminorm(f) ** 2),
+                              rtol=1e-12)
+            assert np.isclose(err, h1_norm(f), rtol=1e-12)
 
 
 class TestValidation:

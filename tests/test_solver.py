@@ -33,6 +33,7 @@ from helpers import (
     patches,
     reduced_gradient,
     residual_apply,
+    trace_l2,
     two_pass_measurement_moments,
 )
 
@@ -182,8 +183,6 @@ class TestSolveOptimality:
 
     def test_large_beta_crushes_flux(self, refined_square, smooth_problem,
                                      smooth_measurement, settings):
-        from fluxrec.fem import trace_l2
-
         big = smooth_problem.with_overrides(beta=1e6)
         system = DiscreteSystem(refined_square,
                                 big.data(z=smooth_measurement))
@@ -366,7 +365,9 @@ class TestSharedStateOperator:
                                           smooth_measurement):
         system = DiscreteSystem(mesh32, smooth_problem.data(
             z=smooth_measurement))
-        for arr in (system.A.data, system.A.indices, system.A.indptr):
+        state = system._state
+        for arr in (system.A.data, system.A.indices, system.A.indptr,
+                    state.p, state.p_inv):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
@@ -420,6 +421,11 @@ class TestNestedDissection:
         x = system.solve_A(rhs)
         ref = default_order_factor(system.A).solve(rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        # gathering with the inverse order equals scattering with the order
+        state = system._state
+        scattered = np.empty_like(rhs)
+        scattered[state.p] = state.lu.solve(rhs[state.p])
+        assert np.array_equal(x, scattered)
 
         p = solver._nested_dissection(mesh)
         assert np.array_equal(np.sort(p), np.arange(mesh.n_vertices))
