@@ -6,10 +6,12 @@ the costate equation (misfit-driven face residuals).  The costate equation
 has no volume residual to compute: with P1 elements and constant alpha the
 divergence term vanishes elementwise, and the costate equation has no
 volume source, so its element residual is identically zero.  Data oscillation
-terms measure what elementwise and facewise integral averages miss.  A face
-shared by two triangles contributes its full jump term to both of them, so
-the global estimator counts interior jumps twice; that only changes the
-constant, not the decay.
+terms measure what elementwise and facewise integral averages miss.  The
+flux jump across an interior face is constant for P1, so its norm needs no
+quadrature and its oscillation is exactly zero: only GammaA and GammaI faces
+are sampled.  A face shared by two triangles contributes its full jump term
+to both of them, so the global estimator counts interior jumps twice; that
+only changes the constant, not the decay.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from .fem import (
     GAUSS2_WEIGHTS,
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
-    _eval_data,
     element_gradients,
-    midpoint_samples,
 )
 from .mesh import BoundaryTag
-from .solver import OptimalTriplet, ProblemData
+from .solver import OptimalTriplet, ProblemData, mesh_operators
 
 
 @dataclass
@@ -79,86 +79,62 @@ class ElementIndicators:
         return float(np.sqrt(self.osc_sq_total))
 
 
-class _FaceSamples:
-    """Quadrature samples of both face residuals on every face.
+def _normal_fluxes(mesh, faces, grads, side=0):
+    """``g . n`` on ``faces`` for each ``g`` in ``grads``, taken on the
+    triangle ``face_tris[faces, side]``."""
+    tris = mesh.face_tris[:, side][faces]
+    nrm = np.take(mesh.face_normals, faces, axis=0)
+    return [np.einsum("fd,fd->f", np.take(g, tris, axis=0), nrm)
+            for g in grads]
 
-    Faces touching GammaA are sampled with 3-point Gauss (the measurement
-    is generally not polynomial there); all other faces use 2-point Gauss
-    padded with a zero-weight third slot so the arrays stay rectangular.
-    """
 
-    def __init__(self, triplet: OptimalTriplet, data: ProblemData):
-        mesh = triplet.mesh
-        nf = mesh.n_faces
-        alpha = data.coeffs.alpha
-        gamma = data.coeffs.gamma
+def _interior_jumps(mesh, grad_u, grad_p):
+    """Interior face ids and the constant jumps of ``grad_u . n`` and
+    ``grad_p . n`` across them."""
+    faces = mesh.faces_with_tag(BoundaryTag.INTERIOR)
+    lower = _normal_fluxes(mesh, faces, (grad_u, grad_p))
+    upper = _normal_fluxes(mesh, faces, (grad_u, grad_p), side=1)
+    return faces, lower[0] - upper[0], lower[1] - upper[1]
 
-        tpar = np.empty((nf, 3))
-        wts = np.empty((nf, 3))
-        is_ga = mesh.face_tags == int(BoundaryTag.GAMMA_A)
-        tpar[~is_ga] = np.array([GAUSS2_POINTS[0], GAUSS2_POINTS[1], 0.5])
-        wts[~is_ga] = np.array([GAUSS2_WEIGHTS[0], GAUSS2_WEIGHTS[1], 0.0])
-        tpar[is_ga] = GAUSS3_POINTS
-        wts[is_ga] = GAUSS3_WEIGHTS
 
-        pa = mesh.vertices[mesh.faces[:, 0]]
-        pb = mesh.vertices[mesh.faces[:, 1]]
-        pts = pa[:, None, :] + tpar[:, :, None] * (pb - pa)[:, None, :]
+def _boundary_samples(triplet, ops, grad_u, grad_p):
+    """``(faces, j1, j2, weights)``: the boundary face ids in ascending
+    order, both face residuals at their quadrature nodes and the weights
+    on ``[0, 1]``, each ``(len(faces), 3)``.  GammaA faces get 3-point
+    Gauss (the measurement is generally not polynomial there), GammaI
+    faces 2-point Gauss padded with a zero-weight third node."""
+    mesh = triplet.mesh
+    gamma = ops.gamma
+    faces = np.flatnonzero(mesh.face_tags != int(BoundaryTag.INTERIOR))
+    is_ga = mesh.face_tags[faces] == int(BoundaryTag.GAMMA_A)
+    ga, gi = faces[is_ga], faces[~is_ga]
+    tpar = np.where(is_ga[:, None], GAUSS3_POINTS, [*GAUSS2_POINTS, 0.5])
+    wts = np.where(is_ga[:, None], GAUSS3_WEIGHTS, [*GAUSS2_WEIGHTS, 0.0])
 
-        grad_u = alpha * element_gradients(triplet.u)
-        grad_p = alpha * element_gradients(triplet.p)
-        nrm = mesh.face_normals
-        t0 = mesh.face_tris[:, 0]
-        t1 = mesh.face_tris[:, 1]
-        flux_u0 = np.einsum("fd,fd->f", grad_u[t0], nrm)
-        flux_p0 = np.einsum("fd,fd->f", grad_p[t0], nrm)
+    flux_u, flux_p = _normal_fluxes(mesh, faces, (grad_u, grad_p))
+    j1 = np.empty((faces.size, 3))
+    j2 = np.empty((faces.size, 3))
+    gamma_ua, zv = ops.gamma_a_data
+    u_vals = _trace_values(triplet.u.values, mesh, ga, tpar[is_ga])
+    p_vals = _trace_values(triplet.p.values, mesh, ga, tpar[is_ga])
+    j1[is_ga] = gamma_ua - gamma * u_vals - flux_u[is_ga][:, None]
+    j2[is_ga] = u_vals - zv - gamma * p_vals - flux_p[is_ga][:, None]
+    q_vals = _trace_values(triplet.q.embedded(), mesh, gi, tpar[~is_ga])
+    j1[~is_ga] = -q_vals - flux_u[~is_ga][:, None]
+    j2[~is_ga] = -flux_p[~is_ga][:, None]
+    return faces, j1, j2, wts
 
-        j1 = np.zeros((nf, 3))
-        j2 = np.zeros((nf, 3))
 
-        interior = np.flatnonzero(mesh.face_tags == int(BoundaryTag.INTERIOR))
-        if interior.size:
-            jmp_u = flux_u0[interior] - np.einsum(
-                "fd,fd->f", grad_u[t1[interior]], nrm[interior])
-            jmp_p = flux_p0[interior] - np.einsum(
-                "fd,fd->f", grad_p[t1[interior]], nrm[interior])
-            j1[interior] = jmp_u[:, None]
-            j2[interior] = jmp_p[:, None]
+def _norm_sq(weights, samples, lengths):
+    """``||J||^2_{0,F}`` per face from reference-interval samples."""
+    return lengths * np.einsum("fg,fg->f", weights, samples ** 2)
 
-        ga = np.flatnonzero(is_ga)
-        if ga.size:
-            x = pts[ga][:, :, 0]
-            y = pts[ga][:, :, 1]
-            ua = _eval_data(data.u_a, x, y, "ambient temperature u_a") \
-                if data.u_a is not None else np.zeros_like(x)
-            u_vals = _trace_values(triplet.u.values, mesh, ga, tpar[ga])
-            p_vals = _trace_values(triplet.p.values, mesh, ga, tpar[ga])
-            j1[ga] = gamma * ua - gamma * u_vals - flux_u0[ga][:, None]
-            if data.z is None:
-                raise ValueError("costate face residual on GammaA needs the "
-                                 "measurement z")
-            zv = _eval_data(data.z, x, y, "measurement z")
-            j2[ga] = u_vals - zv - gamma * p_vals - flux_p0[ga][:, None]
 
-        gi = np.flatnonzero(mesh.face_tags == int(BoundaryTag.GAMMA_I))
-        if gi.size:
-            q_vals = _trace_values(triplet.q.embedded(), mesh, gi, tpar[gi])
-            j1[gi] = -q_vals - flux_u0[gi][:, None]
-            j2[gi] = -flux_p0[gi][:, None]
-
-        self.j1 = j1
-        self.j2 = j2
-        self.weights = wts
-
-    def norm_sq(self, samples: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """``||J||^2_{0,F}`` per face from reference-interval samples."""
-        return lengths * np.einsum("fg,fg->f", self.weights, samples ** 2)
-
-    def osc_sq(self, samples: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """``||J - mean(J)||^2_{0,F}`` with the same quadrature as norm_sq."""
-        mean = np.einsum("fg,fg->f", self.weights, samples)
-        return lengths * np.einsum(
-            "fg,fg->f", self.weights, (samples - mean[:, None]) ** 2)
+def _osc_sq(weights, samples, lengths):
+    """``||J - mean(J)||^2_{0,F}`` with the same quadrature as _norm_sq."""
+    mean = np.einsum("fg,fg->f", weights, samples)
+    return lengths * np.einsum(
+        "fg,fg->f", weights, (samples - mean[:, None]) ** 2)
 
 
 def _trace_values(values, mesh, face_ids, tpar):
@@ -168,28 +144,25 @@ def _trace_values(values, mesh, face_ids, tpar):
 
 
 def estimate(triplet: OptimalTriplet, data: ProblemData) -> ElementIndicators:
-    """Per-triangle indicators and data oscillations for a solved triplet."""
+    """Per-triangle indicators and data oscillations for a solved triplet.
+
+    The data terms come from the shared :func:`~fluxrec.solver.mesh_operators`,
+    so they are computed once per mesh, however many solves it has."""
     mesh = triplet.mesh
-    areas = mesh.areas()
-    lengths = mesh.face_lengths
-    # for P1 with constant alpha the state residual is the source itself
-    r1 = midpoint_samples(mesh, data.f)
-    # ||R||^2_{0,T} by midpoint quadrature, then scaled by h_T^2 = area
-    w_vol = areas[:, None] / 3.0
-    r1_norm_sq = (w_vol * r1 ** 2).sum(axis=1)
-
-    fs = _FaceSamples(triplet, data)
-    face1 = lengths * fs.norm_sq(fs.j1, lengths)  # h_F * ||J1||^2
-    face2 = lengths * fs.norm_sq(fs.j2, lengths)
-
-    eta1_sq = areas * r1_norm_sq + face1[mesh.tri_faces].sum(axis=1)
-    eta2_sq = face2[mesh.tri_faces].sum(axis=1)
-
-    r1_mean = r1.mean(axis=1)
-    osc_f_sq = areas * (w_vol * (r1 - r1_mean[:, None]) ** 2).sum(axis=1)
-    osc_j1_sq = lengths * fs.osc_sq(fs.j1, lengths)
-    osc_j2_sq = lengths * fs.osc_sq(fs.j2, lengths)
-
-    return ElementIndicators(eta1_sq=eta1_sq, eta2_sq=eta2_sq,
-                             osc_f_sq=osc_f_sq, osc_j1_sq=osc_j1_sq,
-                             osc_j2_sq=osc_j2_sq)
+    ops = mesh_operators(mesh, data)
+    grad_u = data.coeffs.alpha * element_gradients(triplet.u)
+    grad_p = data.coeffs.alpha * element_gradients(triplet.p)
+    inner, jmp_u, jmp_p = _interior_jumps(mesh, grad_u, grad_p)
+    faces, j1, j2, wts = _boundary_samples(triplet, ops, grad_u, grad_p)
+    h_in, h = mesh.face_lengths[inner], mesh.face_lengths[faces]
+    eta_sq, osc_sq = [], []
+    for jmp, samples in ((jmp_u, j1), (jmp_p, j2)):
+        face = np.empty(mesh.n_faces)  # h_F * ||J||^2
+        face[inner] = h_in * (h_in * jmp ** 2)
+        face[faces] = h * _norm_sq(wts, samples, h)
+        eta_sq.append(face[mesh.tri_faces].sum(axis=1))
+        osc_sq.append(np.zeros(mesh.n_faces))
+        osc_sq[-1][faces] = h * _osc_sq(wts, samples, h)
+    return ElementIndicators(eta1_sq=ops.f_sq + eta_sq[0], eta2_sq=eta_sq[1],
+                             osc_f_sq=ops.osc_f_sq, osc_j1_sq=osc_sq[0],
+                             osc_j2_sq=osc_sq[1])

@@ -218,12 +218,10 @@ def midpoint_samples(mesh: Mesh, f) -> np.ndarray:
     return out
 
 
-def volume_load(mesh: Mesh, f) -> np.ndarray:
-    """Load vector of the source term, 3-point edge-midpoint quadrature."""
+def volume_load(mesh: Mesh, fv: np.ndarray) -> np.ndarray:
+    """Load vector of the source term from its :func:`midpoint_samples`
+    ``fv`` (3-point edge-midpoint quadrature)."""
     F = np.zeros(mesh.n_vertices)
-    if f is None:
-        return F
-    fv = midpoint_samples(mesh, f)
     areas = mesh.areas()
     tri = mesh.triangles
     for g, (i, j) in enumerate(_MIDPOINT_EDGES):
@@ -257,9 +255,11 @@ def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data"):
     return F, g_sq
 
 
-def assemble_load(mesh: Mesh, f, u_a, coeffs: CoefficientSet) -> np.ndarray:
-    """Right-hand side ``F_i = (f, phi_i) + (gamma u_a, phi_i)_{Gamma_a}``."""
-    F = volume_load(mesh, f)
+def assemble_load(mesh: Mesh, fv: np.ndarray, u_a,
+                  coeffs: CoefficientSet) -> np.ndarray:
+    """Right-hand side ``F_i = (f, phi_i) + (gamma u_a, phi_i)_{Gamma_a}``,
+    the source given by its :func:`midpoint_samples` ``fv``."""
+    F = volume_load(mesh, fv)
     if u_a is not None:
         F += coeffs.gamma * boundary_load(mesh, u_a, BoundaryTag.GAMMA_A,
                                           "ambient temperature u_a")[0]

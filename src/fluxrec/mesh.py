@@ -76,8 +76,9 @@ def _unique_edges(triangles, n_vertices):
     local vertex, and the number of triangles holding each face.
     """
     t = triangles
-    edges = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-    keys = edges.min(axis=1) * n_vertices + edges.max(axis=1)
+    a = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    b = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
+    keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
     uniq, inverse, counts = np.unique(keys, return_inverse=True,
                                       return_counts=True)
     faces = np.column_stack(np.divmod(uniq, n_vertices))
@@ -111,9 +112,10 @@ class Mesh:
     The face table (faces, incident triangles, tags, fixed unit normals)
     and the triangle areas are derived in the constructor and the instance
     is treated as immutable: :func:`bisect` returns a new mesh.
-    ``state_operators`` is a weak map ``(alpha, gamma) ->`` state operator
-    through which the solver shares ``A`` and its factor between the live
-    systems on this mesh; it keeps no operator alive.
+    ``state_operators`` is a weak map through which the solver shares the
+    beta-independent operators of one set of data, with their factors and
+    data samples, between the live systems and estimates on this mesh
+    (see :func:`fluxrec.solver.mesh_operators`); it keeps nothing alive.
     """
 
     def __init__(self, vertices, triangles, refinement_edge, boundary_tags,

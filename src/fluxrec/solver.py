@@ -12,20 +12,24 @@ application costs one state-type and one costate-type inner solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import (
+    GAUSS3_POINTS,
     CoefficientSet,
     FeFunction,
     FeSpace,
     TraceFunction,
     TraceSpace,
+    _eval_data,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
     boundary_load,
+    midpoint_samples,
 )
 from .mesh import BoundaryTag, Mesh
 
@@ -156,71 +160,58 @@ def _nested_dissection(mesh: Mesh) -> np.ndarray:
     return np.argsort(block * n + np.arange(n))
 
 
-class _StateOperator:
-    """``A = alpha K + gamma M_{GammaA}``, its nested-dissection order ``p``
-    and the inverse order ``p_inv`` (all read-only), and the SuperLU factor
-    of ``A[p][:, p]``, built on the first solve.  ``A`` is symmetric
-    positive definite, so the factor keeps the order and skips pivoting."""
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
-    def __init__(self, mesh: Mesh, coeffs: CoefficientSet):
-        self.A = assemble_bilinear(mesh, coeffs)
+
+class _MeshOperators:
+    """Everything of the optimality system on one mesh but beta, all arrays
+    read-only.  The SPD ``A`` is factored on the first solve in the
+    nested-dissection order ``p`` without pivoting.  ``F`` and the
+    estimator's volume terms come from one sampling of ``f``; the ``M_i``
+    factor, ``b`` and the estimator's GammaA data are built on first use.
+    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique."""
+
+    def __init__(self, mesh: Mesh, data: ProblemData):
+        self.mesh = mesh
+        self.f, self.u_a, self.z = data.f, data.u_a, data.z
+        self.gamma = data.coeffs.gamma
+        self.A = assemble_bilinear(mesh, data.coeffs)
         self.p = _nested_dissection(mesh)
         self.p_inv = np.empty_like(self.p)
         self.p_inv[self.p] = np.arange(self.p.size)
-        for arr in (self.A.data, self.A.indices, self.A.indptr, self.p,
-                    self.p_inv):
-            arr.setflags(write=False)
-        self.lu = None
+        self.lu = self._Mi_lu = None
+        self.trace = TraceSpace.from_mesh(mesh)
+        self.M_i, self.B, self.M_a = assemble_trace_operators(mesh)
+        fv = midpoint_samples(mesh, data.f)
+        self.F = assemble_load(mesh, fv, data.u_a, data.coeffs)
+        # for P1 and constant alpha the state volume residual is f: the
+        # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
+        areas = mesh.areas()
+        w_vol = areas[:, None] / 3.0
+        self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
+        self.osc_f_sq = areas * (
+            w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
+        self.Z, self.z_sq = None, 0.0
+        if data.z is not None:
+            self.Z, self.z_sq = boundary_load(mesh, data.z,
+                                              BoundaryTag.GAMMA_A,
+                                              "measurement z")
+            _read_only(self.Z)
+        _read_only(self.p, self.p_inv, self.F, self.f_sq, self.osc_f_sq,
+                   *(getattr(m, name)
+                     for m in (self.A, self.M_i, self.B, self.M_a)
+                     for name in ("data", "indices", "indptr")))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve_A(self, rhs: np.ndarray) -> np.ndarray:
         p = self.p
         if self.lu is None:
             self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                                 diag_pivot_thresh=0.0,
                                 options=dict(SymmetricMode=True))
         return self.lu.solve(rhs[p])[self.p_inv]
-
-
-class DiscreteSystem:
-    """All operators of the optimality system assembled on one mesh.
-
-    Holds the weighted bilinear operator ``A``, the load vector ``F``, the
-    boundary mass matrices, the flux coupling ``B`` and the measurement
-    moment vector ``Z_i = int_{GammaA} z phi_i``.  ``A`` does not depend on
-    beta: it and its SuperLU factor are shared with every live system on
-    the same mesh with equal ``(alpha, gamma)``, so a sweep over beta
-    assembles and factors ``A`` once.  The mesh holds them weakly, so the
-    factor is freed with the last system that uses it.
-    """
-
-    def __init__(self, mesh: Mesh, data: ProblemData):
-        self.mesh = mesh
-        self.data = data
-        self.space = FeSpace(mesh)
-        self.trace = TraceSpace.from_mesh(mesh)
-        key = (data.coeffs.alpha, data.coeffs.gamma)
-        self._state = mesh.state_operators.get(key)
-        if self._state is None:
-            self._state = mesh.state_operators[key] = \
-                _StateOperator(mesh, data.coeffs)
-        self.A = self._state.A
-        self.F = assemble_load(mesh, data.f, data.u_a, data.coeffs)
-        self.M_i, self.B, self.M_a = assemble_trace_operators(mesh)
-        if data.z is not None:
-            self.Z, self.z_sq = boundary_load(mesh, data.z,
-                                              BoundaryTag.GAMMA_A,
-                                              "measurement z")
-        else:
-            self.Z = None
-            self.z_sq = 0.0
-        self._Mi_lu = None
-
-    @property
-    def beta(self) -> float:
-        return self.data.coeffs.beta
-
-    def solve_A(self, rhs: np.ndarray) -> np.ndarray:
-        return self._state.solve(rhs)
 
     def solve_Mi(self, rhs: np.ndarray) -> np.ndarray:
         if self._Mi_lu is None:
@@ -230,6 +221,71 @@ class DiscreteSystem:
     def require_z(self):
         if self.Z is None:
             raise ValueError("problem data carries no measurement z")
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """Reduced right-hand side ``B^T A^-1 (M_a A^-1 F - Z)``."""
+        self.require_z()
+        u0 = self.solve_A(self.F)
+        return _read_only(self.B.T @ self.solve_A(self.M_a @ u0 - self.Z))[0]
+
+    @cached_property
+    def gamma_a_data(self):
+        """``(gamma u_a, z)`` at the 3-point Gauss nodes of the GammaA
+        faces, one row per face in face order."""
+        if self.z is None:
+            raise ValueError("costate face residual on GammaA needs the "
+                             "measurement z")
+        ga = self.mesh.faces_with_tag(BoundaryTag.GAMMA_A)
+        ends = self.mesh.vertices[self.mesh.faces[ga]]
+        pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
+        x, y = pts[:, :, 0], pts[:, :, 1]
+        ua = np.zeros_like(x) if self.u_a is None else \
+            _eval_data(self.u_a, x, y, "ambient temperature u_a")
+        return _read_only(self.gamma * ua,
+                          _eval_data(self.z, x, y, "measurement z"))
+
+
+def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
+    """The operators of ``data`` on ``mesh`` that do not depend on beta.
+
+    One object per ``(alpha, gamma)`` and identities of ``f``, ``u_a`` and
+    ``z`` lives in the mesh's weak map, shared by every system and
+    estimate on the mesh until the last user lets it go.
+    """
+    c = data.coeffs
+    key = (c.alpha, c.gamma, id(data.f), id(data.u_a), id(data.z))
+    ops = mesh.state_operators.get(key)
+    if ops is None:
+        ops = mesh.state_operators[key] = _MeshOperators(mesh, data)
+    return ops
+
+
+class DiscreteSystem:
+    """The optimality system of ``data`` on one mesh.
+
+    Holds the weighted bilinear operator ``A``, the load vector ``F``, the
+    boundary mass matrices, the flux coupling ``B`` and the measurement
+    moment vector ``Z_i = int_{GammaA} z phi_i``, all read-only.  Only
+    beta is its own: the rest, with the factors of ``A`` and ``M_i``,
+    comes from :func:`mesh_operators`, so a sweep over beta on one mesh
+    assembles, samples the data and factors once.
+    """
+
+    def __init__(self, mesh: Mesh, data: ProblemData):
+        self.mesh = mesh
+        self.data = data
+        self.space = FeSpace(mesh)
+        self._ops = ops = mesh_operators(mesh, data)
+        self.trace, self.A, self.F, self.Z, self.z_sq = (
+            ops.trace, ops.A, ops.F, ops.Z, ops.z_sq)
+        self.M_i, self.B, self.M_a = ops.M_i, ops.B, ops.M_a
+        self.solve_A, self.solve_Mi = ops.solve_A, ops.solve_Mi
+        self.require_z = ops.require_z
+
+    @property
+    def beta(self) -> float:
+        return self.data.coeffs.beta
 
 
 def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
@@ -280,9 +336,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     get there.
     """
     system.require_z()
-    u0 = FeFunction(system.space, system.solve_A(system.F))
-    p0 = solve_costate(u0, system)
-    b = system.B.T @ p0.values
+    b = system._ops.b
 
     if warm_start is not None:
         if warm_start.mesh is not system.mesh:

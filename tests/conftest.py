@@ -10,6 +10,7 @@ from fluxrec import (
     generate_measurement,
     run_adaptive,
 )
+from fluxrec.problems import BUILTIN_NAMES
 from fluxrec.solver import DiscreteSystem
 
 
@@ -61,3 +62,14 @@ def smooth_history(smooth_problem, smooth_measurement):
                         tol=1e-12, record_true_errors=True)
     return run_adaptive(smooth_problem, config,
                         measurement=smooth_measurement)
+
+
+@pytest.fixture(scope="module")
+def builtin_data():
+    """Problem and data with a coarse measurement per built-in problem."""
+    out = {}
+    for name in BUILTIN_NAMES:
+        problem = builtin_problem(name)
+        measurement = generate_measurement(problem, extra_levels=2)
+        out[name] = problem, problem.data(z=measurement)
+    return out

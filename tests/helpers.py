@@ -7,7 +7,8 @@ system from one dense monolithic solve, newest-vertex bisection from a
 recursive loop over Python dicts, prolongation from a loop over vertices,
 norms and true errors from per-triangle and per-face formulas,
 state solves from unpreconditioned conjugate gradients and from SuperLU in
-its default order, and the measurement moments from two samplings of z.
+its default order, the measurement moments from two samplings of z, and
+the estimator from quadrature on every face with the data sampled anew.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips and the
 uniform-refinement run) are only needed by tests, so they live here rather
@@ -22,13 +23,18 @@ import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
+from fluxrec.estimator import ElementIndicators
 from fluxrec.fem import (
     GAUSS2_POINTS,
     GAUSS2_WEIGHTS,
+    GAUSS3_POINTS,
+    GAUSS3_WEIGHTS,
     FeFunction,
     FeSpace,
     TraceFunction,
+    _eval_data,
     element_gradients,
+    midpoint_samples,
     prolong,
     transfer_trace,
 )
@@ -162,6 +168,126 @@ def brute_force_indicators(triplet, data):
         eta1[t] += areas[t] * r_sq
 
     return eta1, eta2
+
+
+class FaceSamples:
+    """Oracle for the face residuals of :func:`fluxrec.estimator.estimate`:
+    quadrature samples of both residuals on every face, interior ones
+    included.
+
+    Faces touching GammaA are sampled with 3-point Gauss (the measurement
+    is generally not polynomial there); all other faces use 2-point Gauss
+    padded with a zero-weight third slot so the arrays stay rectangular.
+    """
+
+    def __init__(self, triplet, data):
+        mesh = triplet.mesh
+        nf = mesh.n_faces
+        alpha = data.coeffs.alpha
+        gamma = data.coeffs.gamma
+
+        tpar = np.empty((nf, 3))
+        wts = np.empty((nf, 3))
+        is_ga = mesh.face_tags == int(BoundaryTag.GAMMA_A)
+        tpar[~is_ga] = np.array([GAUSS2_POINTS[0], GAUSS2_POINTS[1], 0.5])
+        wts[~is_ga] = np.array([GAUSS2_WEIGHTS[0], GAUSS2_WEIGHTS[1], 0.0])
+        tpar[is_ga] = GAUSS3_POINTS
+        wts[is_ga] = GAUSS3_WEIGHTS
+
+        pa = mesh.vertices[mesh.faces[:, 0]]
+        pb = mesh.vertices[mesh.faces[:, 1]]
+        pts = pa[:, None, :] + tpar[:, :, None] * (pb - pa)[:, None, :]
+
+        grad_u = alpha * element_gradients(triplet.u)
+        grad_p = alpha * element_gradients(triplet.p)
+        nrm = mesh.face_normals
+        t0 = mesh.face_tris[:, 0]
+        t1 = mesh.face_tris[:, 1]
+        flux_u0 = np.einsum("fd,fd->f", grad_u[t0], nrm)
+        flux_p0 = np.einsum("fd,fd->f", grad_p[t0], nrm)
+
+        j1 = np.zeros((nf, 3))
+        j2 = np.zeros((nf, 3))
+
+        interior = np.flatnonzero(mesh.face_tags == int(BoundaryTag.INTERIOR))
+        if interior.size:
+            jmp_u = flux_u0[interior] - np.einsum(
+                "fd,fd->f", grad_u[t1[interior]], nrm[interior])
+            jmp_p = flux_p0[interior] - np.einsum(
+                "fd,fd->f", grad_p[t1[interior]], nrm[interior])
+            j1[interior] = jmp_u[:, None]
+            j2[interior] = jmp_p[:, None]
+
+        ga = np.flatnonzero(is_ga)
+        if ga.size:
+            x = pts[ga][:, :, 0]
+            y = pts[ga][:, :, 1]
+            ua = _eval_data(data.u_a, x, y, "ambient temperature u_a") \
+                if data.u_a is not None else np.zeros_like(x)
+            u_vals = _face_trace_values(triplet.u.values, mesh, ga, tpar[ga])
+            p_vals = _face_trace_values(triplet.p.values, mesh, ga, tpar[ga])
+            j1[ga] = gamma * ua - gamma * u_vals - flux_u0[ga][:, None]
+            if data.z is None:
+                raise ValueError("costate face residual on GammaA needs the "
+                                 "measurement z")
+            zv = _eval_data(data.z, x, y, "measurement z")
+            j2[ga] = u_vals - zv - gamma * p_vals - flux_p0[ga][:, None]
+
+        gi = np.flatnonzero(mesh.face_tags == int(BoundaryTag.GAMMA_I))
+        if gi.size:
+            q_vals = _face_trace_values(triplet.q.embedded(), mesh, gi,
+                                        tpar[gi])
+            j1[gi] = -q_vals - flux_u0[gi][:, None]
+            j2[gi] = -flux_p0[gi][:, None]
+
+        self.j1 = j1
+        self.j2 = j2
+        self.weights = wts
+
+    def norm_sq(self, samples: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """``||J||^2_{0,F}`` per face from reference-interval samples."""
+        return lengths * np.einsum("fg,fg->f", self.weights, samples ** 2)
+
+    def osc_sq(self, samples: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """``||J - mean(J)||^2_{0,F}`` with the same quadrature as norm_sq."""
+        mean = np.einsum("fg,fg->f", self.weights, samples)
+        return lengths * np.einsum(
+            "fg,fg->f", self.weights, (samples - mean[:, None]) ** 2)
+
+
+def _face_trace_values(values, mesh, face_ids, tpar):
+    va = values[mesh.faces[face_ids, 0]]
+    vb = values[mesh.faces[face_ids, 1]]
+    return va[:, None] * (1.0 - tpar) + vb[:, None] * tpar
+
+
+def all_faces_estimate(triplet, data) -> ElementIndicators:
+    """Oracle for :func:`fluxrec.estimator.estimate`: samples every face
+    with quadrature and samples the data on every call."""
+    mesh = triplet.mesh
+    areas = mesh.areas()
+    lengths = mesh.face_lengths
+    # for P1 with constant alpha the state residual is the source itself
+    r1 = midpoint_samples(mesh, data.f)
+    # ||R||^2_{0,T} by midpoint quadrature, then scaled by h_T^2 = area
+    w_vol = areas[:, None] / 3.0
+    r1_norm_sq = (w_vol * r1 ** 2).sum(axis=1)
+
+    fs = FaceSamples(triplet, data)
+    face1 = lengths * fs.norm_sq(fs.j1, lengths)  # h_F * ||J1||^2
+    face2 = lengths * fs.norm_sq(fs.j2, lengths)
+
+    eta1_sq = areas * r1_norm_sq + face1[mesh.tri_faces].sum(axis=1)
+    eta2_sq = face2[mesh.tri_faces].sum(axis=1)
+
+    r1_mean = r1.mean(axis=1)
+    osc_f_sq = areas * (w_vol * (r1 - r1_mean[:, None]) ** 2).sum(axis=1)
+    osc_j1_sq = lengths * fs.osc_sq(fs.j1, lengths)
+    osc_j2_sq = lengths * fs.osc_sq(fs.j2, lengths)
+
+    return ElementIndicators(eta1_sq=eta1_sq, eta2_sq=eta2_sq,
+                             osc_f_sq=osc_f_sq, osc_j1_sq=osc_j1_sq,
+                             osc_j2_sq=osc_j2_sq)
 
 
 def edge_key(a: int, b: int) -> tuple[int, int]:

@@ -1,25 +1,43 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
-from fluxrec.estimator import _FaceSamples, estimate
+from fluxrec.estimator import (
+    _boundary_samples,
+    _interior_jumps,
+    _norm_sq,
+    estimate,
+)
 from fluxrec.fem import (
     GAUSS2_POINTS,
     FeFunction,
     FeSpace,
     TraceFunction,
     TraceSpace,
+    element_gradients,
     interpolate,
     midpoint_samples,
 )
 from fluxrec.mesh import BoundaryTag, build_initial_mesh
 from fluxrec.problems import BUILTIN_NAMES, builtin_problem
-from fluxrec.solver import OptimalTriplet, ProblemData, solve_optimality
+from fluxrec.solver import (
+    OptimalTriplet,
+    ProblemData,
+    mesh_operators,
+    solve_optimality,
+)
 
 from helpers import (
+    FaceSamples,
+    all_faces_estimate,
     brute_force_indicators,
     dof_lookup_trace_values,
     graded_mesh,
     monomial_integral_ref_triangle,
+    nvb_chain,
 )
 
 
@@ -42,6 +60,31 @@ def zero_data(coeffs):
                        z=lambda x, y: 0.0 * x)
 
 
+def interior_jumps(triplet, data):
+    """``(faces, jump of alpha du/dn, jump of alpha dp/dn)`` as the
+    estimator computes them."""
+    alpha = data.coeffs.alpha
+    return _interior_jumps(triplet.mesh,
+                           alpha * element_gradients(triplet.u),
+                           alpha * element_gradients(triplet.p))
+
+
+def boundary_samples(triplet, data):
+    """``(faces, j1, j2, weights)`` on the boundary faces as the estimator
+    samples them."""
+    alpha = data.coeffs.alpha
+    return _boundary_samples(triplet, mesh_operators(triplet.mesh, data),
+                             alpha * element_gradients(triplet.u),
+                             alpha * element_gradients(triplet.p))
+
+
+def rows_of(faces, subset):
+    """Rows of ``subset`` in the ascending face id array ``faces``."""
+    rows = np.searchsorted(faces, subset)
+    assert np.array_equal(faces[rows], subset)
+    return rows
+
+
 class TestElementResiduals:
     def test_zero_source(self, refined_square, smooth_problem):
         r1 = midpoint_samples(refined_square, lambda x, y: 0.0 * x)
@@ -60,7 +103,7 @@ class TestElementResiduals:
                            f=lambda x, y: x + y,
                            u_a=lambda x, y: 0.0 * x,
                            z=lambda x, y: 0.0 * x)
-        fs = _FaceSamples(triplet, data)
+        fs = FaceSamples(triplet, data)
         lengths = refined_square.face_lengths
         face2 = lengths * fs.norm_sq(fs.j2, lengths)
         ind = estimate(triplet, data)
@@ -92,16 +135,19 @@ class TestFaceJumps:
                                                   smooth_problem):
         u = interpolate(lambda x, y: x, FeSpace(refined_square))
         triplet = make_triplet(refined_square, u_vals=u.values)
-        j1 = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).j1
+        faces, jmp_u, _ = interior_jumps(triplet,
+                                         zero_data(smooth_problem.coeffs))
         interior = refined_square.faces_with_tag(BoundaryTag.INTERIOR)
-        assert np.abs(j1[interior]).max() < 1e-12
+        assert np.array_equal(faces, interior)
+        assert np.abs(jmp_u).max() < 1e-12
 
     def test_gamma_i_zero_state_zero_flux(self, refined_square,
                                           smooth_problem):
         triplet = make_triplet(refined_square)
-        j1 = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).j1
+        faces, j1, _, _ = boundary_samples(triplet,
+                                           zero_data(smooth_problem.coeffs))
         gi = refined_square.faces_with_tag(BoundaryTag.GAMMA_I)
-        assert np.abs(j1[gi]).max() == 0.0
+        assert np.abs(j1[rows_of(faces, gi)]).max() == 0.0
 
     def test_gamma_a_robin_residual_by_hand(self, smooth_problem):
         # u = y, alpha = gamma = 1, u_a = 0 on the top face y=1:
@@ -109,17 +155,20 @@ class TestFaceJumps:
         mesh = build_initial_mesh("square", "bottom")
         u = interpolate(lambda x, y: y, FeSpace(mesh))
         triplet = make_triplet(mesh, u_vals=u.values)
-        j1 = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).j1
+        faces, j1, _, _ = boundary_samples(triplet,
+                                           zero_data(smooth_problem.coeffs))
         top = [f for f in mesh.faces_with_tag(BoundaryTag.GAMMA_A)
                if np.allclose(mesh.vertices[mesh.faces[f], 1], 1.0)]
         assert len(top) == 1
-        assert np.allclose(j1[top[0]], -2.0)
+        assert np.allclose(j1[rows_of(faces, top)[0]], -2.0)
 
     def test_weights_sum_to_one(self, refined_square, smooth_problem):
         triplet = make_triplet(refined_square)
-        w = _FaceSamples(triplet, zero_data(smooth_problem.coeffs)).weights
+        faces, _, _, w = boundary_samples(triplet,
+                                          zero_data(smooth_problem.coeffs))
+        assert np.array_equal(faces, np.flatnonzero(
+            refined_square.face_tags != int(BoundaryTag.INTERIOR)))
         assert np.allclose(w.sum(axis=1), 1.0)
-
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_gamma_i_flux_samples_match_dof_lookup(self, name):
@@ -130,13 +179,45 @@ class TestFaceJumps:
         trace = TraceSpace.from_mesh(mesh)
         rng = np.random.default_rng(8)
         trip = make_triplet(mesh, q_vals=rng.standard_normal(trace.n_dofs))
-        fs = _FaceSamples(trip, zero_data(problem.data().coeffs))
+        faces, j1, _, _ = boundary_samples(
+            trip, zero_data(problem.data().coeffs))
         gi = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
         qa = dof_lookup_trace_values(trip.q, mesh.faces[gi, 0])
         qb = dof_lookup_trace_values(trip.q, mesh.faces[gi, 1])
         tpar = np.array([GAUSS2_POINTS[0], GAUSS2_POINTS[1], 0.5])
         q_vals = qa[:, None] * (1.0 - tpar) + qb[:, None] * tpar
-        assert np.array_equal(fs.j1[gi], -q_vals)
+        assert np.array_equal(j1[rows_of(faces, gi)], -q_vals)
+
+
+class TestAllFacesOracle:
+    @given(name=st.sampled_from(BUILTIN_NAMES), with_u_a=st.booleans(),
+           data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_bitwise_equal(self, builtin_data, name, with_u_a, data):
+        """Constant interior jumps and cached data samples give the
+        indicators of quadrature on every face, bit for bit."""
+        problem, pdata = builtin_data[name]
+        mesh = nvb_chain(problem.domain, data)[-1]
+        beta = data.draw(st.floats(1e-8, 1.0), label="beta")
+        pdata = dataclasses.replace(
+            pdata, coeffs=dataclasses.replace(pdata.coeffs, beta=beta),
+            u_a=pdata.u_a if with_u_a else None)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        u, p = rng.standard_normal((2, mesh.n_vertices))
+        q = rng.standard_normal(TraceSpace.from_mesh(mesh).n_dofs)
+        triplet = make_triplet(mesh, u, p, q)
+        got = estimate(triplet, pdata)
+        want = all_faces_estimate(triplet, pdata)
+        for key in ("eta1_sq", "eta2_sq", "osc_f_sq", "osc_j1_sq",
+                    "osc_j2_sq"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+
+    def test_missing_measurement_rejected(self, refined_square,
+                                          smooth_problem):
+        triplet = make_triplet(refined_square)
+        with pytest.raises(ValueError, match="measurement z"):
+            estimate(triplet, smooth_problem.data())
 
 
 class TestEstimate:
@@ -236,9 +317,12 @@ class TestOscillations:
         triplet = solve_optimality(smooth_system, settings)
         ind = estimate(triplet, smooth_system.data)
         mesh = smooth_system.mesh
-        fs = _FaceSamples(triplet, smooth_system.data)
         lengths = mesh.face_lengths
-        assert np.all(ind.osc_j1_sq
-                      <= lengths * fs.norm_sq(fs.j1, lengths) + 1e-15)
-        assert np.all(ind.osc_j2_sq
-                      <= lengths * fs.norm_sq(fs.j2, lengths) + 1e-15)
+        inner = mesh.faces_with_tag(BoundaryTag.INTERIOR)
+        faces, j1, j2, w = boundary_samples(triplet, smooth_system.data)
+        for osc, samples in ((ind.osc_j1_sq, j1), (ind.osc_j2_sq, j2)):
+            # constant interior jumps: zero oscillation
+            assert np.all(osc[inner] == 0.0)
+            h = lengths[faces]
+            assert np.all(osc[faces]
+                          <= h * _norm_sq(w, samples, h) + 1e-15)

@@ -19,6 +19,7 @@ from fluxrec.fem import (
     assemble_trace_operators,
     element_gradients,
     interpolate,
+    midpoint_samples,
     prolong,
     transfer_trace,
     volume_load,
@@ -139,27 +140,29 @@ class TestAssembleBilinear:
         B = assemble_bilinear(shuffled, COEFFS).toarray()
         assert np.abs(A - B).max() <= 1e-13 * np.abs(A).max()
         f = lambda x, y: 1.0 + x * y
-        Fa = volume_load(mesh, f)
-        Fb = volume_load(shuffled, f)
+        Fa = volume_load(mesh, midpoint_samples(mesh, f))
+        Fb = volume_load(shuffled, midpoint_samples(shuffled, f))
         assert np.abs(Fa - Fb).max() <= 1e-13 * np.abs(Fa).max()
 
 
 class TestAssembleLoad:
     def test_zero_data(self, refined_square):
-        F = assemble_load(refined_square, lambda x, y: 0.0 * x,
-                          lambda x, y: 0.0 * x, COEFFS)
+        fv = midpoint_samples(refined_square, lambda x, y: 0.0 * x)
+        F = assemble_load(refined_square, fv, lambda x, y: 0.0 * x, COEFFS)
         assert np.abs(F).max() == 0.0
 
     def test_constant_source_reference_triangle(self):
         mesh = reference_triangle_mesh()
-        F = volume_load(mesh, lambda x, y: np.ones_like(x))
+        F = volume_load(mesh, midpoint_samples(mesh,
+                                               lambda x, y: np.ones_like(x)))
         assert np.allclose(F, 1.0 / 6.0, atol=1e-15)
 
     def test_boundary_term_scaling(self):
         # u_a = 1, gamma = 2 on a single unit GammaA face: entries 1 each
         mesh = build_initial_mesh("square", ("bottom", "right", "top"))
         coeffs = CoefficientSet(alpha=1.0, gamma=2.0, beta=1.0)
-        F = assemble_load(mesh, None, lambda x, y: np.ones_like(x), coeffs)
+        F = assemble_load(mesh, midpoint_samples(mesh, None),
+                          lambda x, y: np.ones_like(x), coeffs)
         assert np.isclose(F[0], 1.0)
         assert np.isclose(F[2], 1.0)
         assert np.isclose(np.abs(F).sum(), 2.0)
@@ -172,7 +175,7 @@ class TestAssembleLoad:
         def f(x, y):
             return sum(c * x ** a * y ** b for c, a, b in terms)
 
-        F = volume_load(mesh, f)
+        F = volume_load(mesh, midpoint_samples(mesh, f))
         # basis functions on the reference triangle: 1-x-y, x, y
         exact = np.zeros(3)
         for c, a, b in terms:
@@ -193,7 +196,7 @@ class TestAssembleLoad:
         def f(x, y):
             return sum(c * x ** a * y ** b for c, a, b in terms)
 
-        F = volume_load(mesh, f)
+        F = volume_load(mesh, midpoint_samples(mesh, f))
         exact_total = sum(c * monomial_integral_ref_triangle(a, b)
                           for c, a, b in terms)
         assert np.isclose(F.sum(), exact_total, rtol=1e-12)
@@ -204,7 +207,8 @@ class TestAssembleLoad:
         mesh = build_initial_mesh("square", ("left", "right", "top"))
         # GammaA = the bottom edge y=0 from (0,0) to (1,0)
         coeffs = CoefficientSet(alpha=1.0, gamma=1.0, beta=1.0)
-        F = assemble_load(mesh, None, lambda x, y: x ** 2, coeffs)
+        F = assemble_load(mesh, midpoint_samples(mesh, None),
+                          lambda x, y: x ** 2, coeffs)
         # int_0^1 x^2 (1 - x) dx = 1/12, int_0^1 x^2 x dx = 1/4
         assert np.isclose(F[0], 1.0 / 12.0, rtol=1e-13)
         assert np.isclose(F[1], 1.0 / 4.0, rtol=1e-13)
@@ -212,7 +216,8 @@ class TestAssembleLoad:
     def test_non_finite_data_rejected(self, refined_square):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
-                volume_load(refined_square, lambda x, y: x / (x - x))
+                volume_load(refined_square, midpoint_samples(
+                    refined_square, lambda x, y: x / (x - x)))
 
 
 class TestTraceOperators:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 
@@ -7,13 +8,11 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import fluxrec.solver as solver
+from fluxrec.cli import cli_main
+from fluxrec.estimator import estimate
 from fluxrec.fem import FeFunction, FeSpace, TraceFunction
-from fluxrec.mesh import Mesh, bisect
-from fluxrec.problems import (
-    BUILTIN_NAMES,
-    builtin_problem,
-    generate_measurement,
-)
+from fluxrec.mesh import BoundaryTag, Mesh, bisect
+from fluxrec.problems import BUILTIN_NAMES
 from fluxrec.solver import (
     DiscreteSystem,
     SolverError,
@@ -314,6 +313,18 @@ def with_coeffs(data, **changes):
         data, coeffs=dataclasses.replace(data.coeffs, **changes))
 
 
+class CountingData:
+    """A data callable that counts the points it is evaluated at."""
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.points = 0
+
+    def __call__(self, x, y):
+        self.points += np.size(x)
+        return self.fun(x, y)
+
+
 class TestSharedStateOperator:
     def test_beta_sweep_factors_state_operator_once(
             self, mesh32, smooth_problem, smooth_measurement, settings,
@@ -324,9 +335,28 @@ class TestSharedStateOperator:
                 z=smooth_measurement)
             system = DiscreteSystem(mesh32, data)
             solve_optimality(system, settings)
-        # one state factor, one GammaI mass factor per beta
+        # one state factor and one GammaI mass factor for the whole sweep
         assert splu_shapes.count((n, n)) == 1
-        assert len(splu_shapes) == 1 + len(SWEEP_BETAS)
+        assert len(splu_shapes) == 2
+
+    def test_beta_sweep_samples_data_once_per_mesh(
+            self, mesh32, smooth_problem, smooth_measurement, settings):
+        f = CountingData(smooth_problem.f)
+        z = CountingData(smooth_measurement)
+        problem = dataclasses.replace(smooth_problem, f=f)
+        for k, mesh in enumerate((mesh32, fresh_copy(mesh32)), start=1):
+            for beta in SWEEP_BETAS:
+                data = problem.with_overrides(beta=beta).data(z=z)
+                system = DiscreteSystem(mesh, data)
+                triplet = solve_optimality(system, settings)
+                estimate(triplet, data)
+                objective(triplet.q, system, settings, u=triplet.u)
+            n_ga = mesh.faces_with_tag(BoundaryTag.GAMMA_A).size
+            # f at the three edge midpoints of every triangle; z at the
+            # 2-point Gauss nodes for Z and z_sq and at the 3-point ones
+            # for the estimator
+            assert f.points == k * 3 * mesh.n_triangles
+            assert z.points == k * 5 * n_ga
 
     def test_no_sharing_across_coefficients_or_meshes(
             self, mesh32, smooth_problem, smooth_measurement, splu_shapes):
@@ -345,6 +375,25 @@ class TestSharedStateOperator:
                                 with_coeffs(data, beta=data.coeffs.beta / 7))
         assert shared.A is systems[0].A
 
+    def test_no_sharing_across_data_objects(self, mesh32, smooth_problem,
+                                            smooth_measurement):
+        """Equal data in other objects gets operators of its own."""
+        data = smooth_problem.data(z=smooth_measurement)
+        systems = [
+            DiscreteSystem(mesh32, data),
+            DiscreteSystem(mesh32, dataclasses.replace(
+                data, f=lambda x, y: data.f(x, y))),
+            DiscreteSystem(mesh32, dataclasses.replace(
+                data, u_a=lambda x, y: data.u_a(x, y))),
+            DiscreteSystem(mesh32, dataclasses.replace(
+                data, z=copy.copy(smooth_measurement))),
+        ]
+        assert len({id(system._ops) for system in systems}) == len(systems)
+        assert len(mesh32.state_operators) == len(systems)
+        shared = DiscreteSystem(mesh32,
+                                with_coeffs(data, beta=data.coeffs.beta / 7))
+        assert shared._ops is systems[0]._ops
+
     def test_triplets_match_unshared_solve_bitwise(
             self, mesh32, smooth_problem, smooth_measurement, settings):
         data = [smooth_problem.with_overrides(beta=beta).data(
@@ -362,12 +411,19 @@ class TestSharedStateOperator:
                                   getattr(alone, name).values)
 
     def test_shared_operator_is_read_only(self, mesh32, smooth_problem,
-                                          smooth_measurement):
-        system = DiscreteSystem(mesh32, smooth_problem.data(
-            z=smooth_measurement))
-        state = system._state
-        for arr in (system.A.data, system.A.indices, system.A.indptr,
-                    state.p, state.p_inv):
+                                          smooth_measurement, settings):
+        data = smooth_problem.data(z=smooth_measurement)
+        system = DiscreteSystem(mesh32, data)
+        ind = estimate(solve_optimality(system, settings), data)
+        assert len(mesh32.state_operators) == 1
+        ops = system._ops
+        matrices = (system.A, system.M_i, system.B, system.M_a)
+        for arr in (*(m.data for m in matrices),
+                    *(m.indices for m in matrices),
+                    *(m.indptr for m in matrices),
+                    ops.p, ops.p_inv, system.F, system.Z, ops.b, ops.f_sq,
+                    ops.osc_f_sq, *ops.gamma_a_data, system.trace.vertex_ids,
+                    ind.osc_f_sq):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
@@ -382,16 +438,19 @@ class TestSharedStateOperator:
         assert triplet.mesh is mesh32
         assert len(mesh32.state_operators) == 0
 
-
-@pytest.fixture(scope="module")
-def builtin_data():
-    """Problem and data with a coarse measurement per built-in problem."""
-    out = {}
-    for name in BUILTIN_NAMES:
-        problem = builtin_problem(name)
-        measurement = generate_measurement(problem, extra_levels=2)
-        out[name] = problem, problem.data(z=measurement)
-    return out
+    def test_repeated_runs_write_identical_files(self, tmp_path):
+        """Two ``fluxrec run`` calls in one process share no state that
+        changes their output."""
+        cfg = tmp_path / "jump.cfg"
+        cfg.write_text("problem = square_jump\nstrategy = doerfler\n"
+                       "max_iters = 6\nnoise = 0.01\n")
+        outs = [tmp_path / name for name in ("a", "b")]
+        for out in outs:
+            assert cli_main(["run", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+        for name in ("history.csv", "flux.txt", "final.vtk"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
 
 
 def random_nvb_mesh(mesh, data):
@@ -422,7 +481,7 @@ class TestNestedDissection:
         ref = default_order_factor(system.A).solve(rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         # gathering with the inverse order equals scattering with the order
-        state = system._state
+        state = system._ops
         scattered = np.empty_like(rhs)
         scattered[state.p] = state.lu.solve(rhs[state.p])
         assert np.array_equal(x, scattered)
@@ -439,7 +498,7 @@ class TestNestedDissection:
         assert mesh.n_triangles == 65_536
         system = DiscreteSystem(mesh, smooth_problem.data())
         system.solve_A(system.F)
-        lu = system._state.lu
+        lu = system._ops.lu
         ref = default_order_factor(system.A)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (ref.L.nnz + ref.U.nnz)
 
@@ -482,8 +541,6 @@ class TestResidualApply:
                                                     settings):
         """A hat on a new fine vertex sees a generally nonzero residual,
         bounded by the indicator-weighted local norms."""
-        from fluxrec.estimator import estimate
-
         triplet = solve_optimality(smooth_system, settings)
         mesh = smooth_system.mesh
         fine = bisect(mesh, np.arange(mesh.n_triangles))
