@@ -104,7 +104,7 @@ def _boundary_samples(triplet, ops, grad_u, grad_p):
     Gauss (the measurement is generally not polynomial there), GammaI
     faces 2-point Gauss padded with a zero-weight third node."""
     mesh = triplet.mesh
-    gamma = ops.gamma
+    gamma = ops.coeffs.gamma
     faces = np.flatnonzero(mesh.face_tags != int(BoundaryTag.INTERIOR))
     is_ga = mesh.face_tags[faces] == int(BoundaryTag.GAMMA_A)
     ga, gi = faces[is_ga], faces[~is_ga]

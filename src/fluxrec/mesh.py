@@ -64,25 +64,11 @@ _DOMAINS = {
 }
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _unique_edges(triangles, n_vertices):
-    """Sorted unique edges of a triangle array, keyed ``a * n_vertices + b``.
-
-    Returns ``(faces, tri_faces, counts)``: the ``(k, 2)`` sorted vertex
-    pairs in key order, the ``(m, 3)`` face ids of the edge opposite each
-    local vertex, and the number of triangles holding each face.
-    """
-    t = triangles
-    a = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-    b = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
-    keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
-    uniq, inverse, counts = np.unique(keys, return_inverse=True,
-                                      return_counts=True)
-    faces = np.column_stack(np.divmod(uniq, n_vertices))
-    return faces, inverse.reshape(3, -1).T.copy(), counts
+def _reject(faces, bad, what):
+    """Raise a :class:`MeshError` naming the first five faces in ``bad``."""
+    if bad.any():
+        raise MeshError(f"{what}: {faces[bad][:5].tolist()} "
+                        f"({bad.sum()} in all)")
 
 
 class Mesh:
@@ -97,9 +83,12 @@ class Mesh:
     refinement_edge : (m,) int array
         Local index in {0, 1, 2} of the edge opposite the newest vertex.
         Local edge ``k`` joins local vertices ``k+1`` and ``k+2`` (mod 3).
-    boundary_tags : dict
-        Maps sorted boundary vertex pairs ``(a, b)`` to a non-interior
-        :class:`BoundaryTag`.  Must cover every boundary face exactly.
+    edge_tags : (m, 3) int array
+        Tag of every triangle edge: entry ``k`` of row ``i`` tags local edge
+        ``k`` of triangle ``i``, the edge opposite local vertex ``k``, which
+        runs counterclockwise from local vertex ``k+1`` to ``k+2`` (mod 3).
+        An edge of one triangle (a boundary face) carries ``GAMMA_A`` or
+        ``GAMMA_I``, an edge shared by two triangles ``INTERIOR``.
     generation : (m,) int array, optional
         Bisection depth per triangle (0 for an initial mesh).
     vertex_parents : (n, 2) int array, optional
@@ -109,16 +98,18 @@ class Mesh:
         Token shared by a mesh and its bisection descendants and compared
         by identity; a new lineage gets a fresh ``object()``.
 
-    The face table (faces, incident triangles, tags, fixed unit normals)
-    and the triangle areas are derived in the constructor and the instance
-    is treated as immutable: :func:`bisect` returns a new mesh.
+    The constructor builds the face table from one sort of the edges:
+    ``faces`` (sorted vertex pairs), ``tri_faces`` (the face of each local
+    edge), ``face_tris`` (lower and upper triangle, -1 on the boundary),
+    ``face_tags`` and ``face_normals`` (unit, out of the lower triangle).
+    The instance is treated as immutable: :func:`bisect` returns a new mesh.
     ``state_operators`` is a weak map through which the solver shares the
     beta-independent operators of one set of data, with their factors and
     data samples, between the live systems and estimates on this mesh
     (see :func:`fluxrec.solver.mesh_operators`); it keeps nothing alive.
     """
 
-    def __init__(self, vertices, triangles, refinement_edge, boundary_tags,
+    def __init__(self, vertices, triangles, refinement_edge, edge_tags,
                  generation=None, vertex_parents=None, level=0, root=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -135,11 +126,11 @@ class Mesh:
         self.state_operators = weakref.WeakValueDictionary()
 
         self._validate_geometry()
-        self._build_face_table(boundary_tags)
+        self._build_face_table(edge_tags)
         for arr in (self.vertices, self.triangles, self.refinement_edge,
                     self.generation, self.vertex_parents, self.faces,
                     self.face_tris, self.face_tags, self.face_normals,
-                    self.tri_faces, self._areas):
+                    self.face_lengths, self.tri_faces, self._areas):
             arr.setflags(write=False)
 
     @property
@@ -179,57 +170,44 @@ class Mesh:
         if not np.all((self.refinement_edge >= 0) & (self.refinement_edge < 3)):
             raise MeshError("refinement_edge entries must be in {0, 1, 2}")
 
-    def _build_face_table(self, boundary_tags):
-        t = self.triangles
-        faces, self.tri_faces, counts = _unique_edges(t, self.n_vertices)
-        self.faces = faces
+    def _build_face_table(self, edge_tags):
+        t, m, n = self.triangles, self.n_triangles, self.n_vertices
+        tags = np.asarray(edge_tags)
+        if tags.shape != (m, 3) or not np.issubdtype(tags.dtype, np.integer):
+            raise MeshError(f"edge_tags must be an ({m}, 3) int array, "
+                            f"got {tags.dtype} of shape {tags.shape}")
+        tags = tags.astype(np.int64).ravel()
+        # edge k of triangle i at 3i + k, from local vertex k+1 to k+2, so a
+        # face occurs first in its lower triangle and last in its upper one
+        a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        uniq, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        last = np.zeros_like(first)
+        np.maximum.at(last, inverse, np.arange(3 * m))
+        faces = np.column_stack(np.divmod(uniq, n))
+        boundary = counts == 1
+        valid = np.isin(tags, list(BoundaryTag))
+        interior = tags == int(BoundaryTag.INTERIOR)
+        _reject(faces, counts > 2, "non-manifold faces (in 3+ triangles)")
+        _reject(faces, ~(valid[first] & valid[last]),
+                "faces with edge tags outside BoundaryTag")
+        _reject(faces, boundary & interior[first], "boundary partition "
+                "incomplete: boundary faces without a GammaA/GammaI tag")
+        _reject(faces, ~boundary & ~(interior[first] & interior[last]),
+                "interior faces tagged GammaA/GammaI")
+        self.faces, self.tri_faces = faces, inverse.reshape(m, 3)
+        self.face_tags = tags[first]
+        self.face_tris = np.column_stack([first // 3,
+                                          np.where(boundary, -1, last // 3)])
 
-        # face ids in triangle-major order; a stable sort keeps the lower
-        # triangle id first within each face
-        flat_f = self.tri_faces.ravel()
-        order = np.argsort(flat_f, kind="stable")
-        ff, tt = flat_f[order], order // 3
-        first = np.ones(ff.size, dtype=bool)
-        first[1:] = ff[1:] != ff[:-1]
-        if (counts > 2).any():
-            raise MeshError("non-manifold face shared by more than 2 triangles")
-        face_tris = np.full((faces.shape[0], 2), -1, dtype=np.int64)
-        face_tris[ff[first], 0] = tt[first]
-        face_tris[ff[~first], 1] = tt[~first]
-        self.face_tris = face_tris
-
-        tags = np.full(faces.shape[0], int(BoundaryTag.INTERIOR), dtype=np.int64)
-        boundary = face_tris[:, 1] < 0
-        tag_map = {_edge_key(*k): BoundaryTag(v) for k, v in boundary_tags.items()}
-        for f in np.flatnonzero(boundary):
-            key = (int(faces[f, 0]), int(faces[f, 1]))
-            tag = tag_map.pop(key, None)
-            if tag is None or tag == BoundaryTag.INTERIOR:
-                raise MeshError(f"boundary face {key} without GammaA/GammaI tag")
-            tags[f] = int(tag)
-        if tag_map:
-            raise MeshError(f"tagged edges are not boundary faces: "
-                            f"{sorted(tag_map)}")
-        self.face_tags = tags
-
-        # fixed unit normals: outward on the boundary, lower->higher triangle
-        # id across interior faces
-        pa = self.vertices[faces[:, 0]]
-        pb = self.vertices[faces[:, 1]]
-        tang = pb - pa
-        lengths = np.hypot(tang[:, 0], tang[:, 1])
-        normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-        centroids = self.vertices[t].mean(axis=1)
-        mid = 0.5 * (pa + pb)
-        ref = np.where(boundary[:, None],
-                       mid - centroids[face_tris[:, 0]],
-                       centroids[np.where(boundary, 0, face_tris[:, 1])]
-                       - centroids[face_tris[:, 0]])
-        flip = np.einsum("ij,ij->i", normals, ref) < 0.0
-        normals[flip] *= -1.0
-        self.face_normals = normals
-        self.face_lengths = lengths
-        self.face_lengths.setflags(write=False)
+        # fixed unit normals, outward from the lower triangle: its
+        # counterclockwise edge direction has the outside on its right
+        tang = self.vertices[faces[:, 1]] - self.vertices[faces[:, 0]]
+        self.face_lengths = np.hypot(tang[:, 0], tang[:, 1])
+        self.face_normals = (np.column_stack([tang[:, 1], -tang[:, 0]])
+                             / self.face_lengths[:, None])
+        self.face_normals[a[first] != faces[:, 0]] *= -1.0
 
     def areas(self) -> np.ndarray:
         """Triangle areas, computed once by the constructor (read-only)."""
@@ -293,17 +271,16 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
     triangles = np.asarray(spec["triangles"], dtype=np.int64)
     ref_edge = _longest_edge_labels(vertices, triangles)
 
-    faces, _, counts = _unique_edges(triangles, vertices.shape[0])
-    tags = {}
-    for f_a, f_b in faces[counts == 1].tolist():
-        mid = 0.5 * (vertices[f_a] + vertices[f_b])
-        side = _side_of(mid, spec["sides"])
-        if side is None:
-            raise MeshError("boundary partition incomplete: boundary face "
-                            f"({f_a}, {f_b}) lies on no named side")
-        tag = BoundaryTag.GAMMA_I if side in gamma_i else BoundaryTag.GAMMA_A
-        tags[(f_a, f_b)] = tag
-    return Mesh(vertices, triangles, ref_edge, tags)
+    # tag every triangle edge by the side its midpoint lies on; an edge on
+    # no side is interior, and the constructor rejects a boundary one
+    ends = vertices[triangles]
+    mids = 0.5 * (ends[:, [1, 2, 0]] + ends[:, [2, 0, 1]])
+    sides = [_side_of(mid, spec["sides"]) for mid in mids.reshape(-1, 2)]
+    tags = [BoundaryTag.INTERIOR if side is None else
+            BoundaryTag.GAMMA_I if side in gamma_i else BoundaryTag.GAMMA_A
+            for side in sides]
+    return Mesh(vertices, triangles, ref_edge,
+                np.reshape(tags, triangles.shape))
 
 
 def _side_of(point, sides, tol=1e-12):
@@ -340,15 +317,18 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     vertices have both parents in the input mesh.  Each triangle then splits
     by its pattern of marked edges into 1, 2, 3 or 4 children; the midpoint
     a child was cut off by is its newest vertex, and every bisection adds 1
-    to the generation.  Marked boundary faces split into two faces with the
-    same tag.  The result is the smallest conforming NVB refinement that
-    bisects every marked triangle, whatever the order of the marking.
+    to the generation.  A child edge that lies on an edge of its parent,
+    whole or halved, inherits that edge's tag, so a split boundary face
+    gives two faces with its tag; the new bisection edges are interior.
+    The result is the smallest conforming NVB refinement that bisects every
+    marked triangle, whatever the order of the marking.
 
-    Output triangles are stored newest vertex first (refinement edge 0).
-    Returns a new mesh; with an empty marking the input mesh is returned
-    unchanged.
+    ``marked`` is an array-like of triangle ids (a list or an integer
+    array of any width; repeats are ignored).  Output triangles are stored
+    newest vertex first (refinement edge 0).  Returns a new mesh; with an
+    empty marking the input mesh is returned unchanged.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
@@ -381,31 +361,30 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     m0, m1, m2 = mid[edge].T
     refined = m0 >= 0
     left, right = refined & (m2 >= 0), refined & (m1 >= 0)
+    # each child with the tags of its local edges, in the rotated frame
+    # (t0, t1, t2) of the parent's edges; 0 on the new bisection edges
+    t0, t1, t2 = mesh.face_tags[edge].T
+    o = np.zeros_like(t0)
     children = (
-        (~refined, (p, a, b), 0),
-        (refined & ~left, (m0, p, a), 1),
-        (left, (m2, m0, p), 2), (left, (m2, a, m0), 2),
-        (refined & ~right, (m0, b, p), 1),
-        (right, (m1, m0, b), 2), (right, (m1, p, m0), 2),
+        (~refined, (p, a, b), (t0, t1, t2), 0),
+        (refined & ~left, (m0, p, a), (t2, t0, o), 1),
+        (left, (m2, m0, p), (o, t2, o), 2),
+        (left, (m2, a, m0), (t0, o, t2), 2),
+        (refined & ~right, (m0, b, p), (t1, o, t0), 1),
+        (right, (m1, m0, b), (t0, t1, o), 2),
+        (right, (m1, p, m0), (o, t1, o), 2),
     )
     triangles = np.concatenate([np.column_stack(tri)[sel]
-                                for sel, tri, _ in children])
+                                for sel, tri, _, _ in children])
+    edge_tags = np.concatenate([np.column_stack(tags)[sel]
+                                for sel, _, tags, _ in children])
     generation = np.concatenate([mesh.generation[sel] + depth
-                                 for sel, _, depth in children])
-
-    bf = np.flatnonzero(mesh.face_tags != int(BoundaryTag.INTERIOR))
-    fa, fb = mesh.faces[bf].T
-    fm = mid[bf]
-    halved = fm >= 0
-    tags = mesh.face_tags[bf]
-    pieces = zip(np.concatenate([fa, fb[halved]]).tolist(),
-                 np.concatenate([np.where(halved, fm, fb), fm[halved]]).tolist(),
-                 np.concatenate([tags, tags[halved]]).tolist())
+                                 for sel, _, _, depth in children])
     return Mesh(
         vertices,
         triangles,
         np.zeros(triangles.shape[0], dtype=np.int64),
-        {(u, v): tag for u, v, tag in pieces},
+        edge_tags,
         generation=generation,
         vertex_parents=np.concatenate([mesh.vertex_parents, ends]),
         level=mesh.level + 1,
@@ -421,41 +400,29 @@ def boundary_paths(mesh: Mesh, tag: BoundaryTag):
     smallest endpoint coordinate.  Components are ordered by their starting
     coordinate, so the result is deterministic for a given geometry.
     """
-    face_ids = mesh.faces_with_tag(tag)
-    if face_ids.size == 0:
-        return []
-    adjacency: dict[int, list[int]] = {}
-    for f in face_ids:
-        a, b = int(mesh.faces[f, 0]), int(mesh.faces[f, 1])
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    def coord(v):
-        return (mesh.vertices[v, 0], mesh.vertices[v, 1])
-
-    endpoints = sorted((v for v, nbs in adjacency.items() if len(nbs) == 1),
-                       key=coord)
-    if len(endpoints) % 2 != 0:
+    ends = mesh.faces[mesh.faces_with_tag(tag)]
+    degree = np.bincount(ends.ravel(), minlength=mesh.n_vertices)
+    if (degree > 2).any():
         raise MeshError("tagged boundary part is not a union of open paths")
-    paths = []
-    visited = set()
-    for start in endpoints:
-        if start in visited:
+    # with at most two neighbours on the part, the vertex after v is the
+    # sum of v's neighbours minus the vertex before v
+    neighbour_sum = np.zeros(mesh.n_vertices, dtype=np.int64)
+    np.add.at(neighbour_sum, ends, ends[:, ::-1])
+    starts = np.flatnonzero(degree == 1)
+    x, y = mesh.vertices[starts].T
+    paths, walked = [], np.zeros(mesh.n_vertices, dtype=bool)
+    for start in starts[np.lexsort((y, x))].tolist():
+        if walked[start]:
             continue
-        chain = [start]
-        visited.add(start)
-        current = start
-        while True:
-            nxt = [v for v in adjacency[current] if v not in visited]
-            if not nxt:
-                break
-            current = min(nxt, key=coord)
-            chain.append(current)
-            visited.add(current)
+        chain, v = [start], int(neighbour_sum[start])
+        while degree[v] == 2:
+            chain.append(v)
+            v = int(neighbour_sum[v]) - chain[-2]
+        chain.append(v)
+        walked[chain] = True
         paths.append(chain)
-    if len(visited) != len(adjacency):
+    if walked.sum() != np.count_nonzero(degree):
         raise MeshError("tagged boundary part contains a closed loop")
-    paths.sort(key=lambda ch: coord(ch[0]))
     return paths
 
 

@@ -168,20 +168,18 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only.  The SPD ``A`` is factored on the first solve in the
-    nested-dissection order ``p`` without pivoting.  ``F`` and the
+    read-only.  The SPD ``A`` is assembled on first read and factored on
+    the first solve, in the nested-dissection order ``p`` computed then,
+    without pivoting; an estimate alone builds neither.  ``F`` and the
     estimator's volume terms come from one sampling of ``f``; the ``M_i``
     factor, ``b`` and the estimator's GammaA data are built on first use.
-    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique."""
+    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
+    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
-        self.gamma = data.coeffs.gamma
-        self.A = assemble_bilinear(mesh, data.coeffs)
-        self.p = _nested_dissection(mesh)
-        self.p_inv = np.empty_like(self.p)
-        self.p_inv[self.p] = np.arange(self.p.size)
+        self.coeffs = data.coeffs
         self.lu = self._Mi_lu = None
         self.trace = TraceSpace.from_mesh(mesh)
         self.M_i, self.B, self.M_a = assemble_trace_operators(mesh)
@@ -200,18 +198,27 @@ class _MeshOperators:
                                               BoundaryTag.GAMMA_A,
                                               "measurement z")
             _read_only(self.Z)
-        _read_only(self.p, self.p_inv, self.F, self.f_sq, self.osc_f_sq,
-                   *(getattr(m, name)
-                     for m in (self.A, self.M_i, self.B, self.M_a)
+        _read_only(self.F, self.f_sq, self.osc_f_sq,
+                   *(getattr(m, name) for m in (self.M_i, self.B, self.M_a)
                      for name in ("data", "indices", "indptr")))
 
+    @cached_property
+    def A(self):
+        """The state operator ``alpha K + gamma M_GammaA``."""
+        A = assemble_bilinear(self.mesh, self.coeffs)
+        _read_only(A.data, A.indices, A.indptr)
+        return A
+
     def solve_A(self, rhs: np.ndarray) -> np.ndarray:
-        p = self.p
         if self.lu is None:
+            p = _nested_dissection(self.mesh)
+            p_inv = np.empty_like(p)
+            p_inv[p] = np.arange(p.size)
+            self.p, self.p_inv = _read_only(p, p_inv)
             self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                                 diag_pivot_thresh=0.0,
                                 options=dict(SymmetricMode=True))
-        return self.lu.solve(rhs[p])[self.p_inv]
+        return self.lu.solve(rhs[self.p])[self.p_inv]
 
     def solve_Mi(self, rhs: np.ndarray) -> np.ndarray:
         if self._Mi_lu is None:
@@ -242,7 +249,7 @@ class _MeshOperators:
         x, y = pts[:, :, 0], pts[:, :, 1]
         ua = np.zeros_like(x) if self.u_a is None else \
             _eval_data(self.u_a, x, y, "ambient temperature u_a")
-        return _read_only(self.gamma * ua,
+        return _read_only(self.coeffs.gamma * ua,
                           _eval_data(self.z, x, y, "measurement z"))
 
 

@@ -4,11 +4,13 @@ The oracles deliberately avoid the production code paths: plane
 coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve, newest-vertex bisection from a
-recursive loop over Python dicts, prolongation from a loop over vertices,
-norms and true errors from per-triangle and per-face formulas,
-state solves from unpreconditioned conjugate gradients and from SuperLU in
-its default order, the measurement moments from two samplings of z, and
-the estimator from quadrature on every face with the data sampled anew.
+recursive loop over Python dicts, the face table from two sorts, a dict of
+boundary tags and centroid-oriented normals, the boundary chains from an
+adjacency dict, prolongation from a loop over vertices, norms and true
+errors from per-triangle and per-face formulas, state solves from
+unpreconditioned conjugate gradients and from SuperLU in its default
+order, the measurement moments from two samplings of z, and the estimator
+from quadrature on every face with the data sampled anew.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips and the
 uniform-refinement run) are only needed by tests, so they live here rather
@@ -399,11 +401,12 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
             stack.pop()
 
     keep = [i for i, a in enumerate(alive) if a]
+    triangles = np.asarray([tri_v[i] for i in keep], dtype=np.int64)
     return Mesh(
         np.asarray(verts, dtype=float),
-        np.asarray([tri_v[i] for i in keep], dtype=np.int64),
+        triangles,
         np.asarray([tri_ref[i] for i in keep], dtype=np.int64),
-        btags,
+        edge_tags_from_map(triangles, btags),
         generation=np.asarray([tri_gen[i] for i in keep], dtype=np.int64),
         vertex_parents=np.asarray(parents, dtype=np.int64),
         level=mesh.level + 1,
@@ -574,6 +577,141 @@ def boundary_tag_map(mesh: Mesh) -> dict:
         out[(int(mesh.faces[f, 0]), int(mesh.faces[f, 1]))] = \
             BoundaryTag(int(mesh.face_tags[f]))
     return out
+
+
+def edge_tags_from_map(triangles, tag_map) -> np.ndarray:
+    """``(m, 3)`` edge tags from a sorted vertex pair -> tag dict; local
+    edge ``k`` joins local vertices ``k+1`` and ``k+2``, and an edge
+    missing from the dict is interior."""
+    out = np.zeros(np.shape(triangles), dtype=np.int64)
+    for i, tri in enumerate(np.asarray(triangles).tolist()):
+        for k in range(3):
+            key = edge_key(tri[(k + 1) % 3], tri[(k + 2) % 3])
+            out[i, k] = int(tag_map.get(key, BoundaryTag.INTERIOR))
+    return out
+
+
+def _unique_edges(triangles, n_vertices):
+    """Sorted unique edges of a triangle array, keyed ``a * n_vertices + b``.
+
+    Returns ``(faces, tri_faces, counts)``: the ``(k, 2)`` sorted vertex
+    pairs in key order, the ``(m, 3)`` face ids of the edge opposite each
+    local vertex, and the number of triangles holding each face.
+    """
+    t = triangles
+    a = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    b = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
+    keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
+    uniq, inverse, counts = np.unique(keys, return_inverse=True,
+                                      return_counts=True)
+    faces = np.column_stack(np.divmod(uniq, n_vertices))
+    return faces, inverse.reshape(3, -1).T.copy(), counts
+
+
+def dict_face_table(vertices, triangles, boundary_tags) -> dict:
+    """Oracle for the face table of :class:`Mesh`, from a dict of tags.
+
+    The former constructor: edge keys sorted once by ``np.unique`` and the
+    face ids again by a stable argsort for the incident triangles, the
+    boundary tags read from the sorted-pair dict one face at a time, and
+    the normals oriented by triangle centroids and face midpoints.
+    Returns ``faces``, ``tri_faces``, ``face_tris``, ``face_tags``,
+    ``face_normals`` and ``face_lengths``.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    t = np.asarray(triangles, dtype=np.int64)
+    faces, tri_faces, counts = _unique_edges(t, vertices.shape[0])
+
+    # face ids in triangle-major order; a stable sort keeps the lower
+    # triangle id first within each face
+    flat_f = tri_faces.ravel()
+    order = np.argsort(flat_f, kind="stable")
+    ff, tt = flat_f[order], order // 3
+    first = np.ones(ff.size, dtype=bool)
+    first[1:] = ff[1:] != ff[:-1]
+    if (counts > 2).any():
+        raise MeshError("non-manifold face shared by more than 2 triangles")
+    face_tris = np.full((faces.shape[0], 2), -1, dtype=np.int64)
+    face_tris[ff[first], 0] = tt[first]
+    face_tris[ff[~first], 1] = tt[~first]
+
+    tags = np.full(faces.shape[0], int(BoundaryTag.INTERIOR), dtype=np.int64)
+    boundary = face_tris[:, 1] < 0
+    tag_map = {edge_key(*k): BoundaryTag(v) for k, v in boundary_tags.items()}
+    for f in np.flatnonzero(boundary):
+        key = (int(faces[f, 0]), int(faces[f, 1]))
+        tag = tag_map.pop(key, None)
+        if tag is None or tag == BoundaryTag.INTERIOR:
+            raise MeshError(f"boundary face {key} without GammaA/GammaI tag")
+        tags[f] = int(tag)
+    if tag_map:
+        raise MeshError(f"tagged edges are not boundary faces: "
+                        f"{sorted(tag_map)}")
+
+    # fixed unit normals: outward on the boundary, lower->higher triangle
+    # id across interior faces
+    pa = vertices[faces[:, 0]]
+    pb = vertices[faces[:, 1]]
+    tang = pb - pa
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    centroids = vertices[t].mean(axis=1)
+    mid = 0.5 * (pa + pb)
+    ref = np.where(boundary[:, None],
+                   mid - centroids[face_tris[:, 0]],
+                   centroids[np.where(boundary, 0, face_tris[:, 1])]
+                   - centroids[face_tris[:, 0]])
+    flip = np.einsum("ij,ij->i", normals, ref) < 0.0
+    normals[flip] *= -1.0
+    return dict(faces=faces, tri_faces=tri_faces, face_tris=face_tris,
+                face_tags=tags, face_normals=normals, face_lengths=lengths)
+
+
+def dict_boundary_paths(mesh: Mesh, tag: BoundaryTag):
+    """Oracle for :func:`fluxrec.mesh.boundary_paths`: a walk over a Python
+    adjacency dict that takes the smallest unvisited neighbour.
+
+    Each connected component is returned as a list of vertex ids walking
+    the component from end to end, starting at its lexicographically
+    smallest endpoint coordinate.  Components are ordered by their starting
+    coordinate, so the result is deterministic for a given geometry.
+    """
+    face_ids = mesh.faces_with_tag(tag)
+    if face_ids.size == 0:
+        return []
+    adjacency: dict[int, list[int]] = {}
+    for f in face_ids:
+        a, b = int(mesh.faces[f, 0]), int(mesh.faces[f, 1])
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+
+    def coord(v):
+        return (mesh.vertices[v, 0], mesh.vertices[v, 1])
+
+    endpoints = sorted((v for v, nbs in adjacency.items() if len(nbs) == 1),
+                       key=coord)
+    if len(endpoints) % 2 != 0:
+        raise MeshError("tagged boundary part is not a union of open paths")
+    paths = []
+    visited = set()
+    for start in endpoints:
+        if start in visited:
+            continue
+        chain = [start]
+        visited.add(start)
+        current = start
+        while True:
+            nxt = [v for v in adjacency[current] if v not in visited]
+            if not nxt:
+                break
+            current = min(nxt, key=coord)
+            chain.append(current)
+            visited.add(current)
+        paths.append(chain)
+    if len(visited) != len(adjacency):
+        raise MeshError("tagged boundary part contains a closed loop")
+    paths.sort(key=lambda ch: coord(ch[0]))
+    return paths
 
 
 def angles(mesh: Mesh) -> np.ndarray:

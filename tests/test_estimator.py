@@ -119,9 +119,9 @@ class TestElementResiduals:
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
             refinement_edge=np.array([0]),
-            boundary_tags={(0, 1): BoundaryTag.GAMMA_I,
-                           (0, 2): BoundaryTag.GAMMA_A,
-                           (1, 2): BoundaryTag.GAMMA_A},
+            # edges (1, 2), (2, 0), (0, 1)
+            edge_tags=[[BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_A,
+                        BoundaryTag.GAMMA_I]],
         )
         r1 = midpoint_samples(mesh, lambda x, y: x)
         area = mesh.areas()[0]
@@ -296,9 +296,9 @@ class TestOscillations:
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
             refinement_edge=np.array([0]),
-            boundary_tags={(0, 1): BoundaryTag.GAMMA_I,
-                           (0, 2): BoundaryTag.GAMMA_A,
-                           (1, 2): BoundaryTag.GAMMA_A},
+            # edges (1, 2), (2, 0), (0, 1)
+            edge_tags=[[BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_A,
+                        BoundaryTag.GAMMA_I]],
         )
         triplet = make_triplet(mesh)
         data = ProblemData(coeffs=smooth_problem.coeffs,

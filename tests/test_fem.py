@@ -29,7 +29,6 @@ from fluxrec.solver import OptimalTriplet
 
 from helpers import (
     boundary_l2,
-    boundary_tag_map,
     face_loop_boundary_operators,
     graded_mesh,
     h1_norm,
@@ -48,9 +47,9 @@ def reference_triangle_mesh():
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
         refinement_edge=np.array([0]),
-        boundary_tags={(0, 1): BoundaryTag.GAMMA_A,
-                       (0, 2): BoundaryTag.GAMMA_A,
-                       (1, 2): BoundaryTag.GAMMA_I},
+        # edges (1, 2), (2, 0), (0, 1)
+        edge_tags=[[BoundaryTag.GAMMA_I, BoundaryTag.GAMMA_A,
+                    BoundaryTag.GAMMA_A]],
     )
 
 
@@ -103,9 +102,7 @@ class TestAssembleBilinear:
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
             refinement_edge=np.array([0]),
-            boundary_tags={(0, 1): BoundaryTag.GAMMA_I,
-                           (0, 2): BoundaryTag.GAMMA_I,
-                           (1, 2): BoundaryTag.GAMMA_I},
+            edge_tags=[[BoundaryTag.GAMMA_I] * 3],
         )
         with pytest.raises(MeshError, match="no GammaA"):
             assemble_bilinear(mesh, COEFFS)
@@ -134,7 +131,7 @@ class TestAssembleBilinear:
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.vertices.copy(), mesh.triangles[perm].copy(),
                         mesh.refinement_edge[perm].copy(),
-                        boundary_tag_map(mesh),
+                        mesh.face_tags[mesh.tri_faces][perm],
                         generation=mesh.generation[perm].copy())
         A = assemble_bilinear(mesh, COEFFS).toarray()
         B = assemble_bilinear(shuffled, COEFFS).toarray()

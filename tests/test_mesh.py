@@ -12,7 +12,15 @@ from fluxrec.mesh import (
     build_initial_mesh,
 )
 
-from helpers import angles, boundary_tag_map, patches, recursive_bisect
+from helpers import (
+    angles,
+    boundary_tag_map,
+    dict_boundary_paths,
+    dict_face_table,
+    nvb_chain,
+    patches,
+    recursive_bisect,
+)
 
 
 def brute_force_conforming(mesh):
@@ -119,6 +127,17 @@ class TestBisect:
 
     def test_empty_marking_is_identity(self, square_mesh):
         assert bisect(square_mesh, []) is square_mesh
+        assert bisect(square_mesh, np.array([], dtype=np.int64)) \
+            is square_mesh
+
+    def test_marking_array_like(self, lshape_mesh):
+        """A list, an int32 array and an array with repeats mark alike."""
+        fine = bisect(lshape_mesh, [4, 1])
+        for marked in (np.array([1, 4], dtype=np.int32),
+                       np.array([4, 1, 4], dtype=np.uint8)):
+            other = bisect(lshape_mesh, marked)
+            assert np.array_equal(other.vertices, fine.vertices)
+            assert np.array_equal(other.triangles, fine.triangles)
 
     def test_out_of_range(self, square_mesh):
         with pytest.raises(MeshError, match="out of range"):
@@ -241,6 +260,109 @@ class TestBisectOracle:
             assert (mesh.refinement_edge == 0).all()
 
 
+class TestFaceTableOracle:
+    """The one-sort face table against the former dict-taking constructor."""
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_matches_dict_oracle(self, domain, data):
+        """Bitwise on random NVB meshes, also with the triangles shuffled
+        and the vertices of each triangle cyclically rotated."""
+        mesh = nvb_chain(domain, data)[-1]
+        m = mesh.n_triangles
+        perm = np.array(data.draw(st.permutations(range(m)), label="perm"))
+        shift = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m,
+                                            max_size=m), label="shift"))
+        rot = (np.arange(3) + shift[:, None]) % 3
+        edge_tags = mesh.face_tags[mesh.tri_faces]
+        for tri, ref, tags in (
+                (mesh.triangles, mesh.refinement_edge, edge_tags),
+                (np.take_along_axis(mesh.triangles[perm], rot, axis=1),
+                 (mesh.refinement_edge[perm] - shift) % 3,
+                 np.take_along_axis(edge_tags[perm], rot, axis=1))):
+            new = Mesh(mesh.vertices, tri, ref, tags)
+            old = dict_face_table(mesh.vertices, tri, boundary_tag_map(mesh))
+            for name in ("faces", "tri_faces", "face_tris", "face_tags",
+                         "face_normals", "face_lengths"):
+                assert getattr(new, name).dtype == old[name].dtype, name
+                assert getattr(new, name).tobytes() == old[name].tobytes(), \
+                    name
+
+
+def square_edge_tags(square_mesh):
+    """Edge tags of the two-triangle square ``(0, 1, 3), (0, 3, 2)``:
+    right, diagonal, bottom and top, left, diagonal."""
+    tags = square_mesh.face_tags[square_mesh.tri_faces].copy()
+    assert square_mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
+    assert tags.tolist() == [[1, 0, 2], [1, 1, 0]]
+    return tags
+
+
+def square_with(square_mesh, tags):
+    return Mesh(square_mesh.vertices, square_mesh.triangles,
+                square_mesh.refinement_edge, tags)
+
+
+class TestMeshErrors:
+    def test_non_manifold_face(self):
+        """Three triangles on the edge (0, 1)."""
+        vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0),
+                    (0.5, 2.0)]
+        triangles = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+        with pytest.raises(MeshError, match=r"non-manifold.*\[\[0, 1\]\]"):
+            Mesh(vertices, triangles, [2, 2, 2], [[1, 1, 0]] * 3)
+
+    @pytest.mark.parametrize("shape", ["columns", "rows", "flat", "float"])
+    def test_edge_tags_wrong_shape(self, square_mesh, shape):
+        tags = square_edge_tags(square_mesh)
+        bad = {"columns": tags[:, :2], "rows": tags[:1], "flat": tags.ravel(),
+               "float": tags.astype(float)}[shape]
+        with pytest.raises(MeshError, match=r"edge_tags must be an \(2, 3\)"):
+            square_with(square_mesh, bad)
+
+    @pytest.mark.parametrize("value", [3, -1])
+    def test_edge_tag_outside_enum(self, square_mesh, value):
+        tags = square_edge_tags(square_mesh)
+        tags[0, 0] = value
+        with pytest.raises(MeshError, match=r"outside BoundaryTag: "
+                           r"\[\[1, 3\]\] \(1 in all\)"):
+            square_with(square_mesh, tags)
+
+    def test_boundary_edge_tagged_interior(self, square_mesh):
+        tags = square_edge_tags(square_mesh)
+        tags[0, 2] = int(BoundaryTag.INTERIOR)
+        with pytest.raises(MeshError, match=r"without a GammaA/GammaI tag: "
+                           r"\[\[0, 1\]\]"):
+            square_with(square_mesh, tags)
+
+    @pytest.mark.parametrize("edge", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("tag", [BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_I])
+    def test_interior_edge_tagged_boundary(self, square_mesh, edge, tag):
+        """Either triangle's copy of the diagonal (0, 3) may carry the tag."""
+        tags = square_edge_tags(square_mesh)
+        tags[edge] = int(tag)
+        with pytest.raises(MeshError, match=r"interior faces tagged "
+                           r"GammaA/GammaI: \[\[0, 3\]\]"):
+            square_with(square_mesh, tags)
+
+    def test_pinched_path_rejected(self):
+        """Two triangles touching at vertex 2: four GammaA faces meet there."""
+        vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0),
+                    (1.0, 1.0)]
+        mesh = Mesh(vertices, [(0, 1, 2), (2, 4, 3)], [2, 2],
+                    [[1, 1, 2], [2, 1, 1]])
+        with pytest.raises(MeshError, match="not a union of open paths"):
+            boundary_paths(mesh, BoundaryTag.GAMMA_A)
+        assert boundary_paths(mesh, BoundaryTag.GAMMA_I) == [[0, 1], [3, 4]]
+
+    def test_closed_loop_path_rejected(self, square_mesh):
+        tags = square_edge_tags(square_mesh)
+        tags[tags == int(BoundaryTag.GAMMA_I)] = int(BoundaryTag.GAMMA_A)
+        mesh = square_with(square_mesh, tags)
+        with pytest.raises(MeshError, match="closed loop"):
+            boundary_paths(mesh, BoundaryTag.GAMMA_A)
+
+
 class TestMeshSize:
     def test_reference_triangle(self, square_mesh):
         assert np.allclose(np.sqrt(square_mesh.areas()), np.sqrt(0.5))
@@ -306,12 +428,28 @@ class TestNormalsAndPaths:
     def test_face_table_recomputable(self, refined_square):
         mesh = refined_square
         rebuilt = Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                       mesh.refinement_edge.copy(), boundary_tag_map(mesh),
+                       mesh.refinement_edge.copy(),
+                       mesh.face_tags[mesh.tri_faces].copy(),
                        generation=mesh.generation.copy())
         assert np.array_equal(rebuilt.faces, mesh.faces)
         assert np.array_equal(rebuilt.face_tris, mesh.face_tris)
         assert np.array_equal(rebuilt.face_tags, mesh.face_tags)
         assert np.allclose(rebuilt.face_normals, mesh.face_normals)
+
+    @given(domain=st.sampled_from(["square", "lshape"]),
+           gamma_i=st.sampled_from([("bottom",), ("left", "right"),
+                                    ("top", "bottom", "right")]),
+           data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_paths_match_dict_walk(self, domain, gamma_i, data):
+        """Chains and their order equal the adjacency-dict walk's."""
+        mesh = build_initial_mesh(domain, gamma_i)
+        for _ in range(data.draw(st.integers(0, 5), label="levels")):
+            mesh = bisect(mesh, data.draw(st.lists(
+                st.integers(0, mesh.n_triangles - 1), min_size=1,
+                max_size=max(1, mesh.n_triangles // 2)), label="marked"))
+        for tag in (BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_I):
+            assert boundary_paths(mesh, tag) == dict_boundary_paths(mesh, tag)
 
     def test_gamma_i_path_ordered(self, refined_square):
         paths = boundary_paths(refined_square, BoundaryTag.GAMMA_I)

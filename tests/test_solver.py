@@ -25,7 +25,6 @@ from fluxrec.solver import (
 )
 
 from helpers import (
-    boundary_tag_map,
     default_order_factor,
     dense_optimality,
     inner_cg_solve,
@@ -283,7 +282,7 @@ SWEEP_BETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 def fresh_copy(mesh):
     """A new Mesh instance with the same arrays and tags as ``mesh``."""
     return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
-                boundary_tag_map(mesh), generation=mesh.generation,
+                mesh.face_tags[mesh.tri_faces], generation=mesh.generation,
                 vertex_parents=mesh.vertex_parents, level=mesh.level,
                 root=mesh.root)
 
@@ -437,6 +436,29 @@ class TestSharedStateOperator:
         gc.collect()
         assert triplet.mesh is mesh32
         assert len(mesh32.state_operators) == 0
+
+    def test_estimate_alone_builds_no_state_operator(
+            self, mesh32, smooth_problem, smooth_measurement, settings,
+            monkeypatch):
+        """Once the system is gone, an estimate rebuilds only the data
+        terms: no assembly of ``A`` and no nested-dissection order."""
+        data = smooth_problem.data(z=smooth_measurement)
+        system = DiscreteSystem(mesh32, data)
+        triplet = solve_optimality(system, settings)
+        alive = estimate(triplet, data)
+        del system
+        gc.collect()
+        assert len(mesh32.state_operators) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the estimate built the state operator")
+
+        monkeypatch.setattr(solver, "assemble_bilinear", forbidden)
+        monkeypatch.setattr(solver, "_nested_dissection", forbidden)
+        alone = estimate(triplet, data)
+        for name in ("eta1_sq", "eta2_sq", "osc_f_sq", "osc_j1_sq",
+                     "osc_j2_sq"):
+            assert np.array_equal(getattr(alone, name), getattr(alive, name))
 
     def test_repeated_runs_write_identical_files(self, tmp_path):
         """Two ``fluxrec run`` calls in one process share no state that
