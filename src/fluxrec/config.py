@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 from .driver import LoopConfig
@@ -15,32 +16,25 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One run's settings; the loop and solver defaults are those of
+    :class:`LoopConfig` and :class:`SolverSettings`."""
+
     problem: str = "square_smooth"
-    strategy: str = "maximum"
-    theta: float = 0.5
-    tol: float = 1e-3
+    strategy: str = LoopConfig.strategy
+    theta: float = LoopConfig.theta
+    tol: float = LoopConfig.tol
     beta: float | None = None
     noise: float = 0.0
     seed: int = 0
-    max_iters: int = 20
-    max_triangles: int = 50_000
-    cg_tol: float = 1e-10
+    max_iters: int = LoopConfig.max_iters
+    max_triangles: int = LoopConfig.max_triangles
+    cg_tol: float = SolverSettings.cg_tol
     out_dir: str = "."
 
 
-_PARSERS = {
-    "problem": str,
-    "strategy": str,
-    "theta": float,
-    "tol": float,
-    "beta": float,
-    "noise": float,
-    "seed": int,
-    "max_iters": int,
-    "max_triangles": int,
-    "cg_tol": float,
-    "out_dir": str,
-}
+# key -> parser of its value: the field's type, ``float`` for ``float | None``
+_PARSERS = {name: (typing.get_args(hint) or (hint,))[0]
+            for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def build_run(cfg: RunConfig) -> tuple[ProblemSpec, LoopConfig]:

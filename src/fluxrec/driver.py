@@ -117,11 +117,13 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
     history = AdaptiveHistory(problem=problem, config=config,
                               measurement=measurement)
     keep_triplets = config.record_true_errors
-    warm: TraceFunction | None = None
+    coarse_q: TraceFunction | None = None
 
     for k in range(config.max_iters):
         check_no_inverse_crime(measurement, mesh)
         system = DiscreteSystem(mesh, data)
+        warm = None if coarse_q is None else \
+            transfer_trace(coarse_q, system.ops.trace)
         try:
             triplet = solve_optimality(system, config.solver, warm_start=warm)
         except SolverError as exc:
@@ -135,7 +137,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             k=k,
             n_vertices=mesh.n_vertices,
             n_triangles=mesh.n_triangles,
-            n_flux_dofs=system.trace.n_dofs,
+            n_flux_dofs=system.ops.trace.n_dofs,
             eta=indicators.eta,
             eta1=indicators.eta1,
             eta2=indicators.eta2,
@@ -165,7 +167,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
         if fine.n_triangles > config.max_triangles:
             history.stop_reason = "max_triangles"
             break
-        warm = transfer_trace(triplet.q, fine)
+        coarse_q = triplet.q
         mesh = fine
 
     # every loop exit happens before the refinement step, so this is the

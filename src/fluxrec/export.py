@@ -4,8 +4,6 @@ identical runs produce byte-identical files."""
 
 from __future__ import annotations
 
-import math
-
 from .driver import AdaptiveHistory
 from .fem import FeFunction, TraceFunction
 from .mesh import BoundaryTag, Mesh, boundary_arclength
@@ -16,8 +14,6 @@ CSV_HEADER = ("iter,n_vertices,n_triangles,n_flux_dofs,"
 
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
     return format(float(x), ".16e")
 
 
@@ -72,8 +68,8 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
     out.append("ASCII")
     out.append("DATASET UNSTRUCTURED_GRID")
     out.append(f"POINTS {n} double")
-    for x, y in mesh.vertices:
-        out.append(f"{_fmt(x)} {_fmt(y)} {_fmt(0.0)}")
+    z = _fmt(0.0)
+    out.extend(f"{_fmt(x)} {_fmt(y)} {z}" for x, y in mesh.vertices)
     out.append(f"CELLS {m} {4 * m}")
     for a, b, c in mesh.triangles:
         out.append(f"3 {a} {b} {c}")

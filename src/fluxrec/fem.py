@@ -58,12 +58,13 @@ class FeSpace:
         return self.mesh.n_vertices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceSpace:
     """Restriction of the P1 space to the inaccessible boundary.
 
     The dofs are exactly the GammaI vertices of the mesh, ordered by
-    ascending vertex id.
+    ascending vertex id.  Spaces compare and hash by identity: a mesh's
+    operators build one and every flux on the mesh refers to it.
     """
 
     mesh: Mesh
@@ -81,12 +82,6 @@ class TraceSpace:
     @property
     def n_dofs(self) -> int:
         return self.vertex_ids.shape[0]
-
-    def dof_of_vertex(self) -> np.ndarray:
-        """Vertex id -> trace dof index, -1 off GammaI."""
-        out = np.full(self.mesh.n_vertices, -1, dtype=np.int64)
-        out[self.vertex_ids] = np.arange(self.n_dofs)
-        return out
 
 
 def _check_values(values, n, what):
@@ -266,27 +261,22 @@ def assemble_load(mesh: Mesh, fv: np.ndarray, u_a,
     return F
 
 
-def assemble_trace_operators(mesh: Mesh):
-    """GammaI mass, full-to-trace coupling and GammaA mass.
+def assemble_trace_operators(trace: TraceSpace):
+    """GammaI mass, full-to-trace coupling and GammaA mass on the mesh of
+    ``trace``.
 
     Returns ``(M_i, B, M_a)`` where ``M_i`` is the m x m GammaI mass matrix
     on the trace space, ``B`` the n x m coupling with
     ``B[i, j] = int_{GammaI} psi_j phi_i`` and ``M_a`` the n x n GammaA
     boundary mass.  Because the trace space is the restriction of the P1
-    space, ``B`` is exactly ``M_i`` injected into the GammaI vertex rows.
+    space, ``B`` is the GammaI face mass restricted to the trace columns
+    and ``M_i`` its GammaI vertex rows.
     """
-    trace = TraceSpace.from_mesh(mesh)
+    mesh = trace.mesh
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face")
-    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
-    faces = mesh.faces[face_ids]
-    faces_local = trace.dof_of_vertex()[faces]
-    local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
-    m = trace.n_dofs
-    M_i = _assemble(faces_local, faces_local, local, (m, m))
-    B = _assemble(faces, faces_local, local, (mesh.n_vertices, m))
-    M_a = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
-    return M_i, B, M_a
+    B = _boundary_mass(mesh, BoundaryTag.GAMMA_I)[:, trace.vertex_ids]
+    return B[trace.vertex_ids], B, _boundary_mass(mesh, BoundaryTag.GAMMA_A)
 
 
 def interpolate(fun, space) -> "FeFunction | TraceFunction":
@@ -333,11 +323,11 @@ def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:
     return out
 
 
-def transfer_trace(fun: TraceFunction, fine_mesh: Mesh) -> TraceFunction:
-    """Prolongation of a GammaI trace function to a descendant mesh."""
-    fine_full = prolong(fun.embedded(), fun.mesh, fine_mesh)
-    fine_trace = TraceSpace.from_mesh(fine_mesh)
-    return TraceFunction(fine_trace, fine_full[fine_trace.vertex_ids])
+def transfer_trace(fun: TraceFunction, trace: TraceSpace) -> TraceFunction:
+    """Prolongation of a GammaI trace function into the trace space of a
+    descendant mesh."""
+    fine_full = prolong(fun.embedded(), fun.mesh, trace.mesh)
+    return TraceFunction(trace, fine_full[trace.vertex_ids])
 
 
 def _check_descendant(coarse: Mesh, fine: Mesh):

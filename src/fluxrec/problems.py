@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fem import CoefficientSet, TraceSpace, interpolate
+from .fem import CoefficientSet, interpolate
 from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bisect
 from .solver import DiscreteSystem, ProblemData, solve_state
 
@@ -178,10 +178,8 @@ def generate_measurement(
     for _ in range(extra_levels):
         mesh = bisect(mesh, np.arange(mesh.n_triangles))
 
-    trace = TraceSpace.from_mesh(mesh)
-    q = interpolate(problem.q_true, trace)
     system = DiscreteSystem(mesh, problem.data())
-    u = solve_state(q, system)
+    u = solve_state(interpolate(problem.q_true, system.ops.trace), system)
 
     # a unit gap between components, so interpolation never bridges two
     vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A, 1.0)

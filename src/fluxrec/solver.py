@@ -168,7 +168,8 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only.  The SPD ``A`` is assembled on first read and factored on
+    read-only: the P1 and trace spaces of the mesh, the operators and the
+    data terms.  The SPD ``A`` is assembled on first read and factored on
     the first solve, in the nested-dissection order ``p`` computed then,
     without pivoting; an estimate alone builds neither.  ``F`` and the
     estimator's volume terms come from one sampling of ``f``; the ``M_i``
@@ -181,8 +182,9 @@ class _MeshOperators:
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
         self.lu = self._Mi_lu = None
+        self.space = FeSpace(mesh)
         self.trace = TraceSpace.from_mesh(mesh)
-        self.M_i, self.B, self.M_a = assemble_trace_operators(mesh)
+        self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
         fv = midpoint_samples(mesh, data.f)
         self.F = assemble_load(mesh, fv, data.u_a, data.coeffs)
         # for P1 and constant alpha the state volume residual is f: the
@@ -271,24 +273,17 @@ def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
 class DiscreteSystem:
     """The optimality system of ``data`` on one mesh.
 
-    Holds the weighted bilinear operator ``A``, the load vector ``F``, the
-    boundary mass matrices, the flux coupling ``B`` and the measurement
-    moment vector ``Z_i = int_{GammaA} z phi_i``, all read-only.  Only
-    beta is its own: the rest, with the factors of ``A`` and ``M_i``,
-    comes from :func:`mesh_operators`, so a sweep over beta on one mesh
+    Only beta is its own.  ``ops`` is the shared :func:`mesh_operators`
+    object: the spaces, the weighted bilinear operator ``A``, the load
+    vector ``F``, the boundary mass matrices, the flux coupling ``B``, the
+    measurement moment vector ``Z_i = int_{GammaA} z phi_i`` and the
+    factors of ``A`` and ``M_i``, so a sweep over beta on one mesh
     assembles, samples the data and factors once.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData):
-        self.mesh = mesh
         self.data = data
-        self.space = FeSpace(mesh)
-        self._ops = ops = mesh_operators(mesh, data)
-        self.trace, self.A, self.F, self.Z, self.z_sq = (
-            ops.trace, ops.A, ops.F, ops.Z, ops.z_sq)
-        self.M_i, self.B, self.M_a = ops.M_i, ops.B, ops.M_a
-        self.solve_A, self.solve_Mi = ops.solve_A, ops.solve_Mi
-        self.require_z = ops.require_z
+        self.ops = mesh_operators(mesh, data)
 
     @property
     def beta(self) -> float:
@@ -297,15 +292,15 @@ class DiscreteSystem:
 
 def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
     """Forward solve ``A u = F - B q`` for the temperature field."""
-    rhs = system.F - system.B @ q.values
-    return FeFunction(system.space, system.solve_A(rhs))
+    ops = system.ops
+    return FeFunction(ops.space, ops.solve_A(ops.F - ops.B @ q.values))
 
 
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
-    system.require_z()
-    rhs = system.M_a @ u.values - system.Z
-    return FeFunction(system.space, system.solve_A(rhs))
+    ops = system.ops
+    ops.require_z()
+    return FeFunction(ops.space, ops.solve_A(ops.M_a @ u.values - ops.Z))
 
 
 def objective(q: TraceFunction, system: DiscreteSystem,
@@ -315,20 +310,22 @@ def objective(q: TraceFunction, system: DiscreteSystem,
     ``settings`` is not read; it stays in the signature for callers that
     pass it positionally.
     """
-    system.require_z()
+    ops = system.ops
+    ops.require_z()
     if u is None:
         u = solve_state(q, system)
     uv = u.values
-    misfit = float(uv @ (system.M_a @ uv) - 2.0 * (system.Z @ uv) + system.z_sq)
-    reg = float(q.values @ (system.M_i @ q.values))
+    misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (ops.Z @ uv) + ops.z_sq)
+    reg = float(q.values @ (ops.M_i @ q.values))
     return 0.5 * misfit + 0.5 * system.beta * reg
 
 
 def hessian_apply(w: np.ndarray, system: DiscreteSystem) -> np.ndarray:
     """Apply the reduced operator ``H = beta M_i + B^T A^-1 M_a A^-1 B``."""
-    du = system.solve_A(system.B @ w)
-    dp = system.solve_A(system.M_a @ du)
-    return system.beta * (system.M_i @ w) + system.B.T @ dp
+    ops = system.ops
+    du = ops.solve_A(ops.B @ w)
+    dp = ops.solve_A(ops.M_a @ du)
+    return system.beta * (ops.M_i @ w) + ops.B.T @ dp
 
 
 def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
@@ -342,21 +339,22 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     it raises :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not
     get there.
     """
-    system.require_z()
-    b = system._ops.b
+    ops = system.ops
+    ops.require_z()
+    b = ops.b
 
     if warm_start is not None:
-        if warm_start.mesh is not system.mesh:
+        if warm_start.mesh is not ops.mesh:
             raise ValueError("warm start lives on a different mesh")
         q = warm_start.values.copy()
         r = b - hessian_apply(q, system)
     else:
-        q = np.zeros(system.trace.n_dofs)
+        q = np.zeros(ops.trace.n_dofs)
         r = b.copy()
 
-    z = system.solve_Mi(r)
+    z = ops.solve_Mi(r)
     rho = float(r @ z)
-    b_norm = float(np.sqrt(max(b @ system.solve_Mi(b), 0.0)))
+    b_norm = float(np.sqrt(max(b @ ops.solve_Mi(b), 0.0)))
     r0 = float(np.sqrt(max(rho, 0.0)))
     tol = settings.cg_tol * r0 + 100.0 * np.finfo(float).eps * b_norm
     iterations = 0
@@ -373,7 +371,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
         step = rho / denom
         q += step * d
         r -= step * Hd
-        z = system.solve_Mi(r)
+        z = ops.solve_Mi(r)
         rho_new = float(r @ z)
         res = float(np.sqrt(max(rho_new, 0.0)))
         d = z + (rho_new / rho) * d
@@ -385,7 +383,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
             f"(residual {res:.3e}, target {tol:.3e})",
             iterations=iterations, residual=res)
 
-    q_fun = TraceFunction(system.trace, q)
+    q_fun = TraceFunction(ops.trace, q)
     u = solve_state(q_fun, system)
     p = solve_costate(u, system)
     return OptimalTriplet(u=u, p=p, q=q_fun, iterations=iterations, residual=res)

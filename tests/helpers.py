@@ -9,7 +9,8 @@ boundary tags and centroid-oriented normals, the boundary chains from an
 adjacency dict, prolongation from a loop over vertices, norms and true
 errors from per-triangle and per-face formulas, state solves from
 unpreconditioned conjugate gradients and from SuperLU in its default
-order, the measurement moments from two samplings of z, and the estimator
+order, the measurement moments from two samplings of z, the trace
+operators from the GammaI faces mapped to trace dofs, and the estimator
 from quadrature on every face with the data sampled anew.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips and the
@@ -32,8 +33,12 @@ from fluxrec.fem import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     FeFunction,
+    _FACE_MASS,
     FeSpace,
     TraceFunction,
+    TraceSpace,
+    _assemble,
+    _boundary_mass,
     _eval_data,
     element_gradients,
     midpoint_samples,
@@ -63,10 +68,11 @@ def dense_optimality(system):
     ``-M_a u + A p = -Z``, stationarity row ``-B^T p + beta M_i q = 0``.
     Returns the nodal arrays ``(u, p, q)``.
     """
-    A = system.A.toarray()
-    Ma = system.M_a.toarray()
-    Mi = system.M_i.toarray()
-    B = system.B.toarray()
+    ops = system.ops
+    A = ops.A.toarray()
+    Ma = ops.M_a.toarray()
+    Mi = ops.M_i.toarray()
+    B = ops.B.toarray()
     n = A.shape[0]
     m = Mi.shape[0]
     K = np.zeros((2 * n + m, 2 * n + m))
@@ -76,7 +82,7 @@ def dense_optimality(system):
     K[n:2 * n, n:2 * n] = A
     K[2 * n:, n:2 * n] = -B.T
     K[2 * n:, 2 * n:] = system.beta * Mi
-    rhs = np.concatenate([system.F, -system.Z, np.zeros(m)])
+    rhs = np.concatenate([ops.F, -ops.Z, np.zeros(m)])
     sol = np.linalg.solve(K, rhs)
     return sol[:n], sol[n:2 * n], sol[2 * n:]
 
@@ -114,7 +120,7 @@ def brute_force_indicators(triplet, data):
     u = triplet.u.values
     p = triplet.p.values
     q = triplet.q.values
-    dof_of = triplet.q.space.dof_of_vertex()
+    dof_of = vertex_to_dof(triplet.q.space)
 
     grads_u = np.empty((mesh.n_triangles, 2))
     grads_p = np.empty((mesh.n_triangles, 2))
@@ -438,10 +444,17 @@ def graded_mesh(initial, seed, sweeps=3):
     return mesh
 
 
+def vertex_to_dof(trace: TraceSpace) -> np.ndarray:
+    """Vertex id -> trace dof index, -1 off GammaI."""
+    out = np.full(trace.mesh.n_vertices, -1, dtype=np.int64)
+    out[trace.vertex_ids] = np.arange(trace.n_dofs)
+    return out
+
+
 def dof_lookup_trace_values(q: TraceFunction, vertex_ids) -> np.ndarray:
     """Oracle for reading a trace function at GammaI vertices through the
     vertex -> trace dof map."""
-    return q.values[q.space.dof_of_vertex()[vertex_ids]]
+    return q.values[vertex_to_dof(q.space)[vertex_ids]]
 
 
 def loop_transfer(values, fine_mesh):
@@ -478,7 +491,7 @@ def h1_norm(fun: FeFunction) -> float:
 def trace_l2(fun: TraceFunction) -> float:
     """Exact L2(GammaI) norm of a trace function."""
     mesh = fun.mesh
-    dof_of = fun.space.dof_of_vertex()
+    dof_of = vertex_to_dof(fun.space)
     face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
     fl = dof_of[mesh.faces[face_ids]]
     va = fun.values[fl[:, 0]]
@@ -526,6 +539,25 @@ def face_loop_boundary_operators(mesh):
             elif tag == BoundaryTag.GAMMA_I:
                 M_i[dof[r], dof[c]] += h * w
                 B[r, dof[c]] += h * w
+    return M_i, B, M_a
+
+
+def dof_map_trace_operators(mesh):
+    """Oracle for :func:`fluxrec.fem.assemble_trace_operators`: ``M_i`` and
+    ``B`` assembled from the GammaI faces with their vertices mapped to
+    trace dofs, a trace space of their own and ``M_a`` by the GammaA face
+    mass.  Returns ``(M_i, B, M_a)`` as CSR matrices."""
+    trace = TraceSpace.from_mesh(mesh)
+    if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
+        raise MeshError("mesh has no GammaA face")
+    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
+    faces = mesh.faces[face_ids]
+    faces_local = vertex_to_dof(trace)[faces]
+    local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
+    m = trace.n_dofs
+    M_i = _assemble(faces_local, faces_local, local, (m, m))
+    B = _assemble(faces, faces_local, local, (mesh.n_vertices, m))
+    M_a = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
     return M_i, B, M_a
 
 
@@ -775,8 +807,9 @@ def reduced_gradient(q: TraceFunction, system) -> TraceFunction:
     """Riesz representative of J'(q): solves ``M_i g = beta M_i q - B^T p``."""
     u = solve_state(q, system)
     p = solve_costate(u, system)
-    rhs = system.beta * (system.M_i @ q.values) - system.B.T @ p.values
-    return TraceFunction(system.trace, system.solve_Mi(rhs))
+    ops = system.ops
+    rhs = system.beta * (ops.M_i @ q.values) - ops.B.T @ p.values
+    return TraceFunction(ops.trace, ops.solve_Mi(rhs))
 
 
 def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
@@ -791,18 +824,18 @@ def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
     if which not in ("state", "costate"):
         raise ValueError("which must be 'state' or 'costate'")
     if test.mesh is triplet.mesh:
-        sys_t = system
+        ops = system.ops
         u, p, q = triplet.u.values, triplet.p.values, triplet.q.values
     else:
-        sys_t = DiscreteSystem(test.mesh, system.data)
+        ops = DiscreteSystem(test.mesh, system.data).ops
         u, p = prolong(np.column_stack([triplet.u.values, triplet.p.values]),
                        triplet.mesh, test.mesh).T
-        q = transfer_trace(triplet.q, test.mesh).values
+        q = transfer_trace(triplet.q, ops.trace).values
     t = test.values
     if which == "state":
-        return float(t @ (sys_t.F - sys_t.B @ q - sys_t.A @ u))
-    sys_t.require_z()
-    return float(t @ (sys_t.M_a @ u - sys_t.Z - sys_t.A @ p))
+        return float(t @ (ops.F - ops.B @ q - ops.A @ u))
+    ops.require_z()
+    return float(t @ (ops.M_a @ u - ops.Z - ops.A @ p))
 
 
 def format_config(cfg) -> str:

@@ -123,7 +123,7 @@ def test_criterion_1_optimality_identity(solver_settings):
         start = time.time()
         triplet = solve_optimality(system, solver_settings)
         elapsed = time.time() - start
-        gi = system.trace.vertex_ids
+        gi = system.ops.trace.vertex_ids
         gap = np.abs(system.beta * triplet.q.values
                      - triplet.p.values[gi]).max()
         scale = (system.beta * np.abs(triplet.q.values).max()
@@ -146,12 +146,12 @@ def test_criterion_2_galerkin_orthogonality(smooth_run, solver_settings):
         system = DiscreteSystem(triplet.mesh,
                                 smooth_run.problem.data(
                                     z=smooth_run.measurement))
-        r_state = system.F - system.B @ triplet.q.values \
-            - system.A @ triplet.u.values
-        r_costate = system.M_a @ triplet.u.values - system.Z \
-            - system.A @ triplet.p.values
-        scale = (np.abs(system.F).max()
-                 + np.abs(system.A @ triplet.u.values).max())
+        r_state = system.ops.F - system.ops.B @ triplet.q.values \
+            - system.ops.A @ triplet.u.values
+        r_costate = system.ops.M_a @ triplet.u.values - system.ops.Z \
+            - system.ops.A @ triplet.p.values
+        scale = (np.abs(system.ops.F).max()
+                 + np.abs(system.ops.A @ triplet.u.values).max())
         bound = 10 * solver_settings.cg_tol * scale
         worst = max(worst, np.abs(r_state).max() / bound,
                     np.abs(r_costate).max() / bound)
@@ -192,20 +192,20 @@ def test_criterion_4_gradient_check(solver_settings):
     system = DiscreteSystem(mesh, problem.data(z=measurement))
     triplet = solve_optimality(system, solver_settings)
     rng = np.random.default_rng(42)
-    q0 = TraceFunction(system.trace,
+    q0 = TraceFunction(system.ops.trace,
                        triplet.q.values
-                       + 0.1 * rng.standard_normal(system.trace.n_dofs))
+                       + 0.1 * rng.standard_normal(system.ops.trace.n_dofs))
     g = reduced_gradient(q0, system)
-    Mig = system.M_i @ g.values
+    Mig = system.ops.M_i @ g.values
     h = 1e-6
     start = time.time()
     worst = 0.0
     for _ in range(10):
-        w = rng.standard_normal(system.trace.n_dofs)
+        w = rng.standard_normal(system.ops.trace.n_dofs)
         w /= np.linalg.norm(w)
-        jp = objective(TraceFunction(system.trace, q0.values + h * w),
+        jp = objective(TraceFunction(system.ops.trace, q0.values + h * w),
                        system, solver_settings)
-        jm = objective(TraceFunction(system.trace, q0.values - h * w),
+        jm = objective(TraceFunction(system.ops.trace, q0.values - h * w),
                        system, solver_settings)
         fd = (jp - jm) / (2 * h)
         exact = float(Mig @ w)

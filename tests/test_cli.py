@@ -57,7 +57,7 @@ class TestRunCommand:
         calls = []
 
         def fail_at_iteration_1(system, settings, warm_start=None):
-            calls.append(system.mesh.n_triangles)
+            calls.append(system.ops.mesh.n_triangles)
             if len(calls) == 2:
                 raise SolverError("injected failure", iterations=3,
                                   residual=1.0)

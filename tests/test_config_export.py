@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fluxrec.config import ConfigError, RunConfig, parse_config
+from fluxrec.config import ConfigError, RunConfig, build_run, parse_config
+from fluxrec.driver import LoopConfig
 from fluxrec.export import (
     CSV_HEADER,
     export_flux_txt,
@@ -81,6 +83,13 @@ class TestParseConfig:
         again = parse_config(format_config(cfg))
         assert again == cfg
 
+    def test_defaults_are_the_loop_defaults(self):
+        _, loop = build_run(RunConfig())
+        default = LoopConfig()
+        for fld in dataclasses.fields(LoopConfig):
+            assert getattr(loop, fld.name) == getattr(default, fld.name), \
+                fld.name
+
     def test_invalid_strategy(self):
         with pytest.raises(ConfigError, match="strategy"):
             parse_config("strategy = bisection")
@@ -126,6 +135,15 @@ class TestHistoryCsv:
         assert row.endswith("nan,nan,nan")
         parsed = read_history_csv(path)[0]
         assert math.isnan(parsed["err_q"])
+
+    def test_negative_nan_written_as_nan(self, tmp_path, smooth_history):
+        records = [dataclasses.replace(r, err_q=-math.nan)
+                   for r in smooth_history.records]
+        path = tmp_path / "history.csv"
+        export_history_csv(dataclasses.replace(smooth_history,
+                                               records=records), path)
+        rows = path.read_text().strip().splitlines()[1:]
+        assert all(row.split(",")[9] == "nan" for row in rows)
 
     def test_empty_history_rejected(self, tmp_path, smooth_history):
         from dataclasses import replace
@@ -180,6 +198,15 @@ class TestVtkExport:
         assert np.all(pts[:, 2] == 0.0)
         assert cells.shape == (2, 3)
         assert np.all(fields["u"] == 1.0)
+
+    def test_point_lines(self, tmp_path, refined_square):
+        """Every vertex is written as ``x y 0`` in full precision."""
+        path = tmp_path / "out.vtk"
+        export_vtk(refined_square, {}, path)
+        n = refined_square.n_vertices
+        lines = path.read_text().splitlines()[5:5 + n]
+        assert lines == [f"{x:.16e} {y:.16e} 0.0000000000000000e+00"
+                         for x, y in refined_square.vertices.tolist()]
 
     def test_multiple_fields(self, tmp_path, refined_square):
         u = interpolate(lambda x, y: x, FeSpace(refined_square))

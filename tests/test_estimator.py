@@ -316,7 +316,7 @@ class TestOscillations:
         """Computed with one quadrature, osc <= norm holds numerically."""
         triplet = solve_optimality(smooth_system, settings)
         ind = estimate(triplet, smooth_system.data)
-        mesh = smooth_system.mesh
+        mesh = smooth_system.ops.mesh
         lengths = mesh.face_lengths
         inner = mesh.faces_with_tag(BoundaryTag.INTERIOR)
         faces, j1, j2, w = boundary_samples(triplet, smooth_system.data)

@@ -29,6 +29,7 @@ from fluxrec.solver import OptimalTriplet
 
 from helpers import (
     boundary_l2,
+    dof_map_trace_operators,
     face_loop_boundary_operators,
     graded_mesh,
     h1_norm,
@@ -219,23 +220,25 @@ class TestAssembleLoad:
 
 class TestTraceOperators:
     def test_single_unit_gamma_i_face(self, square_mesh):
-        M_i, B, M_a = assemble_trace_operators(square_mesh)
+        M_i, B, M_a = assemble_trace_operators(
+            TraceSpace.from_mesh(square_mesh))
         assert M_i.shape == (2, 2)
         assert np.allclose(M_i.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
     def test_row_sums_partition_of_unity(self, refined_square):
-        M_i, _, _ = assemble_trace_operators(refined_square)
+        M_i, _, _ = assemble_trace_operators(
+            TraceSpace.from_mesh(refined_square))
         # GammaI is the unit bottom edge
         assert np.isclose(M_i.toarray().sum(), 1.0)
 
     def test_b_equals_mi_on_gamma_i_rows(self, refined_square):
-        M_i, B, _ = assemble_trace_operators(refined_square)
         trace = TraceSpace.from_mesh(refined_square)
+        M_i, B, _ = assemble_trace_operators(trace)
         assert np.allclose(B.toarray()[trace.vertex_ids], M_i.toarray())
 
     def test_b_row_support_is_gamma_i(self, refined_square):
-        _, B, _ = assemble_trace_operators(refined_square)
         trace = TraceSpace.from_mesh(refined_square)
+        _, B, _ = assemble_trace_operators(trace)
         nonzero_rows = np.flatnonzero(np.abs(B.toarray()).sum(axis=1) > 0)
         assert np.array_equal(nonzero_rows, trace.vertex_ids)
 
@@ -243,15 +246,41 @@ class TestTraceOperators:
     def test_match_face_loop_bitwise(self, domain):
         mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=1,
                            sweeps=5)
-        for got, want in zip(assemble_trace_operators(mesh),
-                             face_loop_boundary_operators(mesh)):
+        for got, want in zip(
+                assemble_trace_operators(TraceSpace.from_mesh(mesh)),
+                face_loop_boundary_operators(mesh)):
             assert np.array_equal(got.toarray(), want)
 
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_match_dof_map_oracle_bitwise(self, domain, data):
+        """The CSR arrays equal, dtype and bytes, those of the face
+        assembly through the vertex -> trace dof map."""
+        mesh = nvb_chain(domain, data)[-1]
+        got = assemble_trace_operators(TraceSpace.from_mesh(mesh))
+        for matrix, want in zip(got, dof_map_trace_operators(mesh)):
+            assert matrix.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                x, y = getattr(matrix, name), getattr(want, name)
+                assert x.dtype == y.dtype
+                assert x.tobytes() == y.tobytes()
+
     def test_mi_positive_definite(self, refined_square):
-        M_i, _, _ = assemble_trace_operators(refined_square)
+        M_i, _, _ = assemble_trace_operators(
+            TraceSpace.from_mesh(refined_square))
         dense = M_i.toarray()
         assert np.allclose(dense, dense.T)
         assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+class TestTraceSpace:
+    def test_compares_and_hashes_by_identity(self, refined_square):
+        a = TraceSpace.from_mesh(refined_square)
+        b = TraceSpace.from_mesh(refined_square)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 class TestInterpolate:
@@ -359,7 +388,7 @@ class TestTransfer:
         embedded = np.zeros(coarse.n_vertices)
         embedded[trace.vertex_ids] = q.values
         assert np.array_equal(q.embedded(), embedded)
-        qf = transfer_trace(q, fine)
+        qf = transfer_trace(q, TraceSpace.from_mesh(fine))
         assert np.array_equal(qf.values,
                               loop_transfer(embedded, fine)[qf.space.vertex_ids])
 
@@ -383,7 +412,7 @@ class TestTransfer:
         trace = TraceSpace.from_mesh(refined_square)
         q = interpolate(lambda x, y: 1.0 + 2.0 * x, trace)
         fine = bisect(refined_square, np.arange(refined_square.n_triangles))
-        qf = transfer_trace(q, fine)
+        qf = transfer_trace(q, TraceSpace.from_mesh(fine))
         xs = fine.vertices[qf.space.vertex_ids, 0]
         assert np.allclose(qf.values, 1.0 + 2.0 * xs, rtol=1e-14)
 

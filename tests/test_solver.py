@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import fluxrec.solver as solver
 from fluxrec.cli import cli_main
 from fluxrec.estimator import estimate
-from fluxrec.fem import FeFunction, FeSpace, TraceFunction
+from fluxrec.driver import LoopConfig, run_adaptive
+from fluxrec.fem import FeFunction, FeSpace, TraceFunction, TraceSpace
 from fluxrec.mesh import BoundaryTag, Mesh, bisect
-from fluxrec.problems import BUILTIN_NAMES
+from fluxrec.problems import BUILTIN_NAMES, generate_measurement
 from fluxrec.solver import (
     DiscreteSystem,
     SolverError,
@@ -37,7 +38,7 @@ from helpers import (
 
 
 def zero_trace(system):
-    return TraceFunction(system.trace, np.zeros(system.trace.n_dofs))
+    return TraceFunction(system.ops.trace, np.zeros(system.ops.trace.n_dofs))
 
 
 class TestSolveState:
@@ -61,13 +62,14 @@ class TestSolveState:
 
     def test_matches_dense_solve(self, smooth_system):
         u = solve_state(zero_trace(smooth_system), smooth_system)
-        dense = np.linalg.solve(smooth_system.A.toarray(), smooth_system.F)
+        ops = smooth_system.ops
+        dense = np.linalg.solve(ops.A.toarray(), ops.F)
         assert np.abs(u.values - dense).max() < 1e-9
 
     def test_inner_cg_agrees_with_direct(self, smooth_system):
         q = zero_trace(smooth_system)
         u_direct = solve_state(q, smooth_system)
-        u_cg = inner_cg_solve(smooth_system.A, smooth_system.F)
+        u_cg = inner_cg_solve(smooth_system.ops.A, smooth_system.ops.F)
         assert np.abs(u_direct.values - u_cg).max() < 1e-8
 
 
@@ -100,16 +102,16 @@ class TestSolveCostate:
             coeffs=smooth_problem.coeffs, f=None, u_a=None,
             z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
-        u = FeFunction(system.space, np.zeros(system.space.n_dofs))
+        u = FeFunction(system.ops.space, np.zeros(system.ops.space.n_dofs))
         p = solve_costate(u, system)
         assert np.abs(p.values).max() < 1e-12
 
     def test_matches_dense_solve(self, smooth_system):
-        u = FeFunction(smooth_system.space,
-                       np.ones(smooth_system.space.n_dofs))
+        u = FeFunction(smooth_system.ops.space,
+                       np.ones(smooth_system.ops.space.n_dofs))
         p = solve_costate(u, smooth_system)
-        rhs = smooth_system.M_a @ u.values - smooth_system.Z
-        dense = np.linalg.solve(smooth_system.A.toarray(), rhs)
+        rhs = smooth_system.ops.M_a @ u.values - smooth_system.ops.Z
+        dense = np.linalg.solve(smooth_system.ops.A.toarray(), rhs)
         assert np.abs(p.values - dense).max() < 1e-9
 
 
@@ -138,28 +140,29 @@ class TestReducedGradient:
     def test_beta_term_linearity(self, smooth_system):
         """Doubling beta doubles the beta-term of M_i g at fixed q and p."""
         rng = np.random.default_rng(4)
-        q = rng.standard_normal(smooth_system.trace.n_dofs)
-        p = rng.standard_normal(smooth_system.space.n_dofs)
+        ops = smooth_system.ops
+        q = rng.standard_normal(ops.trace.n_dofs)
+        p = rng.standard_normal(ops.space.n_dofs)
         beta = smooth_system.beta
-        term1 = beta * (smooth_system.M_i @ q) - smooth_system.B.T @ p
-        term2 = 2 * beta * (smooth_system.M_i @ q) - smooth_system.B.T @ p
-        assert np.allclose(term2 - term1, beta * (smooth_system.M_i @ q))
+        term1 = beta * (ops.M_i @ q) - ops.B.T @ p
+        term2 = 2 * beta * (ops.M_i @ q) - ops.B.T @ p
+        assert np.allclose(term2 - term1, beta * (ops.M_i @ q))
 
     def test_finite_difference_check(self, smooth_system, settings):
         """Directional derivatives of J match (M_i g, w) to 1e-5 relative."""
         triplet = solve_optimality(smooth_system, settings)
         rng = np.random.default_rng(42)
-        q0 = TraceFunction(smooth_system.trace,
+        q0 = TraceFunction(smooth_system.ops.trace,
                            triplet.q.values + 0.1 * rng.standard_normal(
-                               smooth_system.trace.n_dofs))
+                               smooth_system.ops.trace.n_dofs))
         g = reduced_gradient(q0, smooth_system)
-        Mig = smooth_system.M_i @ g.values
+        Mig = smooth_system.ops.M_i @ g.values
         h = 1e-6
         for _ in range(10):
-            w = rng.standard_normal(smooth_system.trace.n_dofs)
+            w = rng.standard_normal(smooth_system.ops.trace.n_dofs)
             w /= np.linalg.norm(w)
-            qp = TraceFunction(smooth_system.trace, q0.values + h * w)
-            qm = TraceFunction(smooth_system.trace, q0.values - h * w)
+            qp = TraceFunction(smooth_system.ops.trace, q0.values + h * w)
+            qm = TraceFunction(smooth_system.ops.trace, q0.values - h * w)
             fd = (objective(qp, smooth_system, settings)
                   - objective(qm, smooth_system, settings)) / (2 * h)
             exact = float(Mig @ w)
@@ -185,10 +188,10 @@ class TestSolveOptimality:
         system = DiscreteSystem(refined_square,
                                 big.data(z=smooth_measurement))
         triplet = solve_optimality(system, settings)
-        u0 = FeFunction(system.space, system.solve_A(system.F))
+        u0 = FeFunction(system.ops.space, system.ops.solve_A(system.ops.F))
         p0 = solve_costate(u0, system)
         p0_trace = TraceFunction(
-            system.trace, p0.values[system.trace.vertex_ids])
+            system.ops.trace, p0.values[system.ops.trace.vertex_ids])
         assert trace_l2(triplet.q) <= 1e-4 * trace_l2(p0_trace)
 
     def test_matches_dense_monolithic_solve(self, smooth_system):
@@ -202,7 +205,7 @@ class TestSolveOptimality:
     def test_optimality_identity(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
         beta = smooth_system.beta
-        gi = smooth_system.trace.vertex_ids
+        gi = smooth_system.ops.trace.vertex_ids
         gap = np.abs(beta * triplet.q.values - triplet.p.values[gi]).max()
         scale = beta * np.abs(triplet.q.values).max() \
             + np.abs(triplet.p.values).max()
@@ -218,14 +221,14 @@ class TestSolveOptimality:
         scale = np.abs(triplet.q.values).max()
         for _ in range(20):
             pert = triplet.q.values + 1e-2 * scale * rng.standard_normal(
-                smooth_system.trace.n_dofs)
-            j = objective(TraceFunction(smooth_system.trace, pert),
+                smooth_system.ops.trace.n_dofs)
+            j = objective(TraceFunction(smooth_system.ops.trace, pert),
                           smooth_system, settings)
             assert j_star <= j + 1e-14
 
     def test_hessian_symmetry(self, smooth_system):
         rng = np.random.default_rng(12)
-        m = smooth_system.trace.n_dofs
+        m = smooth_system.ops.trace.n_dofs
         w1 = rng.standard_normal(m)
         w2 = rng.standard_normal(m)
         h1 = hessian_apply(w1, smooth_system)
@@ -259,8 +262,9 @@ class TestSolveOptimality:
         fine = bisect(refined_square, np.arange(refined_square.n_triangles))
         system1 = DiscreteSystem(fine, data)
         cold = solve_optimality(system1, settings)
-        warm = solve_optimality(system1, settings,
-                                warm_start=transfer_trace(t0.q, fine))
+        warm = solve_optimality(
+            system1, settings,
+            warm_start=transfer_trace(t0.q, system1.ops.trace))
         scale = np.abs(cold.q.values).max()
         assert np.abs(cold.q.values - warm.q.values).max() < 1e-7 * scale
 
@@ -367,12 +371,12 @@ class TestSharedStateOperator:
             DiscreteSystem(fresh_copy(mesh32), data),
         ]
         for system in systems:
-            system.solve_A(system.F)
-        assert len({id(system.A) for system in systems}) == len(systems)
+            system.ops.solve_A(system.ops.F)
+        assert len({id(system.ops.A) for system in systems}) == len(systems)
         assert splu_shapes.count((mesh32.n_vertices,) * 2) == len(systems)
         shared = DiscreteSystem(mesh32,
                                 with_coeffs(data, beta=data.coeffs.beta / 7))
-        assert shared.A is systems[0].A
+        assert shared.ops.A is systems[0].ops.A
 
     def test_no_sharing_across_data_objects(self, mesh32, smooth_problem,
                                             smooth_measurement):
@@ -387,11 +391,11 @@ class TestSharedStateOperator:
             DiscreteSystem(mesh32, dataclasses.replace(
                 data, z=copy.copy(smooth_measurement))),
         ]
-        assert len({id(system._ops) for system in systems}) == len(systems)
+        assert len({id(system.ops) for system in systems}) == len(systems)
         assert len(mesh32.state_operators) == len(systems)
         shared = DiscreteSystem(mesh32,
                                 with_coeffs(data, beta=data.coeffs.beta / 7))
-        assert shared._ops is systems[0]._ops
+        assert shared.ops is systems[0].ops
 
     def test_triplets_match_unshared_solve_bitwise(
             self, mesh32, smooth_problem, smooth_measurement, settings):
@@ -400,7 +404,7 @@ class TestSharedStateOperator:
         first = DiscreteSystem(mesh32, data[0])
         solve_optimality(first, settings)
         second = DiscreteSystem(mesh32, data[1])
-        assert second.A is first.A
+        assert second.ops.A is first.ops.A
         shared = solve_optimality(second, settings)
         alone = solve_optimality(DiscreteSystem(fresh_copy(mesh32), data[1]),
                                  settings)
@@ -415,13 +419,13 @@ class TestSharedStateOperator:
         system = DiscreteSystem(mesh32, data)
         ind = estimate(solve_optimality(system, settings), data)
         assert len(mesh32.state_operators) == 1
-        ops = system._ops
-        matrices = (system.A, system.M_i, system.B, system.M_a)
+        ops = system.ops
+        matrices = (ops.A, ops.M_i, ops.B, ops.M_a)
         for arr in (*(m.data for m in matrices),
                     *(m.indices for m in matrices),
                     *(m.indptr for m in matrices),
-                    ops.p, ops.p_inv, system.F, system.Z, ops.b, ops.f_sq,
-                    ops.osc_f_sq, *ops.gamma_a_data, system.trace.vertex_ids,
+                    ops.p, ops.p_inv, ops.F, ops.Z, ops.b, ops.f_sq,
+                    ops.osc_f_sq, *ops.gamma_a_data, ops.trace.vertex_ids,
                     ind.osc_f_sq):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -459,6 +463,27 @@ class TestSharedStateOperator:
         for name in ("eta1_sq", "eta2_sq", "osc_f_sq", "osc_j1_sq",
                      "osc_j2_sq"):
             assert np.array_equal(getattr(alone, name), getattr(alive, name))
+
+    def test_one_trace_space_per_mesh(self, smooth_problem,
+                                      smooth_measurement, monkeypatch):
+        """Measurement generation and an adaptive run with true errors
+        build the trace space of each of their meshes once."""
+        built = []
+        from_mesh = TraceSpace.from_mesh
+
+        def counting(cls, mesh):
+            built.append(mesh)
+            return from_mesh(mesh)
+
+        monkeypatch.setattr(TraceSpace, "from_mesh", classmethod(counting))
+        generate_measurement(smooth_problem, extra_levels=2)
+        assert len(built) == 1
+        history = run_adaptive(smooth_problem, LoopConfig(
+            max_iters=4, tol=1e-12, record_true_errors=True),
+            measurement=smooth_measurement)
+        # the generation mesh, one per record and the overkill mesh
+        assert len(built) == len(history.records) + 2
+        assert len({id(mesh) for mesh in built}) == len(built)
 
     def test_repeated_runs_write_identical_files(self, tmp_path):
         """Two ``fluxrec run`` calls in one process share no state that
@@ -499,11 +524,11 @@ class TestNestedDissection:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                               label="seed"))
         rhs = rng.standard_normal(mesh.n_vertices)
-        x = system.solve_A(rhs)
-        ref = default_order_factor(system.A).solve(rhs)
+        x = system.ops.solve_A(rhs)
+        ref = default_order_factor(system.ops.A).solve(rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         # gathering with the inverse order equals scattering with the order
-        state = system._ops
+        state = system.ops
         scattered = np.empty_like(rhs)
         scattered[state.p] = state.lu.solve(rhs[state.p])
         assert np.array_equal(x, scattered)
@@ -519,9 +544,9 @@ class TestNestedDissection:
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
         assert mesh.n_triangles == 65_536
         system = DiscreteSystem(mesh, smooth_problem.data())
-        system.solve_A(system.F)
-        lu = system._ops.lu
-        ref = default_order_factor(system.A)
+        system.ops.solve_A(system.ops.F)
+        lu = system.ops.lu
+        ref = default_order_factor(system.ops.A)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (ref.L.nnz + ref.U.nnz)
 
 
@@ -534,18 +559,18 @@ class TestMeasurementMoments:
         mesh = random_nvb_mesh(problem.initial_mesh(), data)
         system = DiscreteSystem(mesh, pdata)
         Z, z_sq = two_pass_measurement_moments(mesh, pdata.z)
-        assert np.array_equal(system.Z, Z)
-        assert system.z_sq == z_sq
+        assert np.array_equal(system.ops.Z, Z)
+        assert system.ops.z_sq == z_sq
 
 
 class TestResidualApply:
     def test_galerkin_orthogonality(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
-        n = smooth_system.space.n_dofs
-        scale = (np.abs(smooth_system.F).max()
-                 + np.abs(smooth_system.A @ triplet.u.values).max())
+        n = smooth_system.ops.space.n_dofs
+        scale = (np.abs(smooth_system.ops.F).max()
+                 + np.abs(smooth_system.ops.A @ triplet.u.values).max())
         for i in range(n):
-            basis = FeFunction(smooth_system.space,
+            basis = FeFunction(smooth_system.ops.space,
                                np.eye(n)[i])
             r_state = residual_apply(triplet, basis, "state", smooth_system)
             r_costate = residual_apply(triplet, basis, "costate",
@@ -555,8 +580,8 @@ class TestResidualApply:
 
     def test_zero_test_function(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
-        zero = FeFunction(smooth_system.space,
-                          np.zeros(smooth_system.space.n_dofs))
+        zero = FeFunction(smooth_system.ops.space,
+                          np.zeros(smooth_system.ops.space.n_dofs))
         assert residual_apply(triplet, zero, "state", smooth_system) == 0.0
 
     def test_fine_hat_function_bounded_by_estimator(self, smooth_system,
@@ -564,7 +589,7 @@ class TestResidualApply:
         """A hat on a new fine vertex sees a generally nonzero residual,
         bounded by the indicator-weighted local norms."""
         triplet = solve_optimality(smooth_system, settings)
-        mesh = smooth_system.mesh
+        mesh = smooth_system.ops.mesh
         fine = bisect(mesh, np.arange(mesh.n_triangles))
         values = []
         for v in range(mesh.n_vertices, fine.n_vertices):
