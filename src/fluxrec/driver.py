@@ -4,7 +4,7 @@ Each iteration solves the discrete optimality system on the current mesh,
 computes the residual indicators and oscillations, marks elements and
 bisects them.  The loop stops on the equidistribution terminate flag, when
 the estimator falls below the tolerance, or when it runs out of iterations
-or triangles.
+or the next mesh would exceed the triangle cap, which it does not build.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .estimator import ElementIndicators, estimate
 from .fem import TraceFunction, prolong, transfer_trace
 from .fem import _boundary_mass, _mass, _stiffness
 from .marking import STRATEGIES, MarkingDecision, check_theta, mark
-from .mesh import BoundaryTag, Mesh, bisect
+from .mesh import BoundaryTag, Mesh, bisect, nvb_closure
 from .problems import (
     MEASUREMENT_LEVELS,
     Measurement,
@@ -163,12 +163,11 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             history.stop_reason = "zero_marking"
             break
 
-        fine = bisect(mesh, decision.marked)
-        if fine.n_triangles > config.max_triangles:
+        if nvb_closure(mesh, decision.marked)[1] > config.max_triangles:
             history.stop_reason = "max_triangles"
             break
         coarse_q = triplet.q
-        mesh = fine
+        mesh = bisect(mesh, decision.marked)
 
     # every loop exit happens before the refinement step, so this is the
     # mesh of the last recorded solve

@@ -4,6 +4,8 @@ identical runs produce byte-identical files."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .driver import AdaptiveHistory
 from .fem import FeFunction, TraceFunction
 from .mesh import BoundaryTag, Mesh, boundary_arclength
@@ -60,27 +62,19 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
     for name, fun in fields.items():
         if not isinstance(fun, FeFunction) or fun.mesh is not mesh:
             raise ValueError(f"field {name!r} does not live on the given mesh")
-    n = mesh.n_vertices
-    m = mesh.n_triangles
-    out = []
-    out.append("# vtk DataFile Version 2.0")
-    out.append(title)
-    out.append("ASCII")
-    out.append("DATASET UNSTRUCTURED_GRID")
-    out.append(f"POINTS {n} double")
-    z = _fmt(0.0)
-    out.extend(f"{_fmt(x)} {_fmt(y)} {z}" for x, y in mesh.vertices)
+    n, m, z = mesh.n_vertices, mesh.n_triangles, _fmt(0.0)
+    # rows as Python lists: no numpy scalar is unpacked or formatted
+    out = ["# vtk DataFile Version 2.0", title, "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
+    out.extend(f"{_fmt(x)} {_fmt(y)} {z}" for x, y in mesh.vertices.tolist())
     out.append(f"CELLS {m} {4 * m}")
-    for a, b, c in mesh.triangles:
-        out.append(f"3 {a} {b} {c}")
-    out.append(f"CELL_TYPES {m}")
-    out.extend(["5"] * m)
+    out.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
+    out += [f"CELL_TYPES {m}"] + ["5"] * m
     if fields:
         out.append(f"POINT_DATA {n}")
         for name, fun in fields.items():
-            out.append(f"SCALARS {name} double 1")
-            out.append("LOOKUP_TABLE default")
-            out.extend(_fmt(v) for v in fun.values)
+            out += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            out.extend(_fmt(v) for v in fun.values.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -88,15 +82,15 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
 def export_flux_txt(q: TraceFunction, path) -> None:
     """Write the flux as two-column 'arclength value' text, walking GammaI."""
     vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
-    values = q.embedded()[vertex_ids]
-    lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in zip(t, values)]
+    rows = np.column_stack([t, q.embedded()[vertex_ids]]).tolist()
+    lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_measurement(measurement: Measurement, path) -> None:
     """One line per sample: 'x y value', arc-length ordered."""
-    lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(v)}"
-             for (x, y), v in zip(measurement.points, measurement.values)]
+    rows = np.column_stack([measurement.points, measurement.values]).tolist()
+    lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for x, y, v in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

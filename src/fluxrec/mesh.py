@@ -124,6 +124,7 @@ class Mesh:
         self.level = int(level)
         self.root = object() if root is None else root
         self.state_operators = weakref.WeakValueDictionary()
+        self._last_closure = None
 
         self._validate_geometry()
         self._build_face_table(edge_tags)
@@ -178,16 +179,21 @@ class Mesh:
                             f"got {tags.dtype} of shape {tags.shape}")
         tags = tags.astype(np.int64).ravel()
         # edge k of triangle i at 3i + k, from local vertex k+1 to k+2, so a
-        # face occurs first in its lower triangle and last in its upper one
+        # face occurs first in its lower triangle and last in its upper one:
+        # at the least and greatest positions of its key, whatever the order
+        # of equal keys in the one sort
         a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
         keys = np.minimum(a, b) * n + np.maximum(a, b)
-        uniq, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True)
-        last = np.zeros_like(first)
-        np.maximum.at(last, inverse, np.arange(3 * m))
-        faces = np.column_stack(np.divmod(uniq, n))
+        order = np.argsort(keys)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(np.diff(keys[order], prepend=-1) != 0) - 1
+        counts, pos = np.bincount(inverse), np.arange(3 * m)
+        first, last = np.full(counts.size, 3 * m), np.zeros_like(counts)
+        np.minimum.at(first, inverse, pos)
+        np.maximum.at(last, inverse, pos)
+        faces = np.column_stack(np.divmod(keys[first], n))
         boundary = counts == 1
-        valid = np.isin(tags, list(BoundaryTag))
+        valid = (tags >= min(BoundaryTag)) & (tags <= max(BoundaryTag))
         interior = tags == int(BoundaryTag.INTERIOR)
         _reject(faces, counts > 2, "non-manifold faces (in 3+ triangles)")
         _reject(faces, ~(valid[first] & valid[last]),
@@ -305,48 +311,63 @@ def _longest_edge_labels(vertices, triangles) -> np.ndarray:
     return opp_ids.argmin(axis=1).astype(np.int64)
 
 
+def nvb_closure(mesh: Mesh, marked):
+    """The faces :func:`bisect` cuts for ``marked``, and its triangle count.
+
+    The refinement edges of the marked triangles are cut, closed under "a
+    cut edge of a triangle cuts its refinement edge"; a triangle with ``k``
+    cut edges has ``k + 1`` children.  Returns the read-only face mask and
+    the child count.  The mesh keeps the last result, so a size check and
+    the bisection of one marking close it once.
+    """
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
+        raise MeshError("marked triangle id out of range")
+    last = mesh._last_closure
+    if last is not None and np.array_equal(last[0], marked):
+        return last[1:]
+    ref = mesh.tri_faces[np.arange(mesh.n_triangles), mesh.refinement_edge]
+    split = np.zeros(mesh.n_faces, dtype=bool)
+    split[ref[marked]] = True
+    while True:
+        cut = split[mesh.tri_faces]
+        pending = (cut[:, 0] | cut[:, 1] | cut[:, 2]) & ~split[ref]
+        if not pending.any():
+            break
+        split[ref[pending]] = True
+    split.setflags(write=False)
+    mesh._last_closure = (marked, split, mesh.n_triangles + int(cut.sum()))
+    return mesh._last_closure[1:]
+
+
 def bisect(mesh: Mesh, marked) -> Mesh:
     """Bisect the marked triangles by newest-vertex bisection (NVB).
 
     This is the array form of ``refineNVB`` from Funken, Praetorius and
     Wissgott, "Efficient implementation of adaptive P1-FEM in Matlab"
-    (CMAM 2011).  The refinement edges of the marked triangles are marked
-    on the face table, and the marking is closed under "a marked edge of a
-    triangle marks its refinement edge".  Every marked edge gets one
-    midpoint, numbered after the existing vertices in face order, so all new
-    vertices have both parents in the input mesh.  Each triangle then splits
-    by its pattern of marked edges into 1, 2, 3 or 4 children; the midpoint
-    a child was cut off by is its newest vertex, and every bisection adds 1
-    to the generation.  A child edge that lies on an edge of its parent,
-    whole or halved, inherits that edge's tag, so a split boundary face
-    gives two faces with its tag; the new bisection edges are interior.
-    The result is the smallest conforming NVB refinement that bisects every
-    marked triangle, whatever the order of the marking.
+    (CMAM 2011).  Every face that :func:`nvb_closure` cuts gets one
+    midpoint, numbered after the existing vertices in face order.  Each
+    triangle splits by its pattern of cut edges into 1, 2, 3 or 4 children;
+    the midpoint a child was cut off by is its newest vertex, and every
+    bisection adds 1 to the generation.  A child edge on an edge of its
+    parent, whole or halved, inherits that edge's tag; the new bisection
+    edges are interior.  The result is the smallest conforming NVB
+    refinement bisecting every marked triangle, whatever the marking's order.
 
     ``marked`` is an array-like of triangle ids (a list or an integer
     array of any width; repeats are ignored).  Output triangles are stored
     newest vertex first (refinement edge 0).  Returns a new mesh; with an
     empty marking the input mesh is returned unchanged.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
-    if marked.size == 0:
+    split, _ = nvb_closure(mesh, marked)
+    if not split.any():
         return mesh
-    if marked.min() < 0 or marked.max() >= mesh.n_triangles:
-        raise MeshError("marked triangle id out of range")
 
     # rotate to (newest vertex, refinement edge start, refinement edge end);
     # column k of ``edge`` stays the face opposite local vertex k
     rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
     p, a, b = np.take_along_axis(mesh.triangles, rot, axis=1).T
     edge = np.take_along_axis(mesh.tri_faces, rot, axis=1)
-
-    split = np.zeros(mesh.n_faces, dtype=bool)
-    split[edge[marked, 0]] = True
-    while True:
-        pending = (split[edge[:, 1]] | split[edge[:, 2]]) & ~split[edge[:, 0]]
-        if not pending.any():
-            break
-        split[edge[pending, 0]] = True
 
     cut = np.flatnonzero(split)
     n = mesh.n_vertices

@@ -169,13 +169,13 @@ def _read_only(*arrays):
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
     read-only: the P1 and trace spaces of the mesh, the operators and the
-    data terms.  The SPD ``A`` is assembled on first read and factored on
-    the first solve, in the nested-dissection order ``p`` computed then,
-    without pivoting; an estimate alone builds neither.  ``F`` and the
-    estimator's volume terms come from one sampling of ``f``; the ``M_i``
-    factor, ``b`` and the estimator's GammaA data are built on first use.
-    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
-    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
+    data terms.  ``F`` and the estimator's volume terms come from one
+    sampling of ``f`` at construction, the rest on first read, so an
+    estimate alone builds no operator.  The SPD ``A`` is factored on the
+    first solve without pivoting, in the nested-dissection order ``p``
+    computed then.  ``f``, ``u_a`` and ``z`` are held, so their ids stay
+    unique; of ``coeffs`` only alpha and gamma, which the key fixes, are
+    read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
@@ -183,8 +183,6 @@ class _MeshOperators:
         self.coeffs = data.coeffs
         self.lu = self._Mi_lu = None
         self.space = FeSpace(mesh)
-        self.trace = TraceSpace.from_mesh(mesh)
-        self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
         fv = midpoint_samples(mesh, data.f)
         self.F = assemble_load(mesh, fv, data.u_a, data.coeffs)
         # for P1 and constant alpha the state volume residual is f: the
@@ -194,15 +192,23 @@ class _MeshOperators:
         self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
-        self.Z, self.z_sq = None, 0.0
-        if data.z is not None:
-            self.Z, self.z_sq = boundary_load(mesh, data.z,
-                                              BoundaryTag.GAMMA_A,
-                                              "measurement z")
+        _read_only(self.F, self.f_sq, self.osc_f_sq)
+
+    def __getattr__(self, name):
+        # reached for unset attributes only, which it builds on first read
+        if name == "trace":
+            self.trace = TraceSpace.from_mesh(self.mesh)
+        elif name in ("M_i", "B", "M_a"):
+            self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
+            _read_only(*(getattr(m, k) for m in (self.M_i, self.B, self.M_a)
+                         for k in ("data", "indices", "indptr")))
+        elif name in ("Z", "z_sq"):
+            self.Z, self.z_sq = boundary_load(
+                self.mesh, self.z, BoundaryTag.GAMMA_A, "measurement z")
             _read_only(self.Z)
-        _read_only(self.F, self.f_sq, self.osc_f_sq,
-                   *(getattr(m, name) for m in (self.M_i, self.B, self.M_a)
-                     for name in ("data", "indices", "indptr")))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     @cached_property
     def A(self):
@@ -228,7 +234,7 @@ class _MeshOperators:
         return self._Mi_lu.solve(rhs)
 
     def require_z(self):
-        if self.Z is None:
+        if self.z is None:
             raise ValueError("problem data carries no measurement z")
 
     @cached_property

@@ -5,7 +5,8 @@ coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve, newest-vertex bisection from a
 recursive loop over Python dicts, the face table from two sorts, a dict of
-boundary tags and centroid-oriented normals, the boundary chains from an
+boundary tags and centroid-oriented normals and its sort from
+``np.unique``, the VTK file from numpy rows, the boundary chains from an
 adjacency dict, prolongation from a loop over vertices, norms and true
 errors from per-triangle and per-face formulas, state solves from
 unpreconditioned conjugate gradients and from SuperLU in its default
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
 from fluxrec.estimator import ElementIndicators
+from fluxrec.export import _fmt
 from fluxrec.fem import (
     GAUSS2_POINTS,
     GAUSS2_WEIGHTS,
@@ -640,6 +642,29 @@ def _unique_edges(triangles, n_vertices):
     return faces, inverse.reshape(3, -1).T.copy(), counts
 
 
+def unique_face_table(triangles, edge_tags, n_vertices) -> dict:
+    """Oracle for the sort of the :class:`Mesh` face table: the former
+    ``np.unique`` of the triangle-major edge keys with first index, inverse
+    and counts (a stable sort), and the last occurrence by
+    ``np.maximum.at``.  Returns ``faces``, ``tri_faces``, ``face_tris``
+    and ``face_tags``; no validation.
+    """
+    t = np.asarray(triangles, dtype=np.int64)
+    m = t.shape[0]
+    a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+    keys = np.minimum(a, b) * n_vertices + np.maximum(a, b)
+    uniq, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    last = np.zeros_like(first)
+    np.maximum.at(last, inverse, np.arange(3 * m))
+    return dict(
+        faces=np.column_stack(np.divmod(uniq, n_vertices)),
+        tri_faces=inverse.reshape(m, 3),
+        face_tris=np.column_stack([first // 3,
+                                   np.where(counts == 1, -1, last // 3)]),
+        face_tags=np.asarray(edge_tags, dtype=np.int64).ravel()[first])
+
+
 def dict_face_table(vertices, triangles, boundary_tags) -> dict:
     """Oracle for the face table of :class:`Mesh`, from a dict of tags.
 
@@ -744,6 +769,39 @@ def dict_boundary_paths(mesh: Mesh, tag: BoundaryTag):
         raise MeshError("tagged boundary part contains a closed loop")
     paths.sort(key=lambda ch: coord(ch[0]))
     return paths
+
+
+def row_export_vtk(mesh: Mesh, fields: dict, path,
+                   title="fluxrec output") -> None:
+    """Oracle for :func:`fluxrec.export.export_vtk`: the former writer,
+    which unpacks the numpy rows of the vertex, triangle and field arrays
+    one at a time."""
+    for name, fun in fields.items():
+        if not isinstance(fun, FeFunction) or fun.mesh is not mesh:
+            raise ValueError(f"field {name!r} does not live on the given mesh")
+    n = mesh.n_vertices
+    m = mesh.n_triangles
+    out = []
+    out.append("# vtk DataFile Version 2.0")
+    out.append(title)
+    out.append("ASCII")
+    out.append("DATASET UNSTRUCTURED_GRID")
+    out.append(f"POINTS {n} double")
+    z = _fmt(0.0)
+    out.extend(f"{_fmt(x)} {_fmt(y)} {z}" for x, y in mesh.vertices)
+    out.append(f"CELLS {m} {4 * m}")
+    for a, b, c in mesh.triangles:
+        out.append(f"3 {a} {b} {c}")
+    out.append(f"CELL_TYPES {m}")
+    out.extend(["5"] * m)
+    if fields:
+        out.append(f"POINT_DATA {n}")
+        for name, fun in fields.items():
+            out.append(f"SCALARS {name} double 1")
+            out.append("LOOKUP_TABLE default")
+            out.extend(_fmt(v) for v in fun.values)
+    with open(path, "w") as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 def angles(mesh: Mesh) -> np.ndarray:

@@ -29,6 +29,7 @@ from helpers import (
     format_config,
     graded_mesh,
     read_measurement,
+    row_export_vtk,
 )
 
 
@@ -216,6 +217,25 @@ class TestVtkExport:
         _, _, fields = parse_vtk(path.read_text())
         assert set(fields) == {"state", "costate"}
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_bytes_match_row_oracle(self, tmp_path, name):
+        """Byte-identical to the writer of numpy rows, with NaN, -0.0 and
+        infinities among the field values."""
+        mesh = graded_mesh(builtin_problem(name).initial_mesh(), seed=5)
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((2, mesh.n_vertices)) \
+            * 1e3 ** rng.integers(-3, 4, size=(2, mesh.n_vertices))
+        fields = {k: FeFunction(FeSpace(mesh), v)
+                  for k, v in zip(("u", "p"), values)}
+        # FeFunction rejects non-finite values; the writer formats any
+        values[0, :4] = [np.nan, -0.0, np.inf, -np.inf]
+        fields["u"].values = values[0]
+        for f in (fields, {}):
+            export_vtk(mesh, f, tmp_path / "new.vtk", title=name)
+            row_export_vtk(mesh, f, tmp_path / "old.vtk", title=name)
+            assert (tmp_path / "new.vtk").read_bytes() == \
+                (tmp_path / "old.vtk").read_bytes()
+
     def test_field_mesh_mismatch(self, tmp_path, square_mesh,
                                  refined_square):
         u = FeFunction(FeSpace(refined_square),
@@ -264,6 +284,14 @@ class TestFluxExport:
 
 
 class TestMeasurementFile:
+    def test_bytes_match_numpy_rows(self, tmp_path, smooth_measurement):
+        path = tmp_path / "meas.txt"
+        write_measurement(smooth_measurement, path)
+        expected = "".join(
+            f"{x:.16e} {y:.16e} {v:.16e}\n" for (x, y), v in
+            zip(smooth_measurement.points, smooth_measurement.values))
+        assert path.read_bytes() == expected.encode()
+
     def test_round_trip(self, tmp_path, smooth_measurement):
         path = tmp_path / "meas.txt"
         write_measurement(smooth_measurement, path)

@@ -16,7 +16,7 @@ from fluxrec.fem import (
     TraceSpace,
     prolong,
 )
-from fluxrec.problems import builtin_problem
+from fluxrec.problems import builtin_problem, generate_measurement
 from fluxrec.solver import OptimalTriplet, SolverSettings
 
 from helpers import nvb_chain, run_uniform, three_transfer_true_errors
@@ -77,6 +77,38 @@ class TestRunAdaptive:
                             measurement=smooth_measurement)
         assert hist.stop_reason == "max_triangles"
         assert hist.column("n_triangles").max() <= 30
+
+    @pytest.mark.parametrize("name", ["square_jump", "lshape_spike"])
+    def test_cap_builds_no_mesh_over_it(self, name, monkeypatch):
+        """The loop stops before it bisects past the cap, with the history
+        of a loop that built the refused mesh and dropped it."""
+        problem = builtin_problem(name)
+        measurement = generate_measurement(problem, extra_levels=6)
+        config = LoopConfig(strategy="maximum", tol=1e-12, max_iters=40,
+                            max_triangles=300)
+        plain = run_adaptive(problem, config, measurement=measurement)
+        built, bisect = [], driver.bisect
+
+        def recording(mesh, marked):
+            built.append(bisect(mesh, marked))
+            return built[-1]
+
+        monkeypatch.setattr(driver, "bisect", recording)
+        hist = run_adaptive(problem, config, measurement=measurement)
+        assert hist.stop_reason == plain.stop_reason == "max_triangles"
+        assert [m.n_triangles for m in built] == \
+            [r.n_triangles for r in hist.records[1:]]
+        assert max(m.n_triangles for m in built) <= 300
+        assert hist.final_mesh is built[-1]
+        refused = bisect(hist.final_mesh, hist.records[-1].decision.marked)
+        assert refused.n_triangles > 300
+        columns = ("k", "n_vertices", "n_triangles", "n_flux_dofs", "eta",
+                   "eta1", "eta2", "osc", "objective", "cg_iterations")
+        assert [[getattr(r, c) for c in columns] for r in hist.records] == \
+            [[getattr(r, c) for c in columns] for r in plain.records]
+        for name in ("vertices", "triangles", "face_tags"):
+            assert np.array_equal(getattr(hist.final_mesh, name),
+                                  getattr(plain.final_mesh, name))
 
     def test_history_pins_no_mesh(self, smooth_problem, smooth_measurement,
                                   monkeypatch):

@@ -10,6 +10,7 @@ from fluxrec.mesh import (
     bisect,
     boundary_paths,
     build_initial_mesh,
+    nvb_closure,
 )
 
 from helpers import (
@@ -20,6 +21,7 @@ from helpers import (
     nvb_chain,
     patches,
     recursive_bisect,
+    unique_face_table,
 )
 
 
@@ -287,6 +289,87 @@ class TestFaceTableOracle:
                 assert getattr(new, name).dtype == old[name].dtype, name
                 assert getattr(new, name).tobytes() == old[name].tobytes(), \
                     name
+
+
+class TestFaceTableSort:
+    """The one unstable sort of the face table against ``np.unique``."""
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_matches_unique_oracle(self, domain, data):
+        """Bitwise on random NVB meshes, also with the triangles shuffled
+        and the vertices of each triangle cyclically rotated, so equal keys
+        meet in every order."""
+        mesh = nvb_chain(domain, data)[-1]
+        m = mesh.n_triangles
+        perm = np.array(data.draw(st.permutations(range(m)), label="perm"))
+        shift = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m,
+                                            max_size=m), label="shift"))
+        rot = (np.arange(3) + shift[:, None]) % 3
+        edge_tags = mesh.face_tags[mesh.tri_faces]
+        for tri, ref, tags in (
+                (mesh.triangles, mesh.refinement_edge, edge_tags),
+                (np.take_along_axis(mesh.triangles[perm], rot, axis=1),
+                 (mesh.refinement_edge[perm] - shift) % 3,
+                 np.take_along_axis(edge_tags[perm], rot, axis=1))):
+            new = Mesh(mesh.vertices, tri, ref, tags)
+            old = unique_face_table(tri, tags, mesh.n_vertices)
+            for name, arr in old.items():
+                assert getattr(new, name).dtype == arr.dtype, name
+                assert getattr(new, name).tobytes() == arr.tobytes(), name
+
+
+def _same_mesh(mesh):
+    """A new mesh object with the arrays of ``mesh``."""
+    return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
+                mesh.face_tags[mesh.tri_faces], mesh.generation,
+                mesh.vertex_parents, mesh.level, mesh.root)
+
+
+class TestNvbClosure:
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_count_and_faces_match_bisect(self, domain, data):
+        """The child count is the refined mesh's, and the cut faces are the
+        parent edges of the new vertices, for markings with repeats."""
+        mesh = nvb_chain(domain, data)[-1]
+        marked = data.draw(st.lists(st.integers(0, mesh.n_triangles - 1),
+                                    min_size=1, max_size=2 * mesh.n_triangles),
+                           label="marked")
+        split, n_fine = nvb_closure(mesh, marked)
+        fine = bisect(_same_mesh(mesh), marked)
+        assert n_fine == fine.n_triangles
+        assert np.array_equal(fine.vertex_parents[mesh.n_vertices:],
+                              mesh.faces[split])
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=20, deadline=None)
+    def test_kept_closure_only_for_its_marking(self, domain, data):
+        """A bisection after the closure of another marking equals one on a
+        fresh mesh object."""
+        mesh = nvb_chain(domain, data)[-1]
+        first, second = (data.draw(st.lists(
+            st.integers(0, mesh.n_triangles - 1), min_size=1,
+            max_size=mesh.n_triangles), label=label)
+            for label in ("first", "second"))
+        nvb_closure(mesh, first)
+        fine, fresh = bisect(mesh, second), bisect(_same_mesh(mesh), second)
+        assert np.array_equal(fine.triangles, fresh.triangles)
+        assert np.array_equal(fine.vertices, fresh.vertices)
+        assert nvb_closure(mesh, second[::-1])[1] == fresh.n_triangles
+
+    def test_empty_marking(self, lshape_mesh):
+        split, n_fine = nvb_closure(lshape_mesh, [])
+        assert not split.any() and n_fine == lshape_mesh.n_triangles
+
+    def test_result_read_only(self, square_mesh):
+        split, _ = nvb_closure(square_mesh, [0])
+        with pytest.raises(ValueError):
+            split[0] = False
+
+    def test_out_of_range(self, square_mesh):
+        with pytest.raises(MeshError, match="out of range"):
+            nvb_closure(square_mesh, [0, -1])
 
 
 def square_edge_tags(square_mesh):

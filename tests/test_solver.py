@@ -464,6 +464,41 @@ class TestSharedStateOperator:
                      "osc_j2_sq"):
             assert np.array_equal(getattr(alone, name), getattr(alive, name))
 
+    def test_estimate_alone_builds_no_trace_operators(
+            self, mesh32, smooth_problem, smooth_measurement, settings,
+            monkeypatch):
+        """Once the system is gone, an estimate builds neither the trace
+        space nor ``M_i``, ``B``, ``M_a``, ``Z`` and ``z_sq``; a solve on
+        the new operator object builds each of them once."""
+        data = smooth_problem.data(z=smooth_measurement)
+        system = DiscreteSystem(mesh32, data)
+        triplet = solve_optimality(system, settings)
+        alive = estimate(triplet, data)
+        del system
+        gc.collect()
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("assemble_trace_operators", "boundary_load"):
+            monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+        from_mesh = TraceSpace.from_mesh.__func__
+        monkeypatch.setattr(TraceSpace, "from_mesh",
+                            classmethod(counted(from_mesh)))
+        alone = estimate(triplet, data)
+        assert calls == []
+        assert np.array_equal(alone.eta_sq, alive.eta_sq)
+        system = DiscreteSystem(mesh32, data)
+        again = solve_optimality(system, settings)
+        objective(again.q, system, settings, u=again.u)
+        assert sorted(calls) == ["assemble_trace_operators", "boundary_load",
+                                 "from_mesh"]
+        assert np.array_equal(again.q.values, triplet.q.values)
+
     def test_one_trace_space_per_mesh(self, smooth_problem,
                                       smooth_measurement, monkeypatch):
         """Measurement generation and an adaptive run with true errors
