@@ -17,7 +17,6 @@ from .estimator import ElementIndicators, estimate
 from .fem import (
     CoefficientSet,
     FeFunction,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     assemble_bilinear,

@@ -39,12 +39,17 @@ def read_history_csv(path):
     """Parse a history CSV back into a list of column dicts."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"history CSV {path} is empty")
     header = lines[0].split(",")
     if header != CSV_HEADER.split(","):
         raise ValueError(f"unexpected CSV header in {path}")
     rows = []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: row {k} has {len(parts)} fields, "
+                             f"the header {len(header)}")
         row = {}
         for name, val in zip(header, parts):
             row[name] = int(val) if name.startswith(("iter", "n_")) \

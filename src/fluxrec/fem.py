@@ -1,4 +1,4 @@
-"""P1 finite element spaces, assembly and prolongation on triangular meshes.
+"""P1 finite element functions, assembly and prolongation on triangular meshes.
 
 The bilinear form is the weighted inner product
 ``a(u, v) = (alpha grad u, grad v) + (gamma u, v)_{Gamma_a}``;
@@ -47,17 +47,6 @@ class CoefficientSet:
                 raise ValueError(f"coefficient {name} must be > 0")
 
 
-@dataclass(frozen=True)
-class FeSpace:
-    """Vertex-based P1 space; one dof per mesh vertex."""
-
-    mesh: Mesh
-
-    @property
-    def n_dofs(self) -> int:
-        return self.mesh.n_vertices
-
-
 @dataclass(frozen=True, eq=False)
 class TraceSpace:
     """Restriction of the P1 space to the inaccessible boundary.
@@ -95,17 +84,14 @@ def _check_values(values, n, what):
 
 @dataclass
 class FeFunction:
-    """Nodal P1 function: one coefficient per mesh vertex."""
+    """Nodal P1 function on a mesh: one coefficient per vertex."""
 
-    space: FeSpace
+    mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _check_values(self.values, self.space.n_dofs, "FeFunction")
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.space.mesh
+        self.values = _check_values(self.values, self.mesh.n_vertices,
+                                    "FeFunction")
 
 
 @dataclass
@@ -279,15 +265,15 @@ def assemble_trace_operators(trace: TraceSpace):
     return B[trace.vertex_ids], B, _boundary_mass(mesh, BoundaryTag.GAMMA_A)
 
 
-def interpolate(fun, space) -> "FeFunction | TraceFunction":
-    """Nodal (Lagrange) interpolation of a callable onto a space."""
-    if isinstance(space, TraceSpace):
-        pts = space.mesh.vertices[space.vertex_ids]
-        vals = _eval_data(fun, pts[:, 0], pts[:, 1], "interpolated data")
-        return TraceFunction(space, vals)
-    pts = space.mesh.vertices
-    vals = _eval_data(fun, pts[:, 0], pts[:, 1], "interpolated data")
-    return FeFunction(space, vals)
+def interpolate(fun, target) -> "FeFunction | TraceFunction":
+    """Nodal interpolation of a callable: an :class:`FeFunction` on a
+    :class:`Mesh`, a :class:`TraceFunction` on a :class:`TraceSpace`."""
+    if isinstance(target, TraceSpace):
+        pts, kind = target.mesh.vertices[target.vertex_ids], TraceFunction
+    else:
+        pts, kind = target.vertices, FeFunction
+    return kind(target, _eval_data(fun, pts[:, 0], pts[:, 1],
+                                   "interpolated data"))
 
 
 def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:

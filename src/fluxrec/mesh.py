@@ -89,8 +89,6 @@ class Mesh:
         runs counterclockwise from local vertex ``k+1`` to ``k+2`` (mod 3).
         An edge of one triangle (a boundary face) carries ``GAMMA_A`` or
         ``GAMMA_I``, an edge shared by two triangles ``INTERIOR``.
-    generation : (m,) int array, optional
-        Bisection depth per triangle (0 for an initial mesh).
     vertex_parents : (n, 2) int array, optional
         For vertices created as edge midpoints, the ids of the edge
         endpoints; (-1, -1) for vertices of the initial mesh.
@@ -101,23 +99,19 @@ class Mesh:
     The constructor builds the face table from one sort of the edges:
     ``faces`` (sorted vertex pairs), ``tri_faces`` (the face of each local
     edge), ``face_tris`` (lower and upper triangle, -1 on the boundary),
-    ``face_tags`` and ``face_normals`` (unit, out of the lower triangle).
-    The instance is treated as immutable: :func:`bisect` returns a new mesh.
-    ``state_operators`` is a weak map through which the solver shares the
-    beta-independent operators of one set of data, with their factors and
-    data samples, between the live systems and estimates on this mesh
-    (see :func:`fluxrec.solver.mesh_operators`); it keeps nothing alive.
+    ``face_tags`` and ``face_normals`` (unit, out of the lower triangle),
+    all read-only; :func:`bisect` returns a new mesh.  ``state_operators``
+    is a weak map through which the solver shares the beta-independent
+    operators of one set of data, with their factors and data samples,
+    between the live systems and estimates on this mesh (see
+    :func:`fluxrec.solver.mesh_operators`); it keeps nothing alive.
     """
 
     def __init__(self, vertices, triangles, refinement_edge, edge_tags,
-                 generation=None, vertex_parents=None, level=0, root=None):
+                 vertex_parents=None, level=0, root=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
-        m = self.triangles.shape[0]
-        if generation is None:
-            generation = np.zeros(m, dtype=np.int64)
-        self.generation = np.ascontiguousarray(generation, dtype=np.int64)
         if vertex_parents is None:
             vertex_parents = np.full((self.n_vertices, 2), -1, dtype=np.int64)
         self.vertex_parents = np.ascontiguousarray(vertex_parents, dtype=np.int64)
@@ -129,9 +123,9 @@ class Mesh:
         self._validate_geometry()
         self._build_face_table(edge_tags)
         for arr in (self.vertices, self.triangles, self.refinement_edge,
-                    self.generation, self.vertex_parents, self.faces,
-                    self.face_tris, self.face_tags, self.face_normals,
-                    self.face_lengths, self.tri_faces, self._areas):
+                    self.vertex_parents, self.faces, self.face_tris,
+                    self.face_tags, self.face_normals, self.face_lengths,
+                    self.tri_faces, self._areas):
             arr.setflags(write=False)
 
     @property
@@ -348,11 +342,11 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     (CMAM 2011).  Every face that :func:`nvb_closure` cuts gets one
     midpoint, numbered after the existing vertices in face order.  Each
     triangle splits by its pattern of cut edges into 1, 2, 3 or 4 children;
-    the midpoint a child was cut off by is its newest vertex, and every
-    bisection adds 1 to the generation.  A child edge on an edge of its
-    parent, whole or halved, inherits that edge's tag; the new bisection
-    edges are interior.  The result is the smallest conforming NVB
-    refinement bisecting every marked triangle, whatever the marking's order.
+    the midpoint a child was cut off by is its newest vertex.  A child edge
+    on an edge of its parent, whole or halved, inherits that edge's tag;
+    the new bisection edges are interior.  The result is the smallest
+    conforming NVB refinement bisecting every marked triangle, whatever the
+    marking's order.
 
     ``marked`` is an array-like of triangle ids (a list or an integer
     array of any width; repeats are ignored).  Output triangles are stored
@@ -387,26 +381,23 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     t0, t1, t2 = mesh.face_tags[edge].T
     o = np.zeros_like(t0)
     children = (
-        (~refined, (p, a, b), (t0, t1, t2), 0),
-        (refined & ~left, (m0, p, a), (t2, t0, o), 1),
-        (left, (m2, m0, p), (o, t2, o), 2),
-        (left, (m2, a, m0), (t0, o, t2), 2),
-        (refined & ~right, (m0, b, p), (t1, o, t0), 1),
-        (right, (m1, m0, b), (t0, t1, o), 2),
-        (right, (m1, p, m0), (o, t1, o), 2),
+        (~refined, (p, a, b), (t0, t1, t2)),
+        (refined & ~left, (m0, p, a), (t2, t0, o)),
+        (left, (m2, m0, p), (o, t2, o)),
+        (left, (m2, a, m0), (t0, o, t2)),
+        (refined & ~right, (m0, b, p), (t1, o, t0)),
+        (right, (m1, m0, b), (t0, t1, o)),
+        (right, (m1, p, m0), (o, t1, o)),
     )
     triangles = np.concatenate([np.column_stack(tri)[sel]
-                                for sel, tri, _, _ in children])
+                                for sel, tri, _ in children])
     edge_tags = np.concatenate([np.column_stack(tags)[sel]
-                                for sel, _, tags, _ in children])
-    generation = np.concatenate([mesh.generation[sel] + depth
-                                 for sel, _, _, depth in children])
+                                for sel, _, tags in children])
     return Mesh(
         vertices,
         triangles,
         np.zeros(triangles.shape[0], dtype=np.int64),
         edge_tags,
-        generation=generation,
         vertex_parents=np.concatenate([mesh.vertex_parents, ends]),
         level=mesh.level + 1,
         root=mesh.root,

@@ -20,6 +20,9 @@ from .solver import DiscreteSystem, ProblemData, solve_state
 BUILTIN_NAMES = ("square_smooth", "square_jump", "lshape_spike")
 # default uniform refinements of the initial mesh that generate the data
 MEASUREMENT_LEVELS = 5
+# most point-segment pairs one block of a measurement lookup holds, which
+# bounds its memory whatever the sample and point counts
+_LOCATE_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,16 @@ class Measurement:
         self.points = np.asarray(self.points, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.arclength = np.asarray(self.arclength, dtype=float)
-        if not (len(self.points) == len(self.values) == len(self.arclength)):
-            raise ValueError("points, values and arclength must align")
+        n = self.arclength.size
+        for name, shape in (("points", (n, 2)), ("values", (n,)),
+                            ("arclength", (n,))):
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"measurement {name} must have shape "
+                                 f"{shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"measurement {name} has non-finite "
+                                 "entries")
         if np.any(np.diff(self.arclength) <= 0.0):
             raise ValueError("samples must be strictly ordered in arc length")
         # consecutive samples form a real boundary segment only when their
@@ -141,21 +152,32 @@ class Measurement:
         return out.reshape(shape)
 
     def _locate(self, pts, tol=1e-9):
-        """Arc-length parameter of points lying on the sample polyline."""
+        """Arc-length parameter of points lying on the sample polyline.
+
+        A point is placed on the first segment it lies on.  The points go
+        in blocks of at most ``_LOCATE_PAIRS`` point-segment pairs (at
+        least one point), so memory stays linear in the sample count.
+        """
         valid = np.flatnonzero(self._segments)
         a = self.points[:-1][valid]
         b = self.points[1:][valid]
         seg_len = np.hypot(*(b - a).T)
-        d_a = np.hypot(pts[:, None, 0] - a[None, :, 0],
-                       pts[:, None, 1] - a[None, :, 1])
-        d_b = np.hypot(pts[:, None, 0] - b[None, :, 0],
-                       pts[:, None, 1] - b[None, :, 1])
-        on_seg = d_a + d_b - seg_len[None, :] < tol
-        if not on_seg.any(axis=1).all():
-            raise ValueError("measurement evaluated off the sampled boundary")
-        which = on_seg.argmax(axis=1)
-        rows = np.arange(pts.shape[0])
-        return self.arclength[valid[which]] + d_a[rows, which]
+        step = max(1, _LOCATE_PAIRS // max(1, valid.size))
+        t = np.empty(pts.shape[0])
+        for lo in range(0, pts.shape[0], step):
+            block = pts[lo:lo + step]
+            d_a = np.hypot(block[:, None, 0] - a[None, :, 0],
+                           block[:, None, 1] - a[None, :, 1])
+            d_b = np.hypot(block[:, None, 0] - b[None, :, 0],
+                           block[:, None, 1] - b[None, :, 1])
+            on_seg = d_a + d_b - seg_len[None, :] < tol
+            if not on_seg.any(axis=1).all():
+                raise ValueError("measurement evaluated off the sampled "
+                                 "boundary")
+            which = on_seg.argmax(axis=1)
+            rows = np.arange(block.shape[0])
+            t[lo:lo + step] = self.arclength[valid[which]] + d_a[rows, which]
+        return t
 
 
 def generate_measurement(

@@ -21,7 +21,6 @@ from .fem import (
     GAUSS3_POINTS,
     CoefficientSet,
     FeFunction,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     _eval_data,
@@ -168,21 +167,20 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only: the P1 and trace spaces of the mesh, the operators and the
-    data terms.  ``F`` and the estimator's volume terms come from one
-    sampling of ``f`` at construction, the rest on first read, so an
-    estimate alone builds no operator.  The SPD ``A`` is factored on the
-    first solve without pivoting, in the nested-dissection order ``p``
-    computed then.  ``f``, ``u_a`` and ``z`` are held, so their ids stay
-    unique; of ``coeffs`` only alpha and gamma, which the key fixes, are
-    read."""
+    read-only: the mesh, which state and costate functions hold, its trace
+    space, the operators and the data terms.  ``F`` and the estimator's
+    volume terms come from one sampling of ``f`` at construction, the rest
+    on first read, so an estimate alone builds no operator.  The SPD ``A``
+    is factored on the first solve without pivoting, in the
+    nested-dissection order ``p`` computed then.  ``f``, ``u_a`` and ``z``
+    are held, so their ids stay unique; of ``coeffs`` only alpha and gamma,
+    which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
         self.lu = self._Mi_lu = None
-        self.space = FeSpace(mesh)
         fv = midpoint_samples(mesh, data.f)
         self.F = assemble_load(mesh, fv, data.u_a, data.coeffs)
         # for P1 and constant alpha the state volume residual is f: the
@@ -280,9 +278,9 @@ class DiscreteSystem:
     """The optimality system of ``data`` on one mesh.
 
     Only beta is its own.  ``ops`` is the shared :func:`mesh_operators`
-    object: the spaces, the weighted bilinear operator ``A``, the load
-    vector ``F``, the boundary mass matrices, the flux coupling ``B``, the
-    measurement moment vector ``Z_i = int_{GammaA} z phi_i`` and the
+    object: the mesh, its trace space, the bilinear operator ``A``, the
+    load vector ``F``, the boundary mass matrices, the flux coupling ``B``,
+    the measurement moment vector ``Z_i = int_{GammaA} z phi_i`` and the
     factors of ``A`` and ``M_i``, so a sweep over beta on one mesh
     assembles, samples the data and factors once.
     """
@@ -299,14 +297,14 @@ class DiscreteSystem:
 def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
     """Forward solve ``A u = F - B q`` for the temperature field."""
     ops = system.ops
-    return FeFunction(ops.space, ops.solve_A(ops.F - ops.B @ q.values))
+    return FeFunction(ops.mesh, ops.solve_A(ops.F - ops.B @ q.values))
 
 
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
     ops = system.ops
     ops.require_z()
-    return FeFunction(ops.space, ops.solve_A(ops.M_a @ u.values - ops.Z))
+    return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
 
 
 def objective(q: TraceFunction, system: DiscreteSystem,

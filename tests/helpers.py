@@ -10,7 +10,8 @@ boundary tags and centroid-oriented normals and its sort from
 adjacency dict, prolongation from a loop over vertices, norms and true
 errors from per-triangle and per-face formulas, state solves from
 unpreconditioned conjugate gradients and from SuperLU in its default
-order, the measurement moments from two samplings of z, the trace
+order, the measurement moments from two samplings of z, the measurement
+lookup from one dense pass over all point-segment pairs, the trace
 operators from the GammaI faces mapped to trace dofs, and the estimator
 from quadrature on every face with the data sampled anew.
 The utilities (mesh angles and patches, residual functionals, the reduced
@@ -36,7 +37,6 @@ from fluxrec.fem import (
     GAUSS3_WEIGHTS,
     FeFunction,
     _FACE_MASS,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     _assemble,
@@ -311,9 +311,8 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     Every marked triangle is bisected at least once along its refinement
     edge.  Neighbors whose shared edge would otherwise carry a hanging node
     are bisected first (compatible-pair bisection), which is guaranteed to
-    need at most one extra level per neighbor.  Children inherit generation
-    ``parent + 1`` and the midpoint becomes the newest vertex of both
-    children.
+    need at most one extra level per neighbor.  The midpoint becomes the
+    newest vertex of both children.
 
     Returns a new mesh; with an empty marking the input mesh is returned
     unchanged.
@@ -328,7 +327,6 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     parents = [tuple(pp) for pp in mesh.vertex_parents]
     tri_v = [tuple(t) for t in mesh.triangles]
     tri_ref = list(mesh.refinement_edge)
-    tri_gen = list(mesh.generation)
     alive = [True] * len(tri_v)
     btags = boundary_tag_map(mesh)
 
@@ -368,14 +366,12 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
         alive[t] = False
         for key in (edge_key(b, c), edge_key(c, a), edge_key(a, b)):
             edge_tris[key].remove(t)
-        gen = tri_gen[t] + 1
         # children (peak, ea, mid) and (peak, mid, eb); the midpoint is the
         # newest vertex of both, so its opposite edge becomes the label
         for child, ref in (((peak, ea, mid), 2), ((peak, mid, eb), 1)):
             cid = len(tri_v)
             tri_v.append(child)
             tri_ref.append(ref)
-            tri_gen.append(gen)
             alive.append(True)
             x, y, z = child
             for key in (edge_key(y, z), edge_key(z, x), edge_key(x, y)):
@@ -415,7 +411,6 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
         triangles,
         np.asarray([tri_ref[i] for i in keep], dtype=np.int64),
         edge_tags_from_map(triangles, btags),
-        generation=np.asarray([tri_gen[i] for i in keep], dtype=np.int64),
         vertex_parents=np.asarray(parents, dtype=np.int64),
         level=mesh.level + 1,
         root=mesh.root,
@@ -509,10 +504,9 @@ def three_transfer_true_errors(triplet, reference):
     vertex loop, and the differences measured by the per-triangle and
     per-face norm formulas above.  Returns ``(err_u, err_p, err_q)``."""
     fine = reference.mesh
-    space = FeSpace(fine)
-    du = FeFunction(space, reference.u.values
+    du = FeFunction(fine, reference.u.values
                     - loop_transfer(triplet.u.values, fine))
-    dp = FeFunction(space, reference.p.values
+    dp = FeFunction(fine, reference.p.values
                     - loop_transfer(triplet.p.values, fine))
     q = np.zeros(triplet.mesh.n_vertices)
     q[triplet.q.space.vertex_ids] = triplet.q.values
@@ -594,6 +588,25 @@ def two_pass_measurement_moments(mesh, z):
     for _, wl, zv in samples():
         z_sq += float((wl * zv ** 2).sum())
     return Z, z_sq
+
+
+def dense_locate(measurement, pts, tol=1e-9):
+    """Oracle for ``Measurement._locate``: every point against every real
+    segment in one dense ``N_points x N_segments`` pass."""
+    valid = np.flatnonzero(measurement._segments)
+    a = measurement.points[:-1][valid]
+    b = measurement.points[1:][valid]
+    seg_len = np.hypot(*(b - a).T)
+    d_a = np.hypot(pts[:, None, 0] - a[None, :, 0],
+                   pts[:, None, 1] - a[None, :, 1])
+    d_b = np.hypot(pts[:, None, 0] - b[None, :, 0],
+                   pts[:, None, 1] - b[None, :, 1])
+    on_seg = d_a + d_b - seg_len[None, :] < tol
+    if not on_seg.any(axis=1).all():
+        raise ValueError("measurement evaluated off the sampled boundary")
+    which = on_seg.argmax(axis=1)
+    rows = np.arange(pts.shape[0])
+    return measurement.arclength[valid[which]] + d_a[rows, which]
 
 
 def inner_cg_solve(A, rhs, rtol=1e-11, maxiter=10_000):

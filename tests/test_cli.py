@@ -1,6 +1,7 @@
 import pytest
 
 from fluxrec.cli import cli_main
+from fluxrec.export import CSV_HEADER
 
 CONFIG = """\
 problem = square_smooth
@@ -132,6 +133,18 @@ class TestReportCommand:
     def test_missing_file(self, tmp_path):
         rc = cli_main(["report", "--history", str(tmp_path / "none.csv")])
         assert rc == 2
+
+    def test_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        path.write_text("")
+        assert cli_main(["report", "--history", str(path)]) == 2
+        assert "is empty" in capsys.readouterr().err
+
+    def test_row_shorter_than_header(self, tmp_path, capsys):
+        path = tmp_path / "history.csv"
+        path.write_text(CSV_HEADER + "\n0,9,8\n")
+        assert cli_main(["report", "--history", str(path)]) == 2
+        assert "row 1 has 3 fields" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -16,7 +16,6 @@ from fluxrec.export import (
 )
 from fluxrec.fem import (
     FeFunction,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     interpolate,
@@ -191,7 +190,7 @@ def parse_vtk(text):
 
 class TestVtkExport:
     def test_two_triangle_square(self, tmp_path, square_mesh):
-        one = FeFunction(FeSpace(square_mesh), np.ones(4))
+        one = FeFunction(square_mesh, np.ones(4))
         path = tmp_path / "out.vtk"
         export_vtk(square_mesh, {"u": one}, path)
         pts, cells, fields = parse_vtk(path.read_text())
@@ -210,8 +209,8 @@ class TestVtkExport:
                          for x, y in refined_square.vertices.tolist()]
 
     def test_multiple_fields(self, tmp_path, refined_square):
-        u = interpolate(lambda x, y: x, FeSpace(refined_square))
-        p = interpolate(lambda x, y: y, FeSpace(refined_square))
+        u = interpolate(lambda x, y: x, refined_square)
+        p = interpolate(lambda x, y: y, refined_square)
         path = tmp_path / "out.vtk"
         export_vtk(refined_square, {"state": u, "costate": p}, path)
         _, _, fields = parse_vtk(path.read_text())
@@ -225,7 +224,7 @@ class TestVtkExport:
         rng = np.random.default_rng(6)
         values = rng.standard_normal((2, mesh.n_vertices)) \
             * 1e3 ** rng.integers(-3, 4, size=(2, mesh.n_vertices))
-        fields = {k: FeFunction(FeSpace(mesh), v)
+        fields = {k: FeFunction(mesh, v)
                   for k, v in zip(("u", "p"), values)}
         # FeFunction rejects non-finite values; the writer formats any
         values[0, :4] = [np.nan, -0.0, np.inf, -np.inf]
@@ -238,7 +237,7 @@ class TestVtkExport:
 
     def test_field_mesh_mismatch(self, tmp_path, square_mesh,
                                  refined_square):
-        u = FeFunction(FeSpace(refined_square),
+        u = FeFunction(refined_square,
                        np.zeros(refined_square.n_vertices))
         with pytest.raises(ValueError, match="does not live"):
             export_vtk(square_mesh, {"u": u}, tmp_path / "x.vtk")

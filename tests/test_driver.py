@@ -11,7 +11,6 @@ import fluxrec.driver as driver
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.fem import (
     FeFunction,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     prolong,
@@ -207,11 +206,10 @@ class TestTrueErrors:
                                               label="seed"))
 
         def random_triplet(mesh):
-            space = FeSpace(mesh)
             trace = TraceSpace.from_mesh(mesh)
             return OptimalTriplet(
-                FeFunction(space, rng.standard_normal(space.n_dofs)),
-                FeFunction(space, rng.standard_normal(space.n_dofs)),
+                FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
+                FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
                 TraceFunction(trace, rng.standard_normal(trace.n_dofs)))
 
         triplets = [random_triplet(mesh) for mesh in chain]

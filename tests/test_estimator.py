@@ -14,7 +14,6 @@ from fluxrec.estimator import (
 from fluxrec.fem import (
     GAUSS2_POINTS,
     FeFunction,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     element_gradients,
@@ -42,12 +41,11 @@ from helpers import (
 
 
 def make_triplet(mesh, u_vals=None, p_vals=None, q_vals=None):
-    space = FeSpace(mesh)
     trace = TraceSpace.from_mesh(mesh)
-    u = FeFunction(space, u_vals if u_vals is not None
-                   else np.zeros(space.n_dofs))
-    p = FeFunction(space, p_vals if p_vals is not None
-                   else np.zeros(space.n_dofs))
+    u = FeFunction(mesh, u_vals if u_vals is not None
+                   else np.zeros(mesh.n_vertices))
+    p = FeFunction(mesh, p_vals if p_vals is not None
+                   else np.zeros(mesh.n_vertices))
     q = TraceFunction(trace, q_vals if q_vals is not None
                       else np.zeros(trace.n_dofs))
     return OptimalTriplet(u=u, p=p, q=q)
@@ -133,7 +131,7 @@ class TestElementResiduals:
 class TestFaceJumps:
     def test_global_linear_state_no_interior_jump(self, refined_square,
                                                   smooth_problem):
-        u = interpolate(lambda x, y: x, FeSpace(refined_square))
+        u = interpolate(lambda x, y: x, refined_square)
         triplet = make_triplet(refined_square, u_vals=u.values)
         faces, jmp_u, _ = interior_jumps(triplet,
                                          zero_data(smooth_problem.coeffs))
@@ -153,7 +151,7 @@ class TestFaceJumps:
         # u = y, alpha = gamma = 1, u_a = 0 on the top face y=1:
         # J1 = 0 - gamma*u - alpha du/dn = -1 - 1 = -2 at every point
         mesh = build_initial_mesh("square", "bottom")
-        u = interpolate(lambda x, y: y, FeSpace(mesh))
+        u = interpolate(lambda x, y: y, mesh)
         triplet = make_triplet(mesh, u_vals=u.values)
         faces, j1, _, _ = boundary_samples(triplet,
                                            zero_data(smooth_problem.coeffs))
@@ -246,8 +244,8 @@ class TestEstimate:
             u_a=lambda x, y: 2.0 * data.u_a(x, y),
             z=lambda x, y: 2.0 * data.z(x, y))
         scaled = OptimalTriplet(
-            u=FeFunction(triplet.u.space, 2.0 * triplet.u.values),
-            p=FeFunction(triplet.p.space, 2.0 * triplet.p.values),
+            u=FeFunction(triplet.u.mesh, 2.0 * triplet.u.values),
+            p=FeFunction(triplet.p.mesh, 2.0 * triplet.p.values),
             q=TraceFunction(triplet.q.space, 2.0 * triplet.q.values))
         ind2 = estimate(scaled, doubled)
         assert np.allclose(ind2.eta_sq, 4.0 * ind1.eta_sq, rtol=1e-12)
@@ -278,7 +276,7 @@ class TestOscillations:
         # global linear state: interior jumps vanish, GammaI jumps are
         # constant when q is constant, so those oscillations vanish
         trace = TraceSpace.from_mesh(refined_square)
-        u = interpolate(lambda x, y: y, FeSpace(refined_square))
+        u = interpolate(lambda x, y: y, refined_square)
         triplet = make_triplet(
             refined_square, u_vals=u.values,
             q_vals=np.full(trace.n_dofs, 2.0))

@@ -8,7 +8,6 @@ from fluxrec.driver import true_errors
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
-    FeSpace,
     TraceFunction,
     TraceSpace,
     _boundary_mass,
@@ -111,7 +110,7 @@ class TestAssembleBilinear:
     def test_galerkin_consistency(self, refined_square):
         """V^T (alpha K) V equals the exact integral of alpha |grad v|^2."""
         rng = np.random.default_rng(5)
-        v = FeFunction(FeSpace(refined_square),
+        v = FeFunction(refined_square,
                        rng.standard_normal(refined_square.n_vertices))
         K = _stiffness(refined_square)
         quad_form = 2.0 * (v.values @ (K @ v.values))
@@ -132,8 +131,7 @@ class TestAssembleBilinear:
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.vertices.copy(), mesh.triangles[perm].copy(),
                         mesh.refinement_edge[perm].copy(),
-                        mesh.face_tags[mesh.tri_faces][perm],
-                        generation=mesh.generation[perm].copy())
+                        mesh.face_tags[mesh.tri_faces][perm])
         A = assemble_bilinear(mesh, COEFFS).toarray()
         B = assemble_bilinear(shuffled, COEFFS).toarray()
         assert np.abs(A - B).max() <= 1e-13 * np.abs(A).max()
@@ -285,19 +283,19 @@ class TestTraceSpace:
 
 class TestInterpolate:
     def test_linear_function(self, square_mesh):
-        f = interpolate(lambda x, y: x + y, FeSpace(square_mesh))
+        f = interpolate(lambda x, y: x + y, square_mesh)
         idx = np.flatnonzero(
             (square_mesh.vertices == [1.0, 1.0]).all(axis=1))[0]
         assert f.values[idx] == 2.0
 
     def test_constant(self, refined_square):
-        f = interpolate(lambda x, y: 5.0 + 0.0 * x, FeSpace(refined_square))
+        f = interpolate(lambda x, y: 5.0 + 0.0 * x, refined_square)
         assert np.all(f.values == 5.0)
 
     def test_p1_reproduction(self, refined_square):
         rng = np.random.default_rng(1)
         coeffs = rng.standard_normal(refined_square.n_vertices)
-        original = FeFunction(FeSpace(refined_square), coeffs)
+        original = FeFunction(refined_square, coeffs)
 
         def as_callable(x, y):
             # nodal evaluation only happens at vertices in interpolate
@@ -309,7 +307,7 @@ class TestInterpolate:
                 out[i] = coeffs[j[0]]
             return out if np.ndim(x) else out[0]
 
-        again = interpolate(as_callable, FeSpace(refined_square))
+        again = interpolate(as_callable, refined_square)
         assert np.array_equal(again.values, original.values)
 
     def test_trace_interpolation(self, refined_square):
@@ -333,22 +331,22 @@ class TestTransfer:
 
     def test_h1_norm_invariant(self, square_mesh):
         rng = np.random.default_rng(2)
-        f = FeFunction(FeSpace(square_mesh), rng.standard_normal(4))
+        f = FeFunction(square_mesh, rng.standard_normal(4))
         mesh = square_mesh
         for _ in range(3):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
-        g = FeFunction(FeSpace(mesh), prolong(f.values, square_mesh, mesh))
+        g = FeFunction(mesh, prolong(f.values, square_mesh, mesh))
         assert np.isclose(h1_norm(g), h1_norm(f), rtol=1e-12)
         assert np.isclose(l2_norm(g), l2_norm(f), rtol=1e-12)
 
     def test_multi_level_transfer(self, square_mesh):
         rng = np.random.default_rng(9)
         mesh = square_mesh
-        f = FeFunction(FeSpace(mesh), rng.standard_normal(4))
+        f = FeFunction(mesh, rng.standard_normal(4))
         for _ in range(4):
             marked = rng.choice(mesh.n_triangles, size=1)
             mesh = bisect(mesh, marked)
-        g = FeFunction(FeSpace(mesh), prolong(f.values, square_mesh, mesh))
+        g = FeFunction(mesh, prolong(f.values, square_mesh, mesh))
         assert np.isclose(h1_seminorm(g), h1_seminorm(f), rtol=1e-12)
 
     def test_non_descendant_rejected(self, square_mesh, lshape_mesh):
@@ -418,8 +416,7 @@ class TestTransfer:
 
 
 def interpolated_triplet(mesh, u, p, q):
-    space = FeSpace(mesh)
-    return OptimalTriplet(interpolate(u, space), interpolate(p, space),
+    return OptimalTriplet(interpolate(u, mesh), interpolate(p, mesh),
                           interpolate(q, TraceSpace.from_mesh(mesh)))
 
 
@@ -462,7 +459,7 @@ class TestNorms:
                            atol=0.0)
 
     def test_trace_norm_bottom_edge(self, square_mesh, refined_square):
-        f = interpolate(lambda x, y: x, FeSpace(refined_square))
+        f = interpolate(lambda x, y: x, refined_square)
         assert np.isclose(boundary_l2(f, BoundaryTag.GAMMA_I) ** 2,
                           1.0 / 3.0, rtol=1e-13)
         errors = errors_against_zero(lambda x, y: x, lambda x, y: x,
@@ -476,9 +473,9 @@ class TestNorms:
         """The H1 error is the per-triangle L2 and seminorm formulas
         combined."""
         rng = np.random.default_rng(4)
-        space = FeSpace(refined_square)
         trace = TraceSpace.from_mesh(refined_square)
-        funs = [FeFunction(space, rng.standard_normal(space.n_dofs))
+        funs = [FeFunction(refined_square,
+                           rng.standard_normal(refined_square.n_vertices))
                 for _ in range(2)]
         triplet = OptimalTriplet(*funs, TraceFunction(
             trace, rng.standard_normal(trace.n_dofs)))
@@ -500,8 +497,8 @@ class TestValidation:
 
     def test_fe_function_length_checked(self, square_mesh):
         with pytest.raises(ValueError):
-            FeFunction(FeSpace(square_mesh), np.zeros(7))
+            FeFunction(square_mesh, np.zeros(7))
 
     def test_fe_function_finite_checked(self, square_mesh):
         with pytest.raises(ValueError):
-            FeFunction(FeSpace(square_mesh), np.array([0.0, 1.0, np.nan, 2.0]))
+            FeFunction(square_mesh, np.array([0.0, 1.0, np.nan, 2.0]))

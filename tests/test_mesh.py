@@ -145,12 +145,6 @@ class TestBisect:
         with pytest.raises(MeshError, match="out of range"):
             bisect(square_mesh, [7])
 
-    def test_children_generation(self, square_mesh):
-        fine = bisect(square_mesh, [0, 1])
-        assert (fine.generation == 1).all()
-        finer = bisect(fine, [0])
-        assert finer.generation.max() == 2
-
     def test_children_areas_halved(self, square_mesh):
         fine = bisect(square_mesh, [0, 1])
         assert np.allclose(fine.areas(), 0.25)
@@ -211,12 +205,11 @@ def _coords(mesh, ids):
 
 def _canonical(mesh):
     """Id-free description of a mesh: triangles as coordinates starting at
-    the newest vertex plus generation, tagged boundary faces, and every
+    the newest vertex, tagged boundary faces, and every
     midpoint with its parent edge."""
     rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
     tris = np.take_along_axis(mesh.triangles, rot, axis=1)
-    triangles = sorted((_coords(mesh, tri), int(g))
-                       for tri, g in zip(tris, mesh.generation))
+    triangles = sorted(_coords(mesh, tri) for tri in tris)
     tags = {(frozenset(_coords(mesh, list(key))), int(tag))
             for key, tag in boundary_tag_map(mesh).items()}
     born = np.flatnonzero(mesh.vertex_parents[:, 0] >= 0)
@@ -322,8 +315,8 @@ class TestFaceTableSort:
 def _same_mesh(mesh):
     """A new mesh object with the arrays of ``mesh``."""
     return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
-                mesh.face_tags[mesh.tri_faces], mesh.generation,
-                mesh.vertex_parents, mesh.level, mesh.root)
+                mesh.face_tags[mesh.tri_faces], mesh.vertex_parents,
+                mesh.level, mesh.root)
 
 
 class TestNvbClosure:
@@ -512,8 +505,7 @@ class TestNormalsAndPaths:
         mesh = refined_square
         rebuilt = Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
                        mesh.refinement_edge.copy(),
-                       mesh.face_tags[mesh.tri_faces].copy(),
-                       generation=mesh.generation.copy())
+                       mesh.face_tags[mesh.tri_faces].copy())
         assert np.array_equal(rebuilt.faces, mesh.faces)
         assert np.array_equal(rebuilt.face_tris, mesh.face_tris)
         assert np.array_equal(rebuilt.face_tags, mesh.face_tags)

@@ -1,12 +1,22 @@
+import functools
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
+from fluxrec import problems
 from fluxrec.problems import (
     Measurement,
     builtin_problem,
     check_no_inverse_crime,
     generate_measurement,
 )
+
+from helpers import dense_locate
 
 
 class TestBuiltinProblems:
@@ -123,6 +133,102 @@ class TestMeasurementEvaluation:
                 assert tuple(np.round(mesh.vertices[v], 12)) in sample_set
 
 
+# (problem, GammaI sides): GammaA as one chain round three sides, as two
+# chains with a padded gap between them, and round a reentrant corner
+LOOKUP_CASES = [("square_smooth", ("bottom",)),
+                ("square_smooth", ("bottom", "top")),
+                ("lshape_spike", ("bottom",))]
+
+
+@functools.lru_cache(maxsize=None)
+def lookup_measurement(name, gamma_i):
+    problem = replace(builtin_problem(name), gamma_i=gamma_i)
+    return generate_measurement(problem, extra_levels=3)
+
+
+def square_polyline(s):
+    """Points at arc length ``s`` along the right, top and left sides of
+    the unit square."""
+    corners = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    knots = [0.0, 1.0, 2.0, 3.0]
+    return np.column_stack([np.interp(s, knots, corners[:, 0]),
+                            np.interp(s, knots, corners[:, 1])])
+
+
+class TestMeasurementLookup:
+    @given(case=st.sampled_from(LOOKUP_CASES), data=st.data())
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, case, data):
+        """Blocks of any size give the dense oracle's bytes: sample
+        vertices lie on two segments and take the first, a padded gap or
+        an interior point is rejected."""
+        m = lookup_measurement(*case)
+        real = np.flatnonzero(m._segments)
+        picks = data.draw(st.lists(st.tuples(
+            st.integers(0, len(m.points) - 1),
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            min_size=1, max_size=60), label="points")
+        pts = [m.points[i] + t * (m.points[i + 1] - m.points[i])
+               if i in real else m.points[i] for i, t in picks]
+        gaps = [0.5 * (m.points[i] + m.points[i + 1])
+                for i in np.flatnonzero(~m._segments)]
+        off = data.draw(st.sampled_from([None, (0.25, 0.25)] + gaps),
+                        label="off boundary")
+        if off is not None:
+            pts.insert(data.draw(st.integers(0, len(pts))), off)
+        pts = np.array(pts)
+        budget = data.draw(st.integers(1, 200) | st.just(2 ** 16),
+                           label="budget")
+        with mock.patch.object(problems, "_LOCATE_PAIRS", budget):
+            if off is None:
+                assert (m._locate(pts).tobytes()
+                        == dense_locate(m, pts).tobytes())
+            else:
+                for locate in (m._locate, functools.partial(dense_locate, m)):
+                    with pytest.raises(ValueError, match="off the sampled"):
+                        locate(pts)
+
+    def test_memory_stays_bounded(self):
+        """769 samples looked up at 1,152 points: the dense pass would hold
+        two 7 MB distance arrays at once."""
+        s = np.linspace(0.0, 3.0, 769)
+        m = Measurement(points=square_polyline(s), values=np.sin(s),
+                        arclength=s)
+        x, y = square_polyline(np.linspace(0.0, 3.0, 1152)).T
+        tracemalloc.start()
+        try:
+            m(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+
+def line_samples():
+    return {"points": np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+            "values": np.array([0.0, 1.0, 2.0]),
+            "arclength": np.array([0.0, 1.0, 2.0])}
+
+
+class TestMeasurementValidation:
+    @pytest.mark.parametrize("field, bad", [
+        ("points", lambda s: np.column_stack([s["points"], s["values"]])),
+        ("points", lambda s: s["points"][:, 0]),
+        ("points", lambda s: np.where(s["points"] == 1.0, np.nan,
+                                      s["points"])),
+        ("values", lambda s: s["values"][:, None]),
+        ("values", lambda s: np.array([0.0, np.nan, 2.0])),
+        ("arclength", lambda s: np.array([0.0, 1.0, np.inf])),
+    ], ids=["three_columns", "one_dimensional", "nan_points",
+            "column_values", "nan_values", "infinite_arclength"])
+    def test_rejects_malformed_samples(self, field, bad):
+        samples = line_samples()
+        assert Measurement(**samples)(1.5, 0.0) == 1.5
+        samples[field] = bad(samples)
+        with pytest.raises(ValueError, match=f"measurement {field}"):
+            Measurement(**samples)
+
+
 class TestInverseCrimeGuard:
     def test_guard_triggers_on_same_mesh(self, smooth_problem):
         from fluxrec.mesh import bisect
@@ -142,7 +248,6 @@ class TestInverseCrimeGuard:
 
 @pytest.fixture(scope="module")
 def split_problem():
-    from dataclasses import replace
     base = builtin_problem("square_smooth")
     return replace(base, gamma_i=("bottom", "top"))
 

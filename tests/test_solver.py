@@ -11,7 +11,7 @@ import fluxrec.solver as solver
 from fluxrec.cli import cli_main
 from fluxrec.estimator import estimate
 from fluxrec.driver import LoopConfig, run_adaptive
-from fluxrec.fem import FeFunction, FeSpace, TraceFunction, TraceSpace
+from fluxrec.fem import FeFunction, TraceFunction, TraceSpace
 from fluxrec.mesh import BoundaryTag, Mesh, bisect
 from fluxrec.problems import BUILTIN_NAMES, generate_measurement
 from fluxrec.solver import (
@@ -102,13 +102,13 @@ class TestSolveCostate:
             coeffs=smooth_problem.coeffs, f=None, u_a=None,
             z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
-        u = FeFunction(system.ops.space, np.zeros(system.ops.space.n_dofs))
+        u = FeFunction(system.ops.mesh, np.zeros(system.ops.mesh.n_vertices))
         p = solve_costate(u, system)
         assert np.abs(p.values).max() < 1e-12
 
     def test_matches_dense_solve(self, smooth_system):
-        u = FeFunction(smooth_system.ops.space,
-                       np.ones(smooth_system.ops.space.n_dofs))
+        u = FeFunction(smooth_system.ops.mesh,
+                       np.ones(smooth_system.ops.mesh.n_vertices))
         p = solve_costate(u, smooth_system)
         rhs = smooth_system.ops.M_a @ u.values - smooth_system.ops.Z
         dense = np.linalg.solve(smooth_system.ops.A.toarray(), rhs)
@@ -142,7 +142,7 @@ class TestReducedGradient:
         rng = np.random.default_rng(4)
         ops = smooth_system.ops
         q = rng.standard_normal(ops.trace.n_dofs)
-        p = rng.standard_normal(ops.space.n_dofs)
+        p = rng.standard_normal(ops.mesh.n_vertices)
         beta = smooth_system.beta
         term1 = beta * (ops.M_i @ q) - ops.B.T @ p
         term2 = 2 * beta * (ops.M_i @ q) - ops.B.T @ p
@@ -188,7 +188,7 @@ class TestSolveOptimality:
         system = DiscreteSystem(refined_square,
                                 big.data(z=smooth_measurement))
         triplet = solve_optimality(system, settings)
-        u0 = FeFunction(system.ops.space, system.ops.solve_A(system.ops.F))
+        u0 = FeFunction(system.ops.mesh, system.ops.solve_A(system.ops.F))
         p0 = solve_costate(u0, system)
         p0_trace = TraceFunction(
             system.ops.trace, p0.values[system.ops.trace.vertex_ids])
@@ -286,7 +286,7 @@ SWEEP_BETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 def fresh_copy(mesh):
     """A new Mesh instance with the same arrays and tags as ``mesh``."""
     return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
-                mesh.face_tags[mesh.tri_faces], generation=mesh.generation,
+                mesh.face_tags[mesh.tri_faces],
                 vertex_parents=mesh.vertex_parents, level=mesh.level,
                 root=mesh.root)
 
@@ -601,11 +601,11 @@ class TestMeasurementMoments:
 class TestResidualApply:
     def test_galerkin_orthogonality(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
-        n = smooth_system.ops.space.n_dofs
+        n = smooth_system.ops.mesh.n_vertices
         scale = (np.abs(smooth_system.ops.F).max()
                  + np.abs(smooth_system.ops.A @ triplet.u.values).max())
         for i in range(n):
-            basis = FeFunction(smooth_system.ops.space,
+            basis = FeFunction(smooth_system.ops.mesh,
                                np.eye(n)[i])
             r_state = residual_apply(triplet, basis, "state", smooth_system)
             r_costate = residual_apply(triplet, basis, "costate",
@@ -615,8 +615,8 @@ class TestResidualApply:
 
     def test_zero_test_function(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
-        zero = FeFunction(smooth_system.ops.space,
-                          np.zeros(smooth_system.ops.space.n_dofs))
+        zero = FeFunction(smooth_system.ops.mesh,
+                          np.zeros(smooth_system.ops.mesh.n_vertices))
         assert residual_apply(triplet, zero, "state", smooth_system) == 0.0
 
     def test_fine_hat_function_bounded_by_estimator(self, smooth_system,
@@ -628,7 +628,7 @@ class TestResidualApply:
         fine = bisect(mesh, np.arange(mesh.n_triangles))
         values = []
         for v in range(mesh.n_vertices, fine.n_vertices):
-            hat = FeFunction(FeSpace(fine), np.eye(fine.n_vertices)[v])
+            hat = FeFunction(fine, np.eye(fine.n_vertices)[v])
             values.append(abs(residual_apply(triplet, hat, "state",
                                              smooth_system)))
         assert max(values) > 1e-8  # genuinely nonzero on the finer space
@@ -637,7 +637,7 @@ class TestResidualApply:
         _, d_patches = patches(mesh)
         # C fitted at desk scale: ratio observed ~0.05, frozen with margin
         for v in range(mesh.n_vertices, fine.n_vertices):
-            hat = FeFunction(FeSpace(fine), np.eye(fine.n_vertices)[v])
+            hat = FeFunction(fine, np.eye(fine.n_vertices)[v])
             val = abs(residual_apply(triplet, hat, "state", smooth_system))
             bound = 0.0
             eta1 = np.sqrt(ind.eta1_sq)
