@@ -124,6 +124,9 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
         system = DiscreteSystem(mesh, data)
         warm = None if coarse_q is None else \
             transfer_trace(coarse_q, system.ops.trace)
+        # with the warm start on this mesh, nothing but a kept record holds
+        # the parent mesh, which dies before this mesh is factored
+        coarse_q = triplet = None
         try:
             triplet = solve_optimality(system, config.solver, warm_start=warm)
         except SolverError as exc:
@@ -166,7 +169,8 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
         if nvb_closure(mesh, decision.marked)[1] > config.max_triangles:
             history.stop_reason = "max_triangles"
             break
-        coarse_q = triplet.q
+        # the parent's operators and factor are freed before the bisection
+        coarse_q, system = triplet.q, None
         mesh = bisect(mesh, decision.marked)
 
     # every loop exit happens before the refinement step, so this is the

@@ -58,30 +58,53 @@ def read_history_csv(path):
     return rows
 
 
+# rows per write of the VTK sections, so no section is held whole as text
+_VTK_BLOCK = 4096
+
+
+def _write_rows(fh, row_format, rows, text=None) -> None:
+    """Write ``row_format % row`` for every row of ``rows``, a block of
+    rows per write; with ``text``, the rows hold indices into it."""
+    for lo in range(0, rows.shape[0], _VTK_BLOCK):
+        block = rows[lo:lo + _VTK_BLOCK]
+        if text is not None:
+            block = text[block]
+        fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
     """Write mesh and nodal scalar fields as legacy ASCII VTK.
 
     ``fields`` maps names to FeFunctions on the given mesh; each becomes a
-    SCALARS block in POINT_DATA.
+    SCALARS block in POINT_DATA.  The title is the header's one line of at
+    most 256 characters.  Each section is written to the file as it is
+    formatted.
     """
+    if len(title) > 256 or "\n" in title or "\r" in title:
+        raise ValueError("the VTK title must be one line of at most 256 "
+                         f"characters, got {title!r}")
     for name, fun in fields.items():
         if not isinstance(fun, FeFunction) or fun.mesh is not mesh:
             raise ValueError(f"field {name!r} does not live on the given mesh")
-    n, m, z = mesh.n_vertices, mesh.n_triangles, _fmt(0.0)
-    # rows as Python lists: no numpy scalar is unpacked or formatted
-    out = ["# vtk DataFile Version 2.0", title, "ASCII",
-           "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
-    out.extend(f"{_fmt(x)} {_fmt(y)} {z}" for x, y in mesh.vertices.tolist())
-    out.append(f"CELLS {m} {4 * m}")
-    out.extend(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist())
-    out += [f"CELL_TYPES {m}"] + ["5"] * m
-    if fields:
-        out.append(f"POINT_DATA {n}")
-        for name, fun in fields.items():
-            out += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            out.extend(_fmt(v) for v in fun.values.tolist())
+    n, m = mesh.n_vertices, mesh.n_triangles
+    # each distinct coordinate is formatted once, keyed by its bits so that
+    # -0.0 keeps its sign
+    bits, inverse = np.unique(mesh.vertices.view(np.int64).ravel(),
+                              return_inverse=True)
+    text = np.array([_fmt(x) for x in bits.view(float).tolist()],
+                    dtype=object)
     with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+        _write_rows(fh, f"%s %s {_fmt(0.0)}\n", inverse.reshape(n, 2), text)
+        fh.write(f"CELLS {m} {4 * m}\n")
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
+        fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
+        if fields:
+            fh.write(f"POINT_DATA {n}\n")
+        for name, fun in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, "%.16e\n", fun.values)
 
 
 def export_flux_txt(q: TraceFunction, path) -> None:

@@ -126,8 +126,10 @@ def _assemble(row_dofs, col_dofs, local, shape) -> sp.csr_matrix:
     """Sum of the local ``d x d`` matrices ``local[c]``, cell ``c`` coupling
     the dofs ``row_dofs[c]`` (rows) with ``col_dofs[c]`` (columns)."""
     d = local.shape[1]
-    rows = np.repeat(row_dofs, d, axis=1).ravel()
-    cols = np.tile(col_dofs, (1, d)).ravel()
+    # the index dtype scipy converts to, so it keeps the arrays it is given
+    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.repeat(row_dofs.astype(idx), d, axis=1).ravel()
+    cols = np.tile(col_dofs.astype(idx), (1, d)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
 
 

@@ -79,7 +79,8 @@ def mark_equidistribution(indicators: ElementIndicators, theta: float,
     if indicators.eta <= tol:
         return MarkingDecision(np.empty(0, dtype=np.int64), 0.0,
                                "equidistribution", terminate=True)
-    threshold = theta * tol / np.sqrt(eta.size)
+    # the largest indicator exceeds tol / sqrt(N) but for roundoff
+    threshold = min(theta * tol / np.sqrt(eta.size), eta.max())
     return MarkingDecision(np.flatnonzero(eta >= threshold), threshold,
                            "equidistribution")
 
@@ -93,7 +94,9 @@ def mark_modified_equidistribution(indicators: ElementIndicators,
     if total == 0.0:
         return MarkingDecision(np.empty(0, dtype=np.int64), 0.0,
                                "modified_equidistribution")
-    threshold = theta * total / np.sqrt(eta.size)
+    # the largest indicator is at least their root mean square, which
+    # roundoff in ``total`` can put above it
+    threshold = min(theta * total / np.sqrt(eta.size), eta.max())
     return MarkingDecision(np.flatnonzero(eta >= threshold), threshold,
                            "modified_equidistribution")
 

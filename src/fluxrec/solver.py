@@ -168,21 +168,21 @@ def _read_only(*arrays):
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
     read-only: the mesh, which state and costate functions hold, its trace
-    space, the operators and the data terms.  ``F`` and the estimator's
-    volume terms come from one sampling of ``f`` at construction, the rest
-    on first read, so an estimate alone builds no operator.  The SPD ``A``
-    is factored on the first solve without pivoting, in the
-    nested-dissection order ``p`` computed then.  ``f``, ``u_a`` and ``z``
-    are held, so their ids stay unique; of ``coeffs`` only alpha and gamma,
-    which the key fixes, are read."""
+    space, the operators (``BT`` is the transpose view of ``B``) and the
+    data terms.  The estimator's volume terms come from one sampling of
+    ``f`` at construction, which is kept until ``F`` is built from it; ``F``
+    and the rest are built on first read, so an estimate alone builds no
+    operator.  The SPD ``A`` is factored on the first solve without
+    pivoting, in the nested-dissection order ``p`` computed then.  ``f``,
+    ``u_a`` and ``z`` are held, so their ids stay unique; of ``coeffs`` only
+    alpha and gamma, which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
         self.lu = self._Mi_lu = None
-        fv = midpoint_samples(mesh, data.f)
-        self.F = assemble_load(mesh, fv, data.u_a, data.coeffs)
+        self._fv = fv = midpoint_samples(mesh, data.f)
         # for P1 and constant alpha the state volume residual is f: the
         # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
         areas = mesh.areas()
@@ -190,14 +190,19 @@ class _MeshOperators:
         self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
-        _read_only(self.F, self.f_sq, self.osc_f_sq)
+        _read_only(fv, self.f_sq, self.osc_f_sq)
 
     def __getattr__(self, name):
         # reached for unset attributes only, which it builds on first read
-        if name == "trace":
+        if name == "F":
+            self.F = assemble_load(self.mesh, self._fv, self.u_a, self.coeffs)
+            del self._fv
+            _read_only(self.F)
+        elif name == "trace":
             self.trace = TraceSpace.from_mesh(self.mesh)
-        elif name in ("M_i", "B", "M_a"):
+        elif name in ("M_i", "B", "BT", "M_a"):
             self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
+            self.BT = self.B.T
             _read_only(*(getattr(m, k) for m in (self.M_i, self.B, self.M_a)
                          for k in ("data", "indices", "indptr")))
         elif name in ("Z", "z_sq"):
@@ -240,7 +245,7 @@ class _MeshOperators:
         """Reduced right-hand side ``B^T A^-1 (M_a A^-1 F - Z)``."""
         self.require_z()
         u0 = self.solve_A(self.F)
-        return _read_only(self.B.T @ self.solve_A(self.M_a @ u0 - self.Z))[0]
+        return _read_only(self.BT @ self.solve_A(self.M_a @ u0 - self.Z))[0]
 
     @cached_property
     def gamma_a_data(self):
@@ -329,7 +334,7 @@ def hessian_apply(w: np.ndarray, system: DiscreteSystem) -> np.ndarray:
     ops = system.ops
     du = ops.solve_A(ops.B @ w)
     dp = ops.solve_A(ops.M_a @ du)
-    return system.beta * (ops.M_i @ w) + ops.B.T @ dp
+    return system.beta * (ops.M_i @ w) + ops.BT @ dp
 
 
 def solve_optimality(system: DiscreteSystem, settings: SolverSettings,

@@ -6,14 +6,15 @@ from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve, newest-vertex bisection from a
 recursive loop over Python dicts, the face table from two sorts, a dict of
 boundary tags and centroid-oriented normals and its sort from
-``np.unique``, the VTK file from numpy rows, the boundary chains from an
-adjacency dict, prolongation from a loop over vertices, norms and true
-errors from per-triangle and per-face formulas, state solves from
-unpreconditioned conjugate gradients and from SuperLU in its default
-order, the measurement moments from two samplings of z, the measurement
-lookup from one dense pass over all point-segment pairs, the trace
-operators from the GammaI faces mapped to trace dofs, and the estimator
-from quadrature on every face with the data sampled anew.
+``np.unique``, sparse assembly from int64 indices, the VTK file from numpy
+rows joined whole, the boundary chains from an adjacency dict,
+prolongation from a loop over vertices, norms and true errors from
+per-triangle and per-face formulas, state solves from unpreconditioned
+conjugate gradients and from SuperLU in its default order, the
+measurement moments from two samplings of z, the measurement lookup from
+one dense pass over all point-segment pairs, the trace operators from the
+GammaI faces mapped to trace dofs, and the estimator from quadrature on
+every face with the data sampled anew.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips and the
 uniform-refinement run) are only needed by tests, so they live here rather
@@ -24,6 +25,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
@@ -557,6 +559,15 @@ def dof_map_trace_operators(mesh):
     return M_i, B, M_a
 
 
+def int64_assemble(row_dofs, col_dofs, local, shape) -> sp.csr_matrix:
+    """Oracle for :func:`fluxrec.fem._assemble`: the former build, which
+    hands scipy int64 index arrays for it to convert."""
+    d = local.shape[1]
+    rows = np.repeat(row_dofs, d, axis=1).ravel()
+    cols = np.tile(col_dofs, (1, d)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
 def default_order_factor(A):
     """Oracle for the state factor: SuperLU in its default COLAMD column
     order with partial pivoting."""
@@ -786,9 +797,10 @@ def dict_boundary_paths(mesh: Mesh, tag: BoundaryTag):
 
 def row_export_vtk(mesh: Mesh, fields: dict, path,
                    title="fluxrec output") -> None:
-    """Oracle for :func:`fluxrec.export.export_vtk`: the former writer,
+    """Oracle for :func:`fluxrec.export.export_vtk`: an earlier writer,
     which unpacks the numpy rows of the vertex, triangle and field arrays
-    one at a time."""
+    one at a time, formats every coordinate and joins all lines in one
+    string."""
     for name, fun in fields.items():
         if not isinstance(fun, FeFunction) or fun.mesh is not mesh:
             raise ValueError(f"field {name!r} does not live on the given mesh")

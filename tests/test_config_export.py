@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
+import fluxrec.export as export
 from fluxrec.config import ConfigError, RunConfig, build_run, parse_config
 from fluxrec.driver import LoopConfig
 from fluxrec.export import (
@@ -20,7 +25,7 @@ from fluxrec.fem import (
     TraceSpace,
     interpolate,
 )
-from fluxrec.mesh import BoundaryTag, boundary_arclength
+from fluxrec.mesh import BoundaryTag, Mesh, bisect, boundary_arclength
 from fluxrec.problems import BUILTIN_NAMES, builtin_problem
 
 from helpers import (
@@ -234,6 +239,67 @@ class TestVtkExport:
             row_export_vtk(mesh, f, tmp_path / "old.vtk", title=name)
             assert (tmp_path / "new.vtk").read_bytes() == \
                 (tmp_path / "old.vtk").read_bytes()
+
+    @given(name=st.sampled_from(BUILTIN_NAMES), seed=st.integers(0, 99),
+           block=st.integers(1, 40), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_streamed_bytes_match_row_oracle(self, tmp_path_factory, name,
+                                             seed, block, data):
+        """Bitwise equal to the oracle on graded meshes, whose coordinates
+        repeat, with zero coordinates turned to -0.0 and any finite field
+        values, whatever the rows per write."""
+        mesh = graded_mesh(builtin_problem(name).initial_mesh(), seed=seed)
+        vertices = mesh.vertices.copy()
+        zero = np.flatnonzero(vertices.ravel() == 0.0)
+        flip = data.draw(st.lists(st.sampled_from(zero.tolist()),
+                                  min_size=1), label="negative zeros")
+        vertices.ravel()[flip] = -0.0
+        mesh = Mesh(vertices, mesh.triangles, mesh.refinement_edge,
+                    mesh.face_tags[mesh.tri_faces])
+        values = data.draw(st.lists(st.floats(allow_nan=False,
+                                              allow_infinity=False),
+                                    min_size=1, max_size=30), label="values")
+        fields = {"u": FeFunction(mesh, np.resize(values, mesh.n_vertices))}
+        title = data.draw(st.text(st.characters(min_codepoint=32,
+                                                max_codepoint=126),
+                                  max_size=256), label="title")
+        path = tmp_path_factory.mktemp("vtk")
+        with mock.patch.object(export, "_VTK_BLOCK", block):
+            export_vtk(mesh, fields, path / "new.vtk", title=title)
+        row_export_vtk(mesh, fields, path / "old.vtk", title=title)
+        assert (path / "new.vtk").read_bytes() == \
+            (path / "old.vtk").read_bytes()
+
+    def test_memory_bound(self, tmp_path, square_mesh):
+        """On a 32,768-triangle mesh with two fields the writer's traced
+        peak stays under 3 MB; writers that hold every line, as the oracle
+        does, need more than 10 MB."""
+        mesh = square_mesh
+        for _ in range(14):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        assert mesh.n_triangles == 32_768
+        fields = {name: interpolate(fun, mesh) for name, fun in
+                  (("u", lambda x, y: np.sin(x + y)), ("p", np.hypot))}
+        peaks = []
+        for writer in (export_vtk, row_export_vtk):
+            tracemalloc.start()
+            try:
+                writer(mesh, fields, tmp_path / "out.vtk")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 3e6 < 10e6 < peaks[1]
+
+    @pytest.mark.parametrize("title", ["two\nlines", "carriage\rreturn",
+                                       "x" * 257])
+    def test_title_not_one_header_line(self, tmp_path, square_mesh, title):
+        path = tmp_path / "x.vtk"
+        with pytest.raises(ValueError, match="title"):
+            export_vtk(square_mesh, {}, path, title=title)
+        assert not path.exists()
+        export_vtk(square_mesh, {}, path, title=title[:256].splitlines()[0])
+        assert path.read_text().splitlines()[1] == \
+            title[:256].splitlines()[0]
 
     def test_field_mesh_mismatch(self, tmp_path, square_mesh,
                                  refined_square):

@@ -128,6 +128,38 @@ class TestRunAdaptive:
         assert len(hist.records) == 4
         assert first[0]() is None
 
+    @pytest.mark.parametrize("record_true_errors", [False, True])
+    def test_parent_mesh_dead_before_child_solve(
+            self, smooth_problem, smooth_measurement, monkeypatch,
+            record_true_errors):
+        """Without true errors no reference is left to a parent mesh when
+        its child's solve starts, so its arrays are freed before the child
+        is factored; a record that keeps its triplet keeps it alive."""
+        parents, alive = [], []
+        bisect, solve = driver.bisect, driver.solve_optimality
+
+        def recording(mesh, marked):
+            parents.append(weakref.ref(mesh))
+            return bisect(mesh, marked)
+
+        def checking(system, *args, **kwargs):
+            if parents:
+                alive.append(parents[-1]() is not None)
+            return solve(system, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "bisect", recording)
+        monkeypatch.setattr(driver, "solve_optimality", checking)
+        config = LoopConfig(max_iters=4, tol=1e-12,
+                            record_true_errors=record_true_errors)
+        # reference counts alone must free the parent
+        gc.disable()
+        try:
+            run_adaptive(smooth_problem, config,
+                         measurement=smooth_measurement)
+        finally:
+            gc.enable()
+        assert alive[:3] == [record_true_errors] * 3
+
     def test_nested_spaces(self, smooth_history):
         """Coarse nodal functions transfer exactly at coarse vertices."""
         meshes = [rec.triplet.mesh for rec in smooth_history.records]

@@ -4,12 +4,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+import fluxrec.fem as fem
 from fluxrec.driver import true_errors
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
     TraceFunction,
     TraceSpace,
+    _assemble,
     _boundary_mass,
     _mass,
     _stiffness,
@@ -33,6 +35,7 @@ from helpers import (
     graded_mesh,
     h1_norm,
     h1_seminorm,
+    int64_assemble,
     l2_norm,
     loop_transfer,
     monomial_integral_ref_triangle,
@@ -139,6 +142,51 @@ class TestAssembleBilinear:
         Fa = volume_load(mesh, midpoint_samples(mesh, f))
         Fb = volume_load(shuffled, midpoint_samples(shuffled, f))
         assert np.abs(Fa - Fb).max() <= 1e-13 * np.abs(Fa).max()
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+class TestAssembleIndices:
+    """The int32 index build against the former int64 one."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+           cells=st.integers(0, 60), n_rows=st.integers(1, 30),
+           n_cols=st.integers(1, 30))
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_matches_int64_oracle_bitwise(self, seed, d, cells, n_rows,
+                                          n_cols):
+        """Any local matrices and dofs, repeated dofs summed, rectangular
+        shapes included."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n_rows, (cells, d))
+        cols = rng.integers(0, n_cols, (cells, d))
+        local = rng.standard_normal((cells, d, d))
+        assert_same_csr(_assemble(rows, cols, local, (n_rows, n_cols)),
+                        int64_assemble(rows, cols, local, (n_rows, n_cols)))
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_operators_match_int64_oracle_bitwise(self, domain,
+                                                  monkeypatch):
+        """``A``, the mass matrix and the trace operators of a graded mesh
+        are the same with the oracle in place of ``_assemble``."""
+        mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=4,
+                           sweeps=6)
+        trace = TraceSpace.from_mesh(mesh)
+
+        def operators():
+            return (assemble_bilinear(mesh, COEFFS), _mass(mesh),
+                    *assemble_trace_operators(trace))
+
+        got = operators()
+        monkeypatch.setattr(fem, "_assemble", int64_assemble)
+        for new, old in zip(got, operators(), strict=True):
+            assert_same_csr(new, old)
 
 
 class TestAssembleLoad:

@@ -98,6 +98,14 @@ class TestModifiedEquidistribution:
                 indicators_from([2.0, 2.0, 2.0]), theta)
             assert list(dec.marked) == [0, 1, 2]
 
+    @pytest.mark.parametrize("n, value", [(3, 1.5), (6, 0.1), (31, 1.5)])
+    def test_uniform_indicators_above_roundoff(self, n, value):
+        """theta = 1 marks every equal indicator, also where the rounded
+        global estimator over sqrt(n) comes out above them."""
+        dec = mark_modified_equidistribution(
+            indicators_from(np.full(n, value)), 1.0)
+        assert list(dec.marked) == list(range(n))
+
 
 class TestDoerfler:
     def test_half_fraction(self):

@@ -468,8 +468,9 @@ class TestSharedStateOperator:
             self, mesh32, smooth_problem, smooth_measurement, settings,
             monkeypatch):
         """Once the system is gone, an estimate builds neither the trace
-        space nor ``M_i``, ``B``, ``M_a``, ``Z`` and ``z_sq``; a solve on
-        the new operator object builds each of them once."""
+        space nor ``M_i``, ``B``, ``M_a``, ``F``, ``Z`` and ``z_sq``; a
+        solve on the new operator object builds each of them once, and the
+        ``f`` samples ``F`` is built from are dropped."""
         data = smooth_problem.data(z=smooth_measurement)
         system = DiscreteSystem(mesh32, data)
         triplet = solve_optimality(system, settings)
@@ -484,7 +485,8 @@ class TestSharedStateOperator:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("assemble_trace_operators", "boundary_load"):
+        for name in ("assemble_load", "assemble_trace_operators",
+                     "boundary_load"):
             monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
         from_mesh = TraceSpace.from_mesh.__func__
         monkeypatch.setattr(TraceSpace, "from_mesh",
@@ -495,8 +497,9 @@ class TestSharedStateOperator:
         system = DiscreteSystem(mesh32, data)
         again = solve_optimality(system, settings)
         objective(again.q, system, settings, u=again.u)
-        assert sorted(calls) == ["assemble_trace_operators", "boundary_load",
-                                 "from_mesh"]
+        assert sorted(calls) == ["assemble_load", "assemble_trace_operators",
+                                 "boundary_load", "from_mesh"]
+        assert "_fv" not in vars(system.ops)
         assert np.array_equal(again.q.values, triplet.q.values)
 
     def test_one_trace_space_per_mesh(self, smooth_problem,
