@@ -3,8 +3,9 @@
 Each iteration solves the discrete optimality system on the current mesh,
 computes the residual indicators and oscillations, marks elements and
 bisects them.  The loop stops on the equidistribution terminate flag, when
-the estimator falls below the tolerance, or when it runs out of iterations
-or the next mesh would exceed the triangle cap, which it does not build.
+the estimator falls below the tolerance, when it runs out of iterations, or
+before building a mesh over the triangle cap or equal to the measurement's
+generation mesh (the inverse crime).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import ElementIndicators, estimate
+from .estimator import estimate
 from .fem import TraceFunction, prolong, transfer_trace
 from .fem import _boundary_mass, _mass, _stiffness
-from .marking import STRATEGIES, MarkingDecision, check_theta, mark
+from .marking import STRATEGIES, check_theta, mark
 from .mesh import BoundaryTag, Mesh, bisect, nvb_closure
 from .problems import (
     MEASUREMENT_LEVELS,
@@ -63,7 +64,7 @@ class LoopConfig:
 
 @dataclass
 class IterationRecord:
-    """One row of the adaptive history (plus non-serialized extras)."""
+    """One row of the adaptive history (plus the triplet for true errors)."""
 
     k: int
     n_vertices: int
@@ -78,8 +79,6 @@ class IterationRecord:
     err_q: float = math.nan
     err_u: float = math.nan
     err_p: float = math.nan
-    indicators: ElementIndicators | None = field(default=None, repr=False)
-    decision: MarkingDecision | None = field(default=None, repr=False)
     triplet: OptimalTriplet | None = field(default=None, repr=False)
 
 
@@ -91,7 +90,6 @@ class AdaptiveHistory:
     stop_reason: str = ""
     measurement: Measurement | None = None
     reference: OptimalTriplet | None = None
-    final_mesh: Mesh | None = None
     final_triplet: OptimalTriplet | None = None
 
     def column(self, name: str) -> np.ndarray:
@@ -118,9 +116,9 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
                               measurement=measurement)
     keep_triplets = config.record_true_errors
     coarse_q: TraceFunction | None = None
+    check_no_inverse_crime(measurement, mesh)
 
     for k in range(config.max_iters):
-        check_no_inverse_crime(measurement, mesh)
         system = DiscreteSystem(mesh, data)
         warm = None if coarse_q is None else \
             transfer_trace(coarse_q, system.ops.trace)
@@ -131,7 +129,6 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             triplet = solve_optimality(system, config.solver, warm_start=warm)
         except SolverError as exc:
             history.stop_reason = "solver_failure"
-            history.final_mesh = mesh
             raise PartialRunError(str(exc), history) from exc
         indicators = estimate(triplet, data)
         decision = mark(indicators, config.strategy, config.theta, config.tol)
@@ -147,8 +144,6 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             osc=indicators.osc,
             objective=objective(triplet.q, system, config.solver, u=triplet.u),
             cg_iterations=triplet.iterations,
-            indicators=indicators,
-            decision=decision,
             triplet=triplet if keep_triplets else None,
         ))
 
@@ -166,16 +161,18 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             history.stop_reason = "zero_marking"
             break
 
-        if nvb_closure(mesh, decision.marked)[1] > config.max_triangles:
+        n_children = nvb_closure(mesh, decision.marked)[1]
+        if n_children > config.max_triangles:
             history.stop_reason = "max_triangles"
+            break
+        if (n_children, mesh.level + 1) == (measurement.generation_triangles,
+                                            measurement.generation_level):
+            history.stop_reason = "inverse_crime"
             break
         # the parent's operators and factor are freed before the bisection
         coarse_q, system = triplet.q, None
         mesh = bisect(mesh, decision.marked)
 
-    # every loop exit happens before the refinement step, so this is the
-    # mesh of the last recorded solve
-    history.final_mesh = mesh
     history.final_triplet = triplet
     if keep_triplets:
         history.reference = overkill_reference(mesh, data, config.solver)

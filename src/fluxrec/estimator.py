@@ -70,13 +70,9 @@ class ElementIndicators:
         return float(np.sqrt(self.eta2_sq.sum()))
 
     @property
-    def osc_sq_total(self) -> float:
-        return float(self.osc_f_sq.sum() + self.osc_j1_sq.sum()
-                     + self.osc_j2_sq.sum())
-
-    @property
     def osc(self) -> float:
-        return float(np.sqrt(self.osc_sq_total))
+        return float(np.sqrt(self.osc_f_sq.sum() + self.osc_j1_sq.sum()
+                             + self.osc_j2_sq.sum()))
 
 
 def _normal_fluxes(mesh, faces, grads, side=0):

@@ -188,12 +188,9 @@ _MIDPOINT_EDGES = ((0, 1), (1, 2), (2, 0))
 def midpoint_samples(mesh: Mesh, f) -> np.ndarray:
     """Source ``f`` at the three edge midpoints per triangle, shape (m, 3).
 
-    Column ``g`` is the midpoint of local edge ``_MIDPOINT_EDGES[g]``; a
-    missing source (None) samples as zero.
+    Column ``g`` is the midpoint of local edge ``_MIDPOINT_EDGES[g]``.
     """
     out = np.zeros((mesh.n_triangles, 3))
-    if f is None:
-        return out
     p = mesh.vertices[mesh.triangles]
     for g, (i, j) in enumerate(_MIDPOINT_EDGES):
         mid = 0.5 * (p[:, i] + p[:, j])
@@ -222,7 +219,7 @@ def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data"):
     F = np.zeros(mesh.n_vertices)
     g_sq = 0.0
     face_ids = mesh.faces_with_tag(tag)
-    if g is None or face_ids.size == 0:
+    if face_ids.size == 0:
         return F, g_sq
     faces = mesh.faces[face_ids]
     pa = mesh.vertices[faces[:, 0]]
@@ -243,9 +240,8 @@ def assemble_load(mesh: Mesh, fv: np.ndarray, u_a,
     """Right-hand side ``F_i = (f, phi_i) + (gamma u_a, phi_i)_{Gamma_a}``,
     the source given by its :func:`midpoint_samples` ``fv``."""
     F = volume_load(mesh, fv)
-    if u_a is not None:
-        F += coeffs.gamma * boundary_load(mesh, u_a, BoundaryTag.GAMMA_A,
-                                          "ambient temperature u_a")[0]
+    F += coeffs.gamma * boundary_load(mesh, u_a, BoundaryTag.GAMMA_A,
+                                      "ambient temperature u_a")[0]
     return F
 
 
@@ -267,15 +263,11 @@ def assemble_trace_operators(trace: TraceSpace):
     return B[trace.vertex_ids], B, _boundary_mass(mesh, BoundaryTag.GAMMA_A)
 
 
-def interpolate(fun, target) -> "FeFunction | TraceFunction":
-    """Nodal interpolation of a callable: an :class:`FeFunction` on a
-    :class:`Mesh`, a :class:`TraceFunction` on a :class:`TraceSpace`."""
-    if isinstance(target, TraceSpace):
-        pts, kind = target.mesh.vertices[target.vertex_ids], TraceFunction
-    else:
-        pts, kind = target.vertices, FeFunction
-    return kind(target, _eval_data(fun, pts[:, 0], pts[:, 1],
-                                   "interpolated data"))
+def interpolate(fun, trace: TraceSpace) -> TraceFunction:
+    """Nodal interpolation of a callable into a GammaI trace space."""
+    pts = trace.mesh.vertices[trace.vertex_ids]
+    return TraceFunction(trace, _eval_data(fun, pts[:, 0], pts[:, 1],
+                                           "interpolated data"))
 
 
 def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:

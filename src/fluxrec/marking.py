@@ -22,8 +22,6 @@ STRATEGIES = ("maximum", "equidistribution", "modified_equidistribution",
 @dataclass
 class MarkingDecision:
     marked: np.ndarray = field(repr=False)
-    threshold_used: float = 0.0
-    strategy: str = ""
     terminate: bool = False
 
     def __post_init__(self):
@@ -57,10 +55,8 @@ def mark_maximum(indicators: ElementIndicators, theta: float) -> MarkingDecision
     eta = _eta_per_element(indicators)
     eta_max = eta.max() if eta.size else 0.0
     if eta_max == 0.0:
-        return MarkingDecision(np.empty(0, dtype=np.int64), 0.0, "maximum")
-    threshold = theta * eta_max
-    return MarkingDecision(np.flatnonzero(eta >= threshold), threshold,
-                           "maximum")
+        return MarkingDecision(np.empty(0, dtype=np.int64))
+    return MarkingDecision(np.flatnonzero(eta >= theta * eta_max))
 
 
 def mark_equidistribution(indicators: ElementIndicators, theta: float,
@@ -77,12 +73,10 @@ def mark_equidistribution(indicators: ElementIndicators, theta: float,
         raise ValueError(f"tol must be > 0, got {tol}")
     eta = _eta_per_element(indicators)
     if indicators.eta <= tol:
-        return MarkingDecision(np.empty(0, dtype=np.int64), 0.0,
-                               "equidistribution", terminate=True)
+        return MarkingDecision(np.empty(0, dtype=np.int64), terminate=True)
     # the largest indicator exceeds tol / sqrt(N) but for roundoff
     threshold = min(theta * tol / np.sqrt(eta.size), eta.max())
-    return MarkingDecision(np.flatnonzero(eta >= threshold), threshold,
-                           "equidistribution")
+    return MarkingDecision(np.flatnonzero(eta >= threshold))
 
 
 def mark_modified_equidistribution(indicators: ElementIndicators,
@@ -92,13 +86,11 @@ def mark_modified_equidistribution(indicators: ElementIndicators,
     eta = _eta_per_element(indicators)
     total = indicators.eta
     if total == 0.0:
-        return MarkingDecision(np.empty(0, dtype=np.int64), 0.0,
-                               "modified_equidistribution")
+        return MarkingDecision(np.empty(0, dtype=np.int64))
     # the largest indicator is at least their root mean square, which
     # roundoff in ``total`` can put above it
     threshold = min(theta * total / np.sqrt(eta.size), eta.max())
-    return MarkingDecision(np.flatnonzero(eta >= threshold), threshold,
-                           "modified_equidistribution")
+    return MarkingDecision(np.flatnonzero(eta >= threshold))
 
 
 def mark_doerfler(indicators: ElementIndicators, theta: float) -> MarkingDecision:
@@ -115,13 +107,11 @@ def mark_doerfler(indicators: ElementIndicators, theta: float) -> MarkingDecisio
     cumulative = np.cumsum(eta_sq[order])
     total_sq = float(cumulative[-1]) if cumulative.size else 0.0
     if total_sq == 0.0:
-        return MarkingDecision(np.empty(0, dtype=np.int64), 0.0, "doerfler")
+        return MarkingDecision(np.empty(0, dtype=np.int64))
     target = theta ** 2 * total_sq
     k = int(np.searchsorted(cumulative, target))
     k = min(k, eta_sq.size - 1)
-    threshold_sq = eta_sq[order[k]]
-    marked = np.flatnonzero(eta_sq >= threshold_sq)
-    return MarkingDecision(marked, float(np.sqrt(threshold_sq)), "doerfler")
+    return MarkingDecision(np.flatnonzero(eta_sq >= eta_sq[order[k]]))
 
 
 def mark(indicators: ElementIndicators, strategy: str, theta: float,

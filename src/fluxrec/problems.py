@@ -20,6 +20,8 @@ from .solver import DiscreteSystem, ProblemData, solve_state
 BUILTIN_NAMES = ("square_smooth", "square_jump", "lshape_spike")
 # default uniform refinements of the initial mesh that generate the data
 MEASUREMENT_LEVELS = 5
+# most triangles a generation mesh may have (each level at least doubles them)
+MEASUREMENT_MAX_TRIANGLES = 2 ** 20
 # most point-segment pairs one block of a measurement lookup holds, which
 # bounds its memory whatever the sample and point counts
 _LOCATE_PAIRS = 2 ** 16
@@ -191,12 +193,16 @@ def generate_measurement(
     problem's noise level, ``value * (1 + noise * xi)`` with ``xi`` uniform
     in [-1, 1] from the problem's seed.  Generating on a strictly finer mesh
     than the inversion start avoids the inverse crime of reusing one
-    discretization for both.
+    discretization for both.  Levels whose mesh would have more than
+    ``MEASUREMENT_MAX_TRIANGLES`` triangles raise ``ValueError``.
     """
     if extra_levels < 2:
         raise ValueError("extra_levels must be >= 2 to keep the forward mesh "
                          "finer than the inversion start")
     mesh = problem.initial_mesh()
+    if mesh.n_triangles << int(extra_levels) > MEASUREMENT_MAX_TRIANGLES:
+        raise ValueError(f"extra_levels={extra_levels} would generate more "
+                         f"than {MEASUREMENT_MAX_TRIANGLES} triangles")
     for _ in range(extra_levels):
         mesh = bisect(mesh, np.arange(mesh.n_triangles))
 

@@ -60,15 +60,21 @@ class SolverSettings:
 class ProblemData:
     """Coefficients and data callables defining one inversion problem.
 
-    ``f`` and ``u_a`` are the source and ambient temperature; ``z`` is the
-    measured temperature on GammaA (may be None for pure forward solves).
-    All callables take vectorized ``(x, y)`` arguments.
+    ``f`` and ``u_a`` are the source and ambient temperature, both required
+    (zero data is a zero callable); ``z`` is the measured temperature on
+    GammaA, or None for forward-only data.  All callables take vectorized
+    ``(x, y)`` arguments.
     """
 
     coeffs: CoefficientSet
-    f: object = None
-    u_a: object = None
+    f: object
+    u_a: object
     z: object = None
+
+    def __post_init__(self):
+        for name in ("f", "u_a"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"problem data {name} must be callable")
 
 
 @dataclass
@@ -172,10 +178,11 @@ class _MeshOperators:
     data terms.  The estimator's volume terms come from one sampling of
     ``f`` at construction, which is kept until ``F`` is built from it; ``F``
     and the rest are built on first read, so an estimate alone builds no
-    operator.  The SPD ``A`` is factored on the first solve without
-    pivoting, in the nested-dissection order ``p`` computed then.  ``f``,
-    ``u_a`` and ``z`` are held, so their ids stay unique; of ``coeffs`` only
-    alpha and gamma, which the key fixes, are read."""
+    operator, and data without ``z`` fails at the first read of ``Z``,
+    ``z_sq`` or ``gamma_a_data``.  The SPD ``A`` is factored on the first
+    solve without pivoting, in the nested-dissection order ``p`` computed
+    then.  ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
+    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
@@ -194,6 +201,8 @@ class _MeshOperators:
 
     def __getattr__(self, name):
         # reached for unset attributes only, which it builds on first read
+        if name in ("Z", "z_sq", "gamma_a_data") and self.z is None:
+            raise ValueError("problem data carries no measurement z")
         if name == "F":
             self.F = assemble_load(self.mesh, self._fv, self.u_a, self.coeffs)
             del self._fv
@@ -209,6 +218,17 @@ class _MeshOperators:
             self.Z, self.z_sq = boundary_load(
                 self.mesh, self.z, BoundaryTag.GAMMA_A, "measurement z")
             _read_only(self.Z)
+        elif name == "gamma_a_data":
+            # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
+            # one row per face in face order
+            ga = self.mesh.faces_with_tag(BoundaryTag.GAMMA_A)
+            ends = self.mesh.vertices[self.mesh.faces[ga]]
+            pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (
+                ends[:, 1:] - ends[:, :1])
+            x, y = pts[:, :, 0], pts[:, :, 1]
+            ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
+            zv = _eval_data(self.z, x, y, "measurement z")
+            self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -236,32 +256,12 @@ class _MeshOperators:
             self._Mi_lu = spla.splu(self.M_i.tocsc())
         return self._Mi_lu.solve(rhs)
 
-    def require_z(self):
-        if self.z is None:
-            raise ValueError("problem data carries no measurement z")
-
     @cached_property
     def b(self) -> np.ndarray:
         """Reduced right-hand side ``B^T A^-1 (M_a A^-1 F - Z)``."""
-        self.require_z()
+        Z = self.Z  # data without z fails here, before any factorisation
         u0 = self.solve_A(self.F)
-        return _read_only(self.BT @ self.solve_A(self.M_a @ u0 - self.Z))[0]
-
-    @cached_property
-    def gamma_a_data(self):
-        """``(gamma u_a, z)`` at the 3-point Gauss nodes of the GammaA
-        faces, one row per face in face order."""
-        if self.z is None:
-            raise ValueError("costate face residual on GammaA needs the "
-                             "measurement z")
-        ga = self.mesh.faces_with_tag(BoundaryTag.GAMMA_A)
-        ends = self.mesh.vertices[self.mesh.faces[ga]]
-        pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
-        x, y = pts[:, :, 0], pts[:, :, 1]
-        ua = np.zeros_like(x) if self.u_a is None else \
-            _eval_data(self.u_a, x, y, "ambient temperature u_a")
-        return _read_only(self.coeffs.gamma * ua,
-                          _eval_data(self.z, x, y, "measurement z"))
+        return _read_only(self.BT @ self.solve_A(self.M_a @ u0 - Z))[0]
 
 
 def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
@@ -282,12 +282,12 @@ def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
 class DiscreteSystem:
     """The optimality system of ``data`` on one mesh.
 
-    Only beta is its own.  ``ops`` is the shared :func:`mesh_operators`
-    object: the mesh, its trace space, the bilinear operator ``A``, the
-    load vector ``F``, the boundary mass matrices, the flux coupling ``B``,
-    the measurement moment vector ``Z_i = int_{GammaA} z phi_i`` and the
-    factors of ``A`` and ``M_i``, so a sweep over beta on one mesh
-    assembles, samples the data and factors once.
+    Only beta, read from ``data``, is its own.  Everything else lives in
+    ``ops``, the shared :func:`mesh_operators` object, which builds each
+    part on first read: the trace space, ``A`` and its factor, ``F``,
+    ``M_i`` and its factor, ``B``, ``M_a``, the measurement moments ``Z``
+    and ``z_sq`` and the reduced right-hand side ``b``.  So a sweep over
+    beta on one mesh assembles, samples the data and factors once.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData):
@@ -308,7 +308,6 @@ def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
     ops = system.ops
-    ops.require_z()
     return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
 
 
@@ -320,11 +319,11 @@ def objective(q: TraceFunction, system: DiscreteSystem,
     pass it positionally.
     """
     ops = system.ops
-    ops.require_z()
+    Z = ops.Z  # data without z fails here, before any solve
     if u is None:
         u = solve_state(q, system)
     uv = u.values
-    misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (ops.Z @ uv) + ops.z_sq)
+    misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (Z @ uv) + ops.z_sq)
     reg = float(q.values @ (ops.M_i @ q.values))
     return 0.5 * misfit + 0.5 * system.beta * reg
 
@@ -349,7 +348,6 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     get there.
     """
     ops = system.ops
-    ops.require_z()
     b = ops.b
 
     if warm_start is not None:

@@ -8,10 +8,11 @@ from fluxrec import (
     build_initial_mesh,
     builtin_problem,
     generate_measurement,
-    run_adaptive,
 )
 from fluxrec.problems import BUILTIN_NAMES
 from fluxrec.solver import DiscreteSystem
+
+from helpers import run_marked
 
 
 @pytest.fixture(scope="session")
@@ -57,11 +58,12 @@ def settings():
 
 @pytest.fixture(scope="session")
 def smooth_history(smooth_problem, smooth_measurement):
-    """Short adaptive run with recorded triplets and true errors."""
+    """Short adaptive run with recorded triplets, true errors and each
+    iteration's indicators and marking (``history.marks``)."""
     config = LoopConfig(strategy="maximum", theta=0.5, max_iters=8,
                         tol=1e-12, record_true_errors=True)
-    return run_adaptive(smooth_problem, config,
-                        measurement=smooth_measurement)
+    return run_marked(smooth_problem, config,
+                      measurement=smooth_measurement)
 
 
 @pytest.fixture(scope="module")

@@ -16,19 +16,22 @@ one dense pass over all point-segment pairs, the trace operators from the
 GammaI faces mapped to trace dofs, and the estimator from quadrature on
 every face with the data sampled anew.
 The utilities (mesh angles and patches, residual functionals, the reduced
-gradient, a boundary norm, config/measurement round trips and the
-uniform-refinement run) are only needed by tests, so they live here rather
-than in the library.
+gradient, a boundary norm, config/measurement round trips, nodal
+interpolation on a mesh, zero data, the uniform-refinement run and a run
+that records each iteration's indicators and marking) are only needed by
+tests, so they live here rather than in the library.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
+from fluxrec import driver
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
 from fluxrec.estimator import ElementIndicators
 from fluxrec.export import _fmt
@@ -234,8 +237,7 @@ class FaceSamples:
         if ga.size:
             x = pts[ga][:, :, 0]
             y = pts[ga][:, :, 1]
-            ua = _eval_data(data.u_a, x, y, "ambient temperature u_a") \
-                if data.u_a is not None else np.zeros_like(x)
+            ua = _eval_data(data.u_a, x, y, "ambient temperature u_a")
             u_vals = _face_trace_values(triplet.u.values, mesh, ga, tpar[ga])
             p_vals = _face_trace_values(triplet.p.values, mesh, ga, tpar[ga])
             j1[ga] = gamma * ua - gamma * u_vals - flux_u0[ga][:, None]
@@ -917,7 +919,6 @@ def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
     t = test.values
     if which == "state":
         return float(t @ (ops.F - ops.B @ q - ops.A @ u))
-    ops.require_z()
     return float(t @ (ops.M_a @ u - ops.Z - ops.A @ p))
 
 
@@ -962,3 +963,34 @@ def run_uniform(problem, config, measurement=None):
     return run_adaptive(
         problem, dataclasses.replace(config, strategy="maximum", theta=0.0),
         measurement=measurement)
+
+
+def run_marked(problem, config, measurement=None):
+    """``run_adaptive`` that also records what each iteration marked.
+
+    ``fluxrec.driver.mark`` is patched for this one call.  Returns the
+    history with ``history.marks``, the ``(indicators, decision)`` pair of
+    each record in order.
+    """
+    marks, mark = [], driver.mark
+
+    def recording(indicators, *args):
+        marks.append((indicators, mark(indicators, *args)))
+        return marks[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "mark", recording)
+        history = run_adaptive(problem, config, measurement=measurement)
+    history.marks = marks
+    return history
+
+
+def nodal_interpolant(fun, mesh: Mesh) -> FeFunction:
+    """Nodal P1 interpolation of a callable on every vertex of a mesh."""
+    x, y = mesh.vertices.T
+    return FeFunction(mesh, _eval_data(fun, x, y, "interpolated data"))
+
+
+def zero(x, y):
+    """Zero data, vectorized like the problem callables."""
+    return np.zeros_like(np.asarray(x, dtype=float))

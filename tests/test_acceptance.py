@@ -26,6 +26,7 @@ from helpers import (
     boundary_tag_map,
     dense_optimality,
     reduced_gradient,
+    run_marked,
 )
 
 
@@ -48,7 +49,7 @@ def smooth_run():
     config = LoopConfig(strategy="maximum", theta=0.5, max_iters=15,
                         tol=1e-12, record_true_errors=True)
     start = time.time()
-    history = run_adaptive(problem, config)
+    history = run_marked(problem, config)
     history.elapsed = time.time() - start
     return history
 
@@ -59,7 +60,7 @@ def lshape_run():
     config = LoopConfig(strategy="maximum", theta=0.5, max_iters=25,
                         tol=1e-12)
     start = time.time()
-    history = run_adaptive(problem, config)
+    history = run_marked(problem, config)
     history.elapsed = time.time() - start
     return history
 
@@ -92,8 +93,8 @@ def strategy_runs():
     }
     for strategy, kw in params.items():
         config = LoopConfig(strategy=strategy, max_iters=15, **kw)
-        runs[strategy] = run_adaptive(problem, config,
-                                      measurement=measurement)
+        runs[strategy] = run_marked(problem, config,
+                                    measurement=measurement)
     elapsed = time.time() - start
     return runs, eta0, elapsed
 
@@ -273,15 +274,16 @@ def test_criterion_8_marking_condition(smooth_run, lshape_run,
     histories = [smooth_run, lshape_run] + list(runs.values())
     checked = 0
     for history in histories:
-        for rec in history.records:
-            eta_t = np.sqrt(rec.indicators.eta_sq)
-            marked = rec.decision.marked
+        assert len(history.marks) == len(history.records)
+        for indicators, decision in history.marks:
+            eta_t = np.sqrt(indicators.eta_sq)
+            marked = decision.marked
             unmarked = np.setdiff1d(np.arange(eta_t.size), marked)
             if marked.size and unmarked.size:
                 assert eta_t[unmarked].max() <= eta_t[marked].max() + 1e-15
-            if rec.decision.strategy == "doerfler" and marked.size:
-                total = np.sqrt(rec.indicators.eta_sq.sum())
-                marked_part = np.sqrt(rec.indicators.eta_sq[marked].sum())
+            if history.config.strategy == "doerfler" and marked.size:
+                total = np.sqrt(indicators.eta_sq.sum())
+                marked_part = np.sqrt(indicators.eta_sq[marked].sum())
                 assert marked_part >= 0.8 * total - 1e-12
                 if unmarked.size:
                     assert eta_t[marked].min() >= eta_t[unmarked].max()

@@ -93,6 +93,20 @@ class TestRunCommand:
         assert not out.exists()
 
 
+    def test_inverse_crime_stop_writes_all_files(self, tmp_path, capsys):
+        """Uniform refinement stops before the data-generation mesh and
+        still writes every output file."""
+        cfg = tmp_path / "uniform.cfg"
+        cfg.write_text("problem = square_smooth\ntheta = 0\nmax_iters = 8\n")
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.rstrip().endswith("(inverse_crime)")
+        for name in ("history.csv", "final.vtk", "flux.txt"):
+            assert (out / name).exists(), name
+        assert len((out / "history.csv").read_text().splitlines()) == 1 + 5
+
+
 class TestForwardCommand:
     def test_deterministic_files(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -109,6 +123,13 @@ class TestForwardCommand:
         assert cli_main(base + ["--noise", "0", "--out", str(clean)]) == 0
         assert cli_main(base + ["--noise", "0.05", "--out", str(noisy)]) == 0
         assert clean.read_bytes() != noisy.read_bytes()
+
+    def test_too_many_levels(self, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        rc = cli_main(["forward", "--levels", "64", "--out", str(out)])
+        assert rc == 2
+        assert "extra_levels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_problem(self, tmp_path, capsys):
         rc = cli_main(["forward", "--problem", "mystery",

@@ -32,6 +32,7 @@ from helpers import (
     dof_lookup_trace_values,
     format_config,
     graded_mesh,
+    nodal_interpolant,
     read_measurement,
     row_export_vtk,
 )
@@ -214,8 +215,8 @@ class TestVtkExport:
                          for x, y in refined_square.vertices.tolist()]
 
     def test_multiple_fields(self, tmp_path, refined_square):
-        u = interpolate(lambda x, y: x, refined_square)
-        p = interpolate(lambda x, y: y, refined_square)
+        u = nodal_interpolant(lambda x, y: x, refined_square)
+        p = nodal_interpolant(lambda x, y: y, refined_square)
         path = tmp_path / "out.vtk"
         export_vtk(refined_square, {"state": u, "costate": p}, path)
         _, _, fields = parse_vtk(path.read_text())
@@ -278,7 +279,7 @@ class TestVtkExport:
         for _ in range(14):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
         assert mesh.n_triangles == 32_768
-        fields = {name: interpolate(fun, mesh) for name, fun in
+        fields = {name: nodal_interpolant(fun, mesh) for name, fun in
                   (("u", lambda x, y: np.sin(x + y)), ("p", np.hypot))}
         peaks = []
         for writer in (export_vtk, row_export_vtk):

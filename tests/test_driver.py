@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -18,7 +19,12 @@ from fluxrec.fem import (
 from fluxrec.problems import builtin_problem, generate_measurement
 from fluxrec.solver import OptimalTriplet, SolverSettings
 
-from helpers import nvb_chain, run_uniform, three_transfer_true_errors
+from helpers import (
+    nvb_chain,
+    run_marked,
+    run_uniform,
+    three_transfer_true_errors,
+)
 
 
 class TestRunAdaptive:
@@ -62,12 +68,42 @@ class TestRunAdaptive:
         assert eta[-1] <= 0.5 * eta[0]
 
     def test_marking_condition_every_iteration(self, smooth_history):
-        for rec in smooth_history.records:
-            eta_t = np.sqrt(rec.indicators.eta_sq)
-            marked = rec.decision.marked
+        assert len(smooth_history.marks) == len(smooth_history.records)
+        for indicators, decision in smooth_history.marks:
+            eta_t = np.sqrt(indicators.eta_sq)
+            marked = decision.marked
             unmarked = np.setdiff1d(np.arange(eta_t.size), marked)
             if marked.size and unmarked.size:
                 assert eta_t[unmarked].max() <= eta_t[marked].max() + 1e-15
+
+    def test_inverse_crime_stops_before_generation_mesh(
+            self, smooth_problem, smooth_measurement, monkeypatch):
+        """Uniform refinement stops, with its history, before it would
+        bisect to the mesh that generated the data."""
+        levels, bisect = [], driver.bisect
+
+        def recording(mesh, marked):
+            levels.append(mesh.level + 1)
+            return bisect(mesh, marked)
+
+        monkeypatch.setattr(driver, "bisect", recording)
+        config = LoopConfig(strategy="maximum", theta=0.0, max_iters=8)
+        hist = run_adaptive(smooth_problem, config,
+                            measurement=smooth_measurement)
+        assert hist.stop_reason == "inverse_crime"
+        assert len(hist.records) == 5
+        assert [r.n_triangles for r in hist.records] == [2, 4, 8, 16, 32]
+        assert levels == [1, 2, 3, 4]
+        assert smooth_measurement.generation_level == 5
+        assert hist.final_triplet.mesh.level == 4
+
+    def test_inverse_crime_on_initial_mesh_raises(self, smooth_problem,
+                                                  smooth_measurement):
+        crime = dataclasses.replace(smooth_measurement,
+                                    generation_triangles=2,
+                                    generation_level=0)
+        with pytest.raises(RuntimeError, match="inverse crime"):
+            run_adaptive(smooth_problem, LoopConfig(), measurement=crime)
 
     def test_max_triangles_cap(self, smooth_problem, smooth_measurement):
         config = LoopConfig(strategy="maximum", theta=0.0, max_iters=20,
@@ -93,21 +129,22 @@ class TestRunAdaptive:
             return built[-1]
 
         monkeypatch.setattr(driver, "bisect", recording)
-        hist = run_adaptive(problem, config, measurement=measurement)
+        hist = run_marked(problem, config, measurement=measurement)
         assert hist.stop_reason == plain.stop_reason == "max_triangles"
         assert [m.n_triangles for m in built] == \
             [r.n_triangles for r in hist.records[1:]]
         assert max(m.n_triangles for m in built) <= 300
-        assert hist.final_mesh is built[-1]
-        refused = bisect(hist.final_mesh, hist.records[-1].decision.marked)
+        final_mesh = hist.final_triplet.mesh
+        assert final_mesh is built[-1]
+        refused = bisect(final_mesh, hist.marks[-1][1].marked)
         assert refused.n_triangles > 300
         columns = ("k", "n_vertices", "n_triangles", "n_flux_dofs", "eta",
                    "eta1", "eta2", "osc", "objective", "cg_iterations")
         assert [[getattr(r, c) for c in columns] for r in hist.records] == \
             [[getattr(r, c) for c in columns] for r in plain.records]
         for name in ("vertices", "triangles", "face_tags"):
-            assert np.array_equal(getattr(hist.final_mesh, name),
-                                  getattr(plain.final_mesh, name))
+            assert np.array_equal(getattr(final_mesh, name),
+                                  getattr(plain.final_triplet.mesh, name))
 
     def test_history_pins_no_mesh(self, smooth_problem, smooth_measurement,
                                   monkeypatch):
@@ -265,7 +302,8 @@ class TestTrueErrors:
         assert math.isnan(hist.records[0].err_q)
         assert hist.records[0].triplet is None
         assert hist.final_triplet is not None
-        assert hist.final_triplet.mesh is hist.final_mesh
+        assert hist.final_triplet.mesh.n_triangles == \
+            hist.records[-1].n_triangles
 
 
 class TestLoopConfig:

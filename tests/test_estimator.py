@@ -17,7 +17,6 @@ from fluxrec.fem import (
     TraceFunction,
     TraceSpace,
     element_gradients,
-    interpolate,
     midpoint_samples,
 )
 from fluxrec.mesh import BoundaryTag, build_initial_mesh
@@ -36,7 +35,9 @@ from helpers import (
     dof_lookup_trace_values,
     graded_mesh,
     monomial_integral_ref_triangle,
+    nodal_interpolant,
     nvb_chain,
+    zero,
 )
 
 
@@ -131,7 +132,7 @@ class TestElementResiduals:
 class TestFaceJumps:
     def test_global_linear_state_no_interior_jump(self, refined_square,
                                                   smooth_problem):
-        u = interpolate(lambda x, y: x, refined_square)
+        u = nodal_interpolant(lambda x, y: x, refined_square)
         triplet = make_triplet(refined_square, u_vals=u.values)
         faces, jmp_u, _ = interior_jumps(triplet,
                                          zero_data(smooth_problem.coeffs))
@@ -151,7 +152,7 @@ class TestFaceJumps:
         # u = y, alpha = gamma = 1, u_a = 0 on the top face y=1:
         # J1 = 0 - gamma*u - alpha du/dn = -1 - 1 = -2 at every point
         mesh = build_initial_mesh("square", "bottom")
-        u = interpolate(lambda x, y: y, mesh)
+        u = nodal_interpolant(lambda x, y: y, mesh)
         triplet = make_triplet(mesh, u_vals=u.values)
         faces, j1, _, _ = boundary_samples(triplet,
                                            zero_data(smooth_problem.coeffs))
@@ -199,7 +200,7 @@ class TestAllFacesOracle:
         beta = data.draw(st.floats(1e-8, 1.0), label="beta")
         pdata = dataclasses.replace(
             pdata, coeffs=dataclasses.replace(pdata.coeffs, beta=beta),
-            u_a=pdata.u_a if with_u_a else None)
+            u_a=pdata.u_a if with_u_a else zero)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                               label="seed"))
         u, p = rng.standard_normal((2, mesh.n_vertices))
@@ -276,7 +277,7 @@ class TestOscillations:
         # global linear state: interior jumps vanish, GammaI jumps are
         # constant when q is constant, so those oscillations vanish
         trace = TraceSpace.from_mesh(refined_square)
-        u = interpolate(lambda x, y: y, refined_square)
+        u = nodal_interpolant(lambda x, y: y, refined_square)
         triplet = make_triplet(
             refined_square, u_vals=u.values,
             q_vals=np.full(trace.n_dofs, 2.0))

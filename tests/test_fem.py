@@ -39,8 +39,10 @@ from helpers import (
     l2_norm,
     loop_transfer,
     monomial_integral_ref_triangle,
+    nodal_interpolant,
     nvb_chain,
     recursive_bisect,
+    zero,
 )
 
 
@@ -205,7 +207,7 @@ class TestAssembleLoad:
         # u_a = 1, gamma = 2 on a single unit GammaA face: entries 1 each
         mesh = build_initial_mesh("square", ("bottom", "right", "top"))
         coeffs = CoefficientSet(alpha=1.0, gamma=2.0, beta=1.0)
-        F = assemble_load(mesh, midpoint_samples(mesh, None),
+        F = assemble_load(mesh, midpoint_samples(mesh, zero),
                           lambda x, y: np.ones_like(x), coeffs)
         assert np.isclose(F[0], 1.0)
         assert np.isclose(F[2], 1.0)
@@ -251,7 +253,7 @@ class TestAssembleLoad:
         mesh = build_initial_mesh("square", ("left", "right", "top"))
         # GammaA = the bottom edge y=0 from (0,0) to (1,0)
         coeffs = CoefficientSet(alpha=1.0, gamma=1.0, beta=1.0)
-        F = assemble_load(mesh, midpoint_samples(mesh, None),
+        F = assemble_load(mesh, midpoint_samples(mesh, zero),
                           lambda x, y: x ** 2, coeffs)
         # int_0^1 x^2 (1 - x) dx = 1/12, int_0^1 x^2 x dx = 1/4
         assert np.isclose(F[0], 1.0 / 12.0, rtol=1e-13)
@@ -331,13 +333,13 @@ class TestTraceSpace:
 
 class TestInterpolate:
     def test_linear_function(self, square_mesh):
-        f = interpolate(lambda x, y: x + y, square_mesh)
+        f = nodal_interpolant(lambda x, y: x + y, square_mesh)
         idx = np.flatnonzero(
             (square_mesh.vertices == [1.0, 1.0]).all(axis=1))[0]
         assert f.values[idx] == 2.0
 
     def test_constant(self, refined_square):
-        f = interpolate(lambda x, y: 5.0 + 0.0 * x, refined_square)
+        f = nodal_interpolant(lambda x, y: 5.0 + 0.0 * x, refined_square)
         assert np.all(f.values == 5.0)
 
     def test_p1_reproduction(self, refined_square):
@@ -346,7 +348,7 @@ class TestInterpolate:
         original = FeFunction(refined_square, coeffs)
 
         def as_callable(x, y):
-            # nodal evaluation only happens at vertices in interpolate
+            # nodal evaluation only happens at vertices in nodal_interpolant
             pts = np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
             out = np.empty(len(pts))
             for i, p in enumerate(pts):
@@ -355,7 +357,7 @@ class TestInterpolate:
                 out[i] = coeffs[j[0]]
             return out if np.ndim(x) else out[0]
 
-        again = interpolate(as_callable, refined_square)
+        again = nodal_interpolant(as_callable, refined_square)
         assert np.array_equal(again.values, original.values)
 
     def test_trace_interpolation(self, refined_square):
@@ -464,12 +466,9 @@ class TestTransfer:
 
 
 def interpolated_triplet(mesh, u, p, q):
-    return OptimalTriplet(interpolate(u, mesh), interpolate(p, mesh),
+    return OptimalTriplet(nodal_interpolant(u, mesh),
+                          nodal_interpolant(p, mesh),
                           interpolate(q, TraceSpace.from_mesh(mesh)))
-
-
-def zero(x, y):
-    return 0.0 * x
 
 
 def errors_against_zero(u, p, q, meshes, fine):
@@ -507,7 +506,7 @@ class TestNorms:
                            atol=0.0)
 
     def test_trace_norm_bottom_edge(self, square_mesh, refined_square):
-        f = interpolate(lambda x, y: x, refined_square)
+        f = nodal_interpolant(lambda x, y: x, refined_square)
         assert np.isclose(boundary_l2(f, BoundaryTag.GAMMA_I) ** 2,
                           1.0 / 3.0, rtol=1e-13)
         errors = errors_against_zero(lambda x, y: x, lambda x, y: x,

@@ -206,7 +206,7 @@ class TestSharedProperties:
             a = mark(indicators_from(eta), strategy, *args)
             b = mark(indicators_from(eta), strategy, *args)
             assert np.array_equal(a.marked, b.marked)
-            assert a.threshold_used == b.threshold_used
+            assert a.terminate == b.terminate
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown marking strategy"):

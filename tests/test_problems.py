@@ -85,6 +85,25 @@ class TestGenerateMeasurement:
         with pytest.raises(ValueError, match="extra_levels"):
             generate_measurement(smooth_problem, extra_levels=1)
 
+    @pytest.mark.parametrize("levels", [20, 64])
+    def test_extra_levels_bounded_before_refining(self, smooth_problem,
+                                                  levels):
+        """Levels whose mesh would exceed the generation cap are refused
+        before the first bisection."""
+        with mock.patch.object(problems, "bisect") as bisect:
+            with pytest.raises(ValueError, match="extra_levels"):
+                generate_measurement(smooth_problem, extra_levels=levels)
+        bisect.assert_not_called()
+
+    def test_level_count_up_to_the_cap_is_refined(self, smooth_problem):
+        """19 levels take the two-triangle square to the cap exactly, so
+        they pass the check and reach the first bisection."""
+        assert 2 << 19 == problems.MEASUREMENT_MAX_TRIANGLES
+        with mock.patch.object(problems, "bisect",
+                               side_effect=RuntimeError("refining")):
+            with pytest.raises(RuntimeError, match="refining"):
+                generate_measurement(smooth_problem, extra_levels=19)
+
     def test_samples_cover_gamma_a(self, smooth_measurement):
         # GammaA of the square with bottom GammaI: left, top, right sides
         pts = smooth_measurement.points

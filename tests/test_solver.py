@@ -16,6 +16,7 @@ from fluxrec.mesh import BoundaryTag, Mesh, bisect
 from fluxrec.problems import BUILTIN_NAMES, generate_measurement
 from fluxrec.solver import (
     DiscreteSystem,
+    ProblemData,
     SolverError,
     SolverSettings,
     hessian_apply,
@@ -34,6 +35,7 @@ from helpers import (
     residual_apply,
     trace_l2,
     two_pass_measurement_moments,
+    zero,
 )
 
 
@@ -55,7 +57,7 @@ class TestSolveState:
 
     def test_zero_data_zero_state(self, refined_square, smooth_problem):
         data = smooth_problem.data()
-        data = type(data)(coeffs=data.coeffs, f=None, u_a=None)
+        data = type(data)(coeffs=data.coeffs, f=zero, u_a=zero)
         system = DiscreteSystem(refined_square, data)
         u = solve_state(zero_trace(system), system)
         assert np.abs(u.values).max() < 1e-12
@@ -71,6 +73,37 @@ class TestSolveState:
         u_direct = solve_state(q, smooth_system)
         u_cg = inner_cg_solve(smooth_system.ops.A, smooth_system.ops.F)
         assert np.abs(u_direct.values - u_cg).max() < 1e-8
+
+
+class TestProblemData:
+    @pytest.mark.parametrize("field", ["f", "u_a"])
+    @pytest.mark.parametrize("bad", [None, 0.0])
+    def test_data_callables_required(self, smooth_problem, field, bad):
+        kwargs = dict(coeffs=smooth_problem.coeffs, f=zero, u_a=zero)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"problem data {field} "):
+            ProblemData(**kwargs)
+
+    def test_measurement_optional(self, smooth_problem):
+        assert ProblemData(smooth_problem.coeffs, zero, zero).z is None
+
+    def test_missing_measurement_fails_before_factorisation(
+            self, refined_square, smooth_problem, settings):
+        """Every solve that reads z fails at its first read, before the
+        state operator is factored."""
+        mesh = bisect(refined_square, np.arange(refined_square.n_triangles))
+        system = DiscreteSystem(mesh, smooth_problem.data())
+        u = FeFunction(mesh, np.zeros(mesh.n_vertices))
+        q = zero_trace(system)
+        for call in (lambda: solve_optimality(system, settings),
+                     lambda: solve_costate(u, system),
+                     lambda: objective(q, system, settings)):
+            with pytest.raises(ValueError, match="measurement z"):
+                call()
+        assert system.ops.lu is None
+        # a forward solve needs no measurement
+        solve_state(q, system)
+        assert system.ops.lu is not None
 
 
 class TestSolveCostate:
@@ -99,7 +132,7 @@ class TestSolveCostate:
 
     def test_zero_everything(self, refined_square, smooth_problem):
         data = type(smooth_problem.data())(
-            coeffs=smooth_problem.coeffs, f=None, u_a=None,
+            coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
             z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
         u = FeFunction(system.ops.mesh, np.zeros(system.ops.mesh.n_vertices))
@@ -174,7 +207,7 @@ class TestSolveOptimality:
                                              smooth_problem, settings):
         # f = 0, u_a = 0: the q=0 state is zero, so z = 0 is compatible
         data = type(smooth_problem.data())(
-            coeffs=smooth_problem.coeffs, f=None, u_a=None,
+            coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
             z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
         triplet = solve_optimality(system, settings)
