@@ -1,11 +1,12 @@
 """Conforming triangular meshes with newest-vertex bisection refinement.
 
 A mesh is a conforming triangulation of one of the built-in polygonal
-domains.  Every triangle carries a refinement-edge label (the edge opposite
-its newest vertex) so that local refinement by newest-vertex bisection
-stays conforming and shape regular.  Boundary faces are tagged as either
-accessible (``GAMMA_A``, where measurements live) or inaccessible
-(``GAMMA_I``, where the unknown flux lives).
+domains.  Every triangle is stored newest vertex first, so its local edge 0,
+opposite the newest vertex, is its refinement edge; this keeps local
+refinement by newest-vertex bisection conforming and shape regular.
+Boundary faces are tagged as either accessible (``GAMMA_A``, where
+measurements live) or inaccessible (``GAMMA_I``, where the unknown flux
+lives).
 """
 
 from __future__ import annotations
@@ -27,18 +28,16 @@ class MeshError(ValueError):
     """Invalid mesh topology, geometry or boundary tagging."""
 
 
-# Built-in domains: vertex coordinates, counterclockwise triangles and the
-# boundary outline split into named straight sides.
+# Built-in domains: vertex coordinates and counterclockwise triangles, each
+# stored newest vertex first (its longest edge is local edge 0) with the
+# named boundary side of each local edge, None for an interior edge.
 _DOMAINS = {
     "square": {
         "vertices": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
-        "triangles": [(0, 1, 3), (0, 3, 2)],
-        "sides": {
-            "bottom": ((0.0, 0.0), (1.0, 0.0)),
-            "right": ((1.0, 0.0), (1.0, 1.0)),
-            "top": ((1.0, 1.0), (0.0, 1.0)),
-            "left": ((0.0, 1.0), (0.0, 0.0)),
-        },
+        "triangles": [
+            ((1, 3, 0), (None, "bottom", "right")),
+            ((2, 0, 3), (None, "top", "left")),
+        ],
     },
     # Unit square minus the top-right quadrant; reentrant corner at (1/2, 1/2).
     "lshape": {
@@ -48,18 +47,13 @@ _DOMAINS = {
             (0.0, 1.0), (0.5, 1.0),
         ],
         "triangles": [
-            (0, 1, 4), (0, 4, 3),
-            (1, 2, 5), (1, 5, 4),
-            (3, 4, 7), (3, 7, 6),
+            ((1, 4, 0), (None, "bottom", None)),
+            ((3, 0, 4), (None, None, "left")),
+            ((2, 5, 1), (None, "bottom", "right")),
+            ((4, 1, 5), (None, "inner_top", None)),
+            ((4, 7, 3), (None, None, "inner_right")),
+            ((6, 3, 7), (None, "top", "left")),
         ],
-        "sides": {
-            "bottom": ((0.0, 0.0), (1.0, 0.0)),
-            "right": ((1.0, 0.0), (1.0, 0.5)),
-            "inner_top": ((1.0, 0.5), (0.5, 0.5)),
-            "inner_right": ((0.5, 0.5), (0.5, 1.0)),
-            "top": ((0.5, 1.0), (0.0, 1.0)),
-            "left": ((0.0, 1.0), (0.0, 0.0)),
-        },
     },
 }
 
@@ -79,10 +73,9 @@ class Mesh:
     vertices : (n, 2) float array
         Vertex coordinates; vertex ids are the row indices.
     triangles : (m, 3) int array
-        Vertex ids per triangle, counterclockwise.
-    refinement_edge : (m,) int array
-        Local index in {0, 1, 2} of the edge opposite the newest vertex.
-        Local edge ``k`` joins local vertices ``k+1`` and ``k+2`` (mod 3).
+        Vertex ids per triangle, counterclockwise and newest vertex first:
+        local edge 0, opposite local vertex 0, is the refinement edge that
+        :func:`bisect` cuts.
     edge_tags : (m, 3) int array
         Tag of every triangle edge: entry ``k`` of row ``i`` tags local edge
         ``k`` of triangle ``i``, the edge opposite local vertex ``k``, which
@@ -107,11 +100,10 @@ class Mesh:
     :func:`fluxrec.solver.mesh_operators`); it keeps nothing alive.
     """
 
-    def __init__(self, vertices, triangles, refinement_edge, edge_tags,
-                 vertex_parents=None, level=0, root=None):
+    def __init__(self, vertices, triangles, edge_tags, vertex_parents=None,
+                 level=0, root=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
         if vertex_parents is None:
             vertex_parents = np.full((self.n_vertices, 2), -1, dtype=np.int64)
         self.vertex_parents = np.ascontiguousarray(vertex_parents, dtype=np.int64)
@@ -122,10 +114,10 @@ class Mesh:
 
         self._validate_geometry()
         self._build_face_table(edge_tags)
-        for arr in (self.vertices, self.triangles, self.refinement_edge,
-                    self.vertex_parents, self.faces, self.face_tris,
-                    self.face_tags, self.face_normals, self.face_lengths,
-                    self.tri_faces, self._areas):
+        for arr in (self.vertices, self.triangles, self.vertex_parents,
+                    self.faces, self.face_tris, self.face_tags,
+                    self.face_normals, self.face_lengths, self.tri_faces,
+                    self._areas):
             arr.setflags(write=False)
 
     @property
@@ -162,8 +154,6 @@ class Mesh:
         if (self._areas <= 0.0).any():
             raise MeshError("triangle with non-positive signed area "
                             "(vertices must be counterclockwise)")
-        if not np.all((self.refinement_edge >= 0) & (self.refinement_edge < 3)):
-            raise MeshError("refinement_edge entries must be in {0, 1, 2}")
 
     def _build_face_table(self, edge_tags):
         t, m, n = self.triangles, self.n_triangles, self.n_vertices
@@ -243,11 +233,10 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
         (six-triangle L-shape, the unit square minus its top-right quadrant).
     gamma_i : str or iterable of str
         Side name(s) forming the inaccessible boundary; remaining sides are
-        accessible.  Side names for the square: bottom, right, top, left.
+        accessible.  Side names for the square: bottom, right, top, left;
+        for the L-shape also inner_top and inner_right.
 
-    Refinement edges are initialized to the longest edge of each triangle
-    (ties broken by the smallest opposite-vertex id), which makes the
-    bisection closure terminate on the built-in meshes.
+    The triangles are stored newest vertex first, as in every mesh.
     """
     if domain not in _DOMAINS:
         raise MeshError(f"unknown domain {domain!r}; "
@@ -256,7 +245,8 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
     if isinstance(gamma_i, str):
         gamma_i = (gamma_i,)
     gamma_i = tuple(gamma_i)
-    side_names = set(spec["sides"])
+    triangles, sides = zip(*spec["triangles"])
+    side_names = {side for row in sides for side in row} - {None}
     unknown = [s for s in gamma_i if s not in side_names]
     if unknown:
         raise MeshError(f"unknown side name(s) {unknown}; "
@@ -266,43 +256,10 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
     if set(gamma_i) == side_names:
         raise MeshError("GammaI selection covers the whole boundary; "
                         "GammaA would be empty")
-
-    vertices = np.asarray(spec["vertices"], dtype=float)
-    triangles = np.asarray(spec["triangles"], dtype=np.int64)
-    ref_edge = _longest_edge_labels(vertices, triangles)
-
-    # tag every triangle edge by the side its midpoint lies on; an edge on
-    # no side is interior, and the constructor rejects a boundary one
-    ends = vertices[triangles]
-    mids = 0.5 * (ends[:, [1, 2, 0]] + ends[:, [2, 0, 1]])
-    sides = [_side_of(mid, spec["sides"]) for mid in mids.reshape(-1, 2)]
-    tags = [BoundaryTag.INTERIOR if side is None else
-            BoundaryTag.GAMMA_I if side in gamma_i else BoundaryTag.GAMMA_A
-            for side in sides]
-    return Mesh(vertices, triangles, ref_edge,
-                np.reshape(tags, triangles.shape))
-
-
-def _side_of(point, sides, tol=1e-12):
-    for name, (a, b) in sides.items():
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if abs(np.linalg.norm(point - a) + np.linalg.norm(b - point)
-               - np.linalg.norm(b - a)) < tol:
-            return name
-    return None
-
-
-def _longest_edge_labels(vertices, triangles) -> np.ndarray:
-    p = vertices[triangles]
-    lens = np.stack(
-        [np.linalg.norm(p[:, (k + 2) % 3] - p[:, (k + 1) % 3], axis=1)
-         for k in range(3)], axis=1)
-    longest = lens.max(axis=1, keepdims=True)
-    tie = lens >= longest * (1.0 - 1e-12)
-    # among longest edges pick the one whose opposite vertex id is smallest
-    opp_ids = np.where(tie, triangles, np.iinfo(np.int64).max)
-    return opp_ids.argmin(axis=1).astype(np.int64)
+    tags = [[BoundaryTag.INTERIOR if side is None else
+             BoundaryTag.GAMMA_I if side in gamma_i else BoundaryTag.GAMMA_A
+             for side in row] for row in sides]
+    return Mesh(spec["vertices"], triangles, tags)
 
 
 def nvb_closure(mesh: Mesh, marked):
@@ -320,7 +277,7 @@ def nvb_closure(mesh: Mesh, marked):
     last = mesh._last_closure
     if last is not None and np.array_equal(last[0], marked):
         return last[1:]
-    ref = mesh.tri_faces[np.arange(mesh.n_triangles), mesh.refinement_edge]
+    ref = mesh.tri_faces[:, 0]
     split = np.zeros(mesh.n_faces, dtype=bool)
     split[ref[marked]] = True
     while True:
@@ -349,19 +306,16 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     marking's order.
 
     ``marked`` is an array-like of triangle ids (a list or an integer
-    array of any width; repeats are ignored).  Output triangles are stored
-    newest vertex first (refinement edge 0).  Returns a new mesh; with an
-    empty marking the input mesh is returned unchanged.
+    array of any width; repeats are ignored).  Like the input triangles,
+    the children are stored newest vertex first.  Returns a new mesh; with
+    an empty marking the input mesh is returned unchanged.
     """
     split, _ = nvb_closure(mesh, marked)
     if not split.any():
         return mesh
 
-    # rotate to (newest vertex, refinement edge start, refinement edge end);
-    # column k of ``edge`` stays the face opposite local vertex k
-    rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
-    p, a, b = np.take_along_axis(mesh.triangles, rot, axis=1).T
-    edge = np.take_along_axis(mesh.tri_faces, rot, axis=1)
+    # (newest vertex, refinement edge start, refinement edge end)
+    p, a, b = mesh.triangles.T
 
     cut = np.flatnonzero(split)
     n = mesh.n_vertices
@@ -373,12 +327,12 @@ def bisect(mesh: Mesh, marked) -> Mesh:
         0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])])
 
     # midpoints of the refinement edge, of (b, p) and of (p, a)
-    m0, m1, m2 = mid[edge].T
+    m0, m1, m2 = mid[mesh.tri_faces].T
     refined = m0 >= 0
     left, right = refined & (m2 >= 0), refined & (m1 >= 0)
-    # each child with the tags of its local edges, in the rotated frame
-    # (t0, t1, t2) of the parent's edges; 0 on the new bisection edges
-    t0, t1, t2 = mesh.face_tags[edge].T
+    # each child with the tags of its local edges, taken from the parent's
+    # (t0, t1, t2); 0 on the new bisection edges
+    t0, t1, t2 = mesh.face_tags[mesh.tri_faces].T
     o = np.zeros_like(t0)
     children = (
         (~refined, (p, a, b), (t0, t1, t2)),
@@ -396,7 +350,6 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     return Mesh(
         vertices,
         triangles,
-        np.zeros(triangles.shape[0], dtype=np.int64),
         edge_tags,
         vertex_parents=np.concatenate([mesh.vertex_parents, ends]),
         level=mesh.level + 1,

@@ -42,6 +42,9 @@ class ProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("f", "u_a", "q_true"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"problem data {name} must be callable")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise level must be in [0, 1]")
         if self.seed < 0:

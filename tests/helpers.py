@@ -3,7 +3,8 @@
 The oracles deliberately avoid the production code paths: plane
 coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
-system from one dense monolithic solve, newest-vertex bisection from a
+system from one dense monolithic solve, the built-in initial meshes from
+their longest edges and side geometry, newest-vertex bisection from a
 recursive loop over Python dicts, the face table from two sorts, a dict of
 boundary tags and centroid-oriented normals and its sort from
 ``np.unique``, sparse assembly from int64 indices, the VTK file from numpy
@@ -313,10 +314,11 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     recursive conforming closure.
 
     Every marked triangle is bisected at least once along its refinement
-    edge.  Neighbors whose shared edge would otherwise carry a hanging node
-    are bisected first (compatible-pair bisection), which is guaranteed to
-    need at most one extra level per neighbor.  The midpoint becomes the
-    newest vertex of both children.
+    edge, local edge 0.  Neighbors whose shared edge would otherwise carry a
+    hanging node are bisected first (compatible-pair bisection), which is
+    guaranteed to need at most one extra level per neighbor.  The midpoint
+    becomes the newest vertex of both children, which are stored newest
+    vertex first.
 
     Returns a new mesh; with an empty marking the input mesh is returned
     unchanged.
@@ -330,7 +332,6 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     verts = [tuple(v) for v in mesh.vertices]
     parents = [tuple(pp) for pp in mesh.vertex_parents]
     tri_v = [tuple(t) for t in mesh.triangles]
-    tri_ref = list(mesh.refinement_edge)
     alive = [True] * len(tri_v)
     btags = boundary_tag_map(mesh)
 
@@ -342,10 +343,8 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     midpoints: dict[tuple[int, int], int] = {}
 
     def ref_key(t):
-        a, b, c = tri_v[t]
-        r = tri_ref[t]
-        vs = (a, b, c)
-        return edge_key(vs[(r + 1) % 3], vs[(r + 2) % 3])
+        _, b, c = tri_v[t]
+        return edge_key(b, c)
 
     def midpoint_of(key):
         vid = midpoints.get(key)
@@ -363,19 +362,15 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
         return vid
 
     def split(t, mid):
-        a, b, c = tri_v[t]
-        r = tri_ref[t]
-        vs = (a, b, c)
-        peak, ea, eb = vs[r], vs[(r + 1) % 3], vs[(r + 2) % 3]
+        peak, ea, eb = tri_v[t]
         alive[t] = False
-        for key in (edge_key(b, c), edge_key(c, a), edge_key(a, b)):
+        for key in (edge_key(ea, eb), edge_key(eb, peak), edge_key(peak, ea)):
             edge_tris[key].remove(t)
-        # children (peak, ea, mid) and (peak, mid, eb); the midpoint is the
-        # newest vertex of both, so its opposite edge becomes the label
-        for child, ref in (((peak, ea, mid), 2), ((peak, mid, eb), 1)):
+        # children (mid, peak, ea) and (mid, eb, peak): the midpoint is the
+        # newest vertex of both
+        for child in ((mid, peak, ea), (mid, eb, peak)):
             cid = len(tri_v)
             tri_v.append(child)
-            tri_ref.append(ref)
             alive.append(True)
             x, y, z = child
             for key in (edge_key(y, z), edge_key(z, x), edge_key(x, y)):
@@ -413,12 +408,83 @@ def recursive_bisect(mesh: Mesh, marked) -> Mesh:
     return Mesh(
         np.asarray(verts, dtype=float),
         triangles,
-        np.asarray([tri_ref[i] for i in keep], dtype=np.int64),
         edge_tags_from_map(triangles, btags),
         vertex_parents=np.asarray(parents, dtype=np.int64),
         level=mesh.level + 1,
         root=mesh.root,
     )
+
+
+# The built-in domains as geometry: counterclockwise triangles in no
+# particular vertex order and the boundary outline as named straight sides.
+GEOMETRIC_DOMAINS = {
+    "square": {
+        "vertices": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+        "triangles": [(0, 1, 3), (0, 3, 2)],
+        "sides": {
+            "bottom": ((0.0, 0.0), (1.0, 0.0)),
+            "right": ((1.0, 0.0), (1.0, 1.0)),
+            "top": ((1.0, 1.0), (0.0, 1.0)),
+            "left": ((0.0, 1.0), (0.0, 0.0)),
+        },
+    },
+    "lshape": {
+        "vertices": [
+            (0.0, 0.0), (0.5, 0.0), (1.0, 0.0),
+            (0.0, 0.5), (0.5, 0.5), (1.0, 0.5),
+            (0.0, 1.0), (0.5, 1.0),
+        ],
+        "triangles": [
+            (0, 1, 4), (0, 4, 3),
+            (1, 2, 5), (1, 5, 4),
+            (3, 4, 7), (3, 7, 6),
+        ],
+        "sides": {
+            "bottom": ((0.0, 0.0), (1.0, 0.0)),
+            "right": ((1.0, 0.0), (1.0, 0.5)),
+            "inner_top": ((1.0, 0.5), (0.5, 0.5)),
+            "inner_right": ((0.5, 0.5), (0.5, 1.0)),
+            "top": ((0.5, 1.0), (0.0, 1.0)),
+            "left": ((0.0, 1.0), (0.0, 0.0)),
+        },
+    },
+}
+
+
+def geometric_initial_mesh(domain: str, gamma_i) -> Mesh:
+    """Oracle for :func:`fluxrec.mesh.build_initial_mesh` from geometry.
+
+    The refinement edge of each triangle is its longest edge, ties broken by
+    the smallest opposite vertex id, and the triangle is rotated to start at
+    the vertex opposite it.  Each edge is tagged by the side its midpoint
+    lies on (within 1e-12), interior if on none.
+    """
+    spec = GEOMETRIC_DOMAINS[domain]
+    gamma_i = (gamma_i,) if isinstance(gamma_i, str) else tuple(gamma_i)
+    vertices = np.asarray(spec["vertices"], dtype=float)
+    triangles, tags = [], []
+    for tri in spec["triangles"]:
+        pts = vertices[list(tri)]
+        lens = [np.linalg.norm(pts[(k + 2) % 3] - pts[(k + 1) % 3])
+                for k in range(3)]
+        longest = [k for k in range(3) if lens[k] >= max(lens) * (1 - 1e-12)]
+        r = min(longest, key=lambda k: tri[k])
+        rotated = [tri[(r + k) % 3] for k in range(3)]
+        row = []
+        for k in range(3):
+            mid = 0.5 * (vertices[rotated[(k + 1) % 3]]
+                         + vertices[rotated[(k + 2) % 3]])
+            side = next((name for name, (a, b) in spec["sides"].items()
+                         if abs(np.linalg.norm(mid - a)
+                                + np.linalg.norm(np.subtract(b, mid))
+                                - np.linalg.norm(np.subtract(b, a))) < 1e-12),
+                        None)
+            row.append(BoundaryTag.INTERIOR if side is None else
+                       BoundaryTag.GAMMA_I if side in gamma_i else
+                       BoundaryTag.GAMMA_A)
+        triangles.append(rotated)
+        tags.append(row)
+    return Mesh(vertices, triangles, np.asarray(tags, dtype=np.int64))
 
 
 def nvb_chain(domain, data, refine=bisect):

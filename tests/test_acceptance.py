@@ -32,7 +32,8 @@ from helpers import (
 
 def report(num, ok, detail):
     line = f"ACCEPTANCE {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}"
-    print(line)
+    # on a line of its own, after pytest's progress characters
+    print(f"\n{line}")
     assert ok, line
 
 

@@ -255,7 +255,7 @@ class TestVtkExport:
         flip = data.draw(st.lists(st.sampled_from(zero.tolist()),
                                   min_size=1), label="negative zeros")
         vertices.ravel()[flip] = -0.0
-        mesh = Mesh(vertices, mesh.triangles, mesh.refinement_edge,
+        mesh = Mesh(vertices, mesh.triangles,
                     mesh.face_tags[mesh.tri_faces])
         values = data.draw(st.lists(st.floats(allow_nan=False,
                                               allow_infinity=False),

@@ -117,7 +117,6 @@ class TestElementResiduals:
         mesh = Mesh(
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
-            refinement_edge=np.array([0]),
             # edges (1, 2), (2, 0), (0, 1)
             edge_tags=[[BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_A,
                         BoundaryTag.GAMMA_I]],
@@ -294,7 +293,6 @@ class TestOscillations:
         mesh = Mesh(
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
-            refinement_edge=np.array([0]),
             # edges (1, 2), (2, 0), (0, 1)
             edge_tags=[[BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_A,
                         BoundaryTag.GAMMA_I]],

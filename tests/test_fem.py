@@ -51,7 +51,6 @@ def reference_triangle_mesh():
     return Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        refinement_edge=np.array([0]),
         # edges (1, 2), (2, 0), (0, 1)
         edge_tags=[[BoundaryTag.GAMMA_I, BoundaryTag.GAMMA_A,
                     BoundaryTag.GAMMA_A]],
@@ -106,7 +105,6 @@ class TestAssembleBilinear:
         mesh = Mesh(
             vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
-            refinement_edge=np.array([0]),
             edge_tags=[[BoundaryTag.GAMMA_I] * 3],
         )
         with pytest.raises(MeshError, match="no GammaA"):
@@ -135,7 +133,6 @@ class TestAssembleBilinear:
         rng = np.random.default_rng(6)
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.vertices.copy(), mesh.triangles[perm].copy(),
-                        mesh.refinement_edge[perm].copy(),
                         mesh.face_tags[mesh.tri_faces][perm])
         A = assemble_bilinear(mesh, COEFFS).toarray()
         B = assemble_bilinear(shuffled, COEFFS).toarray()

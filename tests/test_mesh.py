@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -18,6 +20,8 @@ from helpers import (
     boundary_tag_map,
     dict_boundary_paths,
     dict_face_table,
+    geometric_initial_mesh,
+    GEOMETRIC_DOMAINS,
     nvb_chain,
     patches,
     recursive_bisect,
@@ -108,10 +112,35 @@ class TestBuildInitialMesh:
         for mesh in (square_mesh, lshape_mesh):
             p = mesh.vertices[mesh.triangles]
             for t in range(mesh.n_triangles):
-                r = mesh.refinement_edge[t]
                 lens = [np.linalg.norm(p[t, (k + 2) % 3] - p[t, (k + 1) % 3])
                         for k in range(3)]
-                assert lens[r] == max(lens)
+                assert lens[0] == max(lens)
+
+
+def _gamma_i_selections():
+    """Every GammaI selection of every domain: the non-empty proper
+    subsets of its sides, 14 on the square and 62 on the L-shape."""
+    for domain, spec in GEOMETRIC_DOMAINS.items():
+        sides = list(spec["sides"])
+        for r in range(1, len(sides)):
+            for gamma_i in itertools.combinations(sides, r):
+                yield pytest.param(domain, gamma_i,
+                                   id=f"{domain}-{'+'.join(gamma_i)}")
+
+
+@pytest.mark.parametrize("domain, gamma_i", list(_gamma_i_selections()))
+def test_initial_mesh_matches_geometric_oracle(domain, gamma_i):
+    """The stored domain tables equal the longest-edge, side-geometry
+    construction rotated newest vertex first, face table included."""
+    mesh = build_initial_mesh(domain, gamma_i)
+    oracle = geometric_initial_mesh(domain, gamma_i)
+    assert np.array_equal(mesh.vertices, oracle.vertices)
+    assert np.array_equal(mesh.triangles, oracle.triangles)
+    assert np.array_equal(mesh.face_tags[mesh.tri_faces],
+                          oracle.face_tags[oracle.tri_faces])
+    for name in ("faces", "face_tags", "face_tris", "face_normals"):
+        assert getattr(mesh, name).tobytes() == \
+            getattr(oracle, name).tobytes(), name
 
 
 class TestBisect:
@@ -204,12 +233,10 @@ def _coords(mesh, ids):
 
 
 def _canonical(mesh):
-    """Id-free description of a mesh: triangles as coordinates starting at
-    the newest vertex, tagged boundary faces, and every
+    """Id-free description of a mesh: triangles as coordinates in stored
+    order, newest vertex first, tagged boundary faces, and every
     midpoint with its parent edge."""
-    rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
-    tris = np.take_along_axis(mesh.triangles, rot, axis=1)
-    triangles = sorted(_coords(mesh, tri) for tri in tris)
+    triangles = sorted(_coords(mesh, tri) for tri in mesh.triangles)
     tags = {(frozenset(_coords(mesh, list(key))), int(tag))
             for key, tag in boundary_tag_map(mesh).items()}
     born = np.flatnonzero(mesh.vertex_parents[:, 0] >= 0)
@@ -250,9 +277,12 @@ class TestBisectOracle:
         mesh = lshape_mesh
         for _ in range(6):
             n_old = mesh.n_vertices
+            kept = set(map(tuple, mesh.triangles.tolist()))
             mesh = bisect(mesh, rng.choice(mesh.n_triangles, size=3))
             assert (mesh.vertex_parents[n_old:] < n_old).all()
-            assert (mesh.refinement_edge == 0).all()
+            # a child starts at its newest vertex, a midpoint of this step
+            assert all(tri[0] >= n_old or tuple(tri) in kept
+                       for tri in mesh.triangles.tolist())
 
 
 class TestFaceTableOracle:
@@ -270,12 +300,11 @@ class TestFaceTableOracle:
                                             max_size=m), label="shift"))
         rot = (np.arange(3) + shift[:, None]) % 3
         edge_tags = mesh.face_tags[mesh.tri_faces]
-        for tri, ref, tags in (
-                (mesh.triangles, mesh.refinement_edge, edge_tags),
+        for tri, tags in (
+                (mesh.triangles, edge_tags),
                 (np.take_along_axis(mesh.triangles[perm], rot, axis=1),
-                 (mesh.refinement_edge[perm] - shift) % 3,
                  np.take_along_axis(edge_tags[perm], rot, axis=1))):
-            new = Mesh(mesh.vertices, tri, ref, tags)
+            new = Mesh(mesh.vertices, tri, tags)
             old = dict_face_table(mesh.vertices, tri, boundary_tag_map(mesh))
             for name in ("faces", "tri_faces", "face_tris", "face_tags",
                          "face_normals", "face_lengths"):
@@ -300,12 +329,11 @@ class TestFaceTableSort:
                                             max_size=m), label="shift"))
         rot = (np.arange(3) + shift[:, None]) % 3
         edge_tags = mesh.face_tags[mesh.tri_faces]
-        for tri, ref, tags in (
-                (mesh.triangles, mesh.refinement_edge, edge_tags),
+        for tri, tags in (
+                (mesh.triangles, edge_tags),
                 (np.take_along_axis(mesh.triangles[perm], rot, axis=1),
-                 (mesh.refinement_edge[perm] - shift) % 3,
                  np.take_along_axis(edge_tags[perm], rot, axis=1))):
-            new = Mesh(mesh.vertices, tri, ref, tags)
+            new = Mesh(mesh.vertices, tri, tags)
             old = unique_face_table(tri, tags, mesh.n_vertices)
             for name, arr in old.items():
                 assert getattr(new, name).dtype == arr.dtype, name
@@ -314,7 +342,7 @@ class TestFaceTableSort:
 
 def _same_mesh(mesh):
     """A new mesh object with the arrays of ``mesh``."""
-    return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
+    return Mesh(mesh.vertices, mesh.triangles,
                 mesh.face_tags[mesh.tri_faces], mesh.vertex_parents,
                 mesh.level, mesh.root)
 
@@ -366,17 +394,16 @@ class TestNvbClosure:
 
 
 def square_edge_tags(square_mesh):
-    """Edge tags of the two-triangle square ``(0, 1, 3), (0, 3, 2)``:
-    right, diagonal, bottom and top, left, diagonal."""
+    """Edge tags of the two-triangle square ``(1, 3, 0), (2, 0, 3)``:
+    diagonal, bottom, right and diagonal, top, left."""
     tags = square_mesh.face_tags[square_mesh.tri_faces].copy()
-    assert square_mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
-    assert tags.tolist() == [[1, 0, 2], [1, 1, 0]]
+    assert square_mesh.triangles.tolist() == [[1, 3, 0], [2, 0, 3]]
+    assert tags.tolist() == [[0, 2, 1], [0, 1, 1]]
     return tags
 
 
-def square_with(square_mesh, tags):
-    return Mesh(square_mesh.vertices, square_mesh.triangles,
-                square_mesh.refinement_edge, tags)
+def square_with(square_mesh, *tags):
+    return Mesh(square_mesh.vertices, square_mesh.triangles, *tags)
 
 
 class TestMeshErrors:
@@ -386,32 +413,36 @@ class TestMeshErrors:
                     (0.5, 2.0)]
         triangles = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
         with pytest.raises(MeshError, match=r"non-manifold.*\[\[0, 1\]\]"):
-            Mesh(vertices, triangles, [2, 2, 2], [[1, 1, 0]] * 3)
+            Mesh(vertices, triangles, [[1, 1, 0]] * 3)
 
-    @pytest.mark.parametrize("shape", ["columns", "rows", "flat", "float"])
+    @pytest.mark.parametrize("shape", ["columns", "rows", "flat", "float",
+                                       "labels"])
     def test_edge_tags_wrong_shape(self, square_mesh, shape):
+        """Also an ``(m,)`` array of refinement-edge labels passed before
+        the tags, as the constructor once took them."""
         tags = square_edge_tags(square_mesh)
-        bad = {"columns": tags[:, :2], "rows": tags[:1], "flat": tags.ravel(),
-               "float": tags.astype(float)}[shape]
+        bad = {"columns": (tags[:, :2],), "rows": (tags[:1],),
+               "flat": (tags.ravel(),), "float": (tags.astype(float),),
+               "labels": ([0, 0], tags)}[shape]
         with pytest.raises(MeshError, match=r"edge_tags must be an \(2, 3\)"):
-            square_with(square_mesh, bad)
+            square_with(square_mesh, *bad)
 
     @pytest.mark.parametrize("value", [3, -1])
     def test_edge_tag_outside_enum(self, square_mesh, value):
         tags = square_edge_tags(square_mesh)
-        tags[0, 0] = value
+        tags[0, 2] = value
         with pytest.raises(MeshError, match=r"outside BoundaryTag: "
                            r"\[\[1, 3\]\] \(1 in all\)"):
             square_with(square_mesh, tags)
 
     def test_boundary_edge_tagged_interior(self, square_mesh):
         tags = square_edge_tags(square_mesh)
-        tags[0, 2] = int(BoundaryTag.INTERIOR)
+        tags[0, 1] = int(BoundaryTag.INTERIOR)
         with pytest.raises(MeshError, match=r"without a GammaA/GammaI tag: "
                            r"\[\[0, 1\]\]"):
             square_with(square_mesh, tags)
 
-    @pytest.mark.parametrize("edge", [(0, 1), (1, 2)])
+    @pytest.mark.parametrize("edge", [(0, 0), (1, 0)])
     @pytest.mark.parametrize("tag", [BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_I])
     def test_interior_edge_tagged_boundary(self, square_mesh, edge, tag):
         """Either triangle's copy of the diagonal (0, 3) may carry the tag."""
@@ -425,8 +456,7 @@ class TestMeshErrors:
         """Two triangles touching at vertex 2: four GammaA faces meet there."""
         vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0),
                     (1.0, 1.0)]
-        mesh = Mesh(vertices, [(0, 1, 2), (2, 4, 3)], [2, 2],
-                    [[1, 1, 2], [2, 1, 1]])
+        mesh = Mesh(vertices, [(0, 1, 2), (2, 4, 3)], [[1, 1, 2], [2, 1, 1]])
         with pytest.raises(MeshError, match="not a union of open paths"):
             boundary_paths(mesh, BoundaryTag.GAMMA_A)
         assert boundary_paths(mesh, BoundaryTag.GAMMA_I) == [[0, 1], [3, 4]]
@@ -504,7 +534,6 @@ class TestNormalsAndPaths:
     def test_face_table_recomputable(self, refined_square):
         mesh = refined_square
         rebuilt = Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                       mesh.refinement_edge.copy(),
                        mesh.face_tags[mesh.tri_faces].copy())
         assert np.array_equal(rebuilt.faces, mesh.faces)
         assert np.array_equal(rebuilt.face_tris, mesh.face_tris)

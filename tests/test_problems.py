@@ -57,6 +57,19 @@ class TestBuiltinProblems:
         with pytest.raises(ValueError, match="seed"):
             builtin_problem("square_smooth").with_overrides(seed=-1)
 
+    @pytest.mark.parametrize("name", ["f", "u_a", "q_true"])
+    @pytest.mark.parametrize("value", [None, 0.0])
+    def test_data_callables_required(self, name, value, monkeypatch):
+        """A non-callable field fails as the spec is made, before any
+        bisection of the measurement mesh."""
+        bisect = mock.Mock(side_effect=RuntimeError("refining"))
+        monkeypatch.setattr(problems, "bisect", bisect)
+        with pytest.raises(ValueError,
+                           match=f"problem data {name} must be callable"):
+            generate_measurement(replace(builtin_problem("square_smooth"),
+                                         **{name: value}), extra_levels=8)
+        bisect.assert_not_called()
+
 
 class TestGenerateMeasurement:
     def test_noise_free_matches_forward_trace(self, smooth_problem):

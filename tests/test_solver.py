@@ -318,8 +318,7 @@ SWEEP_BETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 def fresh_copy(mesh):
     """A new Mesh instance with the same arrays and tags as ``mesh``."""
-    return Mesh(mesh.vertices, mesh.triangles, mesh.refinement_edge,
-                mesh.face_tags[mesh.tri_faces],
+    return Mesh(mesh.vertices, mesh.triangles, mesh.face_tags[mesh.tri_faces],
                 vertex_parents=mesh.vertex_parents, level=mesh.level,
                 root=mesh.root)
 
