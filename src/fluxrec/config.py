@@ -53,9 +53,10 @@ def build_run(cfg: RunConfig) -> tuple[ProblemSpec, LoopConfig]:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a config file body; unknown keys are rejected, missing keys
-    take their documented defaults.  '#' starts a comment."""
+    """Parse a config file body; unknown and repeated keys are rejected,
+    missing keys take their documented defaults.  '#' starts a comment."""
     cfg = RunConfig()
+    seen = {}  # key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,6 +69,10 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{seen[key]}")
+        seen[key] = lineno
         try:
             setattr(cfg, key, _PARSERS[key](value))
         except ValueError as exc:

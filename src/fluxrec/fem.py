@@ -43,8 +43,8 @@ class CoefficientSet:
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "beta"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"coefficient {name} must be > 0")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"coefficient {name} must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,6 @@ application costs one state-type and one costate-type inner solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -173,22 +172,25 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only: the mesh, which state and costate functions hold, its trace
-    space, the operators (``BT`` is the transpose view of ``B``) and the
-    data terms.  The estimator's volume terms come from one sampling of
-    ``f`` at construction, which is kept until ``F`` is built from it; ``F``
-    and the rest are built on first read, so an estimate alone builds no
-    operator, and data without ``z`` fails at the first read of ``Z``,
-    ``z_sq`` or ``gamma_a_data``.  The SPD ``A`` is factored on the first
-    solve without pivoting, in the nested-dissection order ``p`` computed
-    then.  ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
-    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
+    read-only, built in two steps.  Construction computes what an estimate
+    reads, ``f_sq`` and ``osc_f_sq`` from one sampling of ``f`` and, if
+    ``z`` is given, ``gamma_a_data``, and the trace space, which a warm
+    start needs before anything is factored.  The first read of any other
+    part builds all of them: ``F``, ``M_i``, ``B``, ``M_a``, ``A`` and its
+    factor ``lu`` without pivoting in the nested-dissection order ``p``,
+    and, if ``z`` is given, ``Z``, ``z_sq``, the ``M_i`` factor and
+    ``b = B^T A^-1 (M_a A^-1 F - Z)``; without ``z`` these and
+    ``gamma_a_data`` raise ``ValueError``.  ``f``, ``u_a`` and ``z`` are
+    held, so their ids stay unique; of ``coeffs`` only alpha and gamma,
+    which the key fixes, are read."""
+
+    _PARTS = "F M_i B M_a A p p_inv lu Z z_sq _Mi_lu b".split()
+    _NEED_Z = "Z z_sq gamma_a_data b _Mi_lu".split()
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
-        self.lu = self._Mi_lu = None
         self._fv = fv = midpoint_samples(mesh, data.f)
         # for P1 and constant alpha the state volume residual is f: the
         # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
@@ -198,70 +200,53 @@ class _MeshOperators:
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
         _read_only(fv, self.f_sq, self.osc_f_sq)
-
-    def __getattr__(self, name):
-        # reached for unset attributes only, which it builds on first read
-        if name in ("Z", "z_sq", "gamma_a_data") and self.z is None:
-            raise ValueError("problem data carries no measurement z")
-        if name == "F":
-            self.F = assemble_load(self.mesh, self._fv, self.u_a, self.coeffs)
-            del self._fv
-            _read_only(self.F)
-        elif name == "trace":
-            self.trace = TraceSpace.from_mesh(self.mesh)
-        elif name in ("M_i", "B", "BT", "M_a"):
-            self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
-            self.BT = self.B.T
-            _read_only(*(getattr(m, k) for m in (self.M_i, self.B, self.M_a)
-                         for k in ("data", "indices", "indptr")))
-        elif name in ("Z", "z_sq"):
-            self.Z, self.z_sq = boundary_load(
-                self.mesh, self.z, BoundaryTag.GAMMA_A, "measurement z")
-            _read_only(self.Z)
-        elif name == "gamma_a_data":
+        if self.z is not None:
             # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
             # one row per face in face order
-            ga = self.mesh.faces_with_tag(BoundaryTag.GAMMA_A)
-            ends = self.mesh.vertices[self.mesh.faces[ga]]
+            ends = mesh.vertices[mesh.faces[
+                mesh.faces_with_tag(BoundaryTag.GAMMA_A)]]
             pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (
                 ends[:, 1:] - ends[:, :1])
             x, y = pts[:, :, 0], pts[:, :, 1]
             ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
             zv = _eval_data(self.z, x, y, "measurement z")
             self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
-        else:
+        self.trace = TraceSpace.from_mesh(mesh)
+
+    def __getattr__(self, name):
+        # reached for unset attributes only: the first read of a part that
+        # construction leaves out builds all of them
+        if name in self._NEED_Z and self.z is None:
+            raise ValueError("problem data carries no measurement z")
+        if name not in self._PARTS:
             raise AttributeError(name)
+        self.F = assemble_load(self.mesh, self._fv, self.u_a, self.coeffs)
+        del self._fv
+        self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
+        self.A = assemble_bilinear(self.mesh, self.coeffs)
+        self.p = p = _nested_dissection(self.mesh)
+        self.p_inv = np.empty_like(p)
+        self.p_inv[p] = np.arange(p.size)
+        _read_only(self.F, p, self.p_inv, *(
+            getattr(m, k) for m in (self.M_i, self.B, self.M_a, self.A)
+            for k in ("data", "indices", "indptr")))
+        self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
+                            diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
+        if self.z is not None:
+            self.Z, self.z_sq = boundary_load(
+                self.mesh, self.z, BoundaryTag.GAMMA_A, "measurement z")
+            self._Mi_lu = spla.splu(self.M_i.tocsc())
+            u0 = self.solve_A(self.F)
+            self.b = self.B.T @ self.solve_A(self.M_a @ u0 - self.Z)
+            _read_only(self.Z, self.b)
         return getattr(self, name)
 
-    @cached_property
-    def A(self):
-        """The state operator ``alpha K + gamma M_GammaA``."""
-        A = assemble_bilinear(self.mesh, self.coeffs)
-        _read_only(A.data, A.indices, A.indptr)
-        return A
-
     def solve_A(self, rhs: np.ndarray) -> np.ndarray:
-        if self.lu is None:
-            p = _nested_dissection(self.mesh)
-            p_inv = np.empty_like(p)
-            p_inv[p] = np.arange(p.size)
-            self.p, self.p_inv = _read_only(p, p_inv)
-            self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
-                                diag_pivot_thresh=0.0,
-                                options=dict(SymmetricMode=True))
         return self.lu.solve(rhs[self.p])[self.p_inv]
 
     def solve_Mi(self, rhs: np.ndarray) -> np.ndarray:
-        if self._Mi_lu is None:
-            self._Mi_lu = spla.splu(self.M_i.tocsc())
         return self._Mi_lu.solve(rhs)
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        """Reduced right-hand side ``B^T A^-1 (M_a A^-1 F - Z)``."""
-        Z = self.Z  # data without z fails here, before any factorisation
-        u0 = self.solve_A(self.F)
-        return _read_only(self.BT @ self.solve_A(self.M_a @ u0 - Z))[0]
 
 
 def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
@@ -283,11 +268,10 @@ class DiscreteSystem:
     """The optimality system of ``data`` on one mesh.
 
     Only beta, read from ``data``, is its own.  Everything else lives in
-    ``ops``, the shared :func:`mesh_operators` object, which builds each
-    part on first read: the trace space, ``A`` and its factor, ``F``,
-    ``M_i`` and its factor, ``B``, ``M_a``, the measurement moments ``Z``
-    and ``z_sq`` and the reduced right-hand side ``b``.  So a sweep over
-    beta on one mesh assembles, samples the data and factors once.
+    ``ops``, the shared :func:`mesh_operators` object, which builds the
+    estimate's data terms and the trace space at construction and all the
+    rest at the first read of any of it.  So a sweep over beta on one mesh
+    assembles, samples the data and factors once.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData):
@@ -308,7 +292,8 @@ def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
     ops = system.ops
-    return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
+    Z = ops.Z  # data without z fails here, before any solve
+    return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - Z))
 
 
 def objective(q: TraceFunction, system: DiscreteSystem,
@@ -333,7 +318,7 @@ def hessian_apply(w: np.ndarray, system: DiscreteSystem) -> np.ndarray:
     ops = system.ops
     du = ops.solve_A(ops.B @ w)
     dp = ops.solve_A(ops.M_a @ du)
-    return system.beta * (ops.M_i @ w) + ops.BT @ dp
+    return system.beta * (ops.M_i @ w) + ops.B.T @ dp
 
 
 def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
@@ -367,10 +352,10 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     iterations = 0
     res = r0
     d = z.copy()
-    while res > tol and iterations < CG_MAX_ITERS:
+    while not res <= tol and iterations < CG_MAX_ITERS:
         Hd = hessian_apply(d, system)
         denom = float(d @ Hd)
-        if denom <= 0.0:
+        if not denom > 0.0:
             raise SolverError(
                 "reduced operator lost positive definiteness "
                 f"after {iterations} iterations (residual {res:.3e})",
@@ -384,7 +369,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
         d = z + (rho_new / rho) * d
         rho = rho_new
         iterations += 1
-    if res > tol:
+    if not res <= tol:
         raise SolverError(
             f"reduced CG did not converge in {iterations} iterations "
             f"(residual {res:.3e}, target {tol:.3e})",

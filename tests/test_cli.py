@@ -82,8 +82,9 @@ class TestRunCommand:
         "problem = nope\n",
         "seed = -1\n",
         "beta = 0\n",
+        "problem = square_jump\nbeta = inf\nmax_iters = 3\n",
     ], ids=["doerfler_theta_zero", "unknown_problem", "negative_seed",
-            "zero_beta"])
+            "zero_beta", "infinite_beta"])
     def test_bad_config_fails_before_work(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

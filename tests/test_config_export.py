@@ -72,6 +72,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("theta = 0.5\nthetaa = 0.5")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: key 'tol' repeats "
+                                              "line 1"):
+            parse_config("tol = 1e-3\ntheta = 0.5\ntol = 1e-6\n")
+
     def test_parse_error_with_line_number(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("just some words")

@@ -538,6 +538,10 @@ class TestValidation:
             CoefficientSet(alpha=0.0, gamma=1.0, beta=1.0)
         with pytest.raises(ValueError):
             CoefficientSet(alpha=1.0, gamma=-1.0, beta=1.0)
+        for name in ("alpha", "gamma", "beta"):
+            kwargs = {"alpha": 1.0, "gamma": 1.0, "beta": 1.0, name: np.inf}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CoefficientSet(**kwargs)
 
     def test_fe_function_length_checked(self, square_mesh):
         with pytest.raises(ValueError):

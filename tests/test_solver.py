@@ -100,7 +100,7 @@ class TestProblemData:
                      lambda: objective(q, system, settings)):
             with pytest.raises(ValueError, match="measurement z"):
                 call()
-        assert system.ops.lu is None
+        assert "lu" not in vars(system.ops)
         # a forward solve needs no measurement
         solve_state(q, system)
         assert system.ops.lu is not None
@@ -312,6 +312,21 @@ class TestSolveOptimality:
         assert err.value.iterations == 1
         assert err.value.residual > 0
 
+    def test_nan_fails_the_solve(self, smooth_system, settings, tmp_path,
+                                 monkeypatch, capsys):
+        """A NaN in the reduced CG raises, and ``fluxrec run`` stops as a
+        solver failure instead of writing a NaN objective."""
+        monkeypatch.setattr(solver, "hessian_apply",
+                            lambda w, system: np.full_like(w, np.nan))
+        with pytest.raises(SolverError, match="positive definiteness"):
+            solve_optimality(smooth_system, settings)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = square_jump\nmax_iters = 3\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "stop_reason=solver_failure" in capsys.readouterr().err
+        assert not (out / "history.csv").exists()
+
 
 SWEEP_BETAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
@@ -499,10 +514,10 @@ class TestSharedStateOperator:
     def test_estimate_alone_builds_no_trace_operators(
             self, mesh32, smooth_problem, smooth_measurement, settings,
             monkeypatch):
-        """Once the system is gone, an estimate builds neither the trace
-        space nor ``M_i``, ``B``, ``M_a``, ``F``, ``Z`` and ``z_sq``; a
-        solve on the new operator object builds each of them once, and the
-        ``f`` samples ``F`` is built from are dropped."""
+        """Once the system is gone, an estimate builds the trace space but
+        none of ``M_i``, ``B``, ``M_a``, ``F``, ``Z`` and ``z_sq``; a solve
+        on the new operator object builds each of them once, and the ``f``
+        samples ``F`` is built from are dropped."""
         data = smooth_problem.data(z=smooth_measurement)
         system = DiscreteSystem(mesh32, data)
         triplet = solve_optimality(system, settings)
@@ -524,8 +539,9 @@ class TestSharedStateOperator:
         monkeypatch.setattr(TraceSpace, "from_mesh",
                             classmethod(counted(from_mesh)))
         alone = estimate(triplet, data)
-        assert calls == []
+        assert calls == ["from_mesh"]
         assert np.array_equal(alone.eta_sq, alive.eta_sq)
+        calls.clear()
         system = DiscreteSystem(mesh32, data)
         again = solve_optimality(system, settings)
         objective(again.q, system, settings, u=again.u)
@@ -579,6 +595,69 @@ def random_nvb_mesh(mesh, data):
             st.integers(0, mesh.n_triangles - 1), min_size=1,
             max_size=max(1, mesh.n_triangles // 2)), label="marked"))
     return mesh
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """Names of the assembly and factor calls the solver makes in the
+    test, one entry per call."""
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("assemble_bilinear", "assemble_trace_operators",
+                 "assemble_load", "boundary_load"):
+        count(solver, name)
+    count(solver.spla, "splu")
+    return calls
+
+
+class TestOneStepBuild:
+    @pytest.mark.parametrize("first", ["F", "M_i", "B", "M_a", "Z", "A", "p",
+                                       "lu", "b", "solve_A"])
+    def test_first_read_builds_every_part_once(
+            self, mesh32, smooth_problem, smooth_measurement, build_calls,
+            first):
+        ops = DiscreteSystem(mesh32, smooth_problem.data(
+            z=smooth_measurement)).ops
+        assert build_calls == []
+
+        def read():
+            if first == "solve_A":
+                ops.solve_A(np.zeros(mesh32.n_vertices))
+            else:
+                getattr(ops, first)
+
+        read()
+        # one state factor and one GammaI mass factor
+        built = ["assemble_bilinear", "assemble_load",
+                 "assemble_trace_operators", "boundary_load", "splu", "splu"]
+        assert sorted(build_calls) == built
+        read()
+        for name in ("F", "M_i", "B", "M_a", "A", "p", "p_inv", "lu", "Z",
+                     "z_sq", "b", "gamma_a_data", "trace"):
+            getattr(ops, name)
+        ops.solve_Mi(np.zeros(ops.trace.n_dofs))
+        assert sorted(build_calls) == built
+
+    @pytest.mark.parametrize("name", ["Z", "z_sq", "gamma_a_data", "b"])
+    def test_no_measurement_builds_nothing(self, mesh32, smooth_problem,
+                                           build_calls, name):
+        ops = DiscreteSystem(mesh32, smooth_problem.data()).ops
+        with pytest.raises(ValueError, match="no measurement z"):
+            getattr(ops, name)
+        assert build_calls == []
+        # a forward solve factors the state operator only
+        ops.solve_A(np.zeros(mesh32.n_vertices))
+        assert sorted(build_calls) == ["assemble_bilinear", "assemble_load",
+                                       "assemble_trace_operators", "splu"]
 
 
 class TestNestedDissection:
