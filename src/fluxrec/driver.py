@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimator import estimate
 from .fem import TraceFunction, prolong, transfer_trace
-from .fem import _boundary_mass, _mass, _stiffness
+from .fem import _boundary_mass, _mass, _p1_matrix, _stiffness
 from .marking import STRATEGIES, check_theta, mark
 from .mesh import BoundaryTag, Mesh, bisect, nvb_closure
 from .problems import (
@@ -216,8 +216,9 @@ def true_errors(triplets, reference: OptimalTriplet) -> np.ndarray:
     if reference is None:
         raise ValueError("reference triplet is missing")
     fine = reference.mesh
-    S = _stiffness(fine) + _mass(fine)
-    M_i = _boundary_mass(fine, BoundaryTag.GAMMA_I)
+    (kd, ko), (md, mo) = _stiffness(fine), _mass(fine)
+    S = _p1_matrix(fine, kd + md, ko + mo)
+    M_i = _p1_matrix(fine, *_boundary_mass(fine, BoundaryTag.GAMMA_I))
     ref = np.column_stack([reference.u.values, reference.p.values,
                            reference.q.embedded()])
     out = np.empty((len(triplets), 3))

@@ -6,7 +6,8 @@ the Robin term on the accessible boundary makes the assembled operator
 symmetric positive definite.  All P1-times-P1 products are integrated
 exactly; data terms use a 3-point barycentric midpoint rule in the volume
 (exact for quadratics) and 2-point Gauss on boundary faces (exact for
-cubics).
+cubics).  Every P1 matrix is one value per vertex, its diagonal, and one
+per face of the face table, both of the face's off-diagonal entries.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ GAUSS2_WEIGHTS = np.array([0.5, 0.5])
 # 3-point Gauss rule on [0, 1]
 GAUSS3_POINTS = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
 GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-
-# exact P1 mass matrix of a unit-length face
-_FACE_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-
-# exact P1 mass matrix of a unit-area triangle
-_TRIANGLE_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
 @dataclass(frozen=True)
@@ -122,42 +117,40 @@ def element_gradients(fun: FeFunction) -> np.ndarray:
     return np.einsum("tk,tkd->td", vals, grads)
 
 
-def _assemble(row_dofs, col_dofs, local, shape) -> sp.csr_matrix:
-    """Sum of the local ``d x d`` matrices ``local[c]``, cell ``c`` coupling
-    the dofs ``row_dofs[c]`` (rows) with ``col_dofs[c]`` (columns)."""
-    d = local.shape[1]
-    # the index dtype scipy converts to, so it keeps the arrays it is given
-    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-    rows = np.repeat(row_dofs.astype(idx), d, axis=1).ravel()
-    cols = np.tile(col_dofs.astype(idx), (1, d)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+def _p1_matrix(mesh: Mesh, diag, off) -> sp.csr_matrix:
+    """The n x n P1 matrix with vertex values ``diag`` on its diagonal and
+    face values ``off`` at both entries of each face, exact zeros left out."""
+    v, f = np.flatnonzero(diag), np.flatnonzero(off)
+    a, b = mesh.faces[f].T
+    rows, cols = np.concatenate([v, a, b]), np.concatenate([v, b, a])
+    data = np.concatenate([diag[v], off[f], off[f]])
+    return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_vertices,) * 2)
 
 
-def _stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness matrix (unit coefficient)."""
-    grads = mesh.p1_gradients
-    areas = mesh.areas()
-    local = np.einsum("tid,tjd->tij", grads, grads) * areas[:, None, None]
-    n = mesh.n_vertices
-    return _assemble(mesh.triangles, mesh.triangles, local, (n, n))
+def _stiffness(mesh: Mesh):
+    """Vertex and face values of the P1 stiffness matrix (unit coefficient);
+    local edge ``k`` couples local vertices ``k+1`` and ``k+2``."""
+    g, areas = mesh.p1_gradients, mesh.areas()[:, None]
+    diag = np.einsum("tkd,tkd->tk", g, g) * areas
+    off = np.einsum("tkd,tkd->tk", g[:, [1, 2, 0]], g[:, [2, 0, 1]]) * areas
+    return (np.bincount(mesh.triangles.ravel(), diag.ravel(), mesh.n_vertices),
+            np.bincount(mesh.tri_faces.ravel(), off.ravel(), mesh.n_faces))
 
 
-def _mass(mesh: Mesh) -> sp.csr_matrix:
-    """Exact P1 mass matrix over the domain."""
-    local = mesh.areas()[:, None, None] * _TRIANGLE_MASS
-    n = mesh.n_vertices
-    return _assemble(mesh.triangles, mesh.triangles, local, (n, n))
+def _mass(mesh: Mesh):
+    """Vertex and face values of the exact P1 mass matrix over the domain."""
+    areas = np.repeat(mesh.areas(), 3)
+    return (np.bincount(mesh.triangles.ravel(), areas * (1 / 6), mesh.n_vertices),
+            np.bincount(mesh.tri_faces.ravel(), areas * (1 / 12), mesh.n_faces))
 
 
-def _boundary_mass(mesh: Mesh, tag: BoundaryTag) -> sp.csr_matrix:
-    """Boundary mass matrix over faces with the given tag, size n x n."""
-    n = mesh.n_vertices
-    face_ids = mesh.faces_with_tag(tag)
-    if face_ids.size == 0:
-        return sp.csr_matrix((n, n))
-    faces = mesh.faces[face_ids]
-    local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
-    return _assemble(faces, faces, local, (n, n))
+def _boundary_mass(mesh: Mesh, tag: BoundaryTag):
+    """Vertex and face values of the mass matrix over the tagged faces."""
+    ids = mesh.faces_with_tag(tag)
+    h = mesh.face_lengths[ids]
+    return (np.bincount(mesh.faces[ids].ravel(), np.repeat(h * (1 / 3), 2),
+                        mesh.n_vertices),
+            np.bincount(ids, h * (1 / 6), mesh.n_faces))
 
 
 def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet) -> sp.csr_matrix:
@@ -168,8 +161,10 @@ def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet) -> sp.csr_matrix:
     """
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face; bilinear form is singular")
-    return (coeffs.alpha * _stiffness(mesh)
-            + coeffs.gamma * _boundary_mass(mesh, BoundaryTag.GAMMA_A)).tocsr()
+    kd, ko = _stiffness(mesh)
+    md, mo = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
+    a, c = coeffs.alpha, coeffs.gamma
+    return _p1_matrix(mesh, a * kd + c * md, a * ko + c * mo)
 
 
 def _eval_data(fun, x, y, what):
@@ -259,8 +254,10 @@ def assemble_trace_operators(trace: TraceSpace):
     mesh = trace.mesh
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face")
-    B = _boundary_mass(mesh, BoundaryTag.GAMMA_I)[:, trace.vertex_ids]
-    return B[trace.vertex_ids], B, _boundary_mass(mesh, BoundaryTag.GAMMA_A)
+    B = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))
+    B = B[:, trace.vertex_ids]
+    M_a = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_A))
+    return B[trace.vertex_ids], B, M_a
 
 
 def interpolate(fun, trace: TraceSpace) -> TraceFunction:

@@ -46,13 +46,13 @@ CG_MAX_ITERS = 1000
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Relative tolerance of the reduced-CG iteration."""
+    """Relative tolerance of the reduced-CG iteration, in (0, 1)."""
 
     cg_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.cg_tol > 0.0:
-            raise ValueError("cg_tol must be > 0")
+        if not 0.0 < self.cg_tol < 1.0:
+            raise ValueError("cg_tol must be in (0, 1)")
 
 
 @dataclass(frozen=True)

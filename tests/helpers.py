@@ -7,9 +7,9 @@ system from one dense monolithic solve, the built-in initial meshes from
 their longest edges and side geometry, newest-vertex bisection from a
 recursive loop over Python dicts, the face table from two sorts, a dict of
 boundary tags and centroid-oriented normals and its sort from
-``np.unique``, sparse assembly from int64 indices, the VTK file from numpy
-rows joined whole, the boundary chains from an adjacency dict,
-prolongation from a loop over vertices, norms and true errors from
+``np.unique``, every P1 matrix as a COO sum of local matrices from
+int64 indices, the VTK file from numpy rows joined whole, the boundary
+chains from an adjacency dict, prolongation from a loop over vertices, norms and true errors from
 per-triangle and per-face formulas, state solves from unpreconditioned
 conjugate gradients and from SuperLU in its default order, the
 measurement moments from two samplings of z, the measurement lookup from
@@ -42,11 +42,8 @@ from fluxrec.fem import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     FeFunction,
-    _FACE_MASS,
     TraceFunction,
     TraceSpace,
-    _assemble,
-    _boundary_mass,
     _eval_data,
     element_gradients,
     midpoint_samples,
@@ -621,19 +618,55 @@ def dof_map_trace_operators(mesh):
     faces_local = vertex_to_dof(trace)[faces]
     local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
     m = trace.n_dofs
-    M_i = _assemble(faces_local, faces_local, local, (m, m))
-    B = _assemble(faces, faces_local, local, (mesh.n_vertices, m))
-    M_a = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
-    return M_i, B, M_a
+    M_i = int64_assemble(faces_local, faces_local, local, (m, m))
+    B = int64_assemble(faces, faces_local, local, (mesh.n_vertices, m))
+    return M_i, B, local_matrix_operators(mesh)["M_a"]
+
+
+# exact P1 mass matrices of a unit-area triangle and a unit-length face
+_TRIANGLE_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0
+_FACE_MASS = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
 
 
 def int64_assemble(row_dofs, col_dofs, local, shape) -> sp.csr_matrix:
-    """Oracle for :func:`fluxrec.fem._assemble`: the former build, which
-    hands scipy int64 index arrays for it to convert."""
+    """Sum of the local ``d x d`` matrices ``local[c]``, cell ``c`` coupling
+    the dofs ``row_dofs[c]`` (rows) with ``col_dofs[c]`` (columns): one
+    COO build from int64 indices, duplicates summed by scipy."""
     d = local.shape[1]
     rows = np.repeat(row_dofs, d, axis=1).ravel()
     cols = np.tile(col_dofs, (1, d)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def local_matrix_operators(mesh, coeffs=None):
+    """Oracle for the P1 matrices of :mod:`fluxrec.fem`: the former build
+    of each as a COO sum of local matrices.  Returns a dict of CSR matrices:
+    the stiffness ``K``, the mass ``M``, the face masses ``M_a`` (GammaA)
+    and ``M_gi`` (GammaI), ``S = K + M`` and, given ``coeffs``,
+    ``A = alpha K + gamma M_a`` and the trace operators ``M_i`` and ``B``.
+    """
+    n, tri = mesh.n_vertices, mesh.triangles
+    grads, areas = mesh.p1_gradients, mesh.areas()[:, None, None]
+    K = int64_assemble(tri, tri, np.einsum("tid,tjd->tij", grads, grads)
+                       * areas, (n, n))
+    M = int64_assemble(tri, tri, areas * _TRIANGLE_MASS, (n, n))
+
+    def face_mass(tag):
+        ids = mesh.faces_with_tag(tag)
+        if ids.size == 0:
+            return sp.csr_matrix((n, n))
+        faces = mesh.faces[ids]
+        return int64_assemble(faces, faces, mesh.face_lengths[ids][:, None, None]
+                              * _FACE_MASS, (n, n))
+
+    out = dict(K=K, M=M, M_a=face_mass(BoundaryTag.GAMMA_A),
+               M_gi=face_mass(BoundaryTag.GAMMA_I), S=K + M)
+    if coeffs is not None:
+        vertex_ids = TraceSpace.from_mesh(mesh).vertex_ids
+        out["A"] = (coeffs.alpha * K + coeffs.gamma * out["M_a"]).tocsr()
+        out["B"] = out["M_gi"][:, vertex_ids]
+        out["M_i"] = out["B"][vertex_ids]
+    return out
 
 
 def default_order_factor(A):

@@ -83,8 +83,10 @@ class TestRunCommand:
         "seed = -1\n",
         "beta = 0\n",
         "problem = square_jump\nbeta = inf\nmax_iters = 3\n",
+        "problem = square_jump\ncg_tol = inf\nmax_iters = 3\n",
+        "cg_tol = 1.0\n",
     ], ids=["doerfler_theta_zero", "unknown_problem", "negative_seed",
-            "zero_beta", "infinite_beta"])
+            "zero_beta", "infinite_beta", "infinite_cg_tol", "unit_cg_tol"])
     def test_bad_config_fails_before_work(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

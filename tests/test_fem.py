@@ -4,16 +4,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-import fluxrec.fem as fem
+import fluxrec.driver as driver
 from fluxrec.driver import true_errors
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
     TraceFunction,
     TraceSpace,
-    _assemble,
     _boundary_mass,
     _mass,
+    _p1_matrix,
     _stiffness,
     assemble_bilinear,
     assemble_load,
@@ -35,8 +35,8 @@ from helpers import (
     graded_mesh,
     h1_norm,
     h1_seminorm,
-    int64_assemble,
     l2_norm,
+    local_matrix_operators,
     loop_transfer,
     monomial_integral_ref_triangle,
     nodal_interpolant,
@@ -62,21 +62,23 @@ COEFFS = CoefficientSet(alpha=1.0, gamma=1.0, beta=1e-3)
 
 class TestAssembleBilinear:
     def test_local_stiffness_reference_triangle(self):
-        K = _stiffness(reference_triangle_mesh()).toarray()
+        mesh = reference_triangle_mesh()
+        K = _p1_matrix(mesh, *_stiffness(mesh)).toarray()
         expected = np.array([[1.0, -0.5, -0.5],
                              [-0.5, 0.5, 0.0],
                              [-0.5, 0.0, 0.5]])
         assert np.allclose(K, expected, atol=1e-14)
 
     def test_stiffness_annihilates_constants(self, refined_square):
-        K = _stiffness(refined_square)
+        K = _p1_matrix(refined_square, *_stiffness(refined_square))
         c = np.full(refined_square.n_vertices, 3.7)
         assert np.abs(K @ c).max() < 1e-13
 
     def test_unit_face_boundary_mass(self):
         # only the left side is accessible: a single unit GammaA face
         mesh = build_initial_mesh("square", ("bottom", "right", "top"))
-        Ma = _boundary_mass(mesh, BoundaryTag.GAMMA_A).toarray()
+        Ma = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_A))
+        Ma = Ma.toarray()
         left = [0, 2]  # vertices (0,0) and (0,1)
         block = Ma[np.ix_(left, left)]
         assert np.allclose(block, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
@@ -115,7 +117,7 @@ class TestAssembleBilinear:
         rng = np.random.default_rng(5)
         v = FeFunction(refined_square,
                        rng.standard_normal(refined_square.n_vertices))
-        K = _stiffness(refined_square)
+        K = _p1_matrix(refined_square, *_stiffness(refined_square))
         quad_form = 2.0 * (v.values @ (K @ v.values))
         grads = element_gradients(v)
         exact = 2.0 * float(
@@ -143,49 +145,77 @@ class TestAssembleBilinear:
         assert np.abs(Fa - Fb).max() <= 1e-13 * np.abs(Fa).max()
 
 
-def assert_same_csr(got, want):
+def assert_same_csr(got, want, rtol=0.0):
+    """The CSR arrays are equal in dtype and bytes; with ``rtol``, the data
+    only to within that relative tolerance."""
     assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype, name
-        assert x.tobytes() == y.tobytes(), name
+        if name == "data" and rtol:
+            np.testing.assert_allclose(x, y, rtol=rtol, atol=0.0)
+        else:
+            assert x.tobytes() == y.tobytes(), name
 
 
-class TestAssembleIndices:
-    """The int32 index build against the former int64 one."""
+class TestP1Matrices:
+    """Every P1 matrix against the former COO sum of local matrices."""
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
-           cells=st.integers(0, 60), n_rows=st.integers(1, 30),
-           n_cols=st.integers(1, 30))
-    @hyp_settings(max_examples=60, deadline=None)
-    def test_matches_int64_oracle_bitwise(self, seed, d, cells, n_rows,
-                                          n_cols):
-        """Any local matrices and dofs, repeated dofs summed, rectangular
-        shapes included."""
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n_rows, (cells, d))
-        cols = rng.integers(0, n_cols, (cells, d))
-        local = rng.standard_normal((cells, d, d))
-        assert_same_csr(_assemble(rows, cols, local, (n_rows, n_cols)),
-                        int64_assemble(rows, cols, local, (n_rows, n_cols)))
-
-    @pytest.mark.parametrize("domain", ["square", "lshape"])
-    def test_operators_match_int64_oracle_bitwise(self, domain,
-                                                  monkeypatch):
-        """``A``, the mass matrix and the trace operators of a graded mesh
-        are the same with the oracle in place of ``_assemble``."""
-        mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=4,
-                           sweeps=6)
+    @staticmethod
+    def check(mesh, rtol=0.0):
+        """``A``, ``M_i``, ``B``, ``M_a`` and the ``S`` and GammaI mass of
+        :func:`true_errors` equal the oracle's in bytes and dtypes (their
+        data to ``rtol``), in canonical format with int32 indices and no
+        stored zero."""
         trace = TraceSpace.from_mesh(mesh)
+        got = dict(A=assemble_bilinear(mesh, COEFFS),
+                   **dict(zip(("M_i", "B", "M_a"),
+                              assemble_trace_operators(trace))))
+        built = []
 
-        def operators():
-            return (assemble_bilinear(mesh, COEFFS), _mass(mesh),
-                    *assemble_trace_operators(trace))
+        def recording(*args):
+            built.append(_p1_matrix(*args))
+            return built[-1]
 
-        got = operators()
-        monkeypatch.setattr(fem, "_assemble", int64_assemble)
-        for new, old in zip(got, operators(), strict=True):
-            assert_same_csr(new, old)
+        triplet = interpolated_triplet(mesh, zero, zero, zero)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(driver, "_p1_matrix", recording)
+            true_errors([triplet], triplet)
+        got["S"], got["M_gi"] = built
+        want = local_matrix_operators(mesh, COEFFS)
+        for name, matrix in got.items():
+            assert_same_csr(matrix, want[name], rtol)
+            assert matrix.has_canonical_format, name
+            assert matrix.indices.dtype == np.int32, name
+            assert np.all(matrix.data != 0.0), name
+        return got
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_random_markings_match_oracle_bitwise(self, domain, data, seed):
+        """Bitwise on bisection meshes of the built-in domains, whose
+        stiffness terms are small dyadic numbers that add exactly in any
+        order.  With the vertices jittered, the oracle's scipy sort may add
+        the positive terms of a diagonal entry in another order than the
+        triangle order, so there the data agree to roundoff."""
+        mesh = nvb_chain(domain, data)[-1]
+        self.check(mesh)
+        shift = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                    mesh.vertices.shape)
+        self.check(Mesh(mesh.vertices + 0.05 * mesh.face_lengths.min() * shift,
+                        mesh.triangles, mesh.face_tags[mesh.tri_faces]),
+                   rtol=1e-14)
+
+    def test_uniform_square_drops_zero_stiffness_faces(self):
+        """On the 10-level uniform square every diagonal face has a zero
+        stiffness value, and ``A`` stores none of them."""
+        mesh = build_initial_mesh("square", "bottom")
+        for _ in range(10):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        got = self.check(mesh)
+        assert np.count_nonzero(_stiffness(mesh)[1] == 0.0) == 1024
+        assert got["A"].nnz == 5313
 
 
 class TestAssembleLoad:
@@ -487,14 +517,15 @@ class TestNorms:
                                      refined_square)
         assert np.allclose(errors, 1.0, rtol=1e-13, atol=0.0)
         c = np.ones(refined_square.n_vertices)
-        assert np.isclose(c @ (_mass(refined_square) @ c), 1.0, rtol=1e-13)
+        M = _p1_matrix(refined_square, *_mass(refined_square))
+        assert np.isclose(c @ (M @ c), 1.0, rtol=1e-13)
 
     def test_linear_on_unit_square(self, square_mesh, refined_square):
         x = refined_square.vertices[:, 0]
-        assert np.isclose(x @ (_mass(refined_square) @ x), 1.0 / 3.0,
-                          rtol=1e-13)
-        assert np.isclose(x @ (_stiffness(refined_square) @ x), 1.0,
-                          rtol=1e-13)
+        M = _p1_matrix(refined_square, *_mass(refined_square))
+        K = _p1_matrix(refined_square, *_stiffness(refined_square))
+        assert np.isclose(x @ (M @ x), 1.0 / 3.0, rtol=1e-13)
+        assert np.isclose(x @ (K @ x), 1.0, rtol=1e-13)
         errors = errors_against_zero(lambda x, y: x, lambda x, y: y,
                                      lambda x, y: x,
                                      [square_mesh, refined_square],

@@ -106,6 +106,16 @@ class TestProblemData:
         assert system.ops.lu is not None
 
 
+class TestSolverSettings:
+    @pytest.mark.parametrize("cg_tol", [0.0, -1e-8, float("nan"), 1.0,
+                                        float("inf")])
+    def test_cg_tol_outside_unit_interval_rejected(self, cg_tol):
+        """A tolerance of 1 or more would stop the reduced CG before its
+        first step, leaving the flux at its start value."""
+        with pytest.raises(ValueError, match=r"cg_tol must be in \(0, 1\)"):
+            SolverSettings(cg_tol=cg_tol)
+
+
 class TestSolveCostate:
     def test_matching_data_zero_costate(self, refined_square, smooth_problem):
         # z equals the trace of the state: zero misfit, zero costate
