@@ -218,6 +218,23 @@ class TestP1Matrices:
         assert got["A"].nnz == 5313
 
 
+class TestAssembleIndices:
+    """The int32 index build against the former int64 COO one."""
+
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_operators_match_int64_oracle_bitwise(self, domain):
+        """``A``, ``S`` and the trace operators of a graded mesh equal the
+        int64 COO sum of local matrices in bytes and dtypes.  The mass
+        matrix alone adds multiples of 1/6 in another order than the
+        oracle, so its data agree to roundoff."""
+        mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=4,
+                           sweeps=6)
+        TestP1Matrices.check(mesh)
+        M = _p1_matrix(mesh, *_mass(mesh))
+        assert_same_csr(M, local_matrix_operators(mesh)["M"], rtol=1e-14)
+        assert M.indices.dtype == np.int32
+
+
 class TestAssembleLoad:
     def test_zero_data(self, refined_square):
         fv = midpoint_samples(refined_square, lambda x, y: 0.0 * x)
