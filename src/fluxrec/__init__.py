@@ -17,12 +17,9 @@ from .estimator import ElementIndicators, estimate
 from .fem import (
     CoefficientSet,
     FeFunction,
-    TraceFunction,
-    TraceSpace,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
-    interpolate,
     prolong,
 )
 from .marking import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import estimate
-from .fem import TraceFunction, prolong, transfer_trace
+from .fem import FeFunction, prolong
 from .fem import _boundary_mass, _mass, _p1_matrix, _stiffness
 from .marking import STRATEGIES, check_theta, mark
 from .mesh import BoundaryTag, Mesh, bisect, nvb_closure
@@ -115,16 +115,16 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
     history = AdaptiveHistory(problem=problem, config=config,
                               measurement=measurement)
     keep_triplets = config.record_true_errors
-    coarse_q: TraceFunction | None = None
+    coarse_q: FeFunction | None = None
     check_no_inverse_crime(measurement, mesh)
 
     for k in range(config.max_iters):
-        system = DiscreteSystem(mesh, data)
-        warm = None if coarse_q is None else \
-            transfer_trace(coarse_q, system.ops.trace)
+        warm = None if coarse_q is None else FeFunction(
+            mesh, prolong(coarse_q.values, coarse_q.mesh, mesh))
         # with the warm start on this mesh, nothing but a kept record holds
-        # the parent mesh, which dies before this mesh is factored
+        # the parent mesh, which dies before this mesh's operators exist
         coarse_q = triplet = None
+        system = DiscreteSystem(mesh, data)
         try:
             triplet = solve_optimality(system, config.solver, warm_start=warm)
         except SolverError as exc:
@@ -137,7 +137,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             k=k,
             n_vertices=mesh.n_vertices,
             n_triangles=mesh.n_triangles,
-            n_flux_dofs=system.ops.trace.n_dofs,
+            n_flux_dofs=system.ops.gamma_i.size,
             eta=indicators.eta,
             eta1=indicators.eta1,
             eta2=indicators.eta2,
@@ -220,11 +220,11 @@ def true_errors(triplets, reference: OptimalTriplet) -> np.ndarray:
     S = _p1_matrix(fine, kd + md, ko + mo)
     M_i = _p1_matrix(fine, *_boundary_mass(fine, BoundaryTag.GAMMA_I))
     ref = np.column_stack([reference.u.values, reference.p.values,
-                           reference.q.embedded()])
+                           reference.q.values])
     out = np.empty((len(triplets), 3))
     for k, t in enumerate(triplets):
         D = ref - prolong(np.column_stack([t.u.values, t.p.values,
-                                           t.q.embedded()]), t.mesh, fine)
+                                           t.q.values]), t.mesh, fine)
         SD = np.column_stack([S @ D[:, :2], M_i @ D[:, 2]])
         out[k] = np.sqrt(np.maximum(np.einsum("ij,ij->j", D, SD), 0.0))
     return out

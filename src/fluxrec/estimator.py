@@ -115,7 +115,7 @@ def _boundary_samples(triplet, ops, grad_u, grad_p):
     p_vals = _trace_values(triplet.p.values, mesh, ga, tpar[is_ga])
     j1[is_ga] = gamma_ua - gamma * u_vals - flux_u[is_ga][:, None]
     j2[is_ga] = u_vals - zv - gamma * p_vals - flux_p[is_ga][:, None]
-    q_vals = _trace_values(triplet.q.embedded(), mesh, gi, tpar[~is_ga])
+    q_vals = _trace_values(triplet.q.values, mesh, gi, tpar[~is_ga])
     j1[~is_ga] = -q_vals - flux_u[~is_ga][:, None]
     j2[~is_ga] = -flux_p[~is_ga][:, None]
     return faces, j1, j2, wts

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .driver import AdaptiveHistory
-from .fem import FeFunction, TraceFunction
+from .fem import FeFunction
 from .mesh import BoundaryTag, Mesh, boundary_arclength
 from .problems import Measurement
 
@@ -107,10 +107,10 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
             _write_rows(fh, "%.16e\n", fun.values)
 
 
-def export_flux_txt(q: TraceFunction, path) -> None:
+def export_flux_txt(q: FeFunction, path) -> None:
     """Write the flux as two-column 'arclength value' text, walking GammaI."""
     vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
-    rows = np.column_stack([t, q.embedded()[vertex_ids]]).tolist()
+    rows = np.column_stack([t, q.values[vertex_ids]]).tolist()
     lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

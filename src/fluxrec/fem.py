@@ -12,7 +12,7 @@ per face of the face table, both of the face's off-diagonal entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,41 +42,6 @@ class CoefficientSet:
                 raise ValueError(f"coefficient {name} must be finite and > 0")
 
 
-@dataclass(frozen=True, eq=False)
-class TraceSpace:
-    """Restriction of the P1 space to the inaccessible boundary.
-
-    The dofs are exactly the GammaI vertices of the mesh, ordered by
-    ascending vertex id.  Spaces compare and hash by identity: a mesh's
-    operators build one and every flux on the mesh refers to it.
-    """
-
-    mesh: Mesh
-    vertex_ids: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_mesh(cls, mesh: Mesh) -> "TraceSpace":
-        face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
-        if face_ids.size == 0:
-            raise MeshError("mesh has no GammaI face")
-        ids = np.unique(mesh.faces[face_ids])
-        ids.setflags(write=False)
-        return cls(mesh, ids)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.vertex_ids.shape[0]
-
-
-def _check_values(values, n, what):
-    values = np.asarray(values, dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"{what} expects {n} coefficients, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} coefficients contain non-finite entries")
-    return values
-
-
 @dataclass
 class FeFunction:
     """Nodal P1 function on a mesh: one coefficient per vertex."""
@@ -85,29 +50,14 @@ class FeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _check_values(self.values, self.mesh.n_vertices,
-                                    "FeFunction")
-
-
-@dataclass
-class TraceFunction:
-    """Nodal function on the GammaI trace space."""
-
-    space: TraceSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _check_values(self.values, self.space.n_dofs, "TraceFunction")
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.space.mesh
-
-    def embedded(self) -> np.ndarray:
-        """Nodal values on every mesh vertex, zero off GammaI."""
-        out = np.zeros(self.mesh.n_vertices)
-        out[self.space.vertex_ids] = self.values
-        return out
+        n = self.mesh.n_vertices
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (n,):
+            raise ValueError(f"FeFunction expects {n} coefficients, "
+                             f"got shape {self.values.shape}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("FeFunction coefficients contain non-finite "
+                             "entries")
 
 
 def element_gradients(fun: FeFunction) -> np.ndarray:
@@ -240,31 +190,22 @@ def assemble_load(mesh: Mesh, fv: np.ndarray, u_a,
     return F
 
 
-def assemble_trace_operators(trace: TraceSpace):
-    """GammaI mass, full-to-trace coupling and GammaA mass on the mesh of
-    ``trace``.
+def assemble_trace_operators(mesh: Mesh, ids: np.ndarray):
+    """GammaI mass, full-to-GammaI coupling and GammaA mass on ``mesh``.
 
-    Returns ``(M_i, B, M_a)`` where ``M_i`` is the m x m GammaI mass matrix
-    on the trace space, ``B`` the n x m coupling with
-    ``B[i, j] = int_{GammaI} psi_j phi_i`` and ``M_a`` the n x n GammaA
-    boundary mass.  Because the trace space is the restriction of the P1
-    space, ``B`` is the GammaI face mass restricted to the trace columns
-    and ``M_i`` its GammaI vertex rows.
+    ``ids`` are the GammaI vertex ids, ascending.  Returns
+    ``(M_i, B, M_a)`` where ``M_i`` is the m x m GammaI mass matrix on
+    them, ``B`` the n x m coupling with ``B[i, j] = int_{GammaI} phi_ids[j]
+    phi_i`` and ``M_a`` the n x n GammaA boundary mass.  ``B`` is the
+    GammaI face mass restricted to the ``ids`` columns and ``M_i`` its
+    ``ids`` rows.
     """
-    mesh = trace.mesh
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face")
     B = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))
-    B = B[:, trace.vertex_ids]
+    B = B[:, ids]
     M_a = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_A))
-    return B[trace.vertex_ids], B, M_a
-
-
-def interpolate(fun, trace: TraceSpace) -> TraceFunction:
-    """Nodal interpolation of a callable into a GammaI trace space."""
-    pts = trace.mesh.vertices[trace.vertex_ids]
-    return TraceFunction(trace, _eval_data(fun, pts[:, 0], pts[:, 1],
-                                           "interpolated data"))
+    return B[ids], B, M_a
 
 
 def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:
@@ -298,13 +239,6 @@ def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:
         out[lo:hi] = 0.5 * (out[block[:, 0]] + out[block[:, 1]])
         lo = hi
     return out
-
-
-def transfer_trace(fun: TraceFunction, trace: TraceSpace) -> TraceFunction:
-    """Prolongation of a GammaI trace function into the trace space of a
-    descendant mesh."""
-    fine_full = prolong(fun.embedded(), fun.mesh, trace.mesh)
-    return TraceFunction(trace, fine_full[trace.vertex_ids])
 
 
 def _check_descendant(coarse: Mesh, fine: Mesh):

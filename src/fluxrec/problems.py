@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fem import CoefficientSet, interpolate
+from .fem import CoefficientSet, FeFunction, _eval_data
 from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bisect
 from .solver import DiscreteSystem, ProblemData, solve_state
 
@@ -210,7 +210,11 @@ def generate_measurement(
         mesh = bisect(mesh, np.arange(mesh.n_triangles))
 
     system = DiscreteSystem(mesh, problem.data())
-    u = solve_state(interpolate(problem.q_true, system.ops.trace), system)
+    ids = system.ops.gamma_i
+    q = FeFunction(mesh, np.zeros(mesh.n_vertices))
+    q.values[ids] = _eval_data(problem.q_true, *mesh.vertices[ids].T,
+                               "interpolated data")
+    u = solve_state(q, system)
 
     # a unit gap between components, so interpolation never bridges two
     vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A, 1.0)

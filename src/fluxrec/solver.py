@@ -20,8 +20,6 @@ from .fem import (
     GAUSS3_POINTS,
     CoefficientSet,
     FeFunction,
-    TraceFunction,
-    TraceSpace,
     _eval_data,
     assemble_bilinear,
     assemble_load,
@@ -29,7 +27,7 @@ from .fem import (
     boundary_load,
     midpoint_samples,
 )
-from .mesh import BoundaryTag, Mesh
+from .mesh import BoundaryTag, Mesh, MeshError
 
 
 class SolverError(RuntimeError):
@@ -78,11 +76,12 @@ class ProblemData:
 
 @dataclass
 class OptimalTriplet:
-    """State, costate and flux solving the discrete optimality system."""
+    """State, costate and flux solving the discrete optimality system; the
+    flux is a P1 function, zero off GammaI."""
 
     u: FeFunction
     p: FeFunction
-    q: TraceFunction
+    q: FeFunction
     iterations: int = 0
     residual: float = 0.0
 
@@ -172,10 +171,11 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only, built in two steps.  Construction computes what an estimate
-    reads, ``f_sq`` and ``osc_f_sq`` from one sampling of ``f`` and, if
-    ``z`` is given, ``gamma_a_data``, and the trace space, which a warm
-    start needs before anything is factored.  The first read of any other
+    read-only, built in two steps.  Construction finds ``gamma_i``, the
+    ascending GammaI vertex ids, on which the flux lives (a mesh without a
+    GammaI face raises ``MeshError`` before any sampling), and computes what
+    an estimate reads, ``f_sq`` and ``osc_f_sq`` from one sampling of ``f``
+    and, if ``z`` is given, ``gamma_a_data``.  The first read of any other
     part builds all of them: ``F``, ``M_i``, ``B``, ``M_a``, ``A`` and its
     factor ``lu`` without pivoting in the nested-dissection order ``p``,
     and, if ``z`` is given, ``Z``, ``z_sq``, the ``M_i`` factor and
@@ -188,6 +188,10 @@ class _MeshOperators:
     _NEED_Z = "Z z_sq gamma_a_data b _Mi_lu".split()
 
     def __init__(self, mesh: Mesh, data: ProblemData):
+        ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
+        if ids.size == 0:
+            raise MeshError("mesh has no GammaI face")
+        self.gamma_i, = _read_only(ids)
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
@@ -211,7 +215,6 @@ class _MeshOperators:
             ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
             zv = _eval_data(self.z, x, y, "measurement z")
             self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
-        self.trace = TraceSpace.from_mesh(mesh)
 
     def __getattr__(self, name):
         # reached for unset attributes only: the first read of a part that
@@ -222,7 +225,8 @@ class _MeshOperators:
             raise AttributeError(name)
         self.F = assemble_load(self.mesh, self._fv, self.u_a, self.coeffs)
         del self._fv
-        self.M_i, self.B, self.M_a = assemble_trace_operators(self.trace)
+        self.M_i, self.B, self.M_a = assemble_trace_operators(self.mesh,
+                                                              self.gamma_i)
         self.A = assemble_bilinear(self.mesh, self.coeffs)
         self.p = p = _nested_dissection(self.mesh)
         self.p_inv = np.empty_like(p)
@@ -268,10 +272,10 @@ class DiscreteSystem:
     """The optimality system of ``data`` on one mesh.
 
     Only beta, read from ``data``, is its own.  Everything else lives in
-    ``ops``, the shared :func:`mesh_operators` object, which builds the
-    estimate's data terms and the trace space at construction and all the
-    rest at the first read of any of it.  So a sweep over beta on one mesh
-    assembles, samples the data and factors once.
+    ``ops``, the shared :func:`mesh_operators` object, which finds the
+    GammaI vertices and builds the estimate's data terms at construction
+    and all the rest at the first read of any of it.  So a sweep over beta
+    on one mesh assembles, samples the data and factors once.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData):
@@ -283,10 +287,12 @@ class DiscreteSystem:
         return self.data.coeffs.beta
 
 
-def solve_state(q: TraceFunction, system: DiscreteSystem) -> FeFunction:
-    """Forward solve ``A u = F - B q`` for the temperature field."""
+def solve_state(q: FeFunction, system: DiscreteSystem) -> FeFunction:
+    """Forward solve ``A u = F - B q`` for the temperature field; only the
+    GammaI values of the flux ``q`` are read."""
     ops = system.ops
-    return FeFunction(ops.mesh, ops.solve_A(ops.F - ops.B @ q.values))
+    return FeFunction(ops.mesh,
+                      ops.solve_A(ops.F - ops.B @ q.values[ops.gamma_i]))
 
 
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
@@ -296,7 +302,7 @@ def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - Z))
 
 
-def objective(q: TraceFunction, system: DiscreteSystem,
+def objective(q: FeFunction, system: DiscreteSystem,
               settings: SolverSettings, u: FeFunction | None = None) -> float:
     """Regularized misfit ``J(q)``, consistent with the assembled operators.
 
@@ -309,7 +315,8 @@ def objective(q: TraceFunction, system: DiscreteSystem,
         u = solve_state(q, system)
     uv = u.values
     misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (Z @ uv) + ops.z_sq)
-    reg = float(q.values @ (ops.M_i @ q.values))
+    qi = q.values[ops.gamma_i]
+    reg = float(qi @ (ops.M_i @ qi))
     return 0.5 * misfit + 0.5 * system.beta * reg
 
 
@@ -322,15 +329,16 @@ def hessian_apply(w: np.ndarray, system: DiscreteSystem) -> np.ndarray:
 
 
 def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
-                     warm_start: TraceFunction | None = None) -> OptimalTriplet:
+                     warm_start: FeFunction | None = None) -> OptimalTriplet:
     """Solve the discrete optimality system on the system's mesh.
 
-    Runs CG on the reduced operator with the GammaI mass matrix as
-    preconditioner.  The iteration stops when the M_i-weighted residual
-    drops below ``cg_tol`` relative to the initial residual (plus a
-    machine-precision floor so warm starts cannot stall the iteration);
-    it raises :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not
-    get there.
+    Runs CG for the GammaI values of the flux on the reduced operator with
+    the GammaI mass matrix as preconditioner, from the GammaI values of
+    ``warm_start`` if given; the flux returned is zero off GammaI.  The
+    iteration stops when the M_i-weighted residual drops below ``cg_tol``
+    relative to the initial residual (plus a machine-precision floor so
+    warm starts cannot stall the iteration); it raises
+    :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not get there.
     """
     ops = system.ops
     b = ops.b
@@ -338,10 +346,10 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     if warm_start is not None:
         if warm_start.mesh is not ops.mesh:
             raise ValueError("warm start lives on a different mesh")
-        q = warm_start.values.copy()
+        q = warm_start.values[ops.gamma_i]
         r = b - hessian_apply(q, system)
     else:
-        q = np.zeros(ops.trace.n_dofs)
+        q = np.zeros(ops.gamma_i.size)
         r = b.copy()
 
     z = ops.solve_Mi(r)
@@ -375,7 +383,8 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
             f"(residual {res:.3e}, target {tol:.3e})",
             iterations=iterations, residual=res)
 
-    q_fun = TraceFunction(ops.trace, q)
+    q_fun = FeFunction(ops.mesh, np.zeros(ops.mesh.n_vertices))
+    q_fun.values[ops.gamma_i] = q
     u = solve_state(q_fun, system)
     p = solve_costate(u, system)
     return OptimalTriplet(u=u, p=p, q=q_fun, iterations=iterations, residual=res)

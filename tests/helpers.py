@@ -13,9 +13,11 @@ chains from an adjacency dict, prolongation from a loop over vertices, norms and
 per-triangle and per-face formulas, state solves from unpreconditioned
 conjugate gradients and from SuperLU in its default order, the
 measurement moments from two samplings of z, the measurement lookup from
-one dense pass over all point-segment pairs, the trace operators from the
-GammaI faces mapped to trace dofs, and the estimator from quadrature on
-every face with the data sampled anew.
+one dense pass over all point-segment pairs, the GammaI vertex ids from a
+set of face endpoints, the trace operators and the flux lookup from the
+GammaI faces mapped to positions among those ids, and the estimator from
+quadrature on every face with the data sampled anew.  The flux is a P1
+function, zero off GammaI, as in the library.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips, nodal
 interpolation on a mesh, zero data, the uniform-refinement run and a run
@@ -42,13 +44,10 @@ from fluxrec.fem import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     FeFunction,
-    TraceFunction,
-    TraceSpace,
     _eval_data,
     element_gradients,
     midpoint_samples,
     prolong,
-    transfer_trace,
 )
 from fluxrec.mesh import (
     BoundaryTag,
@@ -71,7 +70,7 @@ def dense_optimality(system):
 
     Block layout: state row ``A u + B q = F``, costate row
     ``-M_a u + A p = -Z``, stationarity row ``-B^T p + beta M_i q = 0``.
-    Returns the nodal arrays ``(u, p, q)``.
+    Returns the nodal arrays ``(u, p, q)``, ``q`` zero off GammaI.
     """
     ops = system.ops
     A = ops.A.toarray()
@@ -89,7 +88,9 @@ def dense_optimality(system):
     K[2 * n:, 2 * n:] = system.beta * Mi
     rhs = np.concatenate([ops.F, -ops.Z, np.zeros(m)])
     sol = np.linalg.solve(K, rhs)
-    return sol[:n], sol[n:2 * n], sol[2 * n:]
+    q = np.zeros(n)
+    q[ops.gamma_i] = sol[2 * n:]
+    return sol[:n], sol[n:2 * n], q
 
 
 def plane_gradient(points, values):
@@ -125,7 +126,6 @@ def brute_force_indicators(triplet, data):
     u = triplet.u.values
     p = triplet.p.values
     q = triplet.q.values
-    dof_of = vertex_to_dof(triplet.q.space)
 
     grads_u = np.empty((mesh.n_triangles, 2))
     grads_p = np.empty((mesh.n_triangles, 2))
@@ -160,7 +160,7 @@ def brute_force_indicators(triplet, data):
                 j2 = (uh - float(data.z(x, y)) - gamma * ph
                       - alpha * grads_p[t0] @ normal)
             else:
-                qh = (q[dof_of[va]] * (1 - t_par) + q[dof_of[vb]] * t_par)
+                qh = q[va] * (1 - t_par) + q[vb] * t_par
                 j1 = -qh - alpha * grads_u[t0] @ normal
                 j2 = -alpha * grads_p[t0] @ normal
             j1_sq += w * j1 ** 2
@@ -247,8 +247,7 @@ class FaceSamples:
 
         gi = np.flatnonzero(mesh.face_tags == int(BoundaryTag.GAMMA_I))
         if gi.size:
-            q_vals = _face_trace_values(triplet.q.embedded(), mesh, gi,
-                                        tpar[gi])
+            q_vals = _face_trace_values(triplet.q.values, mesh, gi, tpar[gi])
             j1[gi] = -q_vals - flux_u0[gi][:, None]
             j2[gi] = -flux_p0[gi][:, None]
 
@@ -508,17 +507,34 @@ def graded_mesh(initial, seed, sweeps=3):
     return mesh
 
 
-def vertex_to_dof(trace: TraceSpace) -> np.ndarray:
-    """Vertex id -> trace dof index, -1 off GammaI."""
-    out = np.full(trace.mesh.n_vertices, -1, dtype=np.int64)
-    out[trace.vertex_ids] = np.arange(trace.n_dofs)
+def gamma_i_vertices(mesh) -> np.ndarray:
+    """Ascending ids of the endpoints of the GammaI faces, from a set."""
+    ends = {int(v) for f in mesh.faces_with_tag(BoundaryTag.GAMMA_I)
+            for v in mesh.faces[f]}
+    return np.array(sorted(ends), dtype=np.int64)
+
+
+def gamma_i_flux(mesh, values=0.0) -> FeFunction:
+    """The P1 flux on ``mesh`` with GammaI values ``values``, zero off
+    GammaI."""
+    q = np.zeros(mesh.n_vertices)
+    q[gamma_i_vertices(mesh)] = values
+    return FeFunction(mesh, q)
+
+
+def vertex_to_dof(n_vertices, ids) -> np.ndarray:
+    """Vertex id -> position in the GammaI vertex ids ``ids``, -1 elsewhere."""
+    out = np.full(n_vertices, -1, dtype=np.int64)
+    out[ids] = np.arange(len(ids))
     return out
 
 
-def dof_lookup_trace_values(q: TraceFunction, vertex_ids) -> np.ndarray:
-    """Oracle for reading a trace function at GammaI vertices through the
-    vertex -> trace dof map."""
-    return q.values[vertex_to_dof(q.space)[vertex_ids]]
+def dof_lookup_trace_values(q: FeFunction, vertex_ids) -> np.ndarray:
+    """Oracle for reading a flux at GammaI vertices: its GammaI values, the
+    vector the reduced solve works on, read through the vertex -> GammaI
+    position map."""
+    ids = gamma_i_vertices(q.mesh)
+    return q.values[ids][vertex_to_dof(q.mesh.n_vertices, ids)[vertex_ids]]
 
 
 def loop_transfer(values, fine_mesh):
@@ -552,34 +568,16 @@ def h1_norm(fun: FeFunction) -> float:
     return float(np.sqrt(l2_norm(fun) ** 2 + h1_seminorm(fun) ** 2))
 
 
-def trace_l2(fun: TraceFunction) -> float:
-    """Exact L2(GammaI) norm of a trace function."""
-    mesh = fun.mesh
-    dof_of = vertex_to_dof(fun.space)
-    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
-    fl = dof_of[mesh.faces[face_ids]]
-    va = fun.values[fl[:, 0]]
-    vb = fun.values[fl[:, 1]]
-    lens = mesh.face_lengths[face_ids]
-    integ = lens / 6.0 * 2.0 * (va ** 2 + vb ** 2 + va * vb)
-    return float(np.sqrt(integ.sum()))
-
-
 def three_transfer_true_errors(triplet, reference):
     """Oracle for :func:`fluxrec.driver.true_errors` of one triplet: ``u``,
-    ``p`` and the zero-filled ``q`` are prolongated one at a time by the
-    vertex loop, and the differences measured by the per-triangle and
-    per-face norm formulas above.  Returns ``(err_u, err_p, err_q)``."""
+    ``p`` and ``q`` are prolongated one at a time by the vertex loop, and
+    the differences measured by the per-triangle and per-face norm formulas
+    above.  Returns ``(err_u, err_p, err_q)``."""
     fine = reference.mesh
-    du = FeFunction(fine, reference.u.values
-                    - loop_transfer(triplet.u.values, fine))
-    dp = FeFunction(fine, reference.p.values
-                    - loop_transfer(triplet.p.values, fine))
-    q = np.zeros(triplet.mesh.n_vertices)
-    q[triplet.q.space.vertex_ids] = triplet.q.values
-    q_fine = loop_transfer(q, fine)[reference.q.space.vertex_ids]
-    dq = TraceFunction(reference.q.space, reference.q.values - q_fine)
-    return h1_norm(du), h1_norm(dp), trace_l2(dq)
+    du, dp, dq = [FeFunction(fine, getattr(reference, k).values
+                             - loop_transfer(getattr(triplet, k).values, fine))
+                  for k in "upq"]
+    return h1_norm(du), h1_norm(dp), boundary_l2(dq, BoundaryTag.GAMMA_I)
 
 
 def face_loop_boundary_operators(mesh):
@@ -605,19 +603,18 @@ def face_loop_boundary_operators(mesh):
     return M_i, B, M_a
 
 
-def dof_map_trace_operators(mesh):
-    """Oracle for :func:`fluxrec.fem.assemble_trace_operators`: ``M_i`` and
-    ``B`` assembled from the GammaI faces with their vertices mapped to
-    trace dofs, a trace space of their own and ``M_a`` by the GammaA face
-    mass.  Returns ``(M_i, B, M_a)`` as CSR matrices."""
-    trace = TraceSpace.from_mesh(mesh)
+def dof_map_trace_operators(mesh, ids):
+    """Oracle for :func:`fluxrec.fem.assemble_trace_operators` at the
+    GammaI vertex ids ``ids``: ``M_i`` and ``B`` assembled from the GammaI
+    faces with their vertices mapped to positions in ``ids`` and ``M_a`` by
+    the GammaA face mass.  Returns ``(M_i, B, M_a)`` as CSR matrices."""
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face")
     face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
     faces = mesh.faces[face_ids]
-    faces_local = vertex_to_dof(trace)[faces]
+    faces_local = vertex_to_dof(mesh.n_vertices, ids)[faces]
     local = mesh.face_lengths[face_ids][:, None, None] * _FACE_MASS
-    m = trace.n_dofs
+    m = len(ids)
     M_i = int64_assemble(faces_local, faces_local, local, (m, m))
     B = int64_assemble(faces, faces_local, local, (mesh.n_vertices, m))
     return M_i, B, local_matrix_operators(mesh)["M_a"]
@@ -662,7 +659,7 @@ def local_matrix_operators(mesh, coeffs=None):
     out = dict(K=K, M=M, M_a=face_mass(BoundaryTag.GAMMA_A),
                M_gi=face_mass(BoundaryTag.GAMMA_I), S=K + M)
     if coeffs is not None:
-        vertex_ids = TraceSpace.from_mesh(mesh).vertex_ids
+        vertex_ids = gamma_i_vertices(mesh)
         out["A"] = (coeffs.alpha * K + coeffs.gamma * out["M_a"]).tocsr()
         out["B"] = out["M_gi"][:, vertex_ids]
         out["M_i"] = out["B"][vertex_ids]
@@ -987,13 +984,16 @@ def boundary_l2(fun: FeFunction, tag: BoundaryTag) -> float:
     return float(np.sqrt(integ.sum()))
 
 
-def reduced_gradient(q: TraceFunction, system) -> TraceFunction:
-    """Riesz representative of J'(q): solves ``M_i g = beta M_i q - B^T p``."""
+def reduced_gradient(q: FeFunction, system) -> FeFunction:
+    """Riesz representative of J'(q): solves ``M_i g = beta M_i q - B^T p``
+    on GammaI; ``g`` is zero off GammaI."""
     u = solve_state(q, system)
     p = solve_costate(u, system)
     ops = system.ops
-    rhs = system.beta * (ops.M_i @ q.values) - ops.B.T @ p.values
-    return TraceFunction(ops.trace, ops.solve_Mi(rhs))
+    rhs = system.beta * (ops.M_i @ q.values[ops.gamma_i]) - ops.B.T @ p.values
+    g = np.zeros(ops.mesh.n_vertices)
+    g[ops.gamma_i] = ops.solve_Mi(rhs)
+    return FeFunction(ops.mesh, g)
 
 
 def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
@@ -1002,22 +1002,20 @@ def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
     For a test function in the triplet's own space this vanishes to solver
     tolerance (Galerkin orthogonality).  The test function may also live on
     a bisection descendant of the triplet's mesh; the triplet is then
-    prolongated exactly and the residual evaluated with operators assembled
-    on the finer mesh.
+    prolongated exactly, as one block, and the residual evaluated with
+    operators assembled on the finer mesh.
     """
     if which not in ("state", "costate"):
         raise ValueError("which must be 'state' or 'costate'")
-    if test.mesh is triplet.mesh:
-        ops = system.ops
-        u, p, q = triplet.u.values, triplet.p.values, triplet.q.values
-    else:
+    u, p, q = triplet.u.values, triplet.p.values, triplet.q.values
+    ops = system.ops
+    if test.mesh is not triplet.mesh:
         ops = DiscreteSystem(test.mesh, system.data).ops
-        u, p = prolong(np.column_stack([triplet.u.values, triplet.p.values]),
-                       triplet.mesh, test.mesh).T
-        q = transfer_trace(triplet.q, ops.trace).values
+        u, p, q = prolong(np.column_stack([u, p, q]), triplet.mesh,
+                          test.mesh).T
     t = test.values
     if which == "state":
-        return float(t @ (ops.F - ops.B @ q - ops.A @ u))
+        return float(t @ (ops.F - ops.B @ q[ops.gamma_i] - ops.A @ u))
     return float(t @ (ops.M_a @ u - ops.Z - ops.A @ p))
 
 

@@ -19,18 +19,15 @@ from fluxrec.export import (
     read_history_csv,
     write_measurement,
 )
-from fluxrec.fem import (
-    FeFunction,
-    TraceFunction,
-    TraceSpace,
-    interpolate,
-)
+from fluxrec.fem import FeFunction
 from fluxrec.mesh import BoundaryTag, Mesh, bisect, boundary_arclength
 from fluxrec.problems import BUILTIN_NAMES, builtin_problem
 
 from helpers import (
     dof_lookup_trace_values,
     format_config,
+    gamma_i_flux,
+    gamma_i_vertices,
     graded_mesh,
     nodal_interpolant,
     read_measurement,
@@ -317,8 +314,7 @@ class TestVtkExport:
 
 class TestFluxExport:
     def test_constant_flux_unit_edge(self, tmp_path, refined_square):
-        trace = TraceSpace.from_mesh(refined_square)
-        q = interpolate(lambda x, y: 3.0 + 0.0 * x, trace)
+        q = gamma_i_flux(refined_square, 3.0)
         path = tmp_path / "flux.txt"
         export_flux_txt(q, path)
         rows = np.array([[float(v) for v in ln.split()]
@@ -330,8 +326,7 @@ class TestFluxExport:
 
     def test_arclength_matches_x_on_bottom_edge(self, tmp_path,
                                                 refined_square):
-        trace = TraceSpace.from_mesh(refined_square)
-        q = interpolate(lambda x, y: x ** 2, trace)
+        q = nodal_interpolant(lambda x, y: x ** 2, refined_square)
         path = tmp_path / "flux.txt"
         export_flux_txt(q, path)
         rows = np.array([[float(v) for v in ln.split()]
@@ -342,9 +337,9 @@ class TestFluxExport:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_bytes_match_dof_lookup(self, tmp_path, name):
         mesh = graded_mesh(builtin_problem(name).initial_mesh(), seed=5)
-        trace = TraceSpace.from_mesh(mesh)
         rng = np.random.default_rng(6)
-        q = TraceFunction(trace, rng.standard_normal(trace.n_dofs))
+        q = gamma_i_flux(mesh, rng.standard_normal(
+            gamma_i_vertices(mesh).size))
         path = tmp_path / "flux.txt"
         export_flux_txt(q, path)
         vertex_ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_I, 0.0)

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 import fluxrec.driver as driver
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
-from fluxrec.fem import (
-    FeFunction,
-    TraceFunction,
-    TraceSpace,
-    prolong,
-)
+from fluxrec.fem import FeFunction, prolong
 from fluxrec.problems import builtin_problem, generate_measurement
 from fluxrec.solver import OptimalTriplet, SolverSettings
 
 from helpers import (
+    gamma_i_flux,
+    gamma_i_vertices,
+    loop_transfer,
     nvb_chain,
     run_marked,
     run_uniform,
@@ -197,6 +195,39 @@ class TestRunAdaptive:
             gc.enable()
         assert alive[:3] == [record_true_errors] * 3
 
+    def test_parent_mesh_dead_before_child_operators(self, monkeypatch):
+        """Without true errors no earlier mesh is alive when the operators
+        of the next one are built, and the warm start is the coarse flux
+        prolongated, bitwise on GammaI."""
+        meshes, alive, coarse_q, warm_ok = [], [], [], []
+        make, solve = driver.DiscreteSystem, driver.solve_optimality
+
+        def counting(mesh, data):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in meshes))
+            meshes.append(weakref.ref(mesh))
+            return make(mesh, data)
+
+        def checking(system, settings, warm_start=None):
+            if coarse_q:
+                ids = system.ops.gamma_i
+                warm_ok.append(np.array_equal(
+                    warm_start.values[ids],
+                    loop_transfer(coarse_q[-1], system.ops.mesh)[ids]))
+            else:
+                warm_ok.append(warm_start is None)
+            triplet = solve(system, settings, warm_start=warm_start)
+            coarse_q.append(triplet.q.values.copy())
+            return triplet
+
+        monkeypatch.setattr(driver, "DiscreteSystem", counting)
+        monkeypatch.setattr(driver, "solve_optimality", checking)
+        run_adaptive(builtin_problem("square_jump"),
+                     LoopConfig(max_iters=6, tol=1e-12,
+                                record_true_errors=False))
+        assert alive == [0] * 6
+        assert warm_ok == [True] * 6
+
     def test_nested_spaces(self, smooth_history):
         """Coarse nodal functions transfer exactly at coarse vertices."""
         meshes = [rec.triplet.mesh for rec in smooth_history.records]
@@ -240,7 +271,8 @@ class TestTrueErrors:
         # reference with flux shifted by exactly 1 on the unit GammaI
         shifted = type(trip)(
             u=trip.u, p=trip.p,
-            q=TraceFunction(trip.q.space, trip.q.values + 1.0))
+            q=gamma_i_flux(trip.mesh, trip.q.values[
+                gamma_i_vertices(trip.mesh)] + 1.0))
         err_q = true_errors([trip], shifted)[0, 2]
         assert np.isclose(err_q, 1.0, rtol=1e-12)
 
@@ -275,11 +307,11 @@ class TestTrueErrors:
                                               label="seed"))
 
         def random_triplet(mesh):
-            trace = TraceSpace.from_mesh(mesh)
             return OptimalTriplet(
                 FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
                 FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
-                TraceFunction(trace, rng.standard_normal(trace.n_dofs)))
+                gamma_i_flux(mesh, rng.standard_normal(
+                    gamma_i_vertices(mesh).size)))
 
         triplets = [random_triplet(mesh) for mesh in chain]
         reference = random_triplet(chain[-1])

@@ -14,8 +14,6 @@ from fluxrec.estimator import (
 from fluxrec.fem import (
     GAUSS2_POINTS,
     FeFunction,
-    TraceFunction,
-    TraceSpace,
     element_gradients,
     midpoint_samples,
 )
@@ -33,6 +31,8 @@ from helpers import (
     all_faces_estimate,
     brute_force_indicators,
     dof_lookup_trace_values,
+    gamma_i_flux,
+    gamma_i_vertices,
     graded_mesh,
     monomial_integral_ref_triangle,
     nodal_interpolant,
@@ -42,13 +42,13 @@ from helpers import (
 
 
 def make_triplet(mesh, u_vals=None, p_vals=None, q_vals=None):
-    trace = TraceSpace.from_mesh(mesh)
+    """A triplet with the given nodal ``u`` and ``p`` and GammaI values of
+    ``q``, each zero if None."""
     u = FeFunction(mesh, u_vals if u_vals is not None
                    else np.zeros(mesh.n_vertices))
     p = FeFunction(mesh, p_vals if p_vals is not None
                    else np.zeros(mesh.n_vertices))
-    q = TraceFunction(trace, q_vals if q_vals is not None
-                      else np.zeros(trace.n_dofs))
+    q = gamma_i_flux(mesh, q_vals if q_vals is not None else 0.0)
     return OptimalTriplet(u=u, p=p, q=q)
 
 
@@ -171,12 +171,12 @@ class TestFaceJumps:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_gamma_i_flux_samples_match_dof_lookup(self, name):
         """With u = 0 the GammaI state jump is -q at the Gauss points, read
-        bitwise as through the vertex -> trace dof map."""
+        bitwise as through the vertex -> GammaI position map."""
         problem = builtin_problem(name)
         mesh = graded_mesh(problem.initial_mesh(), seed=7)
-        trace = TraceSpace.from_mesh(mesh)
         rng = np.random.default_rng(8)
-        trip = make_triplet(mesh, q_vals=rng.standard_normal(trace.n_dofs))
+        trip = make_triplet(mesh, q_vals=rng.standard_normal(
+            gamma_i_vertices(mesh).size))
         faces, j1, _, _ = boundary_samples(
             trip, zero_data(problem.data().coeffs))
         gi = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
@@ -203,7 +203,7 @@ class TestAllFacesOracle:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                               label="seed"))
         u, p = rng.standard_normal((2, mesh.n_vertices))
-        q = rng.standard_normal(TraceSpace.from_mesh(mesh).n_dofs)
+        q = rng.standard_normal(gamma_i_vertices(mesh).size)
         triplet = make_triplet(mesh, u, p, q)
         got = estimate(triplet, pdata)
         want = all_faces_estimate(triplet, pdata)
@@ -246,7 +246,7 @@ class TestEstimate:
         scaled = OptimalTriplet(
             u=FeFunction(triplet.u.mesh, 2.0 * triplet.u.values),
             p=FeFunction(triplet.p.mesh, 2.0 * triplet.p.values),
-            q=TraceFunction(triplet.q.space, 2.0 * triplet.q.values))
+            q=FeFunction(triplet.q.mesh, 2.0 * triplet.q.values))
         ind2 = estimate(scaled, doubled)
         assert np.allclose(ind2.eta_sq, 4.0 * ind1.eta_sq, rtol=1e-12)
 
@@ -275,11 +275,8 @@ class TestOscillations:
                                                smooth_problem):
         # global linear state: interior jumps vanish, GammaI jumps are
         # constant when q is constant, so those oscillations vanish
-        trace = TraceSpace.from_mesh(refined_square)
         u = nodal_interpolant(lambda x, y: y, refined_square)
-        triplet = make_triplet(
-            refined_square, u_vals=u.values,
-            q_vals=np.full(trace.n_dofs, 2.0))
+        triplet = make_triplet(refined_square, u_vals=u.values, q_vals=2.0)
         osc_j1 = estimate(triplet, zero_data(smooth_problem.coeffs)).osc_j1_sq
         gi = refined_square.faces_with_tag(BoundaryTag.GAMMA_I)
         interior = refined_square.faces_with_tag(BoundaryTag.INTERIOR)

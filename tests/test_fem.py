@@ -5,12 +5,11 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import fluxrec.driver as driver
+import fluxrec.problems as problems
 from fluxrec.driver import true_errors
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
-    TraceFunction,
-    TraceSpace,
     _boundary_mass,
     _mass,
     _p1_matrix,
@@ -19,19 +18,20 @@ from fluxrec.fem import (
     assemble_load,
     assemble_trace_operators,
     element_gradients,
-    interpolate,
     midpoint_samples,
     prolong,
-    transfer_trace,
     volume_load,
 )
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect, build_initial_mesh
-from fluxrec.solver import OptimalTriplet
+from fluxrec.problems import builtin_problem, generate_measurement
+from fluxrec.solver import DiscreteSystem, OptimalTriplet, ProblemData
 
 from helpers import (
     boundary_l2,
     dof_map_trace_operators,
     face_loop_boundary_operators,
+    gamma_i_flux,
+    gamma_i_vertices,
     graded_mesh,
     h1_norm,
     h1_seminorm,
@@ -167,10 +167,9 @@ class TestP1Matrices:
         :func:`true_errors` equal the oracle's in bytes and dtypes (their
         data to ``rtol``), in canonical format with int32 indices and no
         stored zero."""
-        trace = TraceSpace.from_mesh(mesh)
         got = dict(A=assemble_bilinear(mesh, COEFFS),
-                   **dict(zip(("M_i", "B", "M_a"),
-                              assemble_trace_operators(trace))))
+                   **dict(zip(("M_i", "B", "M_a"), assemble_trace_operators(
+                       mesh, gamma_i_vertices(mesh)))))
         built = []
 
         def recording(*args):
@@ -313,33 +312,33 @@ class TestAssembleLoad:
 class TestTraceOperators:
     def test_single_unit_gamma_i_face(self, square_mesh):
         M_i, B, M_a = assemble_trace_operators(
-            TraceSpace.from_mesh(square_mesh))
+            square_mesh, gamma_i_vertices(square_mesh))
         assert M_i.shape == (2, 2)
         assert np.allclose(M_i.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
     def test_row_sums_partition_of_unity(self, refined_square):
         M_i, _, _ = assemble_trace_operators(
-            TraceSpace.from_mesh(refined_square))
+            refined_square, gamma_i_vertices(refined_square))
         # GammaI is the unit bottom edge
         assert np.isclose(M_i.toarray().sum(), 1.0)
 
     def test_b_equals_mi_on_gamma_i_rows(self, refined_square):
-        trace = TraceSpace.from_mesh(refined_square)
-        M_i, B, _ = assemble_trace_operators(trace)
-        assert np.allclose(B.toarray()[trace.vertex_ids], M_i.toarray())
+        ids = gamma_i_vertices(refined_square)
+        M_i, B, _ = assemble_trace_operators(refined_square, ids)
+        assert np.allclose(B.toarray()[ids], M_i.toarray())
 
     def test_b_row_support_is_gamma_i(self, refined_square):
-        trace = TraceSpace.from_mesh(refined_square)
-        _, B, _ = assemble_trace_operators(trace)
+        ids = gamma_i_vertices(refined_square)
+        _, B, _ = assemble_trace_operators(refined_square, ids)
         nonzero_rows = np.flatnonzero(np.abs(B.toarray()).sum(axis=1) > 0)
-        assert np.array_equal(nonzero_rows, trace.vertex_ids)
+        assert np.array_equal(nonzero_rows, ids)
 
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     def test_match_face_loop_bitwise(self, domain):
         mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=1,
                            sweeps=5)
         for got, want in zip(
-                assemble_trace_operators(TraceSpace.from_mesh(mesh)),
+                assemble_trace_operators(mesh, gamma_i_vertices(mesh)),
                 face_loop_boundary_operators(mesh)):
             assert np.array_equal(got.toarray(), want)
 
@@ -347,10 +346,11 @@ class TestTraceOperators:
     @hyp_settings(max_examples=30, deadline=None)
     def test_match_dof_map_oracle_bitwise(self, domain, data):
         """The CSR arrays equal, dtype and bytes, those of the face
-        assembly through the vertex -> trace dof map."""
+        assembly through the vertex -> GammaI position map."""
         mesh = nvb_chain(domain, data)[-1]
-        got = assemble_trace_operators(TraceSpace.from_mesh(mesh))
-        for matrix, want in zip(got, dof_map_trace_operators(mesh)):
+        ids = gamma_i_vertices(mesh)
+        got = assemble_trace_operators(mesh, ids)
+        for matrix, want in zip(got, dof_map_trace_operators(mesh, ids)):
             assert matrix.shape == want.shape
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(matrix, name), getattr(want, name)
@@ -359,20 +359,36 @@ class TestTraceOperators:
 
     def test_mi_positive_definite(self, refined_square):
         M_i, _, _ = assemble_trace_operators(
-            TraceSpace.from_mesh(refined_square))
+            refined_square, gamma_i_vertices(refined_square))
         dense = M_i.toarray()
         assert np.allclose(dense, dense.T)
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
 
-class TestTraceSpace:
-    def test_compares_and_hashes_by_identity(self, refined_square):
-        a = TraceSpace.from_mesh(refined_square)
-        b = TraceSpace.from_mesh(refined_square)
-        assert a == a
-        assert a != b
-        assert hash(a) == hash(a)
-        assert len({a, b, a}) == 2
+class TestGammaIVertices:
+    """The flux lives on ``_MeshOperators.gamma_i``, the ascending GammaI
+    vertex ids."""
+
+    def test_no_gamma_i_face_rejected_before_sampling(self):
+        mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    triangles=np.array([[0, 1, 2]]),
+                    edge_tags=[[BoundaryTag.GAMMA_A] * 3])
+
+        def forbidden(x, y):
+            raise AssertionError("data sampled")
+
+        data = ProblemData(COEFFS, f=forbidden, u_a=forbidden, z=forbidden)
+        with pytest.raises(MeshError, match="no GammaI face"):
+            DiscreteSystem(mesh, data)
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
+    @hyp_settings(max_examples=20, deadline=None)
+    def test_match_face_endpoint_oracle(self, domain, data):
+        mesh = nvb_chain(domain, data)[-1]
+        ids = DiscreteSystem(mesh, ProblemData(COEFFS, zero, zero)).ops.gamma_i
+        assert np.array_equal(ids, gamma_i_vertices(mesh))
+        assert ids.dtype == mesh.faces.dtype
+        assert not ids.flags.writeable
 
 
 class TestInterpolate:
@@ -404,12 +420,23 @@ class TestInterpolate:
         again = nodal_interpolant(as_callable, refined_square)
         assert np.array_equal(again.values, original.values)
 
-    def test_trace_interpolation(self, refined_square):
-        trace = TraceSpace.from_mesh(refined_square)
-        q = interpolate(lambda x, y: np.sin(x), trace)
-        assert q.values.shape == (trace.n_dofs,)
-        xs = refined_square.vertices[trace.vertex_ids, 0]
-        assert np.allclose(q.values, np.sin(xs))
+    def test_trace_interpolation(self, monkeypatch):
+        """The measurement's forward solve takes the true flux at the GammaI
+        vertices and zero off GammaI."""
+        problem = builtin_problem("lshape_spike")
+        fluxes, solve = [], problems.solve_state
+
+        def recording(q, system):
+            fluxes.append(q)
+            return solve(q, system)
+
+        monkeypatch.setattr(problems, "solve_state", recording)
+        generate_measurement(problem, extra_levels=2)
+        (q,) = fluxes
+        ids = gamma_i_vertices(q.mesh)
+        assert np.array_equal(q.values[ids],
+                              problem.q_true(*q.mesh.vertices[ids].T))
+        assert not np.delete(q.values, ids).any()
 
 
 class TestTransfer:
@@ -475,14 +502,11 @@ class TestTransfer:
         assert np.array_equal(prolong(f, coarse, fine),
                               loop_transfer(f, fine))
 
-        trace = TraceSpace.from_mesh(coarse)
-        q = TraceFunction(trace, rng.standard_normal(trace.n_dofs))
-        embedded = np.zeros(coarse.n_vertices)
-        embedded[trace.vertex_ids] = q.values
-        assert np.array_equal(q.embedded(), embedded)
-        qf = transfer_trace(q, TraceSpace.from_mesh(fine))
-        assert np.array_equal(qf.values,
-                              loop_transfer(embedded, fine)[qf.space.vertex_ids])
+        # the fine GammaI values read the coarse GammaI values only
+        q = gamma_i_flux(coarse, f[gamma_i_vertices(coarse)])
+        fine_ids = gamma_i_vertices(fine)
+        assert np.array_equal(prolong(q.values, coarse, fine)[fine_ids],
+                              prolong(f, coarse, fine)[fine_ids])
 
     @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
     @hyp_settings(max_examples=20, deadline=None)
@@ -501,18 +525,26 @@ class TestTransfer:
             assert np.array_equal(out[:, j], prolong(block[:, j], coarse, fine))
 
     def test_trace_transfer(self, refined_square):
-        trace = TraceSpace.from_mesh(refined_square)
-        q = interpolate(lambda x, y: 1.0 + 2.0 * x, trace)
+        """A flux zero off GammaI, linear along it, prolongates to the same
+        line on the fine GammaI vertices."""
+        ids = gamma_i_vertices(refined_square)
+        q = gamma_i_flux(refined_square,
+                         1.0 + 2.0 * refined_square.vertices[ids, 0])
         fine = bisect(refined_square, np.arange(refined_square.n_triangles))
-        qf = transfer_trace(q, TraceSpace.from_mesh(fine))
-        xs = fine.vertices[qf.space.vertex_ids, 0]
-        assert np.allclose(qf.values, 1.0 + 2.0 * xs, rtol=1e-14)
+        fine_ids = gamma_i_vertices(fine)
+        qf = prolong(q.values, refined_square, fine)[fine_ids]
+        xs = fine.vertices[fine_ids, 0]
+        assert np.allclose(qf, 1.0 + 2.0 * xs, rtol=1e-14)
 
 
 def interpolated_triplet(mesh, u, p, q):
+    """Nodal interpolants of ``u`` and ``p`` and of the flux ``q`` on
+    GammaI, zero off it."""
+    ids = gamma_i_vertices(mesh)
     return OptimalTriplet(nodal_interpolant(u, mesh),
                           nodal_interpolant(p, mesh),
-                          interpolate(q, TraceSpace.from_mesh(mesh)))
+                          gamma_i_flux(mesh,
+                                       nodal_interpolant(q, mesh).values[ids]))
 
 
 def errors_against_zero(u, p, q, meshes, fine):
@@ -565,12 +597,12 @@ class TestNorms:
         """The H1 error is the per-triangle L2 and seminorm formulas
         combined."""
         rng = np.random.default_rng(4)
-        trace = TraceSpace.from_mesh(refined_square)
         funs = [FeFunction(refined_square,
                            rng.standard_normal(refined_square.n_vertices))
                 for _ in range(2)]
-        triplet = OptimalTriplet(*funs, TraceFunction(
-            trace, rng.standard_normal(trace.n_dofs)))
+        triplet = OptimalTriplet(*funs, gamma_i_flux(
+            refined_square, rng.standard_normal(
+                gamma_i_vertices(refined_square).size)))
         errors = true_errors([triplet], interpolated_triplet(
             refined_square, zero, zero, zero))[0]
         for err, f in zip(errors[:2], funs):

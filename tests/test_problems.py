@@ -16,7 +16,7 @@ from fluxrec.problems import (
     generate_measurement,
 )
 
-from helpers import dense_locate
+from helpers import dense_locate, gamma_i_flux
 
 
 class TestBuiltinProblems:
@@ -325,10 +325,8 @@ class TestMultiComponentGammaA:
 
     def test_flux_export_walks_both_chains(self, split_problem, tmp_path):
         from fluxrec.export import export_flux_txt
-        from fluxrec.fem import TraceSpace, interpolate
         mesh = split_problem.initial_mesh()
-        trace = TraceSpace.from_mesh(mesh)
-        q = interpolate(lambda x, y: x + y, trace)
+        q = gamma_i_flux(mesh, 1.0)
         path = tmp_path / "flux.txt"
         export_flux_txt(q, path)
         rows = [ln.split() for ln in path.read_text().strip().splitlines()]

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import fluxrec.solver as solver
 from fluxrec.cli import cli_main
 from fluxrec.estimator import estimate
-from fluxrec.driver import LoopConfig, run_adaptive
-from fluxrec.fem import FeFunction, TraceFunction, TraceSpace
+from fluxrec.driver import LoopConfig, run_adaptive, true_errors
+from fluxrec.export import export_flux_txt
+from fluxrec.fem import FeFunction, prolong
 from fluxrec.mesh import BoundaryTag, Mesh, bisect
 from fluxrec.problems import BUILTIN_NAMES, generate_measurement
 from fluxrec.solver import (
@@ -27,20 +28,23 @@ from fluxrec.solver import (
 )
 
 from helpers import (
+    boundary_l2,
     default_order_factor,
     dense_optimality,
+    gamma_i_flux,
+    gamma_i_vertices,
+    graded_mesh,
     inner_cg_solve,
     patches,
     reduced_gradient,
     residual_apply,
-    trace_l2,
     two_pass_measurement_moments,
     zero,
 )
 
 
-def zero_trace(system):
-    return TraceFunction(system.ops.trace, np.zeros(system.ops.trace.n_dofs))
+def zero_flux(system):
+    return gamma_i_flux(system.ops.mesh)
 
 
 class TestSolveState:
@@ -52,24 +56,24 @@ class TestSolveState:
                           f=lambda x, y: 0.0 * x,
                           u_a=lambda x, y: c + 0.0 * x)
         system = DiscreteSystem(refined_square, data)
-        u = solve_state(zero_trace(system), system)
+        u = solve_state(zero_flux(system), system)
         assert np.allclose(u.values, c, atol=1e-10)
 
     def test_zero_data_zero_state(self, refined_square, smooth_problem):
         data = smooth_problem.data()
         data = type(data)(coeffs=data.coeffs, f=zero, u_a=zero)
         system = DiscreteSystem(refined_square, data)
-        u = solve_state(zero_trace(system), system)
+        u = solve_state(zero_flux(system), system)
         assert np.abs(u.values).max() < 1e-12
 
     def test_matches_dense_solve(self, smooth_system):
-        u = solve_state(zero_trace(smooth_system), smooth_system)
+        u = solve_state(zero_flux(smooth_system), smooth_system)
         ops = smooth_system.ops
         dense = np.linalg.solve(ops.A.toarray(), ops.F)
         assert np.abs(u.values - dense).max() < 1e-9
 
     def test_inner_cg_agrees_with_direct(self, smooth_system):
-        q = zero_trace(smooth_system)
+        q = zero_flux(smooth_system)
         u_direct = solve_state(q, smooth_system)
         u_cg = inner_cg_solve(smooth_system.ops.A, smooth_system.ops.F)
         assert np.abs(u_direct.values - u_cg).max() < 1e-8
@@ -94,7 +98,7 @@ class TestProblemData:
         mesh = bisect(refined_square, np.arange(refined_square.n_triangles))
         system = DiscreteSystem(mesh, smooth_problem.data())
         u = FeFunction(mesh, np.zeros(mesh.n_vertices))
-        q = zero_trace(system)
+        q = zero_flux(system)
         for call in (lambda: solve_optimality(system, settings),
                      lambda: solve_costate(u, system),
                      lambda: objective(q, system, settings)):
@@ -121,7 +125,7 @@ class TestSolveCostate:
         # z equals the trace of the state: zero misfit, zero costate
         data0 = smooth_problem.data()
         system0 = DiscreteSystem(refined_square, data0)
-        u = solve_state(zero_trace(system0), system0)
+        u = solve_state(zero_flux(system0), system0)
 
         def z(x, y):
             # nodal interpolation of u along the boundary (P1 trace)
@@ -184,7 +188,7 @@ class TestReducedGradient:
         """Doubling beta doubles the beta-term of M_i g at fixed q and p."""
         rng = np.random.default_rng(4)
         ops = smooth_system.ops
-        q = rng.standard_normal(ops.trace.n_dofs)
+        q = rng.standard_normal(ops.gamma_i.size)
         p = rng.standard_normal(ops.mesh.n_vertices)
         beta = smooth_system.beta
         term1 = beta * (ops.M_i @ q) - ops.B.T @ p
@@ -195,17 +199,17 @@ class TestReducedGradient:
         """Directional derivatives of J match (M_i g, w) to 1e-5 relative."""
         triplet = solve_optimality(smooth_system, settings)
         rng = np.random.default_rng(42)
-        q0 = TraceFunction(smooth_system.ops.trace,
-                           triplet.q.values + 0.1 * rng.standard_normal(
-                               smooth_system.ops.trace.n_dofs))
+        mesh, gi = smooth_system.ops.mesh, smooth_system.ops.gamma_i
+        q0 = gamma_i_flux(mesh, triplet.q.values[gi]
+                          + 0.1 * rng.standard_normal(gi.size))
         g = reduced_gradient(q0, smooth_system)
-        Mig = smooth_system.ops.M_i @ g.values
+        Mig = smooth_system.ops.M_i @ g.values[gi]
         h = 1e-6
         for _ in range(10):
-            w = rng.standard_normal(smooth_system.ops.trace.n_dofs)
+            w = rng.standard_normal(gi.size)
             w /= np.linalg.norm(w)
-            qp = TraceFunction(smooth_system.ops.trace, q0.values + h * w)
-            qm = TraceFunction(smooth_system.ops.trace, q0.values - h * w)
+            qp = gamma_i_flux(mesh, q0.values[gi] + h * w)
+            qm = gamma_i_flux(mesh, q0.values[gi] - h * w)
             fd = (objective(qp, smooth_system, settings)
                   - objective(qm, smooth_system, settings)) / (2 * h)
             exact = float(Mig @ w)
@@ -233,9 +237,8 @@ class TestSolveOptimality:
         triplet = solve_optimality(system, settings)
         u0 = FeFunction(system.ops.mesh, system.ops.solve_A(system.ops.F))
         p0 = solve_costate(u0, system)
-        p0_trace = TraceFunction(
-            system.ops.trace, p0.values[system.ops.trace.vertex_ids])
-        assert trace_l2(triplet.q) <= 1e-4 * trace_l2(p0_trace)
+        assert boundary_l2(triplet.q, BoundaryTag.GAMMA_I) \
+            <= 1e-4 * boundary_l2(p0, BoundaryTag.GAMMA_I)
 
     def test_matches_dense_monolithic_solve(self, smooth_system):
         settings = SolverSettings(cg_tol=1e-12)
@@ -248,8 +251,8 @@ class TestSolveOptimality:
     def test_optimality_identity(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
         beta = smooth_system.beta
-        gi = smooth_system.ops.trace.vertex_ids
-        gap = np.abs(beta * triplet.q.values - triplet.p.values[gi]).max()
+        gi = smooth_system.ops.gamma_i
+        gap = np.abs(beta * triplet.q.values[gi] - triplet.p.values[gi]).max()
         scale = beta * np.abs(triplet.q.values).max() \
             + np.abs(triplet.p.values).max()
         assert gap <= 100 * settings.cg_tol * scale
@@ -258,20 +261,21 @@ class TestSolveOptimality:
                                                       settings):
         triplet = solve_optimality(smooth_system, settings)
         j_star = objective(triplet.q, smooth_system, settings, u=triplet.u)
-        j_zero = objective(zero_trace(smooth_system), smooth_system, settings)
+        j_zero = objective(zero_flux(smooth_system), smooth_system, settings)
         assert j_star <= j_zero + 1e-14
         rng = np.random.default_rng(8)
         scale = np.abs(triplet.q.values).max()
+        gi = smooth_system.ops.gamma_i
         for _ in range(20):
-            pert = triplet.q.values + 1e-2 * scale * rng.standard_normal(
-                smooth_system.ops.trace.n_dofs)
-            j = objective(TraceFunction(smooth_system.ops.trace, pert),
+            pert = triplet.q.values[gi] + 1e-2 * scale * rng.standard_normal(
+                gi.size)
+            j = objective(gamma_i_flux(smooth_system.ops.mesh, pert),
                           smooth_system, settings)
             assert j_star <= j + 1e-14
 
     def test_hessian_symmetry(self, smooth_system):
         rng = np.random.default_rng(12)
-        m = smooth_system.ops.trace.n_dofs
+        m = smooth_system.ops.gamma_i.size
         w1 = rng.standard_normal(m)
         w2 = rng.standard_normal(m)
         h1 = hessian_apply(w1, smooth_system)
@@ -297,8 +301,6 @@ class TestSolveOptimality:
 
     def test_warm_start_agrees_with_cold(self, refined_square, smooth_problem,
                                          smooth_measurement, settings):
-        from fluxrec.fem import transfer_trace
-
         data = smooth_problem.data(z=smooth_measurement)
         system0 = DiscreteSystem(refined_square, data)
         t0 = solve_optimality(system0, settings)
@@ -307,7 +309,8 @@ class TestSolveOptimality:
         cold = solve_optimality(system1, settings)
         warm = solve_optimality(
             system1, settings,
-            warm_start=transfer_trace(t0.q, system1.ops.trace))
+            warm_start=FeFunction(fine, prolong(t0.q.values, refined_square,
+                                                fine)))
         scale = np.abs(cold.q.values).max()
         assert np.abs(cold.q.values - warm.q.values).max() < 1e-7 * scale
 
@@ -371,6 +374,42 @@ def splu_shapes(monkeypatch):
 def with_coeffs(data, **changes):
     return dataclasses.replace(
         data, coeffs=dataclasses.replace(data.coeffs, **changes))
+
+
+class TestFluxOffGammaI:
+    def test_only_gamma_i_values_are_read(self, builtin_data, settings,
+                                          tmp_path):
+        """The flux of a solve is zero off GammaI, and values written there
+        change no result: the state, the objective, the estimate, the true
+        errors and the flux file read only its GammaI values."""
+        problem, data = builtin_data["lshape_spike"]
+        mesh = graded_mesh(problem.initial_mesh(), seed=3)
+        system = DiscreteSystem(mesh, data)
+        fine = bisect(mesh, np.arange(mesh.n_triangles))
+        triplets = [solve_optimality(system, settings),
+                    solve_optimality(DiscreteSystem(fine, data), settings)]
+        rng = np.random.default_rng(11)
+        noisy = []
+        for t in triplets:
+            off = np.ones(t.mesh.n_vertices, dtype=bool)
+            off[gamma_i_vertices(t.mesh)] = False
+            assert off.any() and np.all(t.q.values[off] == 0.0)
+            q = t.q.values.copy()
+            q[off] = rng.standard_normal(off.sum())
+            noisy.append(dataclasses.replace(t, q=FeFunction(t.mesh, q)))
+
+        def results(triplet, reference):
+            ind = estimate(triplet, data)
+            export_flux_txt(triplet.q, tmp_path / "flux.txt")
+            return [solve_state(triplet.q, system).values,
+                    objective(triplet.q, system, settings),
+                    objective(triplet.q, system, settings, u=triplet.u),
+                    ind.eta1_sq, ind.eta2_sq, ind.osc_j1_sq, ind.osc_j2_sq,
+                    true_errors([triplet], reference),
+                    (tmp_path / "flux.txt").read_bytes()]
+
+        for got, want in zip(results(*noisy), results(*triplets)):
+            assert np.array_equal(got, want)
 
 
 class CountingData:
@@ -482,7 +521,7 @@ class TestSharedStateOperator:
                     *(m.indices for m in matrices),
                     *(m.indptr for m in matrices),
                     ops.p, ops.p_inv, ops.F, ops.Z, ops.b, ops.f_sq,
-                    ops.osc_f_sq, *ops.gamma_a_data, ops.trace.vertex_ids,
+                    ops.osc_f_sq, *ops.gamma_a_data, ops.gamma_i,
                     ind.osc_f_sq):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -524,8 +563,8 @@ class TestSharedStateOperator:
     def test_estimate_alone_builds_no_trace_operators(
             self, mesh32, smooth_problem, smooth_measurement, settings,
             monkeypatch):
-        """Once the system is gone, an estimate builds the trace space but
-        none of ``M_i``, ``B``, ``M_a``, ``F``, ``Z`` and ``z_sq``; a solve
+        """Once the system is gone, an estimate builds an operator object
+        but none of ``M_i``, ``B``, ``M_a``, ``F``, ``Z`` and ``z_sq``; a solve
         on the new operator object builds each of them once, and the ``f``
         samples ``F`` is built from are dropped."""
         data = smooth_problem.data(z=smooth_measurement)
@@ -545,33 +584,33 @@ class TestSharedStateOperator:
         for name in ("assemble_load", "assemble_trace_operators",
                      "boundary_load"):
             monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
-        from_mesh = TraceSpace.from_mesh.__func__
-        monkeypatch.setattr(TraceSpace, "from_mesh",
-                            classmethod(counted(from_mesh)))
+        monkeypatch.setattr(solver, "_MeshOperators",
+                            counted(solver._MeshOperators))
         alone = estimate(triplet, data)
-        assert calls == ["from_mesh"]
+        assert calls == ["_MeshOperators"]
         assert np.array_equal(alone.eta_sq, alive.eta_sq)
         calls.clear()
         system = DiscreteSystem(mesh32, data)
         again = solve_optimality(system, settings)
         objective(again.q, system, settings, u=again.u)
-        assert sorted(calls) == ["assemble_load", "assemble_trace_operators",
-                                 "boundary_load", "from_mesh"]
+        assert sorted(calls) == ["_MeshOperators", "assemble_load",
+                                 "assemble_trace_operators", "boundary_load"]
         assert "_fv" not in vars(system.ops)
         assert np.array_equal(again.q.values, triplet.q.values)
 
     def test_one_trace_space_per_mesh(self, smooth_problem,
                                       smooth_measurement, monkeypatch):
         """Measurement generation and an adaptive run with true errors
-        build the trace space of each of their meshes once."""
+        build the operators, and so find the GammaI vertices, of each of
+        their meshes once."""
         built = []
-        from_mesh = TraceSpace.from_mesh
+        make = solver._MeshOperators
 
-        def counting(cls, mesh):
+        def counting(mesh, data):
             built.append(mesh)
-            return from_mesh(mesh)
+            return make(mesh, data)
 
-        monkeypatch.setattr(TraceSpace, "from_mesh", classmethod(counting))
+        monkeypatch.setattr(solver, "_MeshOperators", counting)
         generate_measurement(smooth_problem, extra_levels=2)
         assert len(built) == 1
         history = run_adaptive(smooth_problem, LoopConfig(
@@ -652,9 +691,9 @@ class TestOneStepBuild:
         assert sorted(build_calls) == built
         read()
         for name in ("F", "M_i", "B", "M_a", "A", "p", "p_inv", "lu", "Z",
-                     "z_sq", "b", "gamma_a_data", "trace"):
+                     "z_sq", "b", "gamma_a_data", "gamma_i"):
             getattr(ops, name)
-        ops.solve_Mi(np.zeros(ops.trace.n_dofs))
+        ops.solve_Mi(np.zeros(ops.gamma_i.size))
         assert sorted(build_calls) == built
 
     @pytest.mark.parametrize("name", ["Z", "z_sq", "gamma_a_data", "b"])
