@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .driver import LoopConfig
 from .problems import ProblemSpec, builtin_problem
-from .solver import SolverSettings
 
 
 class ConfigError(ValueError):
@@ -16,8 +15,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One run's settings; the loop and solver defaults are those of
-    :class:`LoopConfig` and :class:`SolverSettings`."""
+    """One run's settings; loop defaults come from :class:`LoopConfig`."""
 
     problem: str = "square_smooth"
     strategy: str = LoopConfig.strategy
@@ -28,7 +26,6 @@ class RunConfig:
     seed: int = 0
     max_iters: int = LoopConfig.max_iters
     max_triangles: int = LoopConfig.max_triangles
-    cg_tol: float = SolverSettings.cg_tol
     out_dir: str = "."
 
 
@@ -47,8 +44,7 @@ def build_run(cfg: RunConfig) -> tuple[ProblemSpec, LoopConfig]:
         beta=cfg.beta, noise=cfg.noise, seed=cfg.seed)
     loop = LoopConfig(
         strategy=cfg.strategy, theta=cfg.theta, tol=cfg.tol,
-        max_iters=cfg.max_iters, max_triangles=cfg.max_triangles,
-        solver=SolverSettings(cg_tol=cfg.cg_tol))
+        max_iters=cfg.max_iters, max_triangles=cfg.max_triangles)
     return problem, loop
 
 
@@ -68,7 +64,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         value = value.strip()
         if key not in _PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}; "
+                              f"accepted keys: {', '.join(_PARSERS)}")
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line "
                               f"{seen[key]}")

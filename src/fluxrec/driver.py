@@ -37,6 +37,7 @@ from .solver import (
 )
 
 REFERENCE_LEVELS = 3
+CG_SETTINGS = SolverSettings()
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class LoopConfig:
     tol: float = 1e-3
     max_iters: int = 20
     max_triangles: int = 50_000
-    solver: SolverSettings = field(default_factory=SolverSettings)
     record_true_errors: bool = False
 
     def __post_init__(self):
@@ -126,7 +126,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
         coarse_q = triplet = None
         system = DiscreteSystem(mesh, data)
         try:
-            triplet = solve_optimality(system, config.solver, warm_start=warm)
+            triplet = solve_optimality(system, CG_SETTINGS, warm_start=warm)
         except SolverError as exc:
             history.stop_reason = "solver_failure"
             raise PartialRunError(str(exc), history) from exc
@@ -142,7 +142,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
             eta1=indicators.eta1,
             eta2=indicators.eta2,
             osc=indicators.osc,
-            objective=objective(triplet.q, system, config.solver, u=triplet.u),
+            objective=objective(triplet.q, system, CG_SETTINGS, u=triplet.u),
             cg_iterations=triplet.iterations,
             triplet=triplet if keep_triplets else None,
         ))
@@ -175,7 +175,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
 
     history.final_triplet = triplet
     if keep_triplets:
-        history.reference = overkill_reference(mesh, data, config.solver)
+        history.reference = overkill_reference(mesh, data)
         errors = true_errors([r.triplet for r in history.records],
                              history.reference)
         for record, row in zip(history.records, errors.tolist()):
@@ -183,8 +183,7 @@ def run_adaptive(problem: ProblemSpec, config: LoopConfig,
     return history
 
 
-def overkill_reference(mesh: Mesh, data,
-                       settings: SolverSettings) -> OptimalTriplet:
+def overkill_reference(mesh: Mesh, data) -> OptimalTriplet:
     """Reference triplet on a uniformly over-refined descendant mesh.
 
     The comparator for the error decay is the regularized discrete limit,
@@ -196,7 +195,7 @@ def overkill_reference(mesh: Mesh, data,
     for _ in range(REFERENCE_LEVELS):
         fine = bisect(fine, np.arange(fine.n_triangles))
     system = DiscreteSystem(fine, data)
-    return solve_optimality(system, settings)
+    return solve_optimality(system, CG_SETTINGS)
 
 
 def true_errors(triplets, reference: OptimalTriplet) -> np.ndarray:

@@ -44,7 +44,8 @@ CG_MAX_ITERS = 1000
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Relative tolerance of the reduced-CG iteration, in (0, 1)."""
+    """Relative tolerance of the reduced-CG iteration, in (0, 1).  A run
+    always solves with the default; only programmatic callers pass another."""
 
     cg_tol: float = 1e-10
 

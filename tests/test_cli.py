@@ -95,6 +95,17 @@ class TestRunCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_removed_cg_tol_key_lists_accepted_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "stale.cfg"
+        cfg.write_text("problem = square_jump\ncg_tol = 1e-10\n")
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "line 2: unknown key 'cg_tol'; accepted keys: problem, " \
+               "strategy, theta, tol, beta, noise, seed, max_iters, " \
+               "max_triangles, out_dir" in err
 
     def test_inverse_crime_stop_writes_all_files(self, tmp_path, capsys):
         """Uniform refinement stops before the data-generation mesh and

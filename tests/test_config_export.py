@@ -48,7 +48,6 @@ class TestParseConfig:
         assert cfg.strategy == "maximum"
         assert cfg.tol == 1e-3
         assert cfg.max_iters == 20
-        assert cfg.cg_tol == 1e-10
         assert cfg.noise == 0.0
         assert cfg.seed == 0
 
@@ -86,7 +85,7 @@ class TestParseConfig:
         cfg = parse_config("problem = lshape_spike\nstrategy = doerfler\n"
                            "theta = 0.75\ntol = 1e-4\nbeta = 0.01\n"
                            "noise = 0.02\nseed = 3\nmax_iters = 7\n"
-                           "max_triangles = 1234\ncg_tol = 1e-9\n"
+                           "max_triangles = 1234\n"
                            "out_dir = results")
         again = parse_config(format_config(cfg))
         assert again == cfg

@@ -376,7 +376,7 @@ class TestObjectiveMonotonicity:
         """Nested spaces: the discrete minimum over a larger space is
         no larger."""
         j = smooth_history.column("objective")
-        tol = 10 * smooth_history.config.solver.cg_tol
+        tol = 10 * SolverSettings().cg_tol
         assert np.all(np.diff(j) <= tol)
 
     def test_first_refinement_reduces_errors(self, smooth_history):
