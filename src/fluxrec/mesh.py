@@ -110,7 +110,6 @@ class Mesh:
         self.level = int(level)
         self.root = object() if root is None else root
         self.state_operators = weakref.WeakValueDictionary()
-        self._last_closure = None
 
         self._validate_geometry()
         self._build_face_table(edge_tags)
@@ -268,15 +267,11 @@ def nvb_closure(mesh: Mesh, marked):
     The refinement edges of the marked triangles are cut, closed under "a
     cut edge of a triangle cuts its refinement edge"; a triangle with ``k``
     cut edges has ``k + 1`` children.  Returns the read-only face mask and
-    the child count.  The mesh keeps the last result, so a size check and
-    the bisection of one marking close it once.
+    the child count.
     """
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise MeshError("marked triangle id out of range")
-    last = mesh._last_closure
-    if last is not None and np.array_equal(last[0], marked):
-        return last[1:]
     ref = mesh.tri_faces[:, 0]
     split = np.zeros(mesh.n_faces, dtype=bool)
     split[ref[marked]] = True
@@ -287,8 +282,7 @@ def nvb_closure(mesh: Mesh, marked):
             break
         split[ref[pending]] = True
     split.setflags(write=False)
-    mesh._last_closure = (marked, split, mesh.n_triangles + int(cut.sum()))
-    return mesh._last_closure[1:]
+    return split, mesh.n_triangles + int(cut.sum())
 
 
 def bisect(mesh: Mesh, marked) -> Mesh:

@@ -172,21 +172,17 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only, built in two steps.  Construction finds ``gamma_i``, the
-    ascending GammaI vertex ids, on which the flux lives (a mesh without a
-    GammaI face raises ``MeshError`` before any sampling), and computes what
-    an estimate reads, ``f_sq`` and ``osc_f_sq`` from one sampling of ``f``
-    and, if ``z`` is given, ``gamma_a_data``.  The first read of any other
-    part builds all of them: ``F``, ``M_i``, ``B``, ``M_a``, ``A`` and its
-    factor ``lu`` without pivoting in the nested-dissection order ``p``,
-    and, if ``z`` is given, ``Z``, ``z_sq``, the ``M_i`` factor and
-    ``b = B^T A^-1 (M_a A^-1 F - Z)``; without ``z`` these and
-    ``gamma_a_data`` raise ``ValueError``.  ``f``, ``u_a`` and ``z`` are
+    read-only, built whole by the constructor.  It finds ``gamma_i``, the
+    ascending GammaI vertex ids, on which the flux lives, and builds the
+    trace operators ``M_i``, ``B`` and ``M_a``, so a mesh without a GammaI
+    or a GammaA face raises ``MeshError`` before any data is sampled.  One
+    sampling of ``f`` then gives the estimator's ``f_sq`` and ``osc_f_sq``
+    and the load ``F``; then come ``A`` and its factor ``lu`` without
+    pivoting in the nested-dissection order ``p``, and, if ``z`` is given,
+    the estimator's ``gamma_a_data``, ``Z``, ``z_sq``, the ``M_i`` factor
+    and ``b = B^T A^-1 (M_a A^-1 F - Z)``.  ``f``, ``u_a`` and ``z`` are
     held, so their ids stay unique; of ``coeffs`` only alpha and gamma,
     which the key fixes, are read."""
-
-    _PARTS = "F M_i B M_a A p p_inv lu Z z_sq _Mi_lu b".split()
-    _NEED_Z = "Z z_sq gamma_a_data b _Mi_lu".split()
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
@@ -196,7 +192,8 @@ class _MeshOperators:
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
-        self._fv = fv = midpoint_samples(mesh, data.f)
+        self.M_i, self.B, self.M_a = assemble_trace_operators(mesh, ids)
+        fv = midpoint_samples(mesh, data.f)
         # for P1 and constant alpha the state volume residual is f: the
         # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
         areas = mesh.areas()
@@ -204,48 +201,35 @@ class _MeshOperators:
         self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
-        _read_only(fv, self.f_sq, self.osc_f_sq)
-        if self.z is not None:
-            # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
-            # one row per face in face order
-            ends = mesh.vertices[mesh.faces[
-                mesh.faces_with_tag(BoundaryTag.GAMMA_A)]]
-            pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (
-                ends[:, 1:] - ends[:, :1])
-            x, y = pts[:, :, 0], pts[:, :, 1]
-            ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
-            zv = _eval_data(self.z, x, y, "measurement z")
-            self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
-
-    def __getattr__(self, name):
-        # reached for unset attributes only: the first read of a part that
-        # construction leaves out builds all of them
-        if name in self._NEED_Z and self.z is None:
-            raise ValueError("problem data carries no measurement z")
-        if name not in self._PARTS:
-            raise AttributeError(name)
-        self.F = assemble_load(self.mesh, self._fv, self.u_a, self.coeffs)
-        del self._fv
-        self.M_i, self.B, self.M_a = assemble_trace_operators(self.mesh,
-                                                              self.gamma_i)
-        self.A = assemble_bilinear(self.mesh, self.coeffs)
-        self.p = p = _nested_dissection(self.mesh)
+        self.F = assemble_load(mesh, fv, self.u_a, self.coeffs)
+        del fv
+        self.A = assemble_bilinear(mesh, self.coeffs)
+        self.p = p = _nested_dissection(mesh)
         self.p_inv = np.empty_like(p)
         self.p_inv[p] = np.arange(p.size)
-        _read_only(self.F, p, self.p_inv, *(
+        _read_only(self.f_sq, self.osc_f_sq, self.F, p, self.p_inv, *(
             getattr(m, k) for m in (self.M_i, self.B, self.M_a, self.A)
             for k in ("data", "indices", "indptr")))
         self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                             diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
-        if self.z is not None:
-            self.Z, self.z_sq = boundary_load(
-                self.mesh, self.z, BoundaryTag.GAMMA_A, "measurement z")
-            self._Mi_lu = spla.splu(self.M_i.tocsc())
-            u0 = self.solve_A(self.F)
-            self.b = self.B.T @ self.solve_A(self.M_a @ u0 - self.Z)
-            _read_only(self.Z, self.b)
-        return getattr(self, name)
+        if self.z is None:
+            return
+        # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
+        # one row per face in face order
+        ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(
+            BoundaryTag.GAMMA_A)]]
+        pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
+        x, y = pts[:, :, 0], pts[:, :, 1]
+        ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
+        zv = _eval_data(self.z, x, y, "measurement z")
+        self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
+        self.Z, self.z_sq = boundary_load(mesh, self.z, BoundaryTag.GAMMA_A,
+                                          "measurement z")
+        self._Mi_lu = spla.splu(self.M_i.tocsc())
+        u0 = self.solve_A(self.F)
+        self.b = self.B.T @ self.solve_A(self.M_a @ u0 - self.Z)
+        _read_only(self.Z, self.b)
 
     def solve_A(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs[self.p])[self.p_inv]
@@ -254,12 +238,20 @@ class _MeshOperators:
         return self._Mi_lu.solve(rhs)
 
 
+def _require_z(data: ProblemData) -> None:
+    """Fail on forward-only data before any solve that reads ``z``."""
+    if data.z is None:
+        raise ValueError("problem data carries no measurement z")
+
+
 def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
     """The operators of ``data`` on ``mesh`` that do not depend on beta.
 
     One object per ``(alpha, gamma)`` and identities of ``f``, ``u_a`` and
     ``z`` lives in the mesh's weak map, shared by every system and
-    estimate on the mesh until the last user lets it go.
+    estimate on the mesh until the last user lets it go.  The object is
+    stored only once its constructor has returned, so a build that fails
+    leaves nothing in the map.
     """
     c = data.coeffs
     key = (c.alpha, c.gamma, id(data.f), id(data.u_a), id(data.z))
@@ -273,10 +265,9 @@ class DiscreteSystem:
     """The optimality system of ``data`` on one mesh.
 
     Only beta, read from ``data``, is its own.  Everything else lives in
-    ``ops``, the shared :func:`mesh_operators` object, which finds the
-    GammaI vertices and builds the estimate's data terms at construction
-    and all the rest at the first read of any of it.  So a sweep over beta
-    on one mesh assembles, samples the data and factors once.
+    ``ops``, the shared :func:`mesh_operators` object, which is built whole
+    when the first system or estimate on the mesh asks for it.  So a sweep
+    over beta on one mesh assembles, samples the data and factors once.
     """
 
     def __init__(self, mesh: Mesh, data: ProblemData):
@@ -298,9 +289,9 @@ def solve_state(q: FeFunction, system: DiscreteSystem) -> FeFunction:
 
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
+    _require_z(system.data)
     ops = system.ops
-    Z = ops.Z  # data without z fails here, before any solve
-    return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - Z))
+    return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
 
 
 def objective(q: FeFunction, system: DiscreteSystem,
@@ -310,12 +301,12 @@ def objective(q: FeFunction, system: DiscreteSystem,
     ``settings`` is not read; it stays in the signature for callers that
     pass it positionally.
     """
+    _require_z(system.data)
     ops = system.ops
-    Z = ops.Z  # data without z fails here, before any solve
     if u is None:
         u = solve_state(q, system)
     uv = u.values
-    misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (Z @ uv) + ops.z_sq)
+    misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (ops.Z @ uv) + ops.z_sq)
     qi = q.values[ops.gamma_i]
     reg = float(qi @ (ops.M_i @ qi))
     return 0.5 * misfit + 0.5 * system.beta * reg
@@ -341,6 +332,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     warm starts cannot stall the iteration); it raises
     :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not get there.
     """
+    _require_z(system.data)
     ops = system.ops
     b = ops.b
 

@@ -370,16 +370,21 @@ class TestGammaIVertices:
     vertex ids."""
 
     def test_no_gamma_i_face_rejected_before_sampling(self):
-        mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                    triangles=np.array([[0, 1, 2]]),
-                    edge_tags=[[BoundaryTag.GAMMA_A] * 3])
+        """A mesh without a GammaI or without a GammaA face is rejected
+        before any data callable runs."""
 
         def forbidden(x, y):
             raise AssertionError("data sampled")
 
         data = ProblemData(COEFFS, f=forbidden, u_a=forbidden, z=forbidden)
-        with pytest.raises(MeshError, match="no GammaI face"):
-            DiscreteSystem(mesh, data)
+        for tag, missing in ((BoundaryTag.GAMMA_A, "GammaI"),
+                             (BoundaryTag.GAMMA_I, "GammaA")):
+            mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0],
+                                           [0.0, 1.0]]),
+                        triangles=np.array([[0, 1, 2]]),
+                        edge_tags=[[tag] * 3])
+            with pytest.raises(MeshError, match=f"no {missing} face"):
+                DiscreteSystem(mesh, data)
 
     @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
     @hyp_settings(max_examples=20, deadline=None)

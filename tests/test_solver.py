@@ -13,7 +13,7 @@ from fluxrec.estimator import estimate
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.export import export_flux_txt
 from fluxrec.fem import FeFunction, prolong
-from fluxrec.mesh import BoundaryTag, Mesh, bisect
+from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect
 from fluxrec.problems import BUILTIN_NAMES, generate_measurement
 from fluxrec.solver import (
     DiscreteSystem,
@@ -92,22 +92,25 @@ class TestProblemData:
         assert ProblemData(smooth_problem.coeffs, zero, zero).z is None
 
     def test_missing_measurement_fails_before_factorisation(
-            self, refined_square, smooth_problem, settings):
-        """Every solve that reads z fails at its first read, before the
-        state operator is factored."""
+            self, refined_square, smooth_problem, settings, monkeypatch):
+        """Every solve that reads z fails before it solves anything."""
         mesh = bisect(refined_square, np.arange(refined_square.n_triangles))
         system = DiscreteSystem(mesh, smooth_problem.data())
         u = FeFunction(mesh, np.zeros(mesh.n_vertices))
         q = zero_flux(system)
-        for call in (lambda: solve_optimality(system, settings),
-                     lambda: solve_costate(u, system),
-                     lambda: objective(q, system, settings)):
-            with pytest.raises(ValueError, match="measurement z"):
-                call()
-        assert "lu" not in vars(system.ops)
+
+        def forbidden(rhs):
+            raise AssertionError("solved without a measurement")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(system.ops, "solve_A", forbidden)
+            for call in (lambda: solve_optimality(system, settings),
+                         lambda: solve_costate(u, system),
+                         lambda: objective(q, system, settings)):
+                with pytest.raises(ValueError, match="measurement z"):
+                    call()
         # a forward solve needs no measurement
         solve_state(q, system)
-        assert system.ops.lu is not None
 
 
 class TestSolverSettings:
@@ -538,10 +541,9 @@ class TestSharedStateOperator:
         assert len(mesh32.state_operators) == 0
 
     def test_estimate_alone_builds_no_state_operator(
-            self, mesh32, smooth_problem, smooth_measurement, settings,
-            monkeypatch):
-        """Once the system is gone, an estimate rebuilds only the data
-        terms: no assembly of ``A`` and no nested-dissection order."""
+            self, mesh32, smooth_problem, smooth_measurement, settings):
+        """Once the system is gone, an estimate rebuilds the operators and
+        gives bitwise the indicators of one with the system alive."""
         data = smooth_problem.data(z=smooth_measurement)
         system = DiscreteSystem(mesh32, data)
         triplet = solve_optimality(system, settings)
@@ -549,57 +551,55 @@ class TestSharedStateOperator:
         del system
         gc.collect()
         assert len(mesh32.state_operators) == 0
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the estimate built the state operator")
-
-        monkeypatch.setattr(solver, "assemble_bilinear", forbidden)
-        monkeypatch.setattr(solver, "_nested_dissection", forbidden)
         alone = estimate(triplet, data)
         for name in ("eta1_sq", "eta2_sq", "osc_f_sq", "osc_j1_sq",
                      "osc_j2_sq"):
             assert np.array_equal(getattr(alone, name), getattr(alive, name))
 
     def test_estimate_alone_builds_no_trace_operators(
-            self, mesh32, smooth_problem, smooth_measurement, settings,
-            monkeypatch):
-        """Once the system is gone, an estimate builds an operator object
-        but none of ``M_i``, ``B``, ``M_a``, ``F``, ``Z`` and ``z_sq``; a solve
-        on the new operator object builds each of them once, and the ``f``
-        samples ``F`` is built from are dropped."""
+            self, mesh32, smooth_problem, smooth_measurement, settings):
+        """An estimate whose system is gone, and a solve on the operators
+        built again, give bitwise the indicators and flux of the first."""
         data = smooth_problem.data(z=smooth_measurement)
         system = DiscreteSystem(mesh32, data)
         triplet = solve_optimality(system, settings)
         alive = estimate(triplet, data)
         del system
         gc.collect()
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("assemble_load", "assemble_trace_operators",
-                     "boundary_load"):
-            monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
-        monkeypatch.setattr(solver, "_MeshOperators",
-                            counted(solver._MeshOperators))
         alone = estimate(triplet, data)
-        assert calls == ["_MeshOperators"]
         assert np.array_equal(alone.eta_sq, alive.eta_sq)
-        calls.clear()
-        system = DiscreteSystem(mesh32, data)
-        again = solve_optimality(system, settings)
-        objective(again.q, system, settings, u=again.u)
-        assert sorted(calls) == ["_MeshOperators", "assemble_load",
-                                 "assemble_trace_operators", "boundary_load"]
-        assert "_fv" not in vars(system.ops)
+        again = solve_optimality(DiscreteSystem(mesh32, data), settings)
         assert np.array_equal(again.q.values, triplet.q.values)
 
+    @pytest.mark.parametrize("case", ["no_gamma_a_face", "z_raises"])
+    def test_failed_build_leaves_nothing(self, mesh32, smooth_problem,
+                                         smooth_measurement, settings, case):
+        """A build that fails raises its own error again on a second try,
+        with every system made so far still held, and leaves nothing in
+        the mesh's weak map."""
+        data = smooth_problem.data(z=smooth_measurement)
+        if case == "no_gamma_a_face":
+            tags = mesh32.face_tags[mesh32.tri_faces]
+            mesh = Mesh(mesh32.vertices, mesh32.triangles,
+                        np.where(tags == BoundaryTag.GAMMA_A,
+                                 BoundaryTag.GAMMA_I, tags))
+            error, match = MeshError, "no GammaA face"
+        else:
+            def z(x, y):
+                raise ArithmeticError("z failed")
+
+            mesh, data = mesh32, dataclasses.replace(data, z=z)
+            error, match = ArithmeticError, "z failed"
+        held = []
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                held.append(DiscreteSystem(mesh, data))
+                solve_optimality(held[-1], settings)
+        assert len(mesh.state_operators) == 0
+
     def test_one_trace_space_per_mesh(self, smooth_problem,
-                                      smooth_measurement, monkeypatch):
+                                      smooth_measurement, monkeypatch,
+                                      splu_shapes):
         """Measurement generation and an adaptive run with true errors
         build the operators, and so find the GammaI vertices, of each of
         their meshes once."""
@@ -613,12 +613,16 @@ class TestSharedStateOperator:
         monkeypatch.setattr(solver, "_MeshOperators", counting)
         generate_measurement(smooth_problem, extra_levels=2)
         assert len(built) == 1
+        # the forward-only generation mesh factors A alone
+        assert len(splu_shapes) == 1
         history = run_adaptive(smooth_problem, LoopConfig(
             max_iters=4, tol=1e-12, record_true_errors=True),
             measurement=smooth_measurement)
         # the generation mesh, one per record and the overkill mesh
         assert len(built) == len(history.records) + 2
         assert len({id(mesh) for mesh in built}) == len(built)
+        # A and M_i on every mesh after the generation mesh
+        assert len(splu_shapes) == 1 + 2 * (len(history.records) + 1)
 
     def test_repeated_runs_write_identical_files(self, tmp_path):
         """Two ``fluxrec run`` calls in one process share no state that
@@ -674,22 +678,18 @@ class TestOneStepBuild:
     def test_first_read_builds_every_part_once(
             self, mesh32, smooth_problem, smooth_measurement, build_calls,
             first):
+        """Construction builds every part once; no read, the first one
+        included, builds anything more."""
         ops = DiscreteSystem(mesh32, smooth_problem.data(
             z=smooth_measurement)).ops
-        assert build_calls == []
-
-        def read():
-            if first == "solve_A":
-                ops.solve_A(np.zeros(mesh32.n_vertices))
-            else:
-                getattr(ops, first)
-
-        read()
         # one state factor and one GammaI mass factor
         built = ["assemble_bilinear", "assemble_load",
                  "assemble_trace_operators", "boundary_load", "splu", "splu"]
         assert sorted(build_calls) == built
-        read()
+        if first == "solve_A":
+            ops.solve_A(np.zeros(mesh32.n_vertices))
+        else:
+            getattr(ops, first)
         for name in ("F", "M_i", "B", "M_a", "A", "p", "p_inv", "lu", "Z",
                      "z_sq", "b", "gamma_a_data", "gamma_i"):
             getattr(ops, name)
@@ -699,14 +699,12 @@ class TestOneStepBuild:
     @pytest.mark.parametrize("name", ["Z", "z_sq", "gamma_a_data", "b"])
     def test_no_measurement_builds_nothing(self, mesh32, smooth_problem,
                                            build_calls, name):
+        """Forward-only construction factors the state operator alone and
+        builds no part that reads z."""
         ops = DiscreteSystem(mesh32, smooth_problem.data()).ops
-        with pytest.raises(ValueError, match="no measurement z"):
-            getattr(ops, name)
-        assert build_calls == []
-        # a forward solve factors the state operator only
-        ops.solve_A(np.zeros(mesh32.n_vertices))
         assert sorted(build_calls) == ["assemble_bilinear", "assemble_load",
                                        "assemble_trace_operators", "splu"]
+        assert not hasattr(ops, name)
 
 
 class TestNestedDissection:
