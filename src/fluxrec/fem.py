@@ -191,21 +191,18 @@ def assemble_load(mesh: Mesh, fv: np.ndarray, u_a,
 
 
 def assemble_trace_operators(mesh: Mesh, ids: np.ndarray):
-    """GammaI mass, full-to-GammaI coupling and GammaA mass on ``mesh``.
+    """GammaI mass and GammaA mass on ``mesh``.
 
-    ``ids`` are the GammaI vertex ids, ascending.  Returns
-    ``(M_i, B, M_a)`` where ``M_i`` is the m x m GammaI mass matrix on
-    them, ``B`` the n x m coupling with ``B[i, j] = int_{GammaI} phi_ids[j]
-    phi_i`` and ``M_a`` the n x n GammaA boundary mass.  ``B`` is the
-    GammaI face mass restricted to the ``ids`` columns and ``M_i`` its
-    ``ids`` rows.
+    ``ids`` are the GammaI vertex ids, ascending.  Returns ``(M_i, M_a)``
+    where ``M_i`` is the m x m GammaI mass matrix on them, the ``ids`` rows
+    and columns of the GammaI face mass, and ``M_a`` the n x n GammaA
+    boundary mass.
     """
     if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
         raise MeshError("mesh has no GammaA face")
-    B = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))
-    B = B[:, ids]
+    M_i = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))
     M_a = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_A))
-    return B[ids], B, M_a
+    return M_i[:, ids][ids], M_a
 
 
 def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:

@@ -307,7 +307,13 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     split, _ = nvb_closure(mesh, marked)
     if not split.any():
         return mesh
+    # the parent-sized work arrays of the split die before the face table
+    return Mesh(*_split(mesh, split), level=mesh.level + 1, root=mesh.root)
 
+
+def _split(mesh: Mesh, split):
+    """The child's vertices, triangles, edge tags and vertex parents when
+    :func:`bisect` cuts the faces in ``split``."""
     # (newest vertex, refinement edge start, refinement edge end)
     p, a, b = mesh.triangles.T
 
@@ -341,14 +347,8 @@ def bisect(mesh: Mesh, marked) -> Mesh:
                                 for sel, tri, _ in children])
     edge_tags = np.concatenate([np.column_stack(tags)[sel]
                                 for sel, _, tags in children])
-    return Mesh(
-        vertices,
-        triangles,
-        edge_tags,
-        vertex_parents=np.concatenate([mesh.vertex_parents, ends]),
-        level=mesh.level + 1,
-        root=mesh.root,
-    )
+    return (vertices, triangles, edge_tags,
+            np.concatenate([mesh.vertex_parents, ends]))
 
 
 def boundary_paths(mesh: Mesh, tag: BoundaryTag):

@@ -1,12 +1,13 @@
 """Discrete optimality system for the flux reconstruction problem.
 
-On a fixed mesh the regularized least-squares problem reduces to a linear
-system for the boundary flux alone: eliminating state and costate turns the
-stationarity condition into ``H q = b`` with the symmetric positive definite
-reduced operator ``H = beta M_i + B^T A^{-1} M_a A^{-1} B``.  The solver runs
-preconditioned conjugate gradients on ``H`` (preconditioner ``M_i``, so the
-monitored residual is the natural L2(GammaI) one); every operator
-application costs one state-type and one costate-type inner solve.
+On a fixed mesh the regularized least-squares problem reduces to
+``H q = b`` for the GammaI values of the flux, with the symmetric positive
+definite ``H = beta M_i + B^T A^{-1} M_a A^{-1} B``.  ``B`` is the GammaI
+mass placed in the GammaI rows, so the ``M_i``-preconditioned residual of
+``H q = b`` is the optimality gap ``p|GammaI - beta q`` of the stationarity
+condition ``beta M_i q = B^T p``.  The solver runs conjugate gradients on
+that gap, carrying the state along with the flux; each step costs two
+solves with the one factor of ``A``, and the costate one more at the end.
 """
 
 from __future__ import annotations
@@ -174,15 +175,15 @@ class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
     read-only, built whole by the constructor.  It finds ``gamma_i``, the
     ascending GammaI vertex ids, on which the flux lives, and builds the
-    trace operators ``M_i``, ``B`` and ``M_a``, so a mesh without a GammaI
-    or a GammaA face raises ``MeshError`` before any data is sampled.  One
-    sampling of ``f`` then gives the estimator's ``f_sq`` and ``osc_f_sq``
-    and the load ``F``; then come ``A`` and its factor ``lu`` without
-    pivoting in the nested-dissection order ``p``, and, if ``z`` is given,
-    the estimator's ``gamma_a_data``, ``Z``, ``z_sq``, the ``M_i`` factor
-    and ``b = B^T A^-1 (M_a A^-1 F - Z)``.  ``f``, ``u_a`` and ``z`` are
-    held, so their ids stay unique; of ``coeffs`` only alpha and gamma,
-    which the key fixes, are read."""
+    masses ``M_i`` (on GammaI) and ``M_a`` (on GammaA), so a mesh without a
+    GammaI or a GammaA face raises ``MeshError`` before any data is sampled.
+    One sampling of ``f`` then gives the estimator's ``f_sq`` and
+    ``osc_f_sq`` and the load ``F``; then come ``A`` and its factor ``lu``
+    without pivoting in the nested-dissection order ``p``, and, if ``z`` is
+    given, the estimator's ``gamma_a_data``, ``Z``, ``z_sq`` and the
+    zero-flux state and costate ``u0 = A^-1 F``, ``p0 = A^-1 (M_a u0 - Z)``.
+    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
+    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
@@ -192,7 +193,7 @@ class _MeshOperators:
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
-        self.M_i, self.B, self.M_a = assemble_trace_operators(mesh, ids)
+        self.M_i, self.M_a = assemble_trace_operators(mesh, ids)
         fv = midpoint_samples(mesh, data.f)
         # for P1 and constant alpha the state volume residual is f: the
         # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
@@ -208,7 +209,7 @@ class _MeshOperators:
         self.p_inv = np.empty_like(p)
         self.p_inv[p] = np.arange(p.size)
         _read_only(self.f_sq, self.osc_f_sq, self.F, p, self.p_inv, *(
-            getattr(m, k) for m in (self.M_i, self.B, self.M_a, self.A)
+            getattr(m, k) for m in (self.M_i, self.M_a, self.A)
             for k in ("data", "indices", "indptr")))
         self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                             diag_pivot_thresh=0.0,
@@ -226,16 +227,19 @@ class _MeshOperators:
         self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
         self.Z, self.z_sq = boundary_load(mesh, self.z, BoundaryTag.GAMMA_A,
                                           "measurement z")
-        self._Mi_lu = spla.splu(self.M_i.tocsc())
-        u0 = self.solve_A(self.F)
-        self.b = self.B.T @ self.solve_A(self.M_a @ u0 - self.Z)
-        _read_only(self.Z, self.b)
+        self.u0 = self.solve_A(self.F)
+        self.p0 = self.solve_A(self.M_a @ self.u0 - self.Z)
+        _read_only(self.Z, self.u0, self.p0)
 
     def solve_A(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs[self.p])[self.p_inv]
 
-    def solve_Mi(self, rhs: np.ndarray) -> np.ndarray:
-        return self._Mi_lu.solve(rhs)
+    def flux_load(self, qi: np.ndarray) -> np.ndarray:
+        """``B qi``: ``M_i qi`` in the ``gamma_i`` rows, zero elsewhere; its
+        transpose is ``v -> M_i @ v[gamma_i]``."""
+        out = np.zeros(self.mesh.n_vertices)
+        out[self.gamma_i] = self.M_i @ qi
+        return out
 
 
 def _require_z(data: ProblemData) -> None:
@@ -283,8 +287,8 @@ def solve_state(q: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Forward solve ``A u = F - B q`` for the temperature field; only the
     GammaI values of the flux ``q`` are read."""
     ops = system.ops
-    return FeFunction(ops.mesh,
-                      ops.solve_A(ops.F - ops.B @ q.values[ops.gamma_i]))
+    qi = q.values[ops.gamma_i]
+    return FeFunction(ops.mesh, ops.solve_A(ops.F - ops.flux_load(qi)))
 
 
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
@@ -312,50 +316,48 @@ def objective(q: FeFunction, system: DiscreteSystem,
     return 0.5 * misfit + 0.5 * system.beta * reg
 
 
-def hessian_apply(w: np.ndarray, system: DiscreteSystem) -> np.ndarray:
-    """Apply the reduced operator ``H = beta M_i + B^T A^-1 M_a A^-1 B``."""
-    ops = system.ops
-    du = ops.solve_A(ops.B @ w)
-    dp = ops.solve_A(ops.M_a @ du)
-    return system.beta * (ops.M_i @ w) + ops.B.T @ dp
-
-
 def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
                      warm_start: FeFunction | None = None) -> OptimalTriplet:
     """Solve the discrete optimality system on the system's mesh.
 
-    Runs CG for the GammaI values of the flux on the reduced operator with
-    the GammaI mass matrix as preconditioner, from the GammaI values of
-    ``warm_start`` if given; the flux returned is zero off GammaI.  The
-    iteration stops when the M_i-weighted residual drops below ``cg_tol``
-    relative to the initial residual (plus a machine-precision floor so
-    warm starts cannot stall the iteration); it raises
+    Runs CG for the GammaI values ``q`` of the flux on the optimality gap
+    ``p|GammaI - beta q`` in the ``M_i`` inner product, from the GammaI
+    values of ``warm_start`` if given.  A step along ``d`` moves the state
+    by ``-A^-1 B d`` and the costate by ``-A^-1 M_a A^-1 B d``, two solves;
+    ``u`` and the gap are carried with ``q``, and ``p`` is solved from the
+    final ``u``, as a carried costate's error would scale with the far
+    larger zero-flux costate.  The flux is zero off GammaI.  The iteration
+    stops when the ``M_i`` norm of the gap drops below ``cg_tol`` relative
+    to its start (plus a machine-precision floor relative to the zero-flux
+    costate, so warm starts cannot stall the iteration); it raises
     :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not get there.
     """
     _require_z(system.data)
-    ops = system.ops
-    b = ops.b
+    ops, beta, gi = system.ops, system.beta, system.ops.gamma_i
 
     if warm_start is not None:
         if warm_start.mesh is not ops.mesh:
             raise ValueError("warm start lives on a different mesh")
-        q = warm_start.values[ops.gamma_i]
-        r = b - hessian_apply(q, system)
+        q = warm_start.values[gi]
+        u = solve_state(warm_start, system)
+        u, p_i = u.values, solve_costate(u, system).values[gi]
     else:
-        q = np.zeros(ops.gamma_i.size)
-        r = b.copy()
+        q = np.zeros(gi.size)
+        u, p_i = ops.u0.copy(), ops.p0[gi]
 
-    z = ops.solve_Mi(r)
-    rho = float(r @ z)
-    b_norm = float(np.sqrt(max(b @ ops.solve_Mi(b), 0.0)))
+    gap = p_i - beta * q
+    rho = float(gap @ (ops.M_i @ gap))
+    p0 = ops.p0[gi]
+    p0_norm = float(np.sqrt(max(p0 @ (ops.M_i @ p0), 0.0)))
     r0 = float(np.sqrt(max(rho, 0.0)))
-    tol = settings.cg_tol * r0 + 100.0 * np.finfo(float).eps * b_norm
-    iterations = 0
-    res = r0
-    d = z.copy()
+    tol = settings.cg_tol * r0 + 100.0 * np.finfo(float).eps * p0_norm
+    iterations, res, d = 0, r0, gap.copy()
     while not res <= tol and iterations < CG_MAX_ITERS:
-        Hd = hessian_apply(d, system)
-        denom = float(d @ Hd)
+        du = ops.solve_A(ops.flux_load(d))
+        dp = ops.solve_A(ops.M_a @ du)
+        # the gap falls by step * M_i^-1 H d
+        dgap = beta * d + dp[gi]
+        denom = float(d @ (ops.M_i @ dgap))
         if not denom > 0.0:
             raise SolverError(
                 "reduced operator lost positive definiteness "
@@ -363,11 +365,11 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
                 iterations=iterations, residual=res)
         step = rho / denom
         q += step * d
-        r -= step * Hd
-        z = ops.solve_Mi(r)
-        rho_new = float(r @ z)
+        u -= step * du
+        gap -= step * dgap
+        rho_new = float(gap @ (ops.M_i @ gap))
         res = float(np.sqrt(max(rho_new, 0.0)))
-        d = z + (rho_new / rho) * d
+        d = gap + (rho_new / rho) * d
         rho = rho_new
         iterations += 1
     if not res <= tol:
@@ -377,7 +379,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
             iterations=iterations, residual=res)
 
     q_fun = FeFunction(ops.mesh, np.zeros(ops.mesh.n_vertices))
-    q_fun.values[ops.gamma_i] = q
-    u = solve_state(q_fun, system)
-    p = solve_costate(u, system)
-    return OptimalTriplet(u=u, p=p, q=q_fun, iterations=iterations, residual=res)
+    q_fun.values[gi] = q
+    u_fun = FeFunction(ops.mesh, u)
+    return OptimalTriplet(u=u_fun, p=solve_costate(u_fun, system), q=q_fun,
+                          iterations=iterations, residual=res)

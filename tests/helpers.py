@@ -3,9 +3,11 @@
 The oracles deliberately avoid the production code paths: plane
 coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
-system from one dense monolithic solve, the built-in initial meshes from
-their longest edges and side geometry, newest-vertex bisection from a
-recursive loop over Python dicts, the face table from two sorts, a dict of
+system from one dense monolithic solve and from the former reduced CG with
+the n x m coupling ``B``, a factor of ``M_i`` and closing state and costate
+solves, the built-in initial meshes from their longest edges and side
+geometry, newest-vertex bisection from a recursive loop over Python dicts,
+the face table from two sorts, a dict of
 boundary tags and centroid-oriented normals and its sort from
 ``np.unique``, every P1 matrix as a COO sum of local matrices from
 int64 indices, the VTK file from numpy rows joined whole, the boundary
@@ -44,7 +46,9 @@ from fluxrec.fem import (
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
     FeFunction,
+    _boundary_mass,
     _eval_data,
+    _p1_matrix,
     element_gradients,
     midpoint_samples,
     prolong,
@@ -57,7 +61,14 @@ from fluxrec.mesh import (
     build_initial_mesh,
 )
 from fluxrec.problems import generate_measurement
-from fluxrec.solver import DiscreteSystem, solve_costate, solve_state
+from fluxrec.solver import (
+    CG_MAX_ITERS,
+    DiscreteSystem,
+    OptimalTriplet,
+    SolverError,
+    solve_costate,
+    solve_state,
+)
 
 
 def monomial_integral_ref_triangle(a: int, b: int) -> float:
@@ -76,7 +87,7 @@ def dense_optimality(system):
     A = ops.A.toarray()
     Ma = ops.M_a.toarray()
     Mi = ops.M_i.toarray()
-    B = ops.B.toarray()
+    B = trace_coupling(ops.mesh, ops.gamma_i).toarray()
     n = A.shape[0]
     m = Mi.shape[0]
     K = np.zeros((2 * n + m, 2 * n + m))
@@ -91,6 +102,65 @@ def dense_optimality(system):
     q = np.zeros(n)
     q[ops.gamma_i] = sol[2 * n:]
     return sol[:n], sol[n:2 * n], q
+
+
+def trace_coupling(mesh, ids) -> sp.csr_matrix:
+    """Oracle for ``_MeshOperators.flux_load`` and its transpose: the former
+    n x m coupling ``B``, ``B[i, j] = int_{GammaI} phi_ids[j] phi_i``, built
+    as the GammaI face mass restricted to the ``ids`` columns."""
+    return _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))[:, ids]
+
+
+def hessian_apply(w, system, B=None) -> np.ndarray:
+    """Oracle for the reduced operator ``H = beta M_i + B^T A^-1 M_a A^-1 B``
+    with the n x m ``B`` of :func:`trace_coupling`."""
+    ops = system.ops
+    if B is None:
+        B = trace_coupling(ops.mesh, ops.gamma_i)
+    du = ops.solve_A(B @ w)
+    dp = ops.solve_A(ops.M_a @ du)
+    return system.beta * (ops.M_i @ w) + B.T @ dp
+
+
+def cg_optimality(system, settings, warm_start=None) -> OptimalTriplet:
+    """Oracle for :func:`fluxrec.solver.solve_optimality`: the former
+    reduced CG on ``H q = b`` with ``b = B^T A^-1 (M_a A^-1 F - Z)``, the
+    n x m ``B``, a factor of ``M_i`` as preconditioner, and closing state
+    and costate solves on the converged flux."""
+    ops = system.ops
+    B = trace_coupling(ops.mesh, ops.gamma_i)
+    solve_Mi = spla.splu(ops.M_i.tocsc()).solve
+    b = B.T @ ops.solve_A(ops.M_a @ ops.solve_A(ops.F) - ops.Z)
+    if warm_start is not None:
+        q = warm_start.values[ops.gamma_i]
+        r = b - hessian_apply(q, system, B)
+    else:
+        q = np.zeros(ops.gamma_i.size)
+        r = b.copy()
+    z = solve_Mi(r)
+    rho = float(r @ z)
+    b_norm = float(np.sqrt(max(b @ solve_Mi(b), 0.0)))
+    r0 = float(np.sqrt(max(rho, 0.0)))
+    tol = settings.cg_tol * r0 + 100.0 * np.finfo(float).eps * b_norm
+    iterations, res, d = 0, r0, z.copy()
+    while not res <= tol and iterations < CG_MAX_ITERS:
+        Hd = hessian_apply(d, system, B)
+        step = rho / float(d @ Hd)
+        q += step * d
+        r -= step * Hd
+        z = solve_Mi(r)
+        rho_new = float(r @ z)
+        res = float(np.sqrt(max(rho_new, 0.0)))
+        d = z + (rho_new / rho) * d
+        rho = rho_new
+        iterations += 1
+    if not res <= tol:
+        raise SolverError("oracle CG did not converge", iterations, res)
+    q_fun = gamma_i_flux(ops.mesh)
+    q_fun.values[ops.gamma_i] = q
+    u = solve_state(q_fun, system)
+    return OptimalTriplet(u=u, p=solve_costate(u, system), q=q_fun,
+                          iterations=iterations, residual=res)
 
 
 def plane_gradient(points, values):
@@ -990,9 +1060,10 @@ def reduced_gradient(q: FeFunction, system) -> FeFunction:
     u = solve_state(q, system)
     p = solve_costate(u, system)
     ops = system.ops
-    rhs = system.beta * (ops.M_i @ q.values[ops.gamma_i]) - ops.B.T @ p.values
+    gi = ops.gamma_i
+    rhs = system.beta * (ops.M_i @ q.values[gi]) - ops.M_i @ p.values[gi]
     g = np.zeros(ops.mesh.n_vertices)
-    g[ops.gamma_i] = ops.solve_Mi(rhs)
+    g[gi] = spla.spsolve(ops.M_i.tocsc(), rhs)
     return FeFunction(ops.mesh, g)
 
 
@@ -1015,7 +1086,7 @@ def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
                           test.mesh).T
     t = test.values
     if which == "state":
-        return float(t @ (ops.F - ops.B @ q[ops.gamma_i] - ops.A @ u))
+        return float(t @ (ops.F - ops.flux_load(q[ops.gamma_i]) - ops.A @ u))
     return float(t @ (ops.M_a @ u - ops.Z - ops.A @ p))
 
 

@@ -149,7 +149,7 @@ def test_criterion_2_galerkin_orthogonality(smooth_run, solver_settings):
                                 smooth_run.problem.data(
                                     z=smooth_run.measurement))
         q = triplet.q.values[system.ops.gamma_i]
-        r_state = system.ops.F - system.ops.B @ q \
+        r_state = system.ops.F - system.ops.flux_load(q) \
             - system.ops.A @ triplet.u.values
         r_costate = system.ops.M_a @ triplet.u.values - system.ops.Z \
             - system.ops.A @ triplet.p.values

@@ -42,6 +42,7 @@ from helpers import (
     nodal_interpolant,
     nvb_chain,
     recursive_bisect,
+    trace_coupling,
     zero,
 )
 
@@ -163,13 +164,15 @@ class TestP1Matrices:
 
     @staticmethod
     def check(mesh, rtol=0.0):
-        """``A``, ``M_i``, ``B``, ``M_a`` and the ``S`` and GammaI mass of
-        :func:`true_errors` equal the oracle's in bytes and dtypes (their
-        data to ``rtol``), in canonical format with int32 indices and no
-        stored zero."""
+        """``A``, ``M_i``, ``M_a``, the ``S`` and GammaI mass of
+        :func:`true_errors` and the coupling ``B`` that ``flux_load``
+        applies equal the oracle's in bytes and dtypes (their data to
+        ``rtol``), in canonical format with int32 indices and no stored
+        zero."""
+        ids = gamma_i_vertices(mesh)
         got = dict(A=assemble_bilinear(mesh, COEFFS),
-                   **dict(zip(("M_i", "B", "M_a"), assemble_trace_operators(
-                       mesh, gamma_i_vertices(mesh)))))
+                   **dict(zip(("M_i", "M_a"), assemble_trace_operators(
+                       mesh, ids))), B=trace_coupling(mesh, ids))
         built = []
 
         def recording(*args):
@@ -311,35 +314,41 @@ class TestAssembleLoad:
 
 class TestTraceOperators:
     def test_single_unit_gamma_i_face(self, square_mesh):
-        M_i, B, M_a = assemble_trace_operators(
+        M_i, M_a = assemble_trace_operators(
             square_mesh, gamma_i_vertices(square_mesh))
         assert M_i.shape == (2, 2)
         assert np.allclose(M_i.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
     def test_row_sums_partition_of_unity(self, refined_square):
-        M_i, _, _ = assemble_trace_operators(
+        M_i, _ = assemble_trace_operators(
             refined_square, gamma_i_vertices(refined_square))
         # GammaI is the unit bottom edge
         assert np.isclose(M_i.toarray().sum(), 1.0)
 
     def test_b_equals_mi_on_gamma_i_rows(self, refined_square):
+        """``M_i`` is the GammaI rows of the coupling ``B``, so
+        ``flux_load`` places ``M_i qi`` in those rows."""
         ids = gamma_i_vertices(refined_square)
-        M_i, B, _ = assemble_trace_operators(refined_square, ids)
-        assert np.allclose(B.toarray()[ids], M_i.toarray())
+        M_i, _ = assemble_trace_operators(refined_square, ids)
+        assert np.array_equal(trace_coupling(refined_square, ids)[ids]
+                              .toarray(), M_i.toarray())
 
-    def test_b_row_support_is_gamma_i(self, refined_square):
-        ids = gamma_i_vertices(refined_square)
-        _, B, _ = assemble_trace_operators(refined_square, ids)
+    def test_b_row_support_is_gamma_i(self, refined_square, smooth_problem):
+        ops = DiscreteSystem(refined_square, smooth_problem.data()).ops
+        load = ops.flux_load(np.ones(ops.gamma_i.size))
+        assert np.array_equal(np.flatnonzero(load), ops.gamma_i)
+        B = trace_coupling(refined_square, ops.gamma_i)
         nonzero_rows = np.flatnonzero(np.abs(B.toarray()).sum(axis=1) > 0)
-        assert np.array_equal(nonzero_rows, ids)
+        assert np.array_equal(nonzero_rows, ops.gamma_i)
 
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     def test_match_face_loop_bitwise(self, domain):
         mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=1,
                            sweeps=5)
-        for got, want in zip(
-                assemble_trace_operators(mesh, gamma_i_vertices(mesh)),
-                face_loop_boundary_operators(mesh)):
+        ids = gamma_i_vertices(mesh)
+        M_i, M_a = assemble_trace_operators(mesh, ids)
+        for got, want in zip((M_i, trace_coupling(mesh, ids), M_a),
+                             face_loop_boundary_operators(mesh)):
             assert np.array_equal(got.toarray(), want)
 
     @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
@@ -349,7 +358,8 @@ class TestTraceOperators:
         assembly through the vertex -> GammaI position map."""
         mesh = nvb_chain(domain, data)[-1]
         ids = gamma_i_vertices(mesh)
-        got = assemble_trace_operators(mesh, ids)
+        M_i, M_a = assemble_trace_operators(mesh, ids)
+        got = M_i, trace_coupling(mesh, ids), M_a
         for matrix, want in zip(got, dof_map_trace_operators(mesh, ids)):
             assert matrix.shape == want.shape
             for name in ("data", "indices", "indptr"):
@@ -358,7 +368,7 @@ class TestTraceOperators:
                 assert x.tobytes() == y.tobytes()
 
     def test_mi_positive_definite(self, refined_square):
-        M_i, _, _ = assemble_trace_operators(
+        M_i, _ = assemble_trace_operators(
             refined_square, gamma_i_vertices(refined_square))
         dense = M_i.toarray()
         assert np.allclose(dense, dense.T)

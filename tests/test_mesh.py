@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ class TestBisect:
         assert bisect(square_mesh, []) is square_mesh
         assert bisect(square_mesh, np.array([], dtype=np.int64)) \
             is square_mesh
+
+    def test_peak_memory_on_a_third_marked(self, square_mesh):
+        """The parent-sized work arrays of the split die before the child's
+        face table is built: on the 13-level uniform square with a third of
+        its triangles marked, the traced peak is 11.0 MB (12.3 MB when they
+        stayed alive through the ``Mesh`` constructor)."""
+        mesh = square_mesh
+        for _ in range(13):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        marked = np.random.default_rng(0).choice(
+            mesh.n_triangles, mesh.n_triangles // 3, replace=False)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fine = bisect(mesh, marked)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert fine.n_triangles == 25_451
+        assert peak <= 11.7e6
 
     def test_marking_array_like(self, lshape_mesh):
         """A list, an int32 array and an array with repeats mark alike."""
