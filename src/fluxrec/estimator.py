@@ -28,7 +28,7 @@ from .fem import (
     element_gradients,
 )
 from .mesh import BoundaryTag
-from .solver import OptimalTriplet, ProblemData, _require_z, mesh_operators
+from .solver import OptimalTriplet, ProblemData, mesh_operators
 
 
 @dataclass
@@ -144,7 +144,6 @@ def estimate(triplet: OptimalTriplet, data: ProblemData) -> ElementIndicators:
 
     The data terms come from the shared :func:`~fluxrec.solver.mesh_operators`,
     so they are computed once per mesh, however many solves it has."""
-    _require_z(data)
     mesh = triplet.mesh
     ops = mesh_operators(mesh, data)
     grad_u = data.coeffs.alpha * element_gradients(triplet.u)

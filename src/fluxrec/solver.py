@@ -59,19 +59,18 @@ class SolverSettings:
 class ProblemData:
     """Coefficients and data callables defining one inversion problem.
 
-    ``f`` and ``u_a`` are the source and ambient temperature, both required
-    (zero data is a zero callable); ``z`` is the measured temperature on
-    GammaA, or None for forward-only data.  All callables take vectorized
-    ``(x, y)`` arguments.
+    ``f``, ``u_a`` and ``z`` are the source, the ambient temperature and the
+    measured temperature on GammaA, all required (zero data is a zero
+    callable).  All callables take vectorized ``(x, y)`` arguments.
     """
 
     coeffs: CoefficientSet
     f: object
     u_a: object
-    z: object = None
+    z: object
 
     def __post_init__(self):
-        for name in ("f", "u_a"):
+        for name in ("f", "u_a", "z"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"problem data {name} must be callable")
 
@@ -179,11 +178,11 @@ class _MeshOperators:
     GammaI or a GammaA face raises ``MeshError`` before any data is sampled.
     One sampling of ``f`` then gives the estimator's ``f_sq`` and
     ``osc_f_sq`` and the load ``F``; then come ``A`` and its factor ``lu``
-    without pivoting in the nested-dissection order ``p``, and, if ``z`` is
-    given, the estimator's ``gamma_a_data``, ``Z``, ``z_sq`` and the
-    zero-flux state and costate ``u0 = A^-1 F``, ``p0 = A^-1 (M_a u0 - Z)``.
-    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
-    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
+    without pivoting in the nested-dissection order ``p``, and last the
+    estimator's ``gamma_a_data``, ``Z``, ``z_sq`` and the zero-flux state
+    and costate ``u0 = A^-1 F``, ``p0 = A^-1 (M_a u0 - Z)``.  ``f``, ``u_a``
+    and ``z`` are held, so their ids stay unique; of ``coeffs`` only alpha
+    and gamma, which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
@@ -214,8 +213,6 @@ class _MeshOperators:
         self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                             diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
-        if self.z is None:
-            return
         # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
         # one row per face in face order
         ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(
@@ -240,12 +237,6 @@ class _MeshOperators:
         out = np.zeros(self.mesh.n_vertices)
         out[self.gamma_i] = self.M_i @ qi
         return out
-
-
-def _require_z(data: ProblemData) -> None:
-    """Fail on forward-only data before any solve that reads ``z``."""
-    if data.z is None:
-        raise ValueError("problem data carries no measurement z")
 
 
 def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
@@ -293,7 +284,6 @@ def solve_state(q: FeFunction, system: DiscreteSystem) -> FeFunction:
 
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
-    _require_z(system.data)
     ops = system.ops
     return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
 
@@ -305,7 +295,6 @@ def objective(q: FeFunction, system: DiscreteSystem,
     ``settings`` is not read; it stays in the signature for callers that
     pass it positionally.
     """
-    _require_z(system.data)
     ops = system.ops
     if u is None:
         u = solve_state(q, system)
@@ -332,7 +321,6 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     costate, so warm starts cannot stall the iteration); it raises
     :class:`SolverError` if ``CG_MAX_ITERS`` iterations do not get there.
     """
-    _require_z(system.data)
     ops, beta, gi = system.ops, system.beta, system.ops.gamma_i
 
     if warm_start is not None:

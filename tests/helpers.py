@@ -309,9 +309,6 @@ class FaceSamples:
             u_vals = _face_trace_values(triplet.u.values, mesh, ga, tpar[ga])
             p_vals = _face_trace_values(triplet.p.values, mesh, ga, tpar[ga])
             j1[ga] = gamma * ua - gamma * u_vals - flux_u0[ga][:, None]
-            if data.z is None:
-                raise ValueError("costate face residual on GammaA needs the "
-                                 "measurement z")
             zv = _eval_data(data.z, x, y, "measurement z")
             j2[ga] = u_vals - zv - gamma * p_vals - flux_p0[ga][:, None]
 

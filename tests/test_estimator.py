@@ -178,7 +178,7 @@ class TestFaceJumps:
         trip = make_triplet(mesh, q_vals=rng.standard_normal(
             gamma_i_vertices(mesh).size))
         faces, j1, _, _ = boundary_samples(
-            trip, zero_data(problem.data().coeffs))
+            trip, zero_data(problem.coeffs))
         gi = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
         qa = dof_lookup_trace_values(trip.q, mesh.faces[gi, 0])
         qb = dof_lookup_trace_values(trip.q, mesh.faces[gi, 1])
@@ -210,12 +210,6 @@ class TestAllFacesOracle:
         for key in ("eta1_sq", "eta2_sq", "osc_f_sq", "osc_j1_sq",
                     "osc_j2_sq"):
             assert np.array_equal(getattr(got, key), getattr(want, key))
-
-    def test_missing_measurement_rejected(self, refined_square,
-                                          smooth_problem):
-        triplet = make_triplet(refined_square)
-        with pytest.raises(ValueError, match="measurement z"):
-            estimate(triplet, smooth_problem.data())
 
 
 class TestEstimate:

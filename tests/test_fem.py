@@ -334,7 +334,7 @@ class TestTraceOperators:
                               .toarray(), M_i.toarray())
 
     def test_b_row_support_is_gamma_i(self, refined_square, smooth_problem):
-        ops = DiscreteSystem(refined_square, smooth_problem.data()).ops
+        ops = DiscreteSystem(refined_square, smooth_problem.data(z=zero)).ops
         load = ops.flux_load(np.ones(ops.gamma_i.size))
         assert np.array_equal(np.flatnonzero(load), ops.gamma_i)
         B = trace_coupling(refined_square, ops.gamma_i)
@@ -400,7 +400,8 @@ class TestGammaIVertices:
     @hyp_settings(max_examples=20, deadline=None)
     def test_match_face_endpoint_oracle(self, domain, data):
         mesh = nvb_chain(domain, data)[-1]
-        ids = DiscreteSystem(mesh, ProblemData(COEFFS, zero, zero)).ops.gamma_i
+        data = ProblemData(COEFFS, zero, zero, zero)
+        ids = DiscreteSystem(mesh, data).ops.gamma_i
         assert np.array_equal(ids, gamma_i_vertices(mesh))
         assert ids.dtype == mesh.faces.dtype
         assert not ids.flags.writeable

@@ -9,14 +9,23 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fluxrec import problems
+from fluxrec.fem import assemble_bilinear, assemble_load, midpoint_samples
+from fluxrec.mesh import bisect
 from fluxrec.problems import (
     Measurement,
     builtin_problem,
     check_no_inverse_crime,
     generate_measurement,
 )
+from fluxrec.solver import DiscreteSystem, solve_state
 
-from helpers import dense_locate, gamma_i_flux
+from helpers import (
+    dense_locate,
+    gamma_i_flux,
+    gamma_i_vertices,
+    trace_coupling,
+    zero,
+)
 
 
 class TestBuiltinProblems:
@@ -72,12 +81,39 @@ class TestBuiltinProblems:
 
 
 class TestGenerateMeasurement:
-    def test_noise_free_matches_forward_trace(self, smooth_problem):
-        meas = generate_measurement(smooth_problem, extra_levels=3)
-        # regenerate and compare: deterministic forward solve
-        again = generate_measurement(smooth_problem, extra_levels=3)
-        assert np.array_equal(meas.values, again.values)
-        assert np.array_equal(meas.points, again.points)
+    @pytest.mark.parametrize("name", problems.BUILTIN_NAMES)
+    def test_noise_free_matches_forward_trace(self, name):
+        """The samples are the GammaA values of a dense solve of
+        ``A u = F - M_GammaI q_true`` on the uniform generation mesh."""
+        problem = builtin_problem(name)
+        meas = generate_measurement(problem)
+        mesh = problem.initial_mesh()
+        for _ in range(problems.MEASUREMENT_LEVELS):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        ids = gamma_i_vertices(mesh)
+        F = assemble_load(mesh, midpoint_samples(mesh, problem.f),
+                          problem.u_a, problem.coeffs)
+        q = problem.q_true(*mesh.vertices[ids].T)
+        u = np.linalg.solve(assemble_bilinear(mesh, problem.coeffs).toarray(),
+                            F - trace_coupling(mesh, ids) @ q)
+        vertex = {tuple(v): i for i, v in enumerate(mesh.vertices)}
+        want = u[[vertex[tuple(pt)] for pt in meas.points]]
+        assert np.abs(meas.values - want).max() \
+            <= 1e-12 * np.abs(want).max()
+
+    def test_state_solve_reads_no_measurement(self, refined_square,
+                                              smooth_problem,
+                                              smooth_measurement):
+        """The state solve gives the same bytes under a zero and a real
+        measurement, so generation may build its operators with zero."""
+        states = []
+        for z in (zero, smooth_measurement):
+            system = DiscreteSystem(refined_square, smooth_problem.data(z=z))
+            q = gamma_i_flux(refined_square)
+            q.values[system.ops.gamma_i] = smooth_problem.q_true(
+                *refined_square.vertices[system.ops.gamma_i].T)
+            states.append(solve_state(q, system).values)
+        assert np.array_equal(*states)
 
     def test_seeded_noise_is_reproducible(self):
         p = builtin_problem("square_smooth").with_overrides(noise=0.02,

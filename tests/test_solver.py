@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+import fluxrec.driver as driver
 import fluxrec.solver as solver
 from fluxrec.cli import cli_main
 from fluxrec.estimator import estimate
@@ -57,17 +58,16 @@ class TestSolveState:
     def test_constant_ambient_gives_constant_state(self, refined_square,
                                                    smooth_problem):
         c = 2.5
-        data = smooth_problem.data()
-        data = type(data)(coeffs=data.coeffs,
-                          f=lambda x, y: 0.0 * x,
-                          u_a=lambda x, y: c + 0.0 * x)
+        data = ProblemData(coeffs=smooth_problem.coeffs,
+                           f=lambda x, y: 0.0 * x,
+                           u_a=lambda x, y: c + 0.0 * x, z=zero)
         system = DiscreteSystem(refined_square, data)
         u = solve_state(zero_flux(system), system)
         assert np.allclose(u.values, c, atol=1e-10)
 
     def test_zero_data_zero_state(self, refined_square, smooth_problem):
-        data = smooth_problem.data()
-        data = type(data)(coeffs=data.coeffs, f=zero, u_a=zero)
+        data = ProblemData(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
+                           z=zero)
         system = DiscreteSystem(refined_square, data)
         u = solve_state(zero_flux(system), system)
         assert np.abs(u.values).max() < 1e-12
@@ -86,37 +86,13 @@ class TestSolveState:
 
 
 class TestProblemData:
-    @pytest.mark.parametrize("field", ["f", "u_a"])
+    @pytest.mark.parametrize("field", ["f", "u_a", "z"])
     @pytest.mark.parametrize("bad", [None, 0.0])
     def test_data_callables_required(self, smooth_problem, field, bad):
-        kwargs = dict(coeffs=smooth_problem.coeffs, f=zero, u_a=zero)
+        kwargs = dict(coeffs=smooth_problem.coeffs, f=zero, u_a=zero, z=zero)
         kwargs[field] = bad
         with pytest.raises(ValueError, match=f"problem data {field} "):
             ProblemData(**kwargs)
-
-    def test_measurement_optional(self, smooth_problem):
-        assert ProblemData(smooth_problem.coeffs, zero, zero).z is None
-
-    def test_missing_measurement_fails_before_factorisation(
-            self, refined_square, smooth_problem, settings, monkeypatch):
-        """Every solve that reads z fails before it solves anything."""
-        mesh = bisect(refined_square, np.arange(refined_square.n_triangles))
-        system = DiscreteSystem(mesh, smooth_problem.data())
-        u = FeFunction(mesh, np.zeros(mesh.n_vertices))
-        q = zero_flux(system)
-
-        def forbidden(rhs):
-            raise AssertionError("solved without a measurement")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(system.ops, "solve_A", forbidden)
-            for call in (lambda: solve_optimality(system, settings),
-                         lambda: solve_costate(u, system),
-                         lambda: objective(q, system, settings)):
-                with pytest.raises(ValueError, match="measurement z"):
-                    call()
-        # a forward solve needs no measurement
-        solve_state(q, system)
 
 
 class TestSolverSettings:
@@ -132,7 +108,7 @@ class TestSolverSettings:
 class TestSolveCostate:
     def test_matching_data_zero_costate(self, refined_square, smooth_problem):
         # z equals the trace of the state: zero misfit, zero costate
-        data0 = smooth_problem.data()
+        data0 = smooth_problem.data(z=zero)
         system0 = DiscreteSystem(refined_square, data0)
         u = solve_state(zero_flux(system0), system0)
 
@@ -154,9 +130,8 @@ class TestSolveCostate:
         assert np.abs(p.values).max() < 1e-10
 
     def test_zero_everything(self, refined_square, smooth_problem):
-        data = type(smooth_problem.data())(
-            coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
-            z=lambda x, y: 0.0 * x)
+        data = ProblemData(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
+                           z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
         u = FeFunction(system.ops.mesh, np.zeros(system.ops.mesh.n_vertices))
         p = solve_costate(u, system)
@@ -229,9 +204,8 @@ class TestSolveOptimality:
     def test_compatible_data_gives_zero_flux(self, refined_square,
                                              smooth_problem, settings):
         # f = 0, u_a = 0: the q=0 state is zero, so z = 0 is compatible
-        data = type(smooth_problem.data())(
-            coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
-            z=lambda x, y: 0.0 * x)
+        data = ProblemData(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
+                           z=lambda x, y: 0.0 * x)
         system = DiscreteSystem(refined_square, data)
         triplet = solve_optimality(system, settings)
         assert np.abs(triplet.q.values).max() < 1e-12
@@ -338,17 +312,19 @@ class TestSolveOptimality:
                                  monkeypatch, capsys):
         """A NaN in the reduced CG raises, and ``fluxrec run`` stops as a
         solver failure instead of writing a NaN objective."""
-        flux_load = solver._MeshOperators.flux_load
+        # the measurement's state solve also applies flux_load, so the
+        # run's measurement is generated before the patch, and only the
+        # reduced solve sees the NaN
+        measurement = generate_measurement(builtin_problem("square_jump"))
 
         def nan_in_steps(ops, qi):
-            # the forward-only measurement solve stays finite
-            if ops.z is None:
-                return flux_load(ops, qi)
             return np.full(ops.mesh.n_vertices, np.nan)
 
         monkeypatch.setattr(solver._MeshOperators, "flux_load", nan_in_steps)
         with pytest.raises(SolverError, match="positive definiteness"):
             solve_optimality(smooth_system, settings)
+        monkeypatch.setattr(driver, "generate_measurement",
+                            lambda problem, extra_levels: measurement)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = square_jump\nmax_iters = 3\n")
         out = tmp_path / "out"
@@ -625,7 +601,7 @@ class TestSharedStateOperator:
         monkeypatch.setattr(solver, "_MeshOperators", counting)
         generate_measurement(smooth_problem, extra_levels=2)
         assert len(built) == 1
-        # the forward-only generation mesh factors A alone
+        # the generation mesh factors A alone
         assert len(splu_shapes) == 1
         history = run_adaptive(smooth_problem, LoopConfig(
             max_iters=4, tol=1e-12, record_true_errors=True),
@@ -708,17 +684,6 @@ class TestOneStepBuild:
                      "z_sq", "u0", "p0", "gamma_a_data", "gamma_i"):
             getattr(ops, name)
         assert sorted(build_calls) == built
-
-    @pytest.mark.parametrize("name", ["Z", "z_sq", "gamma_a_data", "u0",
-                                      "p0"])
-    def test_no_measurement_builds_nothing(self, mesh32, smooth_problem,
-                                           build_calls, name):
-        """Forward-only construction factors the state operator alone and
-        builds no part that reads z."""
-        ops = DiscreteSystem(mesh32, smooth_problem.data()).ops
-        assert sorted(build_calls) == ["assemble_bilinear", "assemble_load",
-                                       "assemble_trace_operators", "splu"]
-        assert not hasattr(ops, name)
 
 
 def uniform_pair(problem, gamma_i_faces=32):
@@ -844,7 +809,7 @@ class TestNestedDissection:
         for _ in range(15):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
         assert mesh.n_triangles == 65_536
-        system = DiscreteSystem(mesh, smooth_problem.data())
+        system = DiscreteSystem(mesh, smooth_problem.data(z=zero))
         system.ops.solve_A(system.ops.F)
         lu = system.ops.lu
         ref = default_order_factor(system.ops.A)
