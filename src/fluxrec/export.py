@@ -13,26 +13,20 @@ from .problems import Measurement
 
 CSV_HEADER = ("iter,n_vertices,n_triangles,n_flux_dofs,"
               "eta,eta1,eta2,osc,objective,err_q,err_u,err_p")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
+CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.16e"] * 8) + "\n"
 
 
 def export_history_csv(history: AdaptiveHistory, path) -> None:
     """Write one row per iteration in full double precision."""
     if not history.records:
         raise ValueError("history has no records to export")
-    lines = [CSV_HEADER]
-    for r in history.records:
-        lines.append(",".join([
-            str(r.k), str(r.n_vertices), str(r.n_triangles),
-            str(r.n_flux_dofs),
-            _fmt(r.eta), _fmt(r.eta1), _fmt(r.eta2), _fmt(r.osc),
-            _fmt(r.objective), _fmt(r.err_q), _fmt(r.err_u), _fmt(r.err_p),
-        ]))
+    rows = np.array([(r.k, r.n_vertices, r.n_triangles, r.n_flux_dofs,
+                      r.eta, r.eta1, r.eta2, r.osc, r.objective,
+                      r.err_q, r.err_u, r.err_p) for r in history.records],
+                    dtype=object)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        _write_rows(fh, CSV_ROW, rows)
 
 
 def read_history_csv(path):
@@ -50,25 +44,20 @@ def read_history_csv(path):
         if len(parts) != len(header):
             raise ValueError(f"{path}: row {k} has {len(parts)} fields, "
                              f"the header {len(header)}")
-        row = {}
-        for name, val in zip(header, parts):
-            row[name] = int(val) if name.startswith(("iter", "n_")) \
-                else float(val)
-        rows.append(row)
+        rows.append({name: int(val) if name.startswith(("iter", "n_"))
+                     else float(val) for name, val in zip(header, parts)})
     return rows
 
 
-# rows per write of the VTK sections, so no section is held whole as text
-_VTK_BLOCK = 4096
+# rows per write of a text table, so no table is held whole as text
+_BLOCK = 4096
 
 
-def _write_rows(fh, row_format, rows, text=None) -> None:
+def _write_rows(fh, row_format, rows) -> None:
     """Write ``row_format % row`` for every row of ``rows``, a block of
-    rows per write; with ``text``, the rows hold indices into it."""
-    for lo in range(0, rows.shape[0], _VTK_BLOCK):
-        block = rows[lo:lo + _VTK_BLOCK]
-        if text is not None:
-            block = text[block]
+    rows per write."""
+    for lo in range(0, rows.shape[0], _BLOCK):
+        block = rows[lo:lo + _BLOCK]
         fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
 
 
@@ -91,12 +80,13 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
     # -0.0 keeps its sign
     bits, inverse = np.unique(mesh.vertices.view(np.int64).ravel(),
                               return_inverse=True)
-    text = np.array([_fmt(x) for x in bits.view(float).tolist()],
+    text = np.array(["%.16e" % x for x in bits.view(float).tolist()],
                     dtype=object)
     with open(path, "w") as fh:
         fh.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\n"
                  f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
-        _write_rows(fh, f"%s %s {_fmt(0.0)}\n", inverse.reshape(n, 2), text)
+        _write_rows(fh, "%s %s 0.0000000000000000e+00\n",
+                    text[inverse.reshape(n, 2)])
         fh.write(f"CELLS {m} {4 * m}\n")
         _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
         fh.write(f"CELL_TYPES {m}\n" + "5\n" * m)
@@ -110,15 +100,13 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
 def export_flux_txt(q: FeFunction, path) -> None:
     """Write the flux as two-column 'arclength value' text, walking GammaI."""
     vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
-    rows = np.column_stack([t, q.values[vertex_ids]]).tolist()
-    lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in rows]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, "%.16e %.16e\n",
+                    np.column_stack([t, q.values[vertex_ids]]))
 
 
 def write_measurement(measurement: Measurement, path) -> None:
     """One line per sample: 'x y value', arc-length ordered."""
-    rows = np.column_stack([measurement.points, measurement.values]).tolist()
-    lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for x, y, v in rows]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, "%.16e %.16e %.16e\n",
+                    np.column_stack([measurement.points, measurement.values]))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import ElementIndicators
+from .mesh import triangle_ids
 
 STRATEGIES = ("maximum", "equidistribution", "modified_equidistribution",
               "doerfler")
@@ -25,7 +26,7 @@ class MarkingDecision:
     terminate: bool = False
 
     def __post_init__(self):
-        self.marked = np.unique(np.asarray(self.marked, dtype=np.int64))
+        self.marked = triangle_ids(self.marked)
         if self.terminate and self.marked.size:
             raise ValueError("a terminating decision must mark nothing")
 

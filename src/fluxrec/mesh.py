@@ -113,6 +113,9 @@ class Mesh:
 
         self._validate_geometry()
         self._build_face_table(edge_tags)
+        if self.vertex_parents.shape != (self.n_vertices, 2):
+            raise MeshError(f"vertex_parents must be an ({self.n_vertices}, "
+                            f"2) array, got shape {self.vertex_parents.shape}")
         for arr in (self.vertices, self.triangles, self.vertex_parents,
                     self.faces, self.face_tris, self.face_tags,
                     self.face_normals, self.face_lengths, self.tri_faces,
@@ -261,6 +264,16 @@ def build_initial_mesh(domain: str, gamma_i) -> Mesh:
     return Mesh(spec["vertices"], triangles, tags)
 
 
+def triangle_ids(marked) -> np.ndarray:
+    """The distinct ids in ``marked``, ascending int64; a marking that is
+    not empty must hold integers of any width, not a mask or floats."""
+    marked = np.asarray(marked)
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise MeshError("marked triangle ids must be integers, got dtype "
+                        f"{marked.dtype}")
+    return np.unique(marked.astype(np.int64))
+
+
 def nvb_closure(mesh: Mesh, marked):
     """The faces :func:`bisect` cuts for ``marked``, and its triangle count.
 
@@ -269,7 +282,7 @@ def nvb_closure(mesh: Mesh, marked):
     cut edges has ``k + 1`` children.  Returns the read-only face mask and
     the child count.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = triangle_ids(marked)
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
         raise MeshError("marked triangle id out of range")
     ref = mesh.tri_faces[:, 0]
@@ -300,9 +313,10 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     marking's order.
 
     ``marked`` is an array-like of triangle ids (a list or an integer
-    array of any width; repeats are ignored).  Like the input triangles,
-    the children are stored newest vertex first.  Returns a new mesh; with
-    an empty marking the input mesh is returned unchanged.
+    array of any width; repeats are ignored, and a boolean mask or floats
+    raise :class:`MeshError`).  Like the input triangles, the children are
+    stored newest vertex first.  Returns a new mesh; with an empty marking
+    the input mesh is returned unchanged.
     """
     split, _ = nvb_closure(mesh, marked)
     if not split.any():

@@ -144,17 +144,12 @@ class Measurement:
         self._segments = np.abs(np.diff(self.arclength) - geo) < 1e-9
 
     def __call__(self, x, y):
-        """Evaluate at boundary points, vectorized over (x, y)."""
-        x_arr = np.asarray(x, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
-        shape = np.broadcast(x_arr, y_arr).shape
-        pts = np.column_stack([np.broadcast_to(x_arr, shape).ravel(),
-                               np.broadcast_to(y_arr, shape).ravel()])
-        t = self._locate(pts)
-        out = np.interp(t, self.arclength, self.values)
-        if shape == ():
-            return float(out[0])
-        return out.reshape(shape)
+        """Evaluate at boundary points, vectorized over (x, y); the result
+        is an array of their broadcast shape, 0-d for scalar arguments."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        t = self._locate(np.column_stack([x.ravel(), y.ravel()]))
+        return np.interp(t, self.arclength, self.values).reshape(x.shape)
 
     def _locate(self, pts, tol=1e-9):
         """Arc-length parameter of points lying on the sample polyline.

@@ -32,7 +32,8 @@ from .mesh import BoundaryTag, Mesh, MeshError
 
 
 class SolverError(RuntimeError):
-    """Iterative solver failed to reach its tolerance."""
+    """The reduced CG did not converge in ``CG_MAX_ITERS`` iterations, or
+    lost positive definiteness, which a NaN in the iteration also trips."""
 
     def __init__(self, message, iterations=None, residual=None):
         super().__init__(message)
@@ -289,15 +290,14 @@ def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
 
 
 def objective(q: FeFunction, system: DiscreteSystem,
-              settings: SolverSettings, u: FeFunction | None = None) -> float:
-    """Regularized misfit ``J(q)``, consistent with the assembled operators.
+              settings: SolverSettings, u: FeFunction) -> float:
+    """Regularized misfit ``J(q)`` of the flux ``q`` and its state ``u =
+    solve_state(q, system)``, consistent with the assembled operators.
 
     ``settings`` is not read; it stays in the signature for callers that
     pass it positionally.
     """
     ops = system.ops
-    if u is None:
-        u = solve_state(q, system)
     uv = u.values
     misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (ops.Z @ uv) + ops.z_sq)
     qi = q.values[ops.gamma_i]

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from fluxrec import driver
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
 from fluxrec.estimator import ElementIndicators
-from fluxrec.export import _fmt
+from fluxrec.export import CSV_HEADER
 from fluxrec.fem import (
     GAUSS2_POINTS,
     GAUSS2_WEIGHTS,
@@ -58,6 +58,7 @@ from fluxrec.mesh import (
     Mesh,
     MeshError,
     bisect,
+    boundary_arclength,
     build_initial_mesh,
 )
 from fluxrec.problems import generate_measurement
@@ -958,6 +959,44 @@ def dict_boundary_paths(mesh: Mesh, tag: BoundaryTag):
         raise MeshError("tagged boundary part contains a closed loop")
     paths.sort(key=lambda ch: coord(ch[0]))
     return paths
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".16e")
+
+
+def fstring_history_csv(history, path) -> None:
+    """Oracle for :func:`fluxrec.export.export_history_csv`: an earlier
+    writer, which joins per-value f-strings of each row in memory."""
+    lines = [CSV_HEADER]
+    for r in history.records:
+        lines.append(",".join([
+            str(r.k), str(r.n_vertices), str(r.n_triangles),
+            str(r.n_flux_dofs),
+            _fmt(r.eta), _fmt(r.eta1), _fmt(r.eta2), _fmt(r.osc),
+            _fmt(r.objective), _fmt(r.err_q), _fmt(r.err_u), _fmt(r.err_p),
+        ]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def fstring_flux_txt(q, path) -> None:
+    """Oracle for :func:`fluxrec.export.export_flux_txt`, the same earlier
+    way."""
+    vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
+    rows = np.column_stack([t, q.values[vertex_ids]]).tolist()
+    lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def fstring_measurement(measurement, path) -> None:
+    """Oracle for :func:`fluxrec.export.write_measurement`, the same
+    earlier way."""
+    rows = np.column_stack([measurement.points, measurement.values]).tolist()
+    lines = [f"{_fmt(x)} {_fmt(y)} {_fmt(v)}" for x, y, v in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def row_export_vtk(mesh: Mesh, fields: dict, path,

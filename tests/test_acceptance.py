@@ -18,6 +18,7 @@ from fluxrec.solver import (
     SolverSettings,
     objective,
     solve_optimality,
+    solve_state,
 )
 
 from helpers import (
@@ -206,10 +207,12 @@ def test_criterion_4_gradient_check(solver_settings):
     for _ in range(10):
         w = rng.standard_normal(gi.size)
         w /= np.linalg.norm(w)
-        jp = objective(gamma_i_flux(mesh, q0.values[gi] + h * w),
-                       system, solver_settings)
-        jm = objective(gamma_i_flux(mesh, q0.values[gi] - h * w),
-                       system, solver_settings)
+        qp = gamma_i_flux(mesh, q0.values[gi] + h * w)
+        qm = gamma_i_flux(mesh, q0.values[gi] - h * w)
+        jp = objective(qp, system, solver_settings,
+                       u=solve_state(qp, system))
+        jm = objective(qm, system, solver_settings,
+                       u=solve_state(qm, system))
         fd = (jp - jm) / (2 * h)
         exact = float(Mig @ w)
         rel = abs(fd - exact) / abs(exact)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import fluxrec.export as export
 from fluxrec.config import ConfigError, RunConfig, build_run, parse_config
-from fluxrec.driver import LoopConfig
+from fluxrec.driver import IterationRecord, LoopConfig
 from fluxrec.export import (
     CSV_HEADER,
     export_flux_txt,
@@ -20,12 +21,21 @@ from fluxrec.export import (
     write_measurement,
 )
 from fluxrec.fem import FeFunction
-from fluxrec.mesh import BoundaryTag, Mesh, bisect, boundary_arclength
-from fluxrec.problems import BUILTIN_NAMES, builtin_problem
+from fluxrec.mesh import (
+    BoundaryTag,
+    Mesh,
+    bisect,
+    boundary_arclength,
+    build_initial_mesh,
+)
+from fluxrec.problems import BUILTIN_NAMES, Measurement, builtin_problem
 
 from helpers import (
     dof_lookup_trace_values,
     format_config,
+    fstring_flux_txt,
+    fstring_history_csv,
+    fstring_measurement,
     gamma_i_flux,
     gamma_i_vertices,
     graded_mesh,
@@ -266,7 +276,7 @@ class TestVtkExport:
                                                 max_codepoint=126),
                                   max_size=256), label="title")
         path = tmp_path_factory.mktemp("vtk")
-        with mock.patch.object(export, "_VTK_BLOCK", block):
+        with mock.patch.object(export, "_BLOCK", block):
             export_vtk(mesh, fields, path / "new.vtk", title=title)
         row_export_vtk(mesh, fields, path / "old.vtk", title=title)
         assert (path / "new.vtk").read_bytes() == \
@@ -309,6 +319,72 @@ class TestVtkExport:
                        np.zeros(refined_square.n_vertices))
         with pytest.raises(ValueError, match="does not live"):
             export_vtk(square_mesh, {"u": u}, tmp_path / "x.vtk")
+
+
+# doubles whose text is easy to get wrong: nan, both infinities, both zeros,
+# the least and largest subnormals, the least normal and the largest doubles
+EDGE_DOUBLES = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308)
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats())
+
+
+class TestWritersMatchFstringOracles:
+    """The writers of history.csv, flux.txt and the measurement file put
+    every row through one ``%d`` / ``%.16e`` format, in blocks; each writes
+    the bytes of its earlier per-value f-string form in ``helpers``."""
+
+    @staticmethod
+    def same_bytes(writer, oracle, table, path, block):
+        with mock.patch.object(export, "_BLOCK", block):
+            writer(table, path / "new.txt")
+        oracle(table, path / "old.txt")
+        assert (path / "new.txt").read_bytes() == \
+            (path / "old.txt").read_bytes()
+
+    @given(rows=st.lists(st.tuples(st.lists(st.integers(0, 2 ** 53),
+                                            min_size=4, max_size=4),
+                                   st.lists(doubles, min_size=8,
+                                            max_size=8)),
+                         min_size=1, max_size=12),
+           block=st.integers(1, 5))
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_history_csv(self, tmp_path_factory, rows, block):
+        records = [IterationRecord(*counts, *values[:5], 0, *values[5:])
+                   for counts, values in rows]
+        self.same_bytes(export_history_csv, fstring_history_csv,
+                        SimpleNamespace(records=records),
+                        tmp_path_factory.mktemp("csv"), block)
+
+    @given(domain=st.sampled_from(["square", "lshape"]), data=st.data(),
+           block=st.integers(1, 5))
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_flux_txt(self, tmp_path_factory, domain, data, block):
+        mesh = build_initial_mesh(domain, "bottom")
+        mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        values = data.draw(st.lists(doubles, min_size=mesh.n_vertices,
+                                    max_size=mesh.n_vertices), label="q")
+        self.same_bytes(export_flux_txt, fstring_flux_txt,
+                        SimpleNamespace(mesh=mesh, values=np.array(values)),
+                        tmp_path_factory.mktemp("flux"), block)
+
+    @given(rows=st.lists(st.lists(doubles, min_size=3, max_size=3),
+                         min_size=1, max_size=12),
+           block=st.integers(1, 5))
+    @hyp_settings(max_examples=150, deadline=None)
+    def test_measurement(self, tmp_path_factory, rows, block):
+        rows = np.array(rows)
+        self.same_bytes(write_measurement, fstring_measurement,
+                        SimpleNamespace(points=rows[:, :2],
+                                        values=rows[:, 2]),
+                        tmp_path_factory.mktemp("meas"), block)
+
+    def test_measurement_without_samples_writes_no_line(self, tmp_path):
+        """The one byte change: an empty table writes nothing, where the
+        joined form wrote one empty line."""
+        empty = Measurement(points=np.zeros((0, 2)), values=[], arclength=[])
+        write_measurement(empty, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_bytes() == b""
 
 
 class TestFluxExport:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fluxrec.estimator import ElementIndicators
+from fluxrec.mesh import MeshError
 from fluxrec.marking import (
+    MarkingDecision,
     mark,
     mark_doerfler,
     mark_equidistribution,
@@ -211,3 +213,18 @@ class TestSharedProperties:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown marking strategy"):
             mark(indicators_from([1.0]), "random", 0.5)
+
+
+class TestMarkingDecision:
+    @pytest.mark.parametrize("bad, dtype", [
+        (np.array([False, True, True]), "bool"), ([1.7, 3.2], "float64")])
+    def test_mask_and_floats_rejected(self, bad, dtype):
+        with pytest.raises(MeshError, match=f"integers, got dtype {dtype}"):
+            MarkingDecision(bad)
+
+    @pytest.mark.parametrize("ids", [[], np.array([3, 1, 3], dtype=np.int8),
+                                     np.array([1, 3], dtype=np.uint32)])
+    def test_integer_ids_of_any_width(self, ids):
+        marked = MarkingDecision(ids).marked
+        assert marked.dtype == np.int64
+        assert marked.tolist() == sorted(set(np.asarray(ids).tolist()))

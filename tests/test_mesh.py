@@ -413,6 +413,22 @@ class TestNvbClosure:
         with pytest.raises(MeshError, match="out of range"):
             nvb_closure(square_mesh, [0, -1])
 
+    @pytest.mark.parametrize("refine", [nvb_closure, bisect])
+    def test_mask_and_floats_rejected(self, square_mesh, refine):
+        """A boolean mask of the last three of 32 triangles would refine
+        triangles 0 and 1, and floats would be truncated to ids."""
+        mesh = square_mesh
+        for _ in range(4):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        mask = np.arange(mesh.n_triangles) >= mesh.n_triangles - 3
+        for bad, dtype in ((mask, "bool"), ([1.7, 3.2], "float64")):
+            with pytest.raises(MeshError, match=f"integers, got dtype {dtype}"):
+                refine(mesh, bad)
+        for ids in ([], np.flatnonzero(mask).astype(np.int16),
+                    np.flatnonzero(mask).astype(np.uint64)):
+            refine(mesh, ids)
+        assert nvb_closure(mesh, np.flatnonzero(mask))[1] == 38
+
 
 def square_edge_tags(square_mesh):
     """Edge tags of the two-triangle square ``(1, 3, 0), (2, 0, 3)``:
@@ -472,6 +488,13 @@ class TestMeshErrors:
         with pytest.raises(MeshError, match=r"interior faces tagged "
                            r"GammaA/GammaI: \[\[0, 3\]\]"):
             square_with(square_mesh, tags)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (8,)])
+    def test_vertex_parents_wrong_shape(self, square_mesh, shape):
+        with pytest.raises(MeshError, match=r"vertex_parents must be an "
+                           r"\(4, 2\) array, got shape"):
+            square_with(square_mesh, square_edge_tags(square_mesh),
+                        np.full(shape, -1))
 
     def test_pinched_path_rejected(self):
         """Two triangles touching at vertex 2: four GammaA faces meet there."""

@@ -184,7 +184,8 @@ class TestMeasurementEvaluation:
         m = smooth_measurement
         x0, y0 = m.points[0]
         scalar = m(x0, y0)
-        assert isinstance(scalar, float)
+        assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+        assert scalar == m.values[0]
         arr = m(np.array([x0, x0]), np.array([y0, y0]))
         assert arr.shape == (2,)
 

@@ -194,8 +194,10 @@ class TestReducedGradient:
             w /= np.linalg.norm(w)
             qp = gamma_i_flux(mesh, q0.values[gi] + h * w)
             qm = gamma_i_flux(mesh, q0.values[gi] - h * w)
-            fd = (objective(qp, smooth_system, settings)
-                  - objective(qm, smooth_system, settings)) / (2 * h)
+            fd = (objective(qp, smooth_system, settings,
+                            u=solve_state(qp, smooth_system))
+                  - objective(qm, smooth_system, settings,
+                              u=solve_state(qm, smooth_system))) / (2 * h)
             exact = float(Mig @ w)
             assert np.isclose(fd, exact, rtol=1e-5)
 
@@ -244,7 +246,9 @@ class TestSolveOptimality:
                                                       settings):
         triplet = solve_optimality(smooth_system, settings)
         j_star = objective(triplet.q, smooth_system, settings, u=triplet.u)
-        j_zero = objective(zero_flux(smooth_system), smooth_system, settings)
+        q_zero = zero_flux(smooth_system)
+        j_zero = objective(q_zero, smooth_system, settings,
+                           u=solve_state(q_zero, smooth_system))
         assert j_star <= j_zero + 1e-14
         rng = np.random.default_rng(8)
         scale = np.abs(triplet.q.values).max()
@@ -252,8 +256,9 @@ class TestSolveOptimality:
         for _ in range(20):
             pert = triplet.q.values[gi] + 1e-2 * scale * rng.standard_normal(
                 gi.size)
-            j = objective(gamma_i_flux(smooth_system.ops.mesh, pert),
-                          smooth_system, settings)
+            q = gamma_i_flux(smooth_system.ops.mesh, pert)
+            j = objective(q, smooth_system, settings,
+                          u=solve_state(q, smooth_system))
             assert j_star <= j + 1e-14
 
     def test_hessian_symmetry(self, smooth_system):
@@ -394,7 +399,8 @@ class TestFluxOffGammaI:
             ind = estimate(triplet, data)
             export_flux_txt(triplet.q, tmp_path / "flux.txt")
             return [solve_state(triplet.q, system).values,
-                    objective(triplet.q, system, settings),
+                    objective(triplet.q, system, settings,
+                              u=solve_state(triplet.q, system)),
                     objective(triplet.q, system, settings, u=triplet.u),
                     ind.eta1_sq, ind.eta2_sq, ind.osc_j1_sq, ind.osc_j2_sq,
                     true_errors([triplet], reference),
