@@ -22,14 +22,7 @@ from .fem import (
     assemble_trace_operators,
     prolong,
 )
-from .marking import (
-    MarkingDecision,
-    mark,
-    mark_doerfler,
-    mark_equidistribution,
-    mark_maximum,
-    mark_modified_equidistribution,
-)
+from .marking import MarkingDecision, mark
 from .mesh import BoundaryTag, Mesh, bisect, build_initial_mesh
 from .problems import (
     Measurement,

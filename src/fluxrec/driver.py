@@ -18,7 +18,7 @@ import numpy as np
 from .estimator import estimate
 from .fem import FeFunction, prolong
 from .fem import _boundary_mass, _mass, _p1_matrix, _stiffness
-from .marking import STRATEGIES, check_theta, mark
+from .marking import check_theta, mark
 from .mesh import BoundaryTag, Mesh, bisect, nvb_closure
 from .problems import (
     MEASUREMENT_LEVELS,
@@ -50,9 +50,6 @@ class LoopConfig:
     record_true_errors: bool = False
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown marking strategy {self.strategy!r}; "
-                             f"available: {STRATEGIES}")
         check_theta(self.theta, self.strategy)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")

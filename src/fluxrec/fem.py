@@ -164,8 +164,6 @@ def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data"):
     F = np.zeros(mesh.n_vertices)
     g_sq = 0.0
     face_ids = mesh.faces_with_tag(tag)
-    if face_ids.size == 0:
-        return F, g_sq
     faces = mesh.faces[face_ids]
     pa = mesh.vertices[faces[:, 0]]
     pb = mesh.vertices[faces[:, 1]]

@@ -1,10 +1,19 @@
-"""Element marking strategies for the adaptive refinement loop.
+"""Element marking for the adaptive refinement loop.
 
-All four strategies guarantee that no unmarked triangle carries a larger
-indicator than every marked one (whenever anything is marked at all), which
-is the property the convergence of the adaptive loop hinges on.  With
-all-zero indicators every strategy returns an empty marking: the discrete
-problem is resolved to machine precision and refinement is pointless.
+Every strategy marks a superlevel set ``{T : eta_T >= t}`` and differs from
+the others only in its threshold ``t``, so no unmarked triangle carries a
+larger indicator than a marked one, which is the property the convergence
+of the adaptive loop hinges on.  With N triangles and global estimator eta:
+
+- maximum: ``theta * max eta_T``;
+- equidistribution: ``min(theta * tol / sqrt(N), max eta_T)``, after the
+  ``terminate`` decision once ``eta <= tol``;
+- modified equidistribution: ``min(theta * eta / sqrt(N), max eta_T)``;
+- Dörfler: the ``eta_T`` of the last element of the shortest prefix, by
+  decreasing indicator, holding ``theta^2 eta^2`` (compared squared).
+
+With all-zero indicators nothing is marked: the discrete problem is
+resolved to machine precision and refinement is pointless.
 """
 
 from __future__ import annotations
@@ -31,16 +40,16 @@ class MarkingDecision:
             raise ValueError("a terminating decision must mark nothing")
 
 
-def _eta_per_element(indicators: ElementIndicators) -> np.ndarray:
-    return np.sqrt(indicators.eta_sq)
-
-
 def check_theta(theta, strategy):
-    """Raise ``ValueError`` unless theta is in the strategy's range.
+    """Raise ``ValueError`` unless the strategy is known and theta is in
+    its range.
 
     Dörfler marking needs ``0 < theta <= 1`` (a zero fraction would mark
     nothing); the other strategies take ``0 <= theta <= 1``.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown marking strategy {strategy!r}; "
+                         f"available: {STRATEGIES}")
     if strategy == "doerfler":
         if not (0.0 < theta <= 1.0):
             raise ValueError(f"theta must be in (0, 1] for {strategy} "
@@ -50,81 +59,35 @@ def check_theta(theta, strategy):
                          f"marking, got {theta}")
 
 
-def mark_maximum(indicators: ElementIndicators, theta: float) -> MarkingDecision:
-    """Mark every element whose indicator reaches theta times the maximum."""
-    check_theta(theta, "maximum")
-    eta = _eta_per_element(indicators)
-    eta_max = eta.max() if eta.size else 0.0
-    if eta_max == 0.0:
-        return MarkingDecision(np.empty(0, dtype=np.int64))
-    return MarkingDecision(np.flatnonzero(eta >= theta * eta_max))
-
-
-def mark_equidistribution(indicators: ElementIndicators, theta: float,
-                          tol: float) -> MarkingDecision:
-    """Equidistribution marking with built-in termination test.
-
-    Terminates (marks nothing) once the global estimator falls below the
-    tolerance.  Otherwise marks all elements above ``theta * tol / sqrt(N)``;
-    the worst element always qualifies because the global estimator still
-    exceeds the tolerance.
-    """
-    check_theta(theta, "equidistribution")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    eta = _eta_per_element(indicators)
-    if indicators.eta <= tol:
-        return MarkingDecision(np.empty(0, dtype=np.int64), terminate=True)
-    # the largest indicator exceeds tol / sqrt(N) but for roundoff
-    threshold = min(theta * tol / np.sqrt(eta.size), eta.max())
-    return MarkingDecision(np.flatnonzero(eta >= threshold))
-
-
-def mark_modified_equidistribution(indicators: ElementIndicators,
-                                   theta: float) -> MarkingDecision:
-    """Mark elements above theta times the equidistributed global estimator."""
-    check_theta(theta, "modified_equidistribution")
-    eta = _eta_per_element(indicators)
-    total = indicators.eta
-    if total == 0.0:
-        return MarkingDecision(np.empty(0, dtype=np.int64))
-    # the largest indicator is at least their root mean square, which
-    # roundoff in ``total`` can put above it
-    threshold = min(theta * total / np.sqrt(eta.size), eta.max())
-    return MarkingDecision(np.flatnonzero(eta >= threshold))
-
-
-def mark_doerfler(indicators: ElementIndicators, theta: float) -> MarkingDecision:
-    """Bulk marking: the smallest sorted prefix holding a theta-fraction.
-
-    Elements are sorted by decreasing indicator (ties by ascending id) and
-    the shortest prefix with ``eta(prefix) >= theta * eta`` is taken, then
-    extended by all ties with the last included value so the marked minimum
-    dominates the unmarked maximum exactly.
-    """
-    check_theta(theta, "doerfler")
-    eta_sq = indicators.eta_sq
-    order = np.lexsort((np.arange(eta_sq.size), -eta_sq))
-    cumulative = np.cumsum(eta_sq[order])
-    total_sq = float(cumulative[-1]) if cumulative.size else 0.0
-    if total_sq == 0.0:
-        return MarkingDecision(np.empty(0, dtype=np.int64))
-    target = theta ** 2 * total_sq
-    k = int(np.searchsorted(cumulative, target))
-    k = min(k, eta_sq.size - 1)
-    return MarkingDecision(np.flatnonzero(eta_sq >= eta_sq[order[k]]))
-
-
 def mark(indicators: ElementIndicators, strategy: str, theta: float,
          tol: float = 1e-3) -> MarkingDecision:
-    """Dispatch a marking strategy by name."""
-    if strategy == "maximum":
-        return mark_maximum(indicators, theta)
+    """Mark the triangles whose indicator reaches the strategy's threshold.
+
+    ``tol`` is read by equidistribution only, which terminates (marks
+    nothing) once the global estimator is at most ``tol``.
+    """
+    check_theta(theta, strategy)
     if strategy == "equidistribution":
-        return mark_equidistribution(indicators, theta, tol)
-    if strategy == "modified_equidistribution":
-        return mark_modified_equidistribution(indicators, theta)
+        if not tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {tol}")
+        if indicators.eta <= tol:
+            return MarkingDecision(np.empty(0, dtype=np.int64), terminate=True)
+    eta_sq = indicators.eta_sq
+    if not eta_sq.any():
+        return MarkingDecision(np.empty(0, dtype=np.int64))
     if strategy == "doerfler":
-        return mark_doerfler(indicators, theta)
-    raise ValueError(f"unknown marking strategy {strategy!r}; "
-                     f"available: {STRATEGIES}")
+        descending = np.sort(eta_sq)[::-1]
+        cumulative = np.cumsum(descending)
+        k = int(np.searchsorted(cumulative, theta ** 2 * cumulative[-1]))
+        values, threshold = eta_sq, descending[min(k, eta_sq.size - 1)]
+    else:
+        values = np.sqrt(eta_sq)
+        if strategy == "maximum":
+            threshold = theta * values.max()
+        else:
+            # the largest indicator reaches the root mean square
+            # eta / sqrt(N), and eta > tol, but for roundoff in eta
+            total = tol if strategy == "equidistribution" else indicators.eta
+            threshold = min(theta * total / np.sqrt(values.size),
+                            values.max())
+    return MarkingDecision(np.flatnonzero(values >= threshold))

@@ -120,6 +120,8 @@ class Measurement:
     generation_triangles: int = 0
     generation_level: int = 0
     _segments: np.ndarray = field(init=False, repr=False)
+    _seg_ends: np.ndarray = field(init=False, repr=False)
+    _seg_len: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -139,9 +141,18 @@ class Measurement:
             raise ValueError("samples must be strictly ordered in arc length")
         # consecutive samples form a real boundary segment only when their
         # arc-length gap matches the geometric distance (component gaps are
-        # padded and must never be interpolated across)
+        # padded and must never be interpolated across); ``_segments`` holds
+        # the first sample of each, ``_seg_ends`` its two end points
         geo = np.hypot(*(np.diff(self.points, axis=0).T))
-        self._segments = np.abs(np.diff(self.arclength) - geo) < 1e-9
+        self._segments = np.flatnonzero(
+            np.abs(np.diff(self.arclength) - geo) < 1e-9)
+        if self._segments.size == 0:
+            raise ValueError(f"measurement has no boundary segment: none of "
+                             f"its {n} samples is followed by one on the "
+                             "same boundary component")
+        self._seg_ends = self.points[np.stack([self._segments,
+                                               self._segments + 1])]
+        self._seg_len = geo[self._segments]
 
     def __call__(self, x, y):
         """Evaluate at boundary points, vectorized over (x, y); the result
@@ -158,11 +169,8 @@ class Measurement:
         in blocks of at most ``_LOCATE_PAIRS`` point-segment pairs (at
         least one point), so memory stays linear in the sample count.
         """
-        valid = np.flatnonzero(self._segments)
-        a = self.points[:-1][valid]
-        b = self.points[1:][valid]
-        seg_len = np.hypot(*(b - a).T)
-        step = max(1, _LOCATE_PAIRS // max(1, valid.size))
+        valid, (a, b), seg_len = self._segments, self._seg_ends, self._seg_len
+        step = max(1, _LOCATE_PAIRS // valid.size)
         t = np.empty(pts.shape[0])
         for lo in range(0, pts.shape[0], step):
             block = pts[lo:lo + step]

@@ -15,9 +15,11 @@ chains from an adjacency dict, prolongation from a loop over vertices, norms and
 per-triangle and per-face formulas, state solves from unpreconditioned
 conjugate gradients and from SuperLU in its default order, the
 measurement moments from two samplings of z, the measurement lookup from
-one dense pass over all point-segment pairs, the GammaI vertex ids from a
-set of face endpoints, the trace operators and the flux lookup from the
-GammaI faces mapped to positions among those ids, and the estimator from
+one dense pass over all point-segment pairs, marking from one function
+per strategy, each with its own theta check, all-zero case and
+selection, the GammaI vertex ids from a set of face endpoints, the trace
+operators and the flux lookup from the GammaI faces mapped to positions
+among those ids, and the estimator from
 quadrature on every face with the data sampled anew.  The flux is a P1
 function, zero off GammaI, as in the library.
 The utilities (mesh angles and patches, residual functionals, the reduced
@@ -40,6 +42,7 @@ from fluxrec import driver
 from fluxrec.driver import MEASUREMENT_LEVELS, run_adaptive
 from fluxrec.estimator import ElementIndicators
 from fluxrec.export import CSV_HEADER
+from fluxrec.marking import MarkingDecision
 from fluxrec.fem import (
     GAUSS2_POINTS,
     GAUSS2_WEIGHTS,
@@ -770,7 +773,7 @@ def two_pass_measurement_moments(mesh, z):
 def dense_locate(measurement, pts, tol=1e-9):
     """Oracle for ``Measurement._locate``: every point against every real
     segment in one dense ``N_points x N_segments`` pass."""
-    valid = np.flatnonzero(measurement._segments)
+    valid = measurement._segments
     a = measurement.points[:-1][valid]
     b = measurement.points[1:][valid]
     seg_len = np.hypot(*(b - a).T)
@@ -1152,6 +1155,76 @@ def read_measurement(path) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"malformed measurement file {path}")
     return arr
+
+
+def _oracle_theta(theta, positive):
+    if not (0.0 < theta <= 1.0 if positive else 0.0 <= theta <= 1.0):
+        raise ValueError(f"theta out of range: {theta}")
+
+
+def mark_maximum(indicators, theta) -> MarkingDecision:
+    """Oracle: every element whose indicator reaches theta times the
+    maximum."""
+    _oracle_theta(theta, positive=False)
+    eta = np.sqrt(indicators.eta_sq)
+    eta_max = eta.max() if eta.size else 0.0
+    if eta_max == 0.0:
+        return MarkingDecision(np.empty(0, dtype=np.int64))
+    return MarkingDecision(np.flatnonzero(eta >= theta * eta_max))
+
+
+def mark_equidistribution(indicators, theta, tol) -> MarkingDecision:
+    """Oracle: terminate once the global estimator is at most ``tol``, else
+    every element above ``theta * tol / sqrt(N)``, capped at the maximum."""
+    _oracle_theta(theta, positive=False)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    eta = np.sqrt(indicators.eta_sq)
+    if indicators.eta <= tol:
+        return MarkingDecision(np.empty(0, dtype=np.int64), terminate=True)
+    threshold = min(theta * tol / np.sqrt(eta.size), eta.max())
+    return MarkingDecision(np.flatnonzero(eta >= threshold))
+
+
+def mark_modified_equidistribution(indicators, theta) -> MarkingDecision:
+    """Oracle: every element above theta times the equidistributed global
+    estimator, capped at the maximum."""
+    _oracle_theta(theta, positive=False)
+    eta = np.sqrt(indicators.eta_sq)
+    total = indicators.eta
+    if total == 0.0:
+        return MarkingDecision(np.empty(0, dtype=np.int64))
+    threshold = min(theta * total / np.sqrt(eta.size), eta.max())
+    return MarkingDecision(np.flatnonzero(eta >= threshold))
+
+
+def mark_doerfler(indicators, theta) -> MarkingDecision:
+    """Oracle: the shortest prefix, by decreasing indicator and then
+    ascending id, with ``eta(prefix) >= theta * eta``, extended by every
+    tie with its last value."""
+    _oracle_theta(theta, positive=True)
+    eta_sq = indicators.eta_sq
+    order = np.lexsort((np.arange(eta_sq.size), -eta_sq))
+    cumulative = np.cumsum(eta_sq[order])
+    total_sq = float(cumulative[-1]) if cumulative.size else 0.0
+    if total_sq == 0.0:
+        return MarkingDecision(np.empty(0, dtype=np.int64))
+    k = int(np.searchsorted(cumulative, theta ** 2 * total_sq))
+    k = min(k, eta_sq.size - 1)
+    return MarkingDecision(np.flatnonzero(eta_sq >= eta_sq[order[k]]))
+
+
+def oracle_mark(indicators, strategy, theta, tol=1e-3) -> MarkingDecision:
+    """The four marking oracles, dispatched by strategy name."""
+    if strategy == "maximum":
+        return mark_maximum(indicators, theta)
+    if strategy == "equidistribution":
+        return mark_equidistribution(indicators, theta, tol)
+    if strategy == "modified_equidistribution":
+        return mark_modified_equidistribution(indicators, theta)
+    if strategy == "doerfler":
+        return mark_doerfler(indicators, theta)
+    raise ValueError(f"unknown marking strategy {strategy!r}")
 
 
 def run_uniform(problem, config, measurement=None):

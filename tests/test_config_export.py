@@ -28,7 +28,7 @@ from fluxrec.mesh import (
     boundary_arclength,
     build_initial_mesh,
 )
-from fluxrec.problems import BUILTIN_NAMES, Measurement, builtin_problem
+from fluxrec.problems import BUILTIN_NAMES, builtin_problem
 
 from helpers import (
     dof_lookup_trace_values,
@@ -381,8 +381,10 @@ class TestWritersMatchFstringOracles:
 
     def test_measurement_without_samples_writes_no_line(self, tmp_path):
         """The one byte change: an empty table writes nothing, where the
-        joined form wrote one empty line."""
-        empty = Measurement(points=np.zeros((0, 2)), values=[], arclength=[])
+        joined form wrote one empty line.  A ``Measurement`` needs a
+        segment, so the empty table is given as the two columns the
+        writer reads."""
+        empty = SimpleNamespace(points=np.zeros((0, 2)), values=np.zeros(0))
         write_measurement(empty, tmp_path / "m.txt")
         assert (tmp_path / "m.txt").read_bytes() == b""
 

@@ -17,6 +17,7 @@ from fluxrec.fem import (
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
+    boundary_load,
     element_gradients,
     midpoint_samples,
     prolong,
@@ -304,6 +305,16 @@ class TestAssembleLoad:
         # int_0^1 x^2 (1 - x) dx = 1/12, int_0^1 x^2 x dx = 1/4
         assert np.isclose(F[0], 1.0 / 12.0, rtol=1e-13)
         assert np.isclose(F[1], 1.0 / 4.0, rtol=1e-13)
+
+    def test_boundary_load_of_a_tag_without_faces(self):
+        """A tag no face carries gives a zero load and a zero integral."""
+        mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                    triangles=np.array([[0, 1, 2]]),
+                    edge_tags=[[BoundaryTag.GAMMA_A] * 3])
+        F, g_sq = boundary_load(mesh, lambda x, y: np.ones_like(x),
+                                BoundaryTag.GAMMA_I)
+        assert F.tolist() == [0.0, 0.0, 0.0] and F.dtype == np.float64
+        assert g_sq == 0.0 and type(g_sq) is float
 
     def test_non_finite_data_rejected(self, refined_square):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -171,7 +171,7 @@ class TestMeasurementEvaluation:
     def test_linear_between_samples(self, smooth_measurement):
         m = smooth_measurement
         # midpoint of the first real segment
-        i = int(np.flatnonzero(m._segments)[0])
+        i = int(m._segments[0])
         mid = 0.5 * (m.points[i] + m.points[i + 1])
         expected = 0.5 * (m.values[i] + m.values[i + 1])
         assert np.isclose(m(mid[0], mid[1]), expected, rtol=1e-14)
@@ -232,7 +232,7 @@ class TestMeasurementLookup:
         vertices lie on two segments and take the first, a padded gap or
         an interior point is rejected."""
         m = lookup_measurement(*case)
-        real = np.flatnonzero(m._segments)
+        real = m._segments
         picks = data.draw(st.lists(st.tuples(
             st.integers(0, len(m.points) - 1),
             st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
@@ -240,7 +240,8 @@ class TestMeasurementLookup:
         pts = [m.points[i] + t * (m.points[i + 1] - m.points[i])
                if i in real else m.points[i] for i, t in picks]
         gaps = [0.5 * (m.points[i] + m.points[i + 1])
-                for i in np.flatnonzero(~m._segments)]
+                for i in np.setdiff1d(np.arange(len(m.points) - 1),
+                                      m._segments)]
         off = data.draw(st.sampled_from([None, (0.25, 0.25)] + gaps),
                         label="off boundary")
         if off is not None:
@@ -297,6 +298,19 @@ class TestMeasurementValidation:
         with pytest.raises(ValueError, match=f"measurement {field}"):
             Measurement(**samples)
 
+    @pytest.mark.parametrize("keep, arclength", [
+        (0, []), (1, [0.0]), (2, [0.0, 2.0])],
+        ids=["no_samples", "one_sample", "two_samples_across_a_gap"])
+    def test_rejects_samples_without_a_segment(self, keep, arclength):
+        """Fewer than two samples, or two whose arc-length gap is not
+        their distance, leave nothing to interpolate on."""
+        samples = {name: values[:keep]
+                   for name, values in line_samples().items()}
+        samples["arclength"] = np.array(arclength)
+        with pytest.raises(ValueError, match="no boundary segment: none of "
+                           f"its {keep} samples"):
+            Measurement(**samples)
+
 
 class TestInverseCrimeGuard:
     def test_guard_triggers_on_same_mesh(self, smooth_problem):
@@ -327,10 +341,10 @@ class TestMultiComponentGammaA:
     def test_measurement_has_gap(self, split_problem):
         meas = generate_measurement(split_problem, extra_levels=3)
         # left and right sides only: a padded arc-length gap in between
-        assert not meas._segments.all()
-        assert meas._segments.any()
+        gaps = np.setdiff1d(np.arange(len(meas.points) - 1), meas._segments)
+        assert gaps.size and meas._segments.size
         # exactly one gap, one arc-length unit wide
-        assert np.diff(meas.arclength)[~meas._segments].tolist() == [1.0]
+        assert np.diff(meas.arclength)[gaps].tolist() == [1.0]
 
     def test_evaluation_on_both_components(self, split_problem):
         meas = generate_measurement(split_problem, extra_levels=3)
@@ -343,7 +357,7 @@ class TestMultiComponentGammaA:
 
     def test_interpolation_stays_within_component(self, split_problem):
         meas = generate_measurement(split_problem, extra_levels=3)
-        i = int(np.flatnonzero(meas._segments)[0])
+        i = int(meas._segments[0])
         mid = 0.5 * (meas.points[i] + meas.points[i + 1])
         expected = 0.5 * (meas.values[i] + meas.values[i + 1])
         assert np.isclose(meas(mid[0], mid[1]), expected, rtol=1e-14)
