@@ -1,4 +1,8 @@
-"""Command-line entry points: run, forward, report."""
+"""Command-line entry points: run, forward, report.
+
+The argparse parser alone describes the command line: it prints ``--help``
+and a failing command's usage, and picks the ``_cmd_*`` function to run.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, build_run, parse_config
+from .config import RunConfig, build_run, parse_config
 from .driver import PartialRunError, run_adaptive
 from .export import (
     export_flux_txt,
@@ -21,33 +25,16 @@ from .problems import (
     generate_measurement,
 )
 
-SYNOPSIS = """usage: fluxrec <command> [options]
 
-commands:
-  run      --config PATH [--out DIR]      full adaptive reconstruction
-  forward  [--problem NAME] [--noise D] [--seed N] [--levels L] [--out FILE]
-                                          generate a synthetic measurement
-  report   --history PATH                 summarize a history CSV
-"""
-
-
-class UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fluxrec", add_help=True)
-    sub = parser.add_subparsers(dest="command")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fluxrec")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the adaptive pipeline")
     p_run.add_argument("--config", required=True, help="config file path")
     p_run.add_argument("--out", default=None,
                        help="output directory (overrides out_dir in config)")
+    p_run.set_defaults(run=_cmd_run)
 
     p_fwd = sub.add_parser("forward", help="generate a measurement file")
     p_fwd.add_argument("--problem", default="square_smooth")
@@ -55,9 +42,11 @@ def _build_parser() -> _Parser:
     p_fwd.add_argument("--seed", type=int, default=0)
     p_fwd.add_argument("--levels", type=int, default=MEASUREMENT_LEVELS)
     p_fwd.add_argument("--out", default="measurement.txt")
+    p_fwd.set_defaults(run=_cmd_forward)
 
     p_rep = sub.add_parser("report", help="print a summary table")
     p_rep.add_argument("--history", required=True, help="history CSV path")
+    p_rep.set_defaults(run=_cmd_report)
     return parser
 
 
@@ -115,29 +104,18 @@ def _cmd_report(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    """Dispatch a command line; returns the process exit code.
+    """Run one command line; returns the process exit code.
 
-    0 on success, 1 on usage errors (synopsis goes to stderr), 2 on runtime
-    failures.
+    0 on success and for ``--help``, 1 on a usage error (argparse prints the
+    failing command's usage to stderr), 2 on a runtime failure.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("missing command")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(SYNOPSIS, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help exits with code 0
-        return 0 if exc.code in (0, None) else 1
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 1 if exc.code else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "forward":
-            return _cmd_forward(args)
-        return _cmd_report(args)
-    except (OSError, ConfigError, ValueError, RuntimeError) as exc:
+        return args.run(args)
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ generation mesh (the inverse crime).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +54,13 @@ class LoopConfig:
         check_theta(self.theta, self.strategy)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.max_triangles < 1:
-            raise ValueError("max_triangles must be >= 1")
+        for key in ("max_iters", "max_triangles"):
+            value = getattr(self, key)
+            # a NaN cap would never fire: every comparison with it is false
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1")
 
 
 @dataclass

@@ -178,12 +178,14 @@ class _MeshOperators:
     masses ``M_i`` (on GammaI) and ``M_a`` (on GammaA), so a mesh without a
     GammaI or a GammaA face raises ``MeshError`` before any data is sampled.
     One sampling of ``f`` then gives the estimator's ``f_sq`` and
-    ``osc_f_sq`` and the load ``F``; then come ``A`` and its factor ``lu``
-    without pivoting in the nested-dissection order ``p``, and last the
-    estimator's ``gamma_a_data``, ``Z``, ``z_sq`` and the zero-flux state
-    and costate ``u0 = A^-1 F``, ``p0 = A^-1 (M_a u0 - Z)``.  ``f``, ``u_a``
-    and ``z`` are held, so their ids stay unique; of ``coeffs`` only alpha
-    and gamma, which the key fixes, are read."""
+    ``osc_f_sq`` and the load ``F``; then the GammaA samplings give the
+    estimator's ``gamma_a_data``, ``Z`` and ``z_sq``, so data that does not
+    fit the boundary raises before ``A`` is assembled.  Last come ``A`` and
+    its factor ``lu`` without pivoting in the nested-dissection order ``p``
+    and the zero-flux state and costate ``u0 = A^-1 F``,
+    ``p0 = A^-1 (M_a u0 - Z)``.  ``f``, ``u_a`` and ``z`` are held, so
+    their ids stay unique; of ``coeffs`` only alpha and gamma, which the
+    key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
@@ -204,16 +206,6 @@ class _MeshOperators:
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
         self.F = assemble_load(mesh, fv, self.u_a, self.coeffs)
         del fv
-        self.A = assemble_bilinear(mesh, self.coeffs)
-        self.p = p = _nested_dissection(mesh)
-        self.p_inv = np.empty_like(p)
-        self.p_inv[p] = np.arange(p.size)
-        _read_only(self.f_sq, self.osc_f_sq, self.F, p, self.p_inv, *(
-            getattr(m, k) for m in (self.M_i, self.M_a, self.A)
-            for k in ("data", "indices", "indptr")))
-        self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
-                            diag_pivot_thresh=0.0,
-                            options=dict(SymmetricMode=True))
         # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
         # one row per face in face order
         ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(
@@ -225,6 +217,16 @@ class _MeshOperators:
         self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
         self.Z, self.z_sq = boundary_load(mesh, self.z, BoundaryTag.GAMMA_A,
                                           "measurement z")
+        self.A = assemble_bilinear(mesh, self.coeffs)
+        self.p = p = _nested_dissection(mesh)
+        self.p_inv = np.empty_like(p)
+        self.p_inv[p] = np.arange(p.size)
+        _read_only(self.f_sq, self.osc_f_sq, self.F, p, self.p_inv, *(
+            getattr(m, k) for m in (self.M_i, self.M_a, self.A)
+            for k in ("data", "indices", "indptr")))
+        self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
+                            diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
         self.u0 = self.solve_A(self.F)
         self.p0 = self.solve_A(self.M_a @ self.u0 - self.Z)
         _read_only(self.Z, self.u0, self.p0)

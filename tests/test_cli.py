@@ -196,6 +196,28 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage" in err
 
+    @pytest.mark.parametrize("command, options", [
+        ([], ["run", "forward", "report"]),
+        (["run"], ["--config", "--out"]),
+        (["forward"], ["--problem", "--noise", "--seed", "--levels", "--out"]),
+        (["report"], ["--history"]),
+    ], ids=["top", "run", "forward", "report"])
+    def test_help(self, capsys, command, options):
+        assert cli_main(command + ["--help"]) == 0
+        out = capsys.readouterr().out
+        for option in options:
+            assert option in out
+
+    def test_usage_error_names_the_failing_command(self, capsys):
+        assert cli_main(["run"]) == 1
+        err = capsys.readouterr().err
+        assert "fluxrec run" in err
+        assert "--config" in err
+
+    def test_bad_option_value(self, capsys):
+        assert cli_main(["forward", "--seed", "x"]) == 1
+        assert "usage: fluxrec forward" in capsys.readouterr().err
+
 
 class TestBetaOverride:
     def test_beta_flows_into_the_run(self, tmp_path):

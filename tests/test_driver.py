@@ -356,6 +356,13 @@ class TestLoopConfig:
         with pytest.raises(ValueError):
             run_adaptive(builtin_problem("square_smooth"), LoopConfig(**kwargs))
 
+    @pytest.mark.parametrize("key", ["max_iters", "max_triangles"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0, "3"],
+                             ids=["nan", "inf", "float", "str"])
+    def test_non_integer_loop_limit(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            LoopConfig(**{key: value})
+
 
 class TestSolverFailure:
     def test_partial_history_attached(self, smooth_problem,

@@ -692,6 +692,33 @@ class TestOneStepBuild:
         assert sorted(build_calls) == built
 
 
+def raising_z(x, y):
+    raise ValueError("no data here")
+
+
+class TestSamplingBeforeFactor:
+    @pytest.mark.parametrize("case", ["mismatched", "raising", "nan"])
+    def test_bad_measurement_fails_before_assembly_and_factor(
+            self, mesh32, smooth_problem, builtin_data, monkeypatch, case):
+        """A measurement that does not fit GammaA raises before ``A`` is
+        assembled, ordered or factored."""
+        z, message = {
+            "mismatched": (builtin_data["lshape_spike"][1].z,
+                           "off the sampled boundary"),
+            "raising": (raising_z, "no data here"),
+            "nan": (lambda x, y: np.full(np.shape(x), np.nan),
+                    "measurement z evaluated to a non-finite value")}[case]
+
+        def never(*args, **kwargs):
+            raise AssertionError("built before the measurement was sampled")
+
+        for name in ("assemble_bilinear", "_nested_dissection"):
+            monkeypatch.setattr(solver, name, never)
+        monkeypatch.setattr(solver.spla, "splu", never)
+        with pytest.raises(ValueError, match=message):
+            DiscreteSystem(mesh32, smooth_problem.data(z=z))
+
+
 def uniform_pair(problem, gamma_i_faces=32):
     """A uniform refinement of the problem's initial mesh with
     ``gamma_i_faces`` GammaI faces, and its parent."""
