@@ -7,11 +7,14 @@ mass placed in the GammaI rows, so the ``M_i``-preconditioned residual of
 ``H q = b`` is the optimality gap ``p|GammaI - beta q`` of the stationarity
 condition ``beta M_i q = B^T p``.  The solver runs conjugate gradients on
 that gap, carrying the state along with the flux; each step costs two
-solves with the one factor of ``A``, and the costate one more at the end.
+transposed solves with the one factor of ``A``, in the factor's own vertex
+order (``A`` is symmetric bit for bit, so ``A^T x = b`` is ``A x = b``),
+and the costate one more at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,19 +176,22 @@ def _read_only(*arrays):
 
 class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
-    read-only, built whole by the constructor.  It finds ``gamma_i``, the
-    ascending GammaI vertex ids, on which the flux lives, and builds the
-    masses ``M_i`` (on GammaI) and ``M_a`` (on GammaA), so a mesh without a
-    GammaI or a GammaA face raises ``MeshError`` before any data is sampled.
+    read-only, built whole by the constructor.  It finds ``gamma_i`` and
+    ``gamma_a``, the ascending GammaI and GammaA vertex ids, and builds the
+    masses ``M_i`` (on GammaI), ``M_a`` (on GammaA) and ``M_aa``, the
+    ``gamma_a`` block of ``M_a``, so a mesh without a GammaI or a GammaA face
+    raises ``MeshError`` before any data is sampled.
     One sampling of ``f`` then gives the estimator's ``f_sq`` and
     ``osc_f_sq`` and the load ``F``; then the GammaA samplings give the
     estimator's ``gamma_a_data``, ``Z`` and ``z_sq``, so data that does not
     fit the boundary raises before ``A`` is assembled.  Last come ``A`` and
-    its factor ``lu`` without pivoting in the nested-dissection order ``p``
-    and the zero-flux state and costate ``u0 = A^-1 F``,
-    ``p0 = A^-1 (M_a u0 - Z)``.  ``f``, ``u_a`` and ``z`` are held, so
-    their ids stay unique; of ``coeffs`` only alpha and gamma, which the
-    key fixes, are read."""
+    its factor ``lu`` without pivoting in the nested-dissection order ``p``,
+    the factor positions ``gamma_i_pos`` and ``gamma_a_pos`` of the two
+    boundary parts, and the zero-flux state and costate ``u0 = A^-1 F``,
+    ``p0 = A^-1 (M_a u0 - Z)``.  Each reduced-CG step is
+    :meth:`reduced_step`, two transposed solves in the factor's order.
+    ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
+    ``coeffs`` only alpha and gamma, which the key fixes, are read."""
 
     def __init__(self, mesh: Mesh, data: ProblemData):
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
@@ -196,6 +202,9 @@ class _MeshOperators:
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
         self.M_i, self.M_a = assemble_trace_operators(mesh, ids)
+        ga_faces = mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)]
+        self.gamma_a = ga = np.unique(ga_faces)
+        self.M_aa = self.M_a[ga][:, ga]
         fv = midpoint_samples(mesh, data.f)
         # for P1 and constant alpha the state volume residual is f: the
         # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
@@ -208,8 +217,7 @@ class _MeshOperators:
         del fv
         # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
         # one row per face in face order
-        ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(
-            BoundaryTag.GAMMA_A)]]
+        ends = mesh.vertices[ga_faces]
         pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
         x, y = pts[:, :, 0], pts[:, :, 1]
         ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
@@ -219,11 +227,14 @@ class _MeshOperators:
                                           "measurement z")
         self.A = assemble_bilinear(mesh, self.coeffs)
         self.p = p = _nested_dissection(mesh)
-        self.p_inv = np.empty_like(p)
-        self.p_inv[p] = np.arange(p.size)
-        _read_only(self.f_sq, self.osc_f_sq, self.F, p, self.p_inv, *(
-            getattr(m, k) for m in (self.M_i, self.M_a, self.A)
-            for k in ("data", "indices", "indptr")))
+        self.p_inv = p_inv = np.empty_like(p)
+        p_inv[p] = np.arange(p.size)
+        self.gamma_i_pos, self.gamma_a_pos = p_inv[ids], p_inv[ga]
+        _read_only(self.f_sq, self.osc_f_sq, self.F, p, p_inv, ga,
+                   self.gamma_i_pos, self.gamma_a_pos, *(
+                       getattr(m, k)
+                       for m in (self.M_i, self.M_a, self.M_aa, self.A)
+                       for k in ("data", "indices", "indptr")))
         self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
                             diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
@@ -240,6 +251,18 @@ class _MeshOperators:
         out = np.zeros(self.mesh.n_vertices)
         out[self.gamma_i] = self.M_i @ qi
         return out
+
+    def reduced_step(self, d: np.ndarray):
+        """``(du, Kd)`` for the GammaI flux direction ``d``: the state change
+        ``du = A^-1 B d``, in factor order, and ``Kd``, the GammaI values of
+        ``A^-1 M_a du``.  Both solves are transposed, which is faster in
+        SuperLU; ``A`` is symmetric bit for bit, so they solve with ``A``."""
+        rhs = np.zeros(self.p.size)
+        rhs[self.gamma_i_pos] = self.M_i @ d
+        du = self.lu.solve(rhs, trans="T")
+        rhs[self.gamma_i_pos] = 0.0
+        rhs[self.gamma_a_pos] = self.M_aa @ du[self.gamma_a_pos]
+        return du, self.lu.solve(rhs, trans="T")[self.gamma_i_pos]
 
 
 def mesh_operators(mesh: Mesh, data: ProblemData) -> _MeshOperators:
@@ -291,6 +314,14 @@ def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x . y`` with the products summed exactly, then rounded once.  The
+    bits depend on no summation order: a BLAS ``ddot`` splits long sums
+    over its threads, and at small beta the rounding of the reduced CG's
+    inner products decides its step count."""
+    return math.fsum((x * y).tolist())
+
+
 def objective(q: FeFunction, system: DiscreteSystem,
               settings: SolverSettings, u: FeFunction) -> float:
     """Regularized misfit ``J(q)`` of the flux ``q`` and its state ``u =
@@ -300,10 +331,11 @@ def objective(q: FeFunction, system: DiscreteSystem,
     pass it positionally.
     """
     ops = system.ops
-    uv = u.values
-    misfit = float(uv @ (ops.M_a @ uv) - 2.0 * (ops.Z @ uv) + ops.z_sq)
+    ua = u.values[ops.gamma_a]
+    misfit = (_dot(ua, ops.M_aa @ ua) - 2.0 * _dot(ops.Z[ops.gamma_a], ua)
+              + ops.z_sq)
     qi = q.values[ops.gamma_i]
-    reg = float(qi @ (ops.M_i @ qi))
+    reg = _dot(qi, ops.M_i @ qi)
     return 0.5 * misfit + 0.5 * system.beta * reg
 
 
@@ -314,8 +346,9 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     Runs CG for the GammaI values ``q`` of the flux on the optimality gap
     ``p|GammaI - beta q`` in the ``M_i`` inner product, from the GammaI
     values of ``warm_start`` if given.  A step along ``d`` moves the state
-    by ``-A^-1 B d`` and the costate by ``-A^-1 M_a A^-1 B d``, two solves;
-    ``u`` and the gap are carried with ``q``, and ``p`` is solved from the
+    by ``-A^-1 B d`` and the costate by ``-A^-1 M_a A^-1 B d``, the two
+    solves of :meth:`~_MeshOperators.reduced_step`; ``u`` (in the factor's
+    order) and the gap are carried with ``q``, and ``p`` is solved from the
     final ``u``, as a carried costate's error would scale with the far
     larger zero-flux costate.  The flux is zero off GammaI.  The iteration
     stops when the ``M_i`` norm of the gap drops below ``cg_tol`` relative
@@ -330,24 +363,23 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
             raise ValueError("warm start lives on a different mesh")
         q = warm_start.values[gi]
         u = solve_state(warm_start, system)
-        u, p_i = u.values, solve_costate(u, system).values[gi]
+        u, p_i = u.values[ops.p], solve_costate(u, system).values[gi]
     else:
         q = np.zeros(gi.size)
-        u, p_i = ops.u0.copy(), ops.p0[gi]
+        u, p_i = ops.u0[ops.p], ops.p0[gi]
 
     gap = p_i - beta * q
-    rho = float(gap @ (ops.M_i @ gap))
+    rho = _dot(gap, ops.M_i @ gap)
     p0 = ops.p0[gi]
-    p0_norm = float(np.sqrt(max(p0 @ (ops.M_i @ p0), 0.0)))
+    p0_norm = float(np.sqrt(max(_dot(p0, ops.M_i @ p0), 0.0)))
     r0 = float(np.sqrt(max(rho, 0.0)))
     tol = settings.cg_tol * r0 + 100.0 * np.finfo(float).eps * p0_norm
     iterations, res, d = 0, r0, gap.copy()
     while not res <= tol and iterations < CG_MAX_ITERS:
-        du = ops.solve_A(ops.flux_load(d))
-        dp = ops.solve_A(ops.M_a @ du)
+        du, Kd = ops.reduced_step(d)
         # the gap falls by step * M_i^-1 H d
-        dgap = beta * d + dp[gi]
-        denom = float(d @ (ops.M_i @ dgap))
+        dgap = beta * d + Kd
+        denom = _dot(d, ops.M_i @ dgap)
         if not denom > 0.0:
             raise SolverError(
                 "reduced operator lost positive definiteness "
@@ -357,7 +389,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
         q += step * d
         u -= step * du
         gap -= step * dgap
-        rho_new = float(gap @ (ops.M_i @ gap))
+        rho_new = _dot(gap, ops.M_i @ gap)
         res = float(np.sqrt(max(rho_new, 0.0)))
         d = gap + (rho_new / rho) * d
         rho = rho_new
@@ -370,6 +402,6 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
 
     q_fun = FeFunction(ops.mesh, np.zeros(ops.mesh.n_vertices))
     q_fun.values[gi] = q
-    u_fun = FeFunction(ops.mesh, u)
+    u_fun = FeFunction(ops.mesh, u[ops.p_inv])
     return OptimalTriplet(u=u_fun, p=solve_costate(u_fun, system), q=q_fun,
                           iterations=iterations, residual=res)

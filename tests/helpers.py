@@ -5,9 +5,10 @@ coefficients come from solving 3x3 linear systems, integrals of polynomials
 from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve and from the former reduced CG with
 the n x m coupling ``B``, a factor of ``M_i`` and closing state and costate
-solves, the built-in initial meshes from their longest edges and side
-geometry, newest-vertex bisection from a recursive loop over Python dicts,
-the face table from two sorts, a dict of
+solves, the reduced-CG step from full-length vertex-order solves, the
+built-in initial meshes from their longest edges and side geometry,
+newest-vertex bisection from a recursive loop over Python dicts, the face
+table from two sorts, a dict of
 boundary tags and centroid-oriented normals and its sort from
 ``np.unique``, every P1 matrix as a COO sum of local matrices from
 int64 indices, the VTK file from numpy rows joined whole, the boundary
@@ -20,8 +21,9 @@ per strategy, each with its own theta check, all-zero case and
 selection, the GammaI vertex ids from a set of face endpoints, the trace
 operators and the flux lookup from the GammaI faces mapped to positions
 among those ids, and the estimator from
-quadrature on every face with the data sampled anew.  The flux is a P1
-function, zero off GammaI, as in the library.
+quadrature on every face with the data sampled anew, ``einsum`` normal
+fluxes and a row sum per triangle.  The flux is a P1 function, zero off
+GammaI, as in the library.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips, nodal
 interpolation on a mesh, zero data, the uniform-refinement run and a run
@@ -124,6 +126,19 @@ def hessian_apply(w, system, B=None) -> np.ndarray:
     du = ops.solve_A(B @ w)
     dp = ops.solve_A(ops.M_a @ du)
     return system.beta * (ops.M_i @ w) + B.T @ dp
+
+
+def vertex_order_step(d, ops):
+    """Oracle for ``_MeshOperators.reduced_step``: ``A^-1 B d`` by
+    ``flux_load``, then ``A^-1 M_a du`` from the n x n ``M_a``, each solve
+    gathering its right-hand side into the factor's order and its result
+    back, with the solves transposed.  Returns ``du`` in vertex order and
+    the GammaI values of the second solve."""
+    def solve(rhs):
+        return ops.lu.solve(rhs[ops.p], trans="T")[ops.p_inv]
+
+    du = solve(ops.flux_load(d))
+    return du, solve(ops.M_a @ du)[ops.gamma_i]
 
 
 def cg_optimality(system, settings, warm_start=None) -> OptimalTriplet:

@@ -1,13 +1,16 @@
 import copy
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-import fluxrec.driver as driver
 import fluxrec.solver as solver
 from fluxrec.cli import cli_main
 from fluxrec.estimator import estimate
@@ -46,6 +49,7 @@ from helpers import (
     residual_apply,
     trace_coupling,
     two_pass_measurement_moments,
+    vertex_order_step,
     zero,
 )
 
@@ -317,19 +321,15 @@ class TestSolveOptimality:
                                  monkeypatch, capsys):
         """A NaN in the reduced CG raises, and ``fluxrec run`` stops as a
         solver failure instead of writing a NaN objective."""
-        # the measurement's state solve also applies flux_load, so the
-        # run's measurement is generated before the patch, and only the
-        # reduced solve sees the NaN
-        measurement = generate_measurement(builtin_problem("square_jump"))
+        # only the reduced CG steps; the measurement's state solve does not
+        def nan_in_steps(ops, d):
+            return (np.full(ops.mesh.n_vertices, np.nan),
+                    np.full(d.size, np.nan))
 
-        def nan_in_steps(ops, qi):
-            return np.full(ops.mesh.n_vertices, np.nan)
-
-        monkeypatch.setattr(solver._MeshOperators, "flux_load", nan_in_steps)
+        monkeypatch.setattr(solver._MeshOperators, "reduced_step",
+                            nan_in_steps)
         with pytest.raises(SolverError, match="positive definiteness"):
             solve_optimality(smooth_system, settings)
-        monkeypatch.setattr(driver, "generate_measurement",
-                            lambda problem, extra_levels: measurement)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = square_jump\nmax_iters = 3\n")
         out = tmp_path / "out"
@@ -513,12 +513,13 @@ class TestSharedStateOperator:
         ind = estimate(solve_optimality(system, settings), data)
         assert len(mesh32.state_operators) == 1
         ops = system.ops
-        matrices = (ops.A, ops.M_i, ops.M_a)
+        matrices = (ops.A, ops.M_i, ops.M_a, ops.M_aa)
         for arr in (*(m.data for m in matrices),
                     *(m.indices for m in matrices),
                     *(m.indptr for m in matrices),
                     ops.p, ops.p_inv, ops.F, ops.Z, ops.u0, ops.p0, ops.f_sq,
                     ops.osc_f_sq, *ops.gamma_a_data, ops.gamma_i,
+                    ops.gamma_a, ops.gamma_i_pos, ops.gamma_a_pos,
                     ind.osc_f_sq):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -686,8 +687,9 @@ class TestOneStepBuild:
             ops.flux_load(np.zeros(ops.gamma_i.size))
         else:
             getattr(ops, first)
-        for name in ("F", "M_i", "M_a", "A", "p", "p_inv", "lu", "Z",
-                     "z_sq", "u0", "p0", "gamma_a_data", "gamma_i"):
+        for name in ("F", "M_i", "M_a", "M_aa", "A", "p", "p_inv", "lu",
+                     "Z", "z_sq", "u0", "p0", "gamma_a_data", "gamma_i",
+                     "gamma_a", "gamma_i_pos", "gamma_a_pos"):
             getattr(ops, name)
         assert sorted(build_calls) == built
 
@@ -847,6 +849,70 @@ class TestNestedDissection:
         lu = system.ops.lu
         ref = default_order_factor(system.ops.A)
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (ref.L.nnz + ref.U.nnz)
+
+
+class TestReducedStep:
+    """The reduced-CG step: two transposed solves in the factor's order."""
+
+    @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_state_operator_exactly_symmetric(self, builtin_data, name,
+                                              data):
+        """``A^T x = b`` is ``A x = b``, so the step may solve transposed."""
+        problem, pdata = builtin_data[name]
+        mesh = random_nvb_mesh(problem.initial_mesh(), data)
+        A = DiscreteSystem(mesh, pdata).ops.A
+        assert (A != A.T).nnz == 0
+
+    @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_matches_vertex_order_step_bitwise(self, builtin_data, name,
+                                               data):
+        problem, pdata = builtin_data[name]
+        mesh = random_nvb_mesh(problem.initial_mesh(), data)
+        ops = DiscreteSystem(mesh, pdata).ops
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        d = rng.standard_normal(ops.gamma_i.size)
+        du, Kd = ops.reduced_step(d)
+        want_du, want_Kd = vertex_order_step(d, ops)
+        assert du[ops.p_inv].tobytes() == want_du.tobytes()
+        assert Kd.tobytes() == want_Kd.tobytes()
+
+
+OBJECTIVE_SCRIPT = """
+import numpy as np
+from fluxrec import SolverSettings, bisect, builtin_problem
+from fluxrec.fem import FeFunction
+from fluxrec.solver import DiscreteSystem, objective
+problem = builtin_problem("square_jump")
+mesh = problem.initial_mesh()
+for _ in range(14):
+    mesh = bisect(mesh, np.arange(mesh.n_triangles))
+assert mesh.n_vertices > 10_000
+system = DiscreteSystem(mesh, problem.data(z=lambda x, y: np.cos(3.0 * x) + y))
+rng = np.random.default_rng(1)
+u, q = (FeFunction(mesh, rng.standard_normal(mesh.n_vertices))
+        for _ in range(2))
+print(objective(q, system, SolverSettings(), u).hex())
+"""
+
+
+def test_objective_bits_do_not_depend_on_blas_threads():
+    """OpenBLAS splits a long ``ddot`` over its threads, which changes its
+    rounding; the objective's sums must not go through it.  On this mesh
+    of 16,641 vertices and these values, full-length BLAS products give
+    different last bits under one and two threads."""
+    src = str(Path(solver.__file__).parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out.append(subprocess.run(
+            [sys.executable, "-c", OBJECTIVE_SCRIPT], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert out[0] == out[1]
 
 
 class TestMeasurementMoments:
