@@ -38,6 +38,8 @@ from .solver import (
 )
 
 REFERENCE_LEVELS = 3
+# triplets prolongated onto the reference mesh together by true_errors
+TRUE_ERROR_CHUNK = 8
 CG_SETTINGS = SolverSettings()
 
 
@@ -203,11 +205,17 @@ def true_errors(triplets, reference: OptimalTriplet) -> np.ndarray:
     """Errors of triplets against a reference triplet, one row each.
 
     The reference must live on the mesh of every triplet or on a bisection
-    descendant of it.  Each triplet's ``u``, ``p`` and ``q`` (zero off
-    GammaI) are prolongated exactly onto the reference mesh as one block
-    ``D`` of differences, so every error is an exact P1 integral: a diagonal
-    entry of ``D^T S D`` with ``S`` the reference mesh's stiffness plus mass
-    matrix for ``u`` and ``p``, or the GammaI boundary mass for ``q``.
+    descendant of it, and each triplet on the mesh of the one before it or
+    on a descendant.  The triplets' ``u``, ``p`` and ``q`` (zero off
+    GammaI) are prolongated exactly onto the reference mesh
+    ``TRUE_ERROR_CHUNK`` triplets at a time: a chunk is brought to the mesh
+    of its last triplet and stacked, then prolongated once.  The chunk's
+    block ``D`` of differences gives every error as an exact P1 integral: a
+    diagonal entry of ``D^T S D`` with ``S`` the reference mesh's stiffness
+    plus mass matrix for ``u`` and ``p``, or the GammaI boundary mass for
+    ``q``.  The block has at least three columns, and each column's
+    products are summed in row order, so every error has the bits it has
+    when its triplet is measured alone.
 
     Returns a ``(len(triplets), 3)`` array with columns
     ``(err_u, err_p, err_q)``: H1 errors of state and costate and the
@@ -222,9 +230,19 @@ def true_errors(triplets, reference: OptimalTriplet) -> np.ndarray:
     ref = np.column_stack([reference.u.values, reference.p.values,
                            reference.q.values])
     out = np.empty((len(triplets), 3))
-    for k, t in enumerate(triplets):
-        D = ref - prolong(np.column_stack([t.u.values, t.p.values,
-                                           t.q.values]), t.mesh, fine)
-        SD = np.column_stack([S @ D[:, :2], M_i @ D[:, 2]])
-        out[k] = np.sqrt(np.maximum(np.einsum("ij,ij->j", D, SD), 0.0))
+    for lo in range(0, len(triplets), TRUE_ERROR_CHUNK):
+        chunk = triplets[lo:lo + TRUE_ERROR_CHUNK]
+        last = chunk[-1].mesh
+        stacked = np.hstack([prolong(np.column_stack(
+            [t.u.values, t.p.values, t.q.values]), t.mesh, last)
+            for t in chunk])
+        # columns 3j to 3j + 2 hold the differences of triplet j
+        D = prolong(stacked, last, fine)
+        D3 = D.reshape(len(D), -1, 3)
+        np.subtract(ref[:, None, :], D3, out=D3)
+        # S D on every column; the GammaI mass products replace the q ones
+        SD = S @ D
+        SD[:, 2::3] = M_i @ D[:, 2::3]
+        out[lo:lo + len(chunk)] = np.sqrt(np.maximum(
+            np.einsum("ij,ij->j", D, SD), 0.0)).reshape(-1, 3)
     return out

@@ -7,7 +7,9 @@ symmetric positive definite.  All P1-times-P1 products are integrated
 exactly; data terms use a 3-point barycentric midpoint rule in the volume
 (exact for quadratics) and 2-point Gauss on boundary faces (exact for
 cubics).  Every P1 matrix is one value per vertex, its diagonal, and one
-per face of the face table, both of the face's off-diagonal entries.
+per face of the face table, both of the face's off-diagonal entries; the
+state operator is placed in a given vertex order, and each boundary mass
+on the vertices of its own boundary part.
 """
 
 from __future__ import annotations
@@ -67,14 +69,21 @@ def element_gradients(fun: FeFunction) -> np.ndarray:
     return np.einsum("tk,tkd->td", vals, grads)
 
 
+def _matrix(diag, a, b, off) -> sp.csr_matrix:
+    """The square matrix with ``diag`` on its diagonal and ``off[f]`` at
+    ``(a[f], b[f])`` and ``(b[f], a[f])``, exact zeros left out.  Given no
+    repeated pair, it is the same CSR in any order of the entries."""
+    v, f = np.flatnonzero(diag), np.flatnonzero(off)
+    a, b = a[f], b[f]
+    rows, cols = np.concatenate([v, a, b]), np.concatenate([v, b, a])
+    data = np.concatenate([diag[v], off[f], off[f]])
+    return sp.csr_matrix((data, (rows, cols)), shape=(diag.size,) * 2)
+
+
 def _p1_matrix(mesh: Mesh, diag, off) -> sp.csr_matrix:
     """The n x n P1 matrix with vertex values ``diag`` on its diagonal and
     face values ``off`` at both entries of each face, exact zeros left out."""
-    v, f = np.flatnonzero(diag), np.flatnonzero(off)
-    a, b = mesh.faces[f].T
-    rows, cols = np.concatenate([v, a, b]), np.concatenate([v, b, a])
-    data = np.concatenate([diag[v], off[f], off[f]])
-    return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_vertices,) * 2)
+    return _matrix(diag, *mesh.faces.T, off)
 
 
 def _stiffness(mesh: Mesh):
@@ -103,8 +112,11 @@ def _boundary_mass(mesh: Mesh, tag: BoundaryTag):
             np.bincount(ids, h * (1 / 6), mesh.n_faces))
 
 
-def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet) -> sp.csr_matrix:
-    """Assemble ``alpha * stiffness + gamma * GammaA boundary mass``.
+def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet,
+                      p_inv: np.ndarray) -> sp.csr_matrix:
+    """Assemble ``alpha * stiffness + gamma * GammaA boundary mass`` with
+    vertex ``v`` at row and column ``p_inv[v]``: the P1 matrix ``A`` as
+    ``A[p][:, p]`` for the order ``p`` that ``p_inv`` inverts.
 
     Raises if the mesh has no GammaA face, since the operator would then be
     singular on constants.
@@ -114,7 +126,9 @@ def assemble_bilinear(mesh: Mesh, coeffs: CoefficientSet) -> sp.csr_matrix:
     kd, ko = _stiffness(mesh)
     md, mo = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
     a, c = coeffs.alpha, coeffs.gamma
-    return _p1_matrix(mesh, a * kd + c * md, a * ko + c * mo)
+    diag = np.empty(mesh.n_vertices)
+    diag[p_inv] = a * kd + c * md
+    return _matrix(diag, *p_inv[mesh.faces].T, a * ko + c * mo)
 
 
 def _eval_data(fun, x, y, what):
@@ -157,50 +171,76 @@ def volume_load(mesh: Mesh, fv: np.ndarray) -> np.ndarray:
     return F
 
 
-def boundary_load(mesh: Mesh, g, tag: BoundaryTag, what="boundary data"):
+# the 2-point and then the 3-point Gauss nodes on [0, 1]
+_FACE_NODES = np.concatenate([GAUSS2_POINTS, GAUSS3_POINTS])
+
+
+def face_samples(mesh: Mesh, g, face_ids: np.ndarray, what) -> np.ndarray:
+    """Boundary data ``g`` on the faces ``face_ids``, shape ``(k, 5)``.
+
+    Columns 0-1 are the 2-point Gauss nodes of a face, which
+    :func:`boundary_load` reads, and columns 2-4 its 3-point Gauss nodes.
+    """
+    ends = mesh.vertices[mesh.faces[face_ids]]
+    pts = ends[:, :1] + _FACE_NODES[:, None] * (ends[:, 1:] - ends[:, :1])
+    return _eval_data(g, pts[:, :, 0], pts[:, :, 1], what)
+
+
+def boundary_load(mesh: Mesh, gv: np.ndarray, tag: BoundaryTag):
     """Load vector ``int g phi_i`` of a boundary density over the tagged
-    faces and ``int g^2``, both by 2-point Gauss from one sampling of ``g``.
+    faces and ``int g^2``, both by 2-point Gauss from the samples ``gv`` of
+    ``g``, one row per tagged face and one column per 2-point node (the
+    first two columns of :func:`face_samples`).
     """
     F = np.zeros(mesh.n_vertices)
     g_sq = 0.0
     face_ids = mesh.faces_with_tag(tag)
     faces = mesh.faces[face_ids]
-    pa = mesh.vertices[faces[:, 0]]
-    pb = mesh.vertices[faces[:, 1]]
     lens = mesh.face_lengths[face_ids]
-    for t, w in zip(GAUSS2_POINTS, GAUSS2_WEIGHTS):
-        x = pa + t * (pb - pa)
+    for k, (t, w) in enumerate(zip(GAUSS2_POINTS, GAUSS2_WEIGHTS)):
         wl = w * lens
-        gv = _eval_data(g, x[:, 0], x[:, 1], what)
-        np.add.at(F, faces[:, 0], wl * gv * (1.0 - t))
-        np.add.at(F, faces[:, 1], wl * gv * t)
-        g_sq += float((wl * gv ** 2).sum())
+        g = gv[:, k]
+        np.add.at(F, faces[:, 0], wl * g * (1.0 - t))
+        np.add.at(F, faces[:, 1], wl * g * t)
+        g_sq += float((wl * g ** 2).sum())
     return F, g_sq
 
 
-def assemble_load(mesh: Mesh, fv: np.ndarray, u_a,
+def assemble_load(mesh: Mesh, fv: np.ndarray, uav: np.ndarray,
                   coeffs: CoefficientSet) -> np.ndarray:
     """Right-hand side ``F_i = (f, phi_i) + (gamma u_a, phi_i)_{Gamma_a}``,
-    the source given by its :func:`midpoint_samples` ``fv``."""
+    the source given by its :func:`midpoint_samples` ``fv`` and the ambient
+    temperature by its samples ``uav`` at the 2-point Gauss nodes of the
+    GammaA faces."""
     F = volume_load(mesh, fv)
-    F += coeffs.gamma * boundary_load(mesh, u_a, BoundaryTag.GAMMA_A,
-                                      "ambient temperature u_a")[0]
+    F += coeffs.gamma * boundary_load(mesh, uav, BoundaryTag.GAMMA_A)[0]
     return F
 
 
-def assemble_trace_operators(mesh: Mesh, ids: np.ndarray):
+def _boundary_block(mesh: Mesh, tag: BoundaryTag, ids: np.ndarray):
+    """Mass over the tagged faces on the ascending vertex ids ``ids``, which
+    hold every vertex of those faces: row and column ``j`` are ``ids[j]``."""
+    face_ids = mesh.faces_with_tag(tag)
+    h = mesh.face_lengths[face_ids]
+    pos = np.searchsorted(ids, mesh.faces[face_ids])
+    diag = np.bincount(pos.ravel(), np.repeat(h * (1 / 3), 2), ids.size)
+    return _matrix(diag, *pos.T, h * (1 / 6))
+
+
+def assemble_trace_operators(mesh: Mesh, gamma_i: np.ndarray,
+                             gamma_a: np.ndarray):
     """GammaI mass and GammaA mass on ``mesh``.
 
-    ``ids`` are the GammaI vertex ids, ascending.  Returns ``(M_i, M_a)``
-    where ``M_i`` is the m x m GammaI mass matrix on them, the ``ids`` rows
-    and columns of the GammaI face mass, and ``M_a`` the n x n GammaA
-    boundary mass.
+    ``gamma_i`` and ``gamma_a`` are the GammaI and GammaA vertex ids,
+    ascending.  Returns ``(M_i, M_aa)``, the mass of each boundary part on
+    its own vertices, built from its faces with their vertices mapped to
+    positions among the ids: the ``gamma_i`` rows and columns of the n x n
+    GammaI face mass, and the ``gamma_a`` ones of the GammaA face mass.
     """
-    if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
+    if gamma_a.size == 0:
         raise MeshError("mesh has no GammaA face")
-    M_i = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))
-    M_a = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_A))
-    return M_i[:, ids][ids], M_a
+    return (_boundary_block(mesh, BoundaryTag.GAMMA_I, gamma_i),
+            _boundary_block(mesh, BoundaryTag.GAMMA_A, gamma_a))
 
 
 def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:

@@ -21,14 +21,13 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import (
-    GAUSS3_POINTS,
     CoefficientSet,
     FeFunction,
-    _eval_data,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
     boundary_load,
+    face_samples,
     midpoint_samples,
 )
 from .mesh import BoundaryTag, Mesh, MeshError
@@ -178,17 +177,19 @@ class _MeshOperators:
     """Everything of the optimality system on one mesh but beta, all arrays
     read-only, built whole by the constructor.  It finds ``gamma_i`` and
     ``gamma_a``, the ascending GammaI and GammaA vertex ids, and builds the
-    masses ``M_i`` (on GammaI), ``M_a`` (on GammaA) and ``M_aa``, the
-    ``gamma_a`` block of ``M_a``, so a mesh without a GammaI or a GammaA face
-    raises ``MeshError`` before any data is sampled.
-    One sampling of ``f`` then gives the estimator's ``f_sq`` and
-    ``osc_f_sq`` and the load ``F``; then the GammaA samplings give the
-    estimator's ``gamma_a_data``, ``Z`` and ``z_sq``, so data that does not
-    fit the boundary raises before ``A`` is assembled.  Last come ``A`` and
-    its factor ``lu`` without pivoting in the nested-dissection order ``p``,
-    the factor positions ``gamma_i_pos`` and ``gamma_a_pos`` of the two
-    boundary parts, and the zero-flux state and costate ``u0 = A^-1 F``,
-    ``p0 = A^-1 (M_a u0 - Z)``.  Each reduced-CG step is
+    masses ``M_i`` and ``M_aa`` of GammaI and GammaA on them, so a mesh
+    without a GammaI or a GammaA face raises ``MeshError`` before any data
+    is sampled.  One sampling of ``f`` then gives the estimator's ``f_sq``
+    and ``osc_f_sq`` and the load ``F``; one sampling each of ``u_a`` and
+    ``z`` at the 2-point and 3-point Gauss nodes of the GammaA faces gives
+    ``F`` its boundary term, ``Z`` and ``z_sq``, and the estimator's
+    ``gamma_a_data``, so data that does not fit the boundary raises before
+    ``A`` is ordered or assembled.  Last come the nested-dissection order
+    ``p``, the factor positions ``gamma_i_pos`` and ``gamma_a_pos`` of the
+    two boundary parts, ``A`` assembled in that order and its factor ``lu``
+    without pivoting, and the zero-flux state and costate ``u0 = A^-1 F``,
+    ``p0 = A^-1 (M_a u0 - Z)``, where ``M_a`` is ``M_aa`` placed in the
+    ``gamma_a`` rows and columns.  Each reduced-CG step is
     :meth:`reduced_step`, two transposed solves in the factor's order.
     ``f``, ``u_a`` and ``z`` are held, so their ids stay unique; of
     ``coeffs`` only alpha and gamma, which the key fixes, are read."""
@@ -197,14 +198,13 @@ class _MeshOperators:
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
         if ids.size == 0:
             raise MeshError("mesh has no GammaI face")
-        self.gamma_i, = _read_only(ids)
+        ga_faces = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
+        ga = np.unique(mesh.faces[ga_faces])
+        self.gamma_i, self.gamma_a = _read_only(ids, ga)
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
         self.coeffs = data.coeffs
-        self.M_i, self.M_a = assemble_trace_operators(mesh, ids)
-        ga_faces = mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)]
-        self.gamma_a = ga = np.unique(ga_faces)
-        self.M_aa = self.M_a[ga][:, ga]
+        self.M_i, self.M_aa = assemble_trace_operators(mesh, ids, ga)
         fv = midpoint_samples(mesh, data.f)
         # for P1 and constant alpha the state volume residual is f: the
         # estimator's h_T^2 ||f||^2 and h_T^2 ||f - mean f||^2, h_T^2 = area
@@ -213,37 +213,45 @@ class _MeshOperators:
         self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
-        self.F = assemble_load(mesh, fv, self.u_a, self.coeffs)
+        ua = face_samples(mesh, self.u_a, ga_faces, "ambient temperature u_a")
+        self.F = assemble_load(mesh, fv, ua[:, :2], self.coeffs)
         del fv
+        zv = face_samples(mesh, self.z, ga_faces, "measurement z")
+        self.Z, self.z_sq = boundary_load(mesh, zv[:, :2],
+                                          BoundaryTag.GAMMA_A)
         # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
         # one row per face in face order
-        ends = mesh.vertices[ga_faces]
-        pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
-        x, y = pts[:, :, 0], pts[:, :, 1]
-        ua = _eval_data(self.u_a, x, y, "ambient temperature u_a")
-        zv = _eval_data(self.z, x, y, "measurement z")
-        self.gamma_a_data = _read_only(self.coeffs.gamma * ua, zv)
-        self.Z, self.z_sq = boundary_load(mesh, self.z, BoundaryTag.GAMMA_A,
-                                          "measurement z")
-        self.A = assemble_bilinear(mesh, self.coeffs)
+        self.gamma_a_data = _read_only(self.coeffs.gamma * ua[:, 2:],
+                                       zv[:, 2:])
         self.p = p = _nested_dissection(mesh)
         self.p_inv = p_inv = np.empty_like(p)
         p_inv[p] = np.arange(p.size)
         self.gamma_i_pos, self.gamma_a_pos = p_inv[ids], p_inv[ga]
-        _read_only(self.f_sq, self.osc_f_sq, self.F, p, p_inv, ga,
+        _read_only(self.f_sq, self.osc_f_sq, self.F, p, p_inv,
                    self.gamma_i_pos, self.gamma_a_pos, *(
-                       getattr(m, k)
-                       for m in (self.M_i, self.M_a, self.M_aa, self.A)
+                       getattr(m, k) for m in (self.M_i, self.M_aa)
                        for k in ("data", "indices", "indptr")))
-        self.lu = spla.splu(self.A[p][:, p].tocsc(), permc_spec="NATURAL",
-                            diag_pivot_thresh=0.0,
-                            options=dict(SymmetricMode=True))
+        # a CSC copy, not the CSR's transposed view: the CSR is freed before
+        # the factor runs, and SuperLU's work arrays take its memory (with
+        # the view, the sweep's peak RSS rose 4-5 MB at less live data)
+        self.lu = spla.splu(
+            assemble_bilinear(mesh, self.coeffs, p_inv).tocsc(),
+            permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True))
         self.u0 = self.solve_A(self.F)
-        self.p0 = self.solve_A(self.M_a @ self.u0 - self.Z)
+        self.p0 = self.solve_A(self.misfit_load(self.u0))
         _read_only(self.Z, self.u0, self.p0)
 
     def solve_A(self, rhs: np.ndarray) -> np.ndarray:
         return self.lu.solve(rhs[self.p])[self.p_inv]
+
+    def misfit_load(self, u: np.ndarray) -> np.ndarray:
+        """``M_a u - Z`` for the vertex values ``u``: ``M_aa u[gamma_a]`` in
+        the ``gamma_a`` rows and zero elsewhere, less ``Z``."""
+        out = np.zeros(self.mesh.n_vertices)
+        out[self.gamma_a] = self.M_aa @ u[self.gamma_a]
+        out -= self.Z
+        return out
 
     def flux_load(self, qi: np.ndarray) -> np.ndarray:
         """``B qi``: ``M_i qi`` in the ``gamma_i`` rows, zero elsewhere; its
@@ -311,7 +319,7 @@ def solve_state(q: FeFunction, system: DiscreteSystem) -> FeFunction:
 def solve_costate(u: FeFunction, system: DiscreteSystem) -> FeFunction:
     """Adjoint solve ``A p = M_a u - Z`` driven by the data misfit."""
     ops = system.ops
-    return FeFunction(ops.mesh, ops.solve_A(ops.M_a @ u.values - ops.Z))
+    return FeFunction(ops.mesh, ops.solve_A(ops.misfit_load(u.values)))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -6,9 +6,12 @@ from the exact monomial formula on the reference triangle, the optimality
 system from one dense monolithic solve and from the former reduced CG with
 the n x m coupling ``B``, a factor of ``M_i`` and closing state and costate
 solves, the reduced-CG step from full-length vertex-order solves, the
-built-in initial meshes from their longest edges and side geometry,
-newest-vertex bisection from a recursive loop over Python dicts, the face
-table from two sorts, a dict of
+state operator, the factor's input and both boundary masses from the
+former n x n vertex-order builds, the estimator's GammaA data from a
+3-point sampling of its own, the true errors from one prolongation per
+triplet, the built-in initial meshes from their longest edges and side
+geometry, newest-vertex bisection from a recursive loop over Python dicts,
+the face table from two sorts, a dict of
 boundary tags and centroid-oriented normals and its sort from
 ``np.unique``, every P1 matrix as a COO sum of local matrices from
 int64 indices, the VTK file from numpy rows joined whole, the boundary
@@ -53,7 +56,9 @@ from fluxrec.fem import (
     FeFunction,
     _boundary_mass,
     _eval_data,
+    _mass,
     _p1_matrix,
+    _stiffness,
     element_gradients,
     midpoint_samples,
     prolong,
@@ -90,8 +95,7 @@ def dense_optimality(system):
     Returns the nodal arrays ``(u, p, q)``, ``q`` zero off GammaI.
     """
     ops = system.ops
-    A = ops.A.toarray()
-    Ma = ops.M_a.toarray()
+    A, Ma = (m.toarray() for m in vertex_order_operators(ops))
     Mi = ops.M_i.toarray()
     B = trace_coupling(ops.mesh, ops.gamma_i).toarray()
     n = A.shape[0]
@@ -110,6 +114,65 @@ def dense_optimality(system):
     return sol[:n], sol[n:2 * n], q
 
 
+def vertex_order_bilinear(mesh, coeffs) -> sp.csr_matrix:
+    """Oracle for :func:`fluxrec.fem.assemble_bilinear`: the former build
+    of ``alpha * stiffness + gamma * GammaA boundary mass`` in vertex order,
+    the n x n P1 matrix of its vertex and face values."""
+    kd, ko = _stiffness(mesh)
+    md, mo = _boundary_mass(mesh, BoundaryTag.GAMMA_A)
+    a, c = coeffs.alpha, coeffs.gamma
+    return _p1_matrix(mesh, a * kd + c * md, a * ko + c * mo)
+
+
+def permuted_factor_input(mesh, coeffs, p) -> sp.csc_matrix:
+    """Oracle for the matrix the state factor gets: the former vertex-order
+    ``A`` permuted by the order ``p`` after its assembly, in CSC."""
+    return vertex_order_bilinear(mesh, coeffs)[p][:, p].tocsc()
+
+
+def nn_trace_operators(mesh, ids):
+    """Oracle for :func:`fluxrec.fem.assemble_trace_operators`: the former
+    build of both boundary masses as n x n P1 matrices.  Returns ``(M_i,
+    M_a)``: the ``ids`` rows and columns of the GammaI face mass, and the
+    n x n GammaA face mass, whose ``gamma_a`` block is ``M_aa``."""
+    if mesh.faces_with_tag(BoundaryTag.GAMMA_A).size == 0:
+        raise MeshError("mesh has no GammaA face")
+    M_i = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))
+    M_a = _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_A))
+    return M_i[:, ids][ids], M_a
+
+
+def vertex_order_operators(ops):
+    """The state operator ``A`` and the n x n GammaA mass ``M_a`` of the
+    solver operators ``ops`` in vertex order, from the former builds."""
+    return (vertex_order_bilinear(ops.mesh, ops.coeffs),
+            nn_trace_operators(ops.mesh, ops.gamma_i)[1])
+
+
+def gauss3_gamma_a_data(mesh, data):
+    """Oracle for ``_MeshOperators.gamma_a_data``: ``gamma u_a`` and ``z``
+    sampled on their own at the 3-point Gauss nodes of the GammaA faces,
+    as the former build did apart from the 2-point loads."""
+    ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)]]
+    pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    return (data.coeffs.gamma * _eval_data(data.u_a, x, y, "u_a"),
+            _eval_data(data.z, x, y, "measurement z"))
+
+
+def assert_same_csr(got, want, rtol=0.0):
+    """The CSR arrays are equal in dtype and bytes; with ``rtol``, the data
+    only to within that relative tolerance."""
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype, name
+        if name == "data" and rtol:
+            np.testing.assert_allclose(x, y, rtol=rtol, atol=0.0)
+        else:
+            assert x.tobytes() == y.tobytes(), name
+
+
 def trace_coupling(mesh, ids) -> sp.csr_matrix:
     """Oracle for ``_MeshOperators.flux_load`` and its transpose: the former
     n x m coupling ``B``, ``B[i, j] = int_{GammaI} phi_ids[j] phi_i``, built
@@ -117,28 +180,32 @@ def trace_coupling(mesh, ids) -> sp.csr_matrix:
     return _p1_matrix(mesh, *_boundary_mass(mesh, BoundaryTag.GAMMA_I))[:, ids]
 
 
-def hessian_apply(w, system, B=None) -> np.ndarray:
+def hessian_apply(w, system, B=None, M_a=None) -> np.ndarray:
     """Oracle for the reduced operator ``H = beta M_i + B^T A^-1 M_a A^-1 B``
-    with the n x m ``B`` of :func:`trace_coupling`."""
+    with the n x m ``B`` of :func:`trace_coupling` and the n x n ``M_a`` of
+    :func:`nn_trace_operators`."""
     ops = system.ops
     if B is None:
         B = trace_coupling(ops.mesh, ops.gamma_i)
+    if M_a is None:
+        M_a = nn_trace_operators(ops.mesh, ops.gamma_i)[1]
     du = ops.solve_A(B @ w)
-    dp = ops.solve_A(ops.M_a @ du)
+    dp = ops.solve_A(M_a @ du)
     return system.beta * (ops.M_i @ w) + B.T @ dp
 
 
 def vertex_order_step(d, ops):
     """Oracle for ``_MeshOperators.reduced_step``: ``A^-1 B d`` by
-    ``flux_load``, then ``A^-1 M_a du`` from the n x n ``M_a``, each solve
-    gathering its right-hand side into the factor's order and its result
-    back, with the solves transposed.  Returns ``du`` in vertex order and
-    the GammaI values of the second solve."""
+    ``flux_load``, then ``A^-1 M_a du`` from the former n x n ``M_a``, each
+    solve gathering its right-hand side into the factor's order and its
+    result back, with the solves transposed.  Returns ``du`` in vertex order
+    and the GammaI values of the second solve."""
     def solve(rhs):
         return ops.lu.solve(rhs[ops.p], trans="T")[ops.p_inv]
 
+    M_a = nn_trace_operators(ops.mesh, ops.gamma_i)[1]
     du = solve(ops.flux_load(d))
-    return du, solve(ops.M_a @ du)[ops.gamma_i]
+    return du, solve(M_a @ du)[ops.gamma_i]
 
 
 def cg_optimality(system, settings, warm_start=None) -> OptimalTriplet:
@@ -148,11 +215,12 @@ def cg_optimality(system, settings, warm_start=None) -> OptimalTriplet:
     and costate solves on the converged flux."""
     ops = system.ops
     B = trace_coupling(ops.mesh, ops.gamma_i)
+    M_a = nn_trace_operators(ops.mesh, ops.gamma_i)[1]
     solve_Mi = spla.splu(ops.M_i.tocsc()).solve
-    b = B.T @ ops.solve_A(ops.M_a @ ops.solve_A(ops.F) - ops.Z)
+    b = B.T @ ops.solve_A(M_a @ ops.solve_A(ops.F) - ops.Z)
     if warm_start is not None:
         q = warm_start.values[ops.gamma_i]
-        r = b - hessian_apply(q, system, B)
+        r = b - hessian_apply(q, system, B, M_a)
     else:
         q = np.zeros(ops.gamma_i.size)
         r = b.copy()
@@ -163,7 +231,7 @@ def cg_optimality(system, settings, warm_start=None) -> OptimalTriplet:
     tol = settings.cg_tol * r0 + 100.0 * np.finfo(float).eps * b_norm
     iterations, res, d = 0, r0, z.copy()
     while not res <= tol and iterations < CG_MAX_ITERS:
-        Hd = hessian_apply(d, system, B)
+        Hd = hessian_apply(d, system, B, M_a)
         step = rho / float(d @ Hd)
         q += step * d
         r -= step * Hd
@@ -600,6 +668,13 @@ def gamma_i_vertices(mesh) -> np.ndarray:
     return np.array(sorted(ends), dtype=np.int64)
 
 
+def gamma_a_vertices(mesh) -> np.ndarray:
+    """Ascending ids of the endpoints of the GammaA faces, from a set."""
+    ends = {int(v) for f in mesh.faces_with_tag(BoundaryTag.GAMMA_A)
+            for v in mesh.faces[f]}
+    return np.array(sorted(ends), dtype=np.int64)
+
+
 def gamma_i_flux(mesh, values=0.0) -> FeFunction:
     """The P1 flux on ``mesh`` with GammaI values ``values``, zero off
     GammaI."""
@@ -664,6 +739,24 @@ def three_transfer_true_errors(triplet, reference):
                              - loop_transfer(getattr(triplet, k).values, fine))
                   for k in "upq"]
     return h1_norm(du), h1_norm(dp), boundary_l2(dq, BoundaryTag.GAMMA_I)
+
+
+def loop_true_errors(triplets, reference) -> np.ndarray:
+    """Oracle for :func:`fluxrec.driver.true_errors`: the former loop that
+    prolongates each triplet onto the reference mesh on its own."""
+    fine = reference.mesh
+    (kd, ko), (md, mo) = _stiffness(fine), _mass(fine)
+    S = _p1_matrix(fine, kd + md, ko + mo)
+    M_i = _p1_matrix(fine, *_boundary_mass(fine, BoundaryTag.GAMMA_I))
+    ref = np.column_stack([reference.u.values, reference.p.values,
+                           reference.q.values])
+    out = np.empty((len(triplets), 3))
+    for k, t in enumerate(triplets):
+        D = ref - prolong(np.column_stack([t.u.values, t.p.values,
+                                           t.q.values]), t.mesh, fine)
+        SD = np.column_stack([S @ D[:, :2], M_i @ D[:, 2]])
+        out[k] = np.sqrt(np.maximum(np.einsum("ij,ij->j", D, SD), 0.0))
+    return out
 
 
 def face_loop_boundary_operators(mesh):
@@ -759,9 +852,9 @@ def default_order_factor(A):
 
 
 def two_pass_measurement_moments(mesh, z):
-    """Oracle for ``DiscreteSystem.Z`` and ``z_sq``: ``z`` is sampled at the
-    GammaA 2-point Gauss nodes once for the load vector and once more for
-    ``int z^2``."""
+    """Oracle for ``DiscreteSystem.Z`` and ``z_sq``, and with ``u_a`` for the
+    boundary term of ``F``: ``z`` is sampled at the GammaA 2-point Gauss
+    nodes once for the load vector and once more for ``int z^2``."""
     face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
     faces = mesh.faces[face_ids]
     pa = mesh.vertices[faces[:, 0]]
@@ -1139,9 +1232,10 @@ def residual_apply(triplet, test: FeFunction, which: str, system) -> float:
         u, p, q = prolong(np.column_stack([u, p, q]), triplet.mesh,
                           test.mesh).T
     t = test.values
+    A, M_a = vertex_order_operators(ops)
     if which == "state":
-        return float(t @ (ops.F - ops.flux_load(q[ops.gamma_i]) - ops.A @ u))
-    return float(t @ (ops.M_a @ u - ops.Z - ops.A @ p))
+        return float(t @ (ops.F - ops.flux_load(q[ops.gamma_i]) - A @ u))
+    return float(t @ (M_a @ u - ops.Z - A @ p))
 
 
 def format_config(cfg) -> str:

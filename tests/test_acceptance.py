@@ -28,6 +28,7 @@ from helpers import (
     gamma_i_flux,
     reduced_gradient,
     run_marked,
+    vertex_order_operators,
 )
 
 
@@ -150,12 +151,13 @@ def test_criterion_2_galerkin_orthogonality(smooth_run, solver_settings):
                                 smooth_run.problem.data(
                                     z=smooth_run.measurement))
         q = triplet.q.values[system.ops.gamma_i]
+        A, M_a = vertex_order_operators(system.ops)
         r_state = system.ops.F - system.ops.flux_load(q) \
-            - system.ops.A @ triplet.u.values
-        r_costate = system.ops.M_a @ triplet.u.values - system.ops.Z \
-            - system.ops.A @ triplet.p.values
+            - A @ triplet.u.values
+        r_costate = M_a @ triplet.u.values - system.ops.Z \
+            - A @ triplet.p.values
         scale = (np.abs(system.ops.F).max()
-                 + np.abs(system.ops.A @ triplet.u.values).max())
+                 + np.abs(A @ triplet.u.values).max())
         bound = 10 * solver_settings.cg_tol * scale
         worst = max(worst, np.abs(r_state).max() / bound,
                     np.abs(r_costate).max() / bound)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fluxrec.driver as driver
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.fem import FeFunction, prolong
+from fluxrec.mesh import bisect
 from fluxrec.problems import builtin_problem, generate_measurement
 from fluxrec.solver import OptimalTriplet, SolverSettings
 
@@ -18,11 +19,20 @@ from helpers import (
     gamma_i_flux,
     gamma_i_vertices,
     loop_transfer,
+    loop_true_errors,
     nvb_chain,
     run_marked,
     run_uniform,
     three_transfer_true_errors,
 )
+
+
+def random_triplet(mesh, rng):
+    """Random ``u`` and ``p`` on ``mesh``, and a random flux on GammaI."""
+    return OptimalTriplet(
+        FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
+        FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
+        gamma_i_flux(mesh, rng.standard_normal(gamma_i_vertices(mesh).size)))
 
 
 class TestRunAdaptive:
@@ -305,19 +315,33 @@ class TestTrueErrors:
         chain = nvb_chain(domain, data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                               label="seed"))
-
-        def random_triplet(mesh):
-            return OptimalTriplet(
-                FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
-                FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
-                gamma_i_flux(mesh, rng.standard_normal(
-                    gamma_i_vertices(mesh).size)))
-
-        triplets = [random_triplet(mesh) for mesh in chain]
-        reference = random_triplet(chain[-1])
+        triplets = [random_triplet(mesh, rng) for mesh in chain]
+        reference = random_triplet(chain[-1], rng)
         errors = true_errors(triplets, reference)
         oracle = [three_transfer_true_errors(t, reference) for t in triplets]
         assert np.allclose(errors, oracle, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
+    def test_chunks_match_loop_bitwise(self, count):
+        """Triplets on a chain of meshes, every third one on the mesh of the
+        one before, against the former loop that prolongates each triplet
+        on its own; the counts cover every edge of the chunks."""
+        rng = np.random.default_rng(count)
+        mesh = builtin_problem("lshape_spike").initial_mesh()
+        meshes = []
+        for k in range(count):
+            if k % 3 != 2:
+                mesh = bisect(mesh, rng.choice(
+                    mesh.n_triangles, mesh.n_triangles // 3 + 1,
+                    replace=False))
+            meshes.append(mesh)
+        fine = bisect(mesh, np.arange(mesh.n_triangles))
+        triplets = [random_triplet(m, rng) for m in meshes]
+        reference = random_triplet(fine, rng)
+        errors = true_errors(triplets, reference)
+        assert errors.shape == (count, 3)
+        assert errors.tobytes() == \
+            loop_true_errors(triplets, reference).tobytes()
 
     def test_reference_levels(self, smooth_history):
         ref = smooth_history.reference

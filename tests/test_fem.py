@@ -19,6 +19,7 @@ from fluxrec.fem import (
     assemble_trace_operators,
     boundary_load,
     element_gradients,
+    face_samples,
     midpoint_samples,
     prolong,
     volume_load,
@@ -28,9 +29,11 @@ from fluxrec.problems import builtin_problem, generate_measurement
 from fluxrec.solver import DiscreteSystem, OptimalTriplet, ProblemData
 
 from helpers import (
+    assert_same_csr,
     boundary_l2,
     dof_map_trace_operators,
     face_loop_boundary_operators,
+    gamma_a_vertices,
     gamma_i_flux,
     gamma_i_vertices,
     graded_mesh,
@@ -60,6 +63,23 @@ def reference_triangle_mesh():
 
 
 COEFFS = CoefficientSet(alpha=1.0, gamma=1.0, beta=1e-3)
+
+
+def vertex_order_A(mesh):
+    """``A`` assembled in vertex order."""
+    return assemble_bilinear(mesh, COEFFS, np.arange(mesh.n_vertices))
+
+
+def trace_operators(mesh):
+    """``(M_i, M_aa)`` on the GammaI and GammaA vertex ids."""
+    return assemble_trace_operators(mesh, gamma_i_vertices(mesh),
+                                    gamma_a_vertices(mesh))
+
+
+def gamma_a_samples(mesh, g):
+    """``g`` at the 2-point Gauss nodes of the GammaA faces."""
+    faces = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
+    return face_samples(mesh, g, faces, "u_a")[:, :2]
 
 
 class TestAssembleBilinear:
@@ -92,7 +112,7 @@ class TestAssembleBilinear:
     def test_symmetry_and_positive_definiteness(self, domain):
         mesh = build_initial_mesh(domain, "bottom")
         mesh = bisect(mesh, np.arange(mesh.n_triangles))
-        A = assemble_bilinear(mesh, COEFFS)
+        A = vertex_order_A(mesh)
         asym = np.abs((A - A.T).toarray()).max()
         assert asym <= 1e-12 * np.abs(A.toarray()).max()
         # smallest eigenvalue via inverse power iteration
@@ -112,7 +132,7 @@ class TestAssembleBilinear:
             edge_tags=[[BoundaryTag.GAMMA_I] * 3],
         )
         with pytest.raises(MeshError, match="no GammaA"):
-            assemble_bilinear(mesh, COEFFS)
+            vertex_order_A(mesh)
 
     def test_galerkin_consistency(self, refined_square):
         """V^T (alpha K) V equals the exact integral of alpha |grad v|^2."""
@@ -127,8 +147,8 @@ class TestAssembleBilinear:
         assert np.isclose(quad_form, exact, rtol=1e-12)
 
     def test_deterministic_assembly(self, refined_square):
-        A1 = assemble_bilinear(refined_square, COEFFS)
-        A2 = assemble_bilinear(refined_square, COEFFS)
+        A1 = vertex_order_A(refined_square)
+        A2 = vertex_order_A(refined_square)
         assert np.array_equal(A1.toarray(), A2.toarray())
 
     def test_accumulation_order_invariance(self, refined_square):
@@ -138,8 +158,8 @@ class TestAssembleBilinear:
         perm = rng.permutation(mesh.n_triangles)
         shuffled = Mesh(mesh.vertices.copy(), mesh.triangles[perm].copy(),
                         mesh.face_tags[mesh.tri_faces][perm])
-        A = assemble_bilinear(mesh, COEFFS).toarray()
-        B = assemble_bilinear(shuffled, COEFFS).toarray()
+        A = vertex_order_A(mesh).toarray()
+        B = vertex_order_A(shuffled).toarray()
         assert np.abs(A - B).max() <= 1e-13 * np.abs(A).max()
         f = lambda x, y: 1.0 + x * y
         Fa = volume_load(mesh, midpoint_samples(mesh, f))
@@ -147,33 +167,20 @@ class TestAssembleBilinear:
         assert np.abs(Fa - Fb).max() <= 1e-13 * np.abs(Fa).max()
 
 
-def assert_same_csr(got, want, rtol=0.0):
-    """The CSR arrays are equal in dtype and bytes; with ``rtol``, the data
-    only to within that relative tolerance."""
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        x, y = getattr(got, name), getattr(want, name)
-        assert x.dtype == y.dtype, name
-        if name == "data" and rtol:
-            np.testing.assert_allclose(x, y, rtol=rtol, atol=0.0)
-        else:
-            assert x.tobytes() == y.tobytes(), name
-
-
 class TestP1Matrices:
     """Every P1 matrix against the former COO sum of local matrices."""
 
     @staticmethod
     def check(mesh, rtol=0.0):
-        """``A``, ``M_i``, ``M_a``, the ``S`` and GammaI mass of
-        :func:`true_errors` and the coupling ``B`` that ``flux_load``
-        applies equal the oracle's in bytes and dtypes (their data to
-        ``rtol``), in canonical format with int32 indices and no stored
-        zero."""
+        """``A`` in vertex order, ``M_i``, ``M_aa``, the ``S`` and GammaI
+        mass of :func:`true_errors` and the coupling ``B`` that
+        ``flux_load`` applies equal the oracle's in bytes and dtypes (their
+        data to ``rtol``), in canonical format with int32 indices and no
+        stored zero; ``M_aa`` is the oracle's GammaA block of ``M_a``."""
         ids = gamma_i_vertices(mesh)
-        got = dict(A=assemble_bilinear(mesh, COEFFS),
-                   **dict(zip(("M_i", "M_a"), assemble_trace_operators(
-                       mesh, ids))), B=trace_coupling(mesh, ids))
+        got = dict(A=vertex_order_A(mesh),
+                   **dict(zip(("M_i", "M_aa"), trace_operators(mesh))),
+                   B=trace_coupling(mesh, ids))
         built = []
 
         def recording(*args):
@@ -186,6 +193,8 @@ class TestP1Matrices:
             true_errors([triplet], triplet)
         got["S"], got["M_gi"] = built
         want = local_matrix_operators(mesh, COEFFS)
+        ga = gamma_a_vertices(mesh)
+        want["M_aa"] = want["M_a"][ga][:, ga]
         for name, matrix in got.items():
             assert_same_csr(matrix, want[name], rtol)
             assert matrix.has_canonical_format, name
@@ -241,7 +250,8 @@ class TestAssembleIndices:
 class TestAssembleLoad:
     def test_zero_data(self, refined_square):
         fv = midpoint_samples(refined_square, lambda x, y: 0.0 * x)
-        F = assemble_load(refined_square, fv, lambda x, y: 0.0 * x, COEFFS)
+        F = assemble_load(refined_square, fv, gamma_a_samples(
+            refined_square, lambda x, y: 0.0 * x), COEFFS)
         assert np.abs(F).max() == 0.0
 
     def test_constant_source_reference_triangle(self):
@@ -254,8 +264,8 @@ class TestAssembleLoad:
         # u_a = 1, gamma = 2 on a single unit GammaA face: entries 1 each
         mesh = build_initial_mesh("square", ("bottom", "right", "top"))
         coeffs = CoefficientSet(alpha=1.0, gamma=2.0, beta=1.0)
-        F = assemble_load(mesh, midpoint_samples(mesh, zero),
-                          lambda x, y: np.ones_like(x), coeffs)
+        F = assemble_load(mesh, midpoint_samples(mesh, zero), gamma_a_samples(
+            mesh, lambda x, y: np.ones_like(x)), coeffs)
         assert np.isclose(F[0], 1.0)
         assert np.isclose(F[2], 1.0)
         assert np.isclose(np.abs(F).sum(), 2.0)
@@ -301,7 +311,7 @@ class TestAssembleLoad:
         # GammaA = the bottom edge y=0 from (0,0) to (1,0)
         coeffs = CoefficientSet(alpha=1.0, gamma=1.0, beta=1.0)
         F = assemble_load(mesh, midpoint_samples(mesh, zero),
-                          lambda x, y: x ** 2, coeffs)
+                          gamma_a_samples(mesh, lambda x, y: x ** 2), coeffs)
         # int_0^1 x^2 (1 - x) dx = 1/12, int_0^1 x^2 x dx = 1/4
         assert np.isclose(F[0], 1.0 / 12.0, rtol=1e-13)
         assert np.isclose(F[1], 1.0 / 4.0, rtol=1e-13)
@@ -311,8 +321,9 @@ class TestAssembleLoad:
         mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 1, 2]]),
                     edge_tags=[[BoundaryTag.GAMMA_A] * 3])
-        F, g_sq = boundary_load(mesh, lambda x, y: np.ones_like(x),
-                                BoundaryTag.GAMMA_I)
+        samples = face_samples(mesh, lambda x, y: np.ones_like(x),
+                               mesh.faces_with_tag(BoundaryTag.GAMMA_I), "g")
+        F, g_sq = boundary_load(mesh, samples[:, :2], BoundaryTag.GAMMA_I)
         assert F.tolist() == [0.0, 0.0, 0.0] and F.dtype == np.float64
         assert g_sq == 0.0 and type(g_sq) is float
 
@@ -325,14 +336,12 @@ class TestAssembleLoad:
 
 class TestTraceOperators:
     def test_single_unit_gamma_i_face(self, square_mesh):
-        M_i, M_a = assemble_trace_operators(
-            square_mesh, gamma_i_vertices(square_mesh))
+        M_i, _ = trace_operators(square_mesh)
         assert M_i.shape == (2, 2)
         assert np.allclose(M_i.toarray(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 
     def test_row_sums_partition_of_unity(self, refined_square):
-        M_i, _ = assemble_trace_operators(
-            refined_square, gamma_i_vertices(refined_square))
+        M_i, _ = trace_operators(refined_square)
         # GammaI is the unit bottom edge
         assert np.isclose(M_i.toarray().sum(), 1.0)
 
@@ -340,7 +349,7 @@ class TestTraceOperators:
         """``M_i`` is the GammaI rows of the coupling ``B``, so
         ``flux_load`` places ``M_i qi`` in those rows."""
         ids = gamma_i_vertices(refined_square)
-        M_i, _ = assemble_trace_operators(refined_square, ids)
+        M_i, _ = trace_operators(refined_square)
         assert np.array_equal(trace_coupling(refined_square, ids)[ids]
                               .toarray(), M_i.toarray())
 
@@ -356,22 +365,25 @@ class TestTraceOperators:
     def test_match_face_loop_bitwise(self, domain):
         mesh = graded_mesh(build_initial_mesh(domain, "bottom"), seed=1,
                            sweeps=5)
-        ids = gamma_i_vertices(mesh)
-        M_i, M_a = assemble_trace_operators(mesh, ids)
-        for got, want in zip((M_i, trace_coupling(mesh, ids), M_a),
-                             face_loop_boundary_operators(mesh)):
+        ids, ga = gamma_i_vertices(mesh), gamma_a_vertices(mesh)
+        M_i, M_aa = trace_operators(mesh)
+        want_i, want_b, want_a = face_loop_boundary_operators(mesh)
+        for got, want in ((M_i, want_i), (trace_coupling(mesh, ids), want_b),
+                          (M_aa, want_a[np.ix_(ga, ga)])):
             assert np.array_equal(got.toarray(), want)
 
     @given(domain=st.sampled_from(["square", "lshape"]), data=st.data())
     @hyp_settings(max_examples=30, deadline=None)
     def test_match_dof_map_oracle_bitwise(self, domain, data):
         """The CSR arrays equal, dtype and bytes, those of the face
-        assembly through the vertex -> GammaI position map."""
+        assembly through the vertex -> GammaI position map, and ``M_aa``
+        the GammaA block of its ``M_a``."""
         mesh = nvb_chain(domain, data)[-1]
-        ids = gamma_i_vertices(mesh)
-        M_i, M_a = assemble_trace_operators(mesh, ids)
-        got = M_i, trace_coupling(mesh, ids), M_a
-        for matrix, want in zip(got, dof_map_trace_operators(mesh, ids)):
+        ids, ga = gamma_i_vertices(mesh), gamma_a_vertices(mesh)
+        M_i, M_aa = trace_operators(mesh)
+        got = M_i, trace_coupling(mesh, ids), M_aa
+        want_i, want_b, want_a = dof_map_trace_operators(mesh, ids)
+        for matrix, want in zip(got, (want_i, want_b, want_a[ga][:, ga])):
             assert matrix.shape == want.shape
             for name in ("data", "indices", "indptr"):
                 x, y = getattr(matrix, name), getattr(want, name)
@@ -379,8 +391,7 @@ class TestTraceOperators:
                 assert x.tobytes() == y.tobytes()
 
     def test_mi_positive_definite(self, refined_square):
-        M_i, _ = assemble_trace_operators(
-            refined_square, gamma_i_vertices(refined_square))
+        M_i, _ = trace_operators(refined_square)
         dense = M_i.toarray()
         assert np.allclose(dense, dense.T)
         assert np.linalg.eigvalsh(dense).min() > 0.0

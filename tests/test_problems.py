@@ -9,8 +9,8 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fluxrec import problems
-from fluxrec.fem import assemble_bilinear, assemble_load, midpoint_samples
-from fluxrec.mesh import bisect
+from fluxrec.fem import assemble_load, face_samples, midpoint_samples
+from fluxrec.mesh import BoundaryTag, bisect
 from fluxrec.problems import (
     Measurement,
     builtin_problem,
@@ -24,6 +24,7 @@ from helpers import (
     gamma_i_flux,
     gamma_i_vertices,
     trace_coupling,
+    vertex_order_bilinear,
     zero,
 )
 
@@ -91,11 +92,13 @@ class TestGenerateMeasurement:
         for _ in range(problems.MEASUREMENT_LEVELS):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
         ids = gamma_i_vertices(mesh)
+        ua = face_samples(mesh, problem.u_a,
+                          mesh.faces_with_tag(BoundaryTag.GAMMA_A), "u_a")
         F = assemble_load(mesh, midpoint_samples(mesh, problem.f),
-                          problem.u_a, problem.coeffs)
+                          ua[:, :2], problem.coeffs)
         q = problem.q_true(*mesh.vertices[ids].T)
-        u = np.linalg.solve(assemble_bilinear(mesh, problem.coeffs).toarray(),
-                            F - trace_coupling(mesh, ids) @ q)
+        A = vertex_order_bilinear(mesh, problem.coeffs)
+        u = np.linalg.solve(A.toarray(), F - trace_coupling(mesh, ids) @ q)
         vertex = {tuple(v): i for i, v in enumerate(mesh.vertices)}
         want = u[[vertex[tuple(pt)] for pt in meas.points]]
         assert np.abs(meas.values - want).max() \

@@ -16,7 +16,13 @@ from fluxrec.cli import cli_main
 from fluxrec.estimator import estimate
 from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.export import export_flux_txt
-from fluxrec.fem import FeFunction, prolong
+from fluxrec.fem import (
+    FeFunction,
+    assemble_bilinear,
+    midpoint_samples,
+    prolong,
+    volume_load,
+)
 from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect
 from fluxrec.problems import (
     BUILTIN_NAMES,
@@ -35,20 +41,25 @@ from fluxrec.solver import (
 )
 
 from helpers import (
+    assert_same_csr,
     boundary_l2,
     cg_optimality,
     default_order_factor,
     dense_optimality,
+    gauss3_gamma_a_data,
     gamma_i_flux,
     gamma_i_vertices,
     graded_mesh,
     hessian_apply,
     inner_cg_solve,
+    nn_trace_operators,
     patches,
+    permuted_factor_input,
     reduced_gradient,
     residual_apply,
     trace_coupling,
     two_pass_measurement_moments,
+    vertex_order_operators,
     vertex_order_step,
     zero,
 )
@@ -79,13 +90,15 @@ class TestSolveState:
     def test_matches_dense_solve(self, smooth_system):
         u = solve_state(zero_flux(smooth_system), smooth_system)
         ops = smooth_system.ops
-        dense = np.linalg.solve(ops.A.toarray(), ops.F)
+        A = vertex_order_operators(ops)[0]
+        dense = np.linalg.solve(A.toarray(), ops.F)
         assert np.abs(u.values - dense).max() < 1e-9
 
     def test_inner_cg_agrees_with_direct(self, smooth_system):
         q = zero_flux(smooth_system)
         u_direct = solve_state(q, smooth_system)
-        u_cg = inner_cg_solve(smooth_system.ops.A, smooth_system.ops.F)
+        u_cg = inner_cg_solve(vertex_order_operators(smooth_system.ops)[0],
+                              smooth_system.ops.F)
         assert np.abs(u_direct.values - u_cg).max() < 1e-8
 
 
@@ -145,8 +158,9 @@ class TestSolveCostate:
         u = FeFunction(smooth_system.ops.mesh,
                        np.ones(smooth_system.ops.mesh.n_vertices))
         p = solve_costate(u, smooth_system)
-        rhs = smooth_system.ops.M_a @ u.values - smooth_system.ops.Z
-        dense = np.linalg.solve(smooth_system.ops.A.toarray(), rhs)
+        A, M_a = vertex_order_operators(smooth_system.ops)
+        rhs = M_a @ u.values - smooth_system.ops.Z
+        dense = np.linalg.solve(A.toarray(), rhs)
         assert np.abs(p.values - dense).max() < 1e-9
 
 
@@ -465,11 +479,12 @@ class TestSharedStateOperator:
         ]
         for system in systems:
             system.ops.solve_A(system.ops.F)
-        assert len({id(system.ops.A) for system in systems}) == len(systems)
+        assert len({id(system.ops.lu) for system in systems}) \
+            == len(systems)
         assert splu_shapes.count((mesh32.n_vertices,) * 2) == len(systems)
         shared = DiscreteSystem(mesh32,
                                 with_coeffs(data, beta=data.coeffs.beta / 7))
-        assert shared.ops.A is systems[0].ops.A
+        assert shared.ops.lu is systems[0].ops.lu
 
     def test_no_sharing_across_data_objects(self, mesh32, smooth_problem,
                                             smooth_measurement):
@@ -497,7 +512,7 @@ class TestSharedStateOperator:
         first = DiscreteSystem(mesh32, data[0])
         solve_optimality(first, settings)
         second = DiscreteSystem(mesh32, data[1])
-        assert second.ops.A is first.ops.A
+        assert second.ops.lu is first.ops.lu
         shared = solve_optimality(second, settings)
         alone = solve_optimality(DiscreteSystem(fresh_copy(mesh32), data[1]),
                                  settings)
@@ -513,7 +528,7 @@ class TestSharedStateOperator:
         ind = estimate(solve_optimality(system, settings), data)
         assert len(mesh32.state_operators) == 1
         ops = system.ops
-        matrices = (ops.A, ops.M_i, ops.M_a, ops.M_aa)
+        matrices = (ops.M_i, ops.M_aa)
         for arr in (*(m.data for m in matrices),
                     *(m.indices for m in matrices),
                     *(m.indptr for m in matrices),
@@ -668,8 +683,9 @@ def build_calls(monkeypatch):
 
 
 class TestOneStepBuild:
-    @pytest.mark.parametrize("first", ["F", "M_i", "flux_load", "M_a", "Z",
-                                       "A", "p", "lu", "p0", "solve_A"])
+    @pytest.mark.parametrize("first", ["F", "M_i", "flux_load", "M_aa", "Z",
+                                       "misfit_load", "p", "lu", "p0",
+                                       "solve_A"])
     def test_first_read_builds_every_part_once(
             self, mesh32, smooth_problem, smooth_measurement, build_calls,
             first):
@@ -685,9 +701,11 @@ class TestOneStepBuild:
             ops.solve_A(np.zeros(mesh32.n_vertices))
         elif first == "flux_load":
             ops.flux_load(np.zeros(ops.gamma_i.size))
+        elif first == "misfit_load":
+            ops.misfit_load(np.zeros(mesh32.n_vertices))
         else:
             getattr(ops, first)
-        for name in ("F", "M_i", "M_a", "M_aa", "A", "p", "p_inv", "lu",
+        for name in ("F", "M_i", "M_aa", "p", "p_inv", "lu",
                      "Z", "z_sq", "u0", "p0", "gamma_a_data", "gamma_i",
                      "gamma_a", "gamma_i_pos", "gamma_a_pos"):
             getattr(ops, name)
@@ -799,12 +817,12 @@ class TestGapIteration:
         triplet = solve_optimality(system, SolverSettings(cg_tol=1e-12))
         assert triplet.iterations >= 25
         B = trace_coupling(fine, ops.gamma_i)
+        A, M_a = vertex_order_operators(ops)
         rhs = ops.F - B @ triplet.q.values[ops.gamma_i]
 
         def residuals(u, p):
-            return (np.abs(ops.A @ u.values - rhs).max(),
-                    np.abs(ops.A @ p.values - (ops.M_a @ u.values - ops.Z))
-                    .max())
+            return (np.abs(A @ u.values - rhs).max(),
+                    np.abs(A @ p.values - (M_a @ u.values - ops.Z)).max())
 
         u_direct = solve_state(triplet.q, system)
         direct = residuals(u_direct, solve_costate(u_direct, system))
@@ -826,7 +844,8 @@ class TestNestedDissection:
                                               label="seed"))
         rhs = rng.standard_normal(mesh.n_vertices)
         x = system.ops.solve_A(rhs)
-        ref = default_order_factor(system.ops.A).solve(rhs)
+        ref = default_order_factor(
+            vertex_order_operators(system.ops)[0]).solve(rhs)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
         # gathering with the inverse order equals scattering with the order
         state = system.ops
@@ -847,7 +866,7 @@ class TestNestedDissection:
         system = DiscreteSystem(mesh, smooth_problem.data(z=zero))
         system.ops.solve_A(system.ops.F)
         lu = system.ops.lu
-        ref = default_order_factor(system.ops.A)
+        ref = default_order_factor(vertex_order_operators(system.ops)[0])
         assert lu.L.nnz + lu.U.nnz <= 0.7 * (ref.L.nnz + ref.U.nnz)
 
 
@@ -861,7 +880,8 @@ class TestReducedStep:
         """``A^T x = b`` is ``A x = b``, so the step may solve transposed."""
         problem, pdata = builtin_data[name]
         mesh = random_nvb_mesh(problem.initial_mesh(), data)
-        A = DiscreteSystem(mesh, pdata).ops.A
+        ops = DiscreteSystem(mesh, pdata).ops
+        A = assemble_bilinear(mesh, pdata.coeffs, ops.p_inv)
         assert (A != A.T).nnz == 0
 
     @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
@@ -878,6 +898,53 @@ class TestReducedStep:
         want_du, want_Kd = vertex_order_step(d, ops)
         assert du[ops.p_inv].tobytes() == want_du.tobytes()
         assert Kd.tobytes() == want_Kd.tobytes()
+
+
+class TestFormerBuild:
+    """The operators built at their size and in the factor's order against
+    the former n x n vertex-order builds and separate GammaA samplings."""
+
+    @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_matrices_bitwise(self, builtin_data, name, data):
+        """``M_i`` and ``M_aa`` are the former n x n masses' blocks, and the
+        factor gets the former ``A[p][:, p].tocsc()``."""
+        problem, pdata = builtin_data[name]
+        mesh = random_nvb_mesh(problem.initial_mesh(), data)
+        ops = DiscreteSystem(mesh, pdata).ops
+        M_i, M_a = nn_trace_operators(mesh, ops.gamma_i)
+        assert_same_csr(ops.M_i, M_i)
+        assert_same_csr(ops.M_aa, M_a[ops.gamma_a][:, ops.gamma_a])
+        assert_same_csr(
+            assemble_bilinear(mesh, pdata.coeffs, ops.p_inv).tocsc(),
+            permuted_factor_input(mesh, pdata.coeffs, ops.p))
+
+    @given(name=st.sampled_from(BUILTIN_NAMES), data=st.data())
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_vectors_bitwise(self, builtin_data, name, data):
+        """``u0``, ``p0`` and the costate are the n x n ``M_a`` forms;
+        ``F``, ``Z``, ``z_sq`` and ``gamma_a_data`` are those of separate
+        2-point and 3-point samplings of ``u_a`` and ``z``."""
+        problem, pdata = builtin_data[name]
+        mesh = random_nvb_mesh(problem.initial_mesh(), data)
+        system = DiscreteSystem(mesh, pdata)
+        ops = system.ops
+        M_a = nn_trace_operators(mesh, ops.gamma_i)[1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        u = rng.standard_normal(mesh.n_vertices)
+        Z, z_sq = two_pass_measurement_moments(mesh, pdata.z)
+        F = volume_load(mesh, midpoint_samples(mesh, pdata.f)) \
+            + pdata.coeffs.gamma * two_pass_measurement_moments(
+                mesh, pdata.u_a)[0]
+        pairs = [(ops.u0, ops.solve_A(ops.F)),
+                 (ops.p0, ops.solve_A(M_a @ ops.u0 - ops.Z)),
+                 (solve_costate(FeFunction(mesh, u), system).values,
+                  ops.solve_A(M_a @ u - ops.Z)),
+                 (ops.F, F), (ops.Z, Z), (np.float64(ops.z_sq), z_sq),
+                 *zip(ops.gamma_a_data, gauss3_gamma_a_data(mesh, pdata))]
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 OBJECTIVE_SCRIPT = """
@@ -932,8 +999,9 @@ class TestResidualApply:
     def test_galerkin_orthogonality(self, smooth_system, settings):
         triplet = solve_optimality(smooth_system, settings)
         n = smooth_system.ops.mesh.n_vertices
+        A = vertex_order_operators(smooth_system.ops)[0]
         scale = (np.abs(smooth_system.ops.F).max()
-                 + np.abs(smooth_system.ops.A @ triplet.u.values).max())
+                 + np.abs(A @ triplet.u.values).max())
         for i in range(n):
             basis = FeFunction(smooth_system.ops.mesh,
                                np.eye(n)[i])
