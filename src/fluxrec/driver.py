@@ -54,12 +54,15 @@ class LoopConfig:
 
     def __post_init__(self):
         check_theta(self.theta, self.strategy)
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        # an infinite tol stops after one solve, as if the run converged
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         for key in ("max_iters", "max_triangles"):
             value = getattr(self, key)
-            # a NaN cap would never fire: every comparison with it is false
-            if not isinstance(value, numbers.Integral):
+            # a NaN cap would never fire: every comparison with it is false;
+            # a bool is an Integral but no count
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{key} must be >= 1")

@@ -99,7 +99,7 @@ def export_vtk(mesh: Mesh, fields: dict, path, title="fluxrec output") -> None:
 
 def export_flux_txt(q: FeFunction, path) -> None:
     """Write the flux as two-column 'arclength value' text, walking GammaI."""
-    vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
+    vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I)
     with open(path, "w") as fh:
         _write_rows(fh, "%.16e %.16e\n",
                     np.column_stack([t, q.values[vertex_ids]]))

@@ -175,26 +175,27 @@ def volume_load(mesh: Mesh, fv: np.ndarray) -> np.ndarray:
 _FACE_NODES = np.concatenate([GAUSS2_POINTS, GAUSS3_POINTS])
 
 
-def face_samples(mesh: Mesh, g, face_ids: np.ndarray, what) -> np.ndarray:
-    """Boundary data ``g`` on the faces ``face_ids``, shape ``(k, 5)``.
+def face_samples(mesh: Mesh, g, what) -> np.ndarray:
+    """Boundary data ``g`` on the GammaA faces, shape ``(k, 5)``: one row
+    per GammaA face in face order, the rows that :func:`boundary_load` and
+    the estimator's GammaA data read.
 
     Columns 0-1 are the 2-point Gauss nodes of a face, which
     :func:`boundary_load` reads, and columns 2-4 its 3-point Gauss nodes.
     """
-    ends = mesh.vertices[mesh.faces[face_ids]]
+    ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)]]
     pts = ends[:, :1] + _FACE_NODES[:, None] * (ends[:, 1:] - ends[:, :1])
     return _eval_data(g, pts[:, :, 0], pts[:, :, 1], what)
 
 
-def boundary_load(mesh: Mesh, gv: np.ndarray, tag: BoundaryTag):
-    """Load vector ``int g phi_i`` of a boundary density over the tagged
+def boundary_load(mesh: Mesh, gv: np.ndarray):
+    """Load vector ``int g phi_i`` of a boundary density over the GammaA
     faces and ``int g^2``, both by 2-point Gauss from the samples ``gv`` of
-    ``g``, one row per tagged face and one column per 2-point node (the
-    first two columns of :func:`face_samples`).
+    ``g``, the first two columns of :func:`face_samples`.
     """
     F = np.zeros(mesh.n_vertices)
     g_sq = 0.0
-    face_ids = mesh.faces_with_tag(tag)
+    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
     faces = mesh.faces[face_ids]
     lens = mesh.face_lengths[face_ids]
     for k, (t, w) in enumerate(zip(GAUSS2_POINTS, GAUSS2_WEIGHTS)):
@@ -213,18 +214,8 @@ def assemble_load(mesh: Mesh, fv: np.ndarray, uav: np.ndarray,
     temperature by its samples ``uav`` at the 2-point Gauss nodes of the
     GammaA faces."""
     F = volume_load(mesh, fv)
-    F += coeffs.gamma * boundary_load(mesh, uav, BoundaryTag.GAMMA_A)[0]
+    F += coeffs.gamma * boundary_load(mesh, uav)[0]
     return F
-
-
-def _boundary_block(mesh: Mesh, tag: BoundaryTag, ids: np.ndarray):
-    """Mass over the tagged faces on the ascending vertex ids ``ids``, which
-    hold every vertex of those faces: row and column ``j`` are ``ids[j]``."""
-    face_ids = mesh.faces_with_tag(tag)
-    h = mesh.face_lengths[face_ids]
-    pos = np.searchsorted(ids, mesh.faces[face_ids])
-    diag = np.bincount(pos.ravel(), np.repeat(h * (1 / 3), 2), ids.size)
-    return _matrix(diag, *pos.T, h * (1 / 6))
 
 
 def assemble_trace_operators(mesh: Mesh, gamma_i: np.ndarray,
@@ -232,15 +223,21 @@ def assemble_trace_operators(mesh: Mesh, gamma_i: np.ndarray,
     """GammaI mass and GammaA mass on ``mesh``.
 
     ``gamma_i`` and ``gamma_a`` are the GammaI and GammaA vertex ids,
-    ascending.  Returns ``(M_i, M_aa)``, the mass of each boundary part on
-    its own vertices, built from its faces with their vertices mapped to
-    positions among the ids: the ``gamma_i`` rows and columns of the n x n
-    GammaI face mass, and the ``gamma_a`` ones of the GammaA face mass.
+    ascending.  Returns ``(M_i, M_aa)``, the :func:`_boundary_mass` of each
+    boundary part on its own vertices: row and column ``j`` are vertex
+    ``ids[j]``, and the ends of the part's faces are mapped to those
+    positions.
     """
     if gamma_a.size == 0:
         raise MeshError("mesh has no GammaA face")
-    return (_boundary_block(mesh, BoundaryTag.GAMMA_I, gamma_i),
-            _boundary_block(mesh, BoundaryTag.GAMMA_A, gamma_a))
+    out = []
+    for tag, ids in ((BoundaryTag.GAMMA_I, gamma_i),
+                     (BoundaryTag.GAMMA_A, gamma_a)):
+        diag, off = _boundary_mass(mesh, tag)
+        f = mesh.faces_with_tag(tag)
+        pos = np.searchsorted(ids, mesh.faces[f])
+        out.append(_matrix(diag[ids], *pos.T, off[f]))
+    return tuple(out)
 
 
 def prolong(values, coarse: Mesh, fine: Mesh) -> np.ndarray:

@@ -399,12 +399,13 @@ def boundary_paths(mesh: Mesh, tag: BoundaryTag):
     return paths
 
 
-def boundary_arclength(mesh: Mesh, tag: BoundaryTag, gap: float):
+def boundary_arclength(mesh: Mesh, tag: BoundaryTag):
     """Vertex ids and arc-length abscissae along :func:`boundary_paths`.
 
-    The components are laid out one after another with their true lengths;
-    each starts ``gap`` after the end of the previous one.  Returns
-    ``(vertex_ids, t)``, both concatenated over the components.
+    The components are laid out one after another with their true lengths,
+    each starting a unit after the end of the one before, so no abscissa
+    repeats and no interpolation along ``t`` bridges two components.
+    Returns ``(vertex_ids, t)``, both concatenated over the components.
     """
     paths = boundary_paths(mesh, tag)
     out = []
@@ -414,5 +415,5 @@ def boundary_arclength(mesh: Mesh, tag: BoundaryTag, gap: float):
         seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         t = offset + np.concatenate([[0.0], np.cumsum(seg)])
         out.append(t)
-        offset = t[-1] + gap
+        offset = t[-1] + 1.0
     return np.concatenate(paths), np.concatenate(out)

@@ -221,8 +221,7 @@ def generate_measurement(
                                "interpolated data")
     u = solve_state(q, system)
 
-    # a unit gap between components, so interpolation never bridges two
-    vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A, 1.0)
+    vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
     points = mesh.vertices[vertex_ids]
     values = u.values[vertex_ids]
 

@@ -198,8 +198,7 @@ class _MeshOperators:
         ids = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_I)])
         if ids.size == 0:
             raise MeshError("mesh has no GammaI face")
-        ga_faces = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
-        ga = np.unique(mesh.faces[ga_faces])
+        ga = np.unique(mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)])
         self.gamma_i, self.gamma_a = _read_only(ids, ga)
         self.mesh = mesh
         self.f, self.u_a, self.z = data.f, data.u_a, data.z
@@ -213,14 +212,12 @@ class _MeshOperators:
         self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
-        ua = face_samples(mesh, self.u_a, ga_faces, "ambient temperature u_a")
+        ua = face_samples(mesh, self.u_a, "ambient temperature u_a")
         self.F = assemble_load(mesh, fv, ua[:, :2], self.coeffs)
         del fv
-        zv = face_samples(mesh, self.z, ga_faces, "measurement z")
-        self.Z, self.z_sq = boundary_load(mesh, zv[:, :2],
-                                          BoundaryTag.GAMMA_A)
-        # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces,
-        # one row per face in face order
+        zv = face_samples(mesh, self.z, "measurement z")
+        self.Z, self.z_sq = boundary_load(mesh, zv[:, :2])
+        # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces
         self.gamma_a_data = _read_only(self.coeffs.gamma * ua[:, 2:],
                                        zv[:, 2:])
         self.p = p = _nested_dissection(mesh)

@@ -29,9 +29,11 @@ fluxes and a row sum per triangle.  The flux is a P1 function, zero off
 GammaI, as in the library.
 The utilities (mesh angles and patches, residual functionals, the reduced
 gradient, a boundary norm, config/measurement round trips, nodal
-interpolation on a mesh, zero data, the uniform-refinement run and a run
-that records each iteration's indicators and marking) are only needed by
-tests, so they live here rather than in the library.
+interpolation on a mesh, zero data, the uniform-refinement run, a run
+that records each iteration's indicators and marking, and a closed-form
+optimal triplet on the square with its data, measurement and exact
+errors) are only needed by tests, so they live here rather than in the
+library.
 """
 
 import dataclasses
@@ -53,6 +55,7 @@ from fluxrec.fem import (
     GAUSS2_WEIGHTS,
     GAUSS3_POINTS,
     GAUSS3_WEIGHTS,
+    CoefficientSet,
     FeFunction,
     _boundary_mass,
     _eval_data,
@@ -71,7 +74,7 @@ from fluxrec.mesh import (
     boundary_arclength,
     build_initial_mesh,
 )
-from fluxrec.problems import generate_measurement
+from fluxrec.problems import Measurement, ProblemSpec, generate_measurement
 from fluxrec.solver import (
     CG_MAX_ITERS,
     DiscreteSystem,
@@ -1094,7 +1097,7 @@ def fstring_history_csv(history, path) -> None:
 def fstring_flux_txt(q, path) -> None:
     """Oracle for :func:`fluxrec.export.export_flux_txt`, the same earlier
     way."""
-    vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I, 0.0)
+    vertex_ids, t = boundary_arclength(q.mesh, BoundaryTag.GAMMA_I)
     rows = np.column_stack([t, q.values[vertex_ids]]).tolist()
     lines = [f"{_fmt(ti)} {_fmt(v)}" for ti, v in rows]
     with open(path, "w") as fh:
@@ -1380,3 +1383,146 @@ def nodal_interpolant(fun, mesh: Mesh) -> FeFunction:
 def zero(x, y):
     """Zero data, vectorized like the problem callables."""
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+# A closed-form optimal triplet on the unit square, GammaI the bottom side,
+# alpha = gamma = 1 and beta = CLOSED_FORM_BETA, with its derivatives written
+# by hand: p = beta cos(pi x) cosh(pi y) is harmonic with dp/dy = 0 on
+# GammaI, q = p|GammaI / beta = cos(pi x), and u = y cos(pi x) + x^2 has
+# du/dy = q on GammaI.  The data follow from the weak forms: f = -alpha lap u,
+# u_a = u + (alpha / gamma) du/dn and z = u - (alpha dp/dn + gamma p) on
+# GammaA.
+CLOSED_FORM_BETA = 1e-3
+
+
+def closed_form_u(x, y):
+    return y * np.cos(np.pi * x) + x ** 2
+
+
+def closed_form_grad_u(x, y):
+    return 2.0 * x - np.pi * y * np.sin(np.pi * x), np.cos(np.pi * x)
+
+
+def closed_form_p(x, y):
+    return CLOSED_FORM_BETA * np.cos(np.pi * x) * np.cosh(np.pi * y)
+
+
+def closed_form_grad_p(x, y):
+    b = CLOSED_FORM_BETA * np.pi
+    return (-b * np.sin(np.pi * x) * np.cosh(np.pi * y),
+            b * np.cos(np.pi * x) * np.sinh(np.pi * y))
+
+
+def closed_form_q(x, y):
+    return np.cos(np.pi * x)
+
+
+def closed_form_f(x, y):
+    return np.pi ** 2 * y * np.cos(np.pi * x) - 2.0
+
+
+def _gamma_a_normal_derivative(grad, x, y):
+    """``grad . n`` on GammaA: the right side x = 1, the top y = 1 and the
+    left side x = 0, taken in that order at a corner."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    gx, gy = grad(x, y)
+    return np.where(x == 1.0, gx, np.where(y == 1.0, gy, -gx))
+
+
+def closed_form_u_a(x, y):
+    return closed_form_u(x, y) + _gamma_a_normal_derivative(
+        closed_form_grad_u, x, y)
+
+
+def closed_form_z(x, y):
+    return (closed_form_u(x, y) - closed_form_p(x, y)
+            - _gamma_a_normal_derivative(closed_form_grad_p, x, y))
+
+
+def closed_form_problem() -> ProblemSpec:
+    return ProblemSpec(
+        name="square_closed_form", domain="square", gamma_i=("bottom",),
+        coeffs=CoefficientSet(alpha=1.0, gamma=1.0, beta=CLOSED_FORM_BETA),
+        f=closed_form_f, u_a=closed_form_u_a, q_true=closed_form_q)
+
+
+def closed_form_measurement() -> Measurement:
+    """The closed-form ``z`` sampled at 200 segments of each GammaA side,
+    walked from (0, 0) up the left side, along the top and down the right
+    side.  The samples cluster at the ends of each side as ``(1 - cos)/2``
+    does, since ``z`` jumps at the top corners, where the normal turns."""
+    s = 0.5 - 0.5 * np.cos(np.pi * np.arange(201) / 200)
+    zeros, ones = np.zeros_like(s), np.ones_like(s)
+    points = np.concatenate([np.column_stack([zeros, s]),
+                             np.column_stack([s, ones])[1:],
+                             np.column_stack([ones, 1.0 - s])[1:]])
+    return Measurement(points=points, values=closed_form_z(*points.T),
+                       arclength=np.concatenate([s, 1.0 + s[1:],
+                                                 2.0 + s[1:]]))
+
+
+# 6-point Dunavant rule on the reference triangle, degree 4: barycentric
+# points (a, a, 1 - 2a) and their permutations, weights summing to 1
+_DUNAVANT6 = ((0.445948490915965, 0.223381589678011),
+              (0.091576213509771, 0.109951743655322))
+
+
+def closed_form_h1_error(fun: FeFunction, exact, grad) -> float:
+    """``||exact - fun||_{H1}`` by the degree-4 rule on every triangle."""
+    mesh = fun.mesh
+    p = mesh.vertices[mesh.triangles]
+    vals = fun.values[mesh.triangles]
+    grad_h = element_gradients(fun)
+    total = np.zeros(mesh.n_triangles)
+    for a, w in _DUNAVANT6:
+        for lam in ((a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)):
+            lam = np.array(lam)
+            x, y = np.einsum("k,tkd->dt", lam, p)
+            gx, gy = grad(x, y)
+            total += w * ((exact(x, y) - vals @ lam) ** 2
+                          + (gx - grad_h[:, 0]) ** 2
+                          + (gy - grad_h[:, 1]) ** 2)
+    return float(np.sqrt((mesh.areas() * total).sum()))
+
+
+def closed_form_flux_error(q: FeFunction) -> float:
+    """``||cos(pi x) - q||_{L2(GammaI)}`` by 3-point Gauss on every GammaI
+    face."""
+    mesh = q.mesh
+    face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
+    faces = mesh.faces[face_ids]
+    ends = mesh.vertices[faces]
+    total = np.zeros(len(faces))
+    for t, w in zip(GAUSS3_POINTS, GAUSS3_WEIGHTS):
+        x, y = (ends[:, 0] + t * (ends[:, 1] - ends[:, 0])).T
+        q_h = (1.0 - t) * q.values[faces[:, 0]] + t * q.values[faces[:, 1]]
+        total += w * (closed_form_q(x, y) - q_h) ** 2
+    return float(np.sqrt((mesh.face_lengths[face_ids] * total).sum()))
+
+
+def closed_form_run(config):
+    """``run_adaptive`` on the closed-form problem and its measurement.
+
+    ``fluxrec.driver.estimate`` is patched for this one call to keep each
+    iteration's triplet.  Returns the history and ``(n_vertices, eta,
+    err_u, err)`` per iteration: the exact H1 error of ``u`` and the total
+    exact error, of ``u`` and ``p`` in H1 and of ``q`` in L2(GammaI).
+    """
+    triplets, estimate = [], driver.estimate
+
+    def recording(triplet, data):
+        triplets.append(triplet)
+        return estimate(triplet, data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "estimate", recording)
+        history = run_adaptive(closed_form_problem(), config,
+                               measurement=closed_form_measurement())
+    rows = []
+    for record, t in zip(history.records, triplets):
+        err_u = closed_form_h1_error(t.u, closed_form_u, closed_form_grad_u)
+        err_p = closed_form_h1_error(t.p, closed_form_p, closed_form_grad_p)
+        err_q = closed_form_flux_error(t.q)
+        rows.append((record.n_vertices, record.eta, err_u,
+                     math.sqrt(err_u ** 2 + err_p ** 2 + err_q ** 2)))
+    return history, np.array(rows)

@@ -107,6 +107,10 @@ class TestParseConfig:
             assert getattr(loop, fld.name) == getattr(default, fld.name), \
                 fld.name
 
+    def test_infinite_tol_names_key(self):
+        with pytest.raises(ConfigError, match="tol must be finite"):
+            parse_config("problem = square_jump\ntol = inf\nmax_iters = 3")
+
     def test_invalid_strategy(self):
         with pytest.raises(ConfigError, match="strategy"):
             parse_config("strategy = bisection")
@@ -410,6 +414,16 @@ class TestFluxExport:
                          for ln in path.read_text().strip().splitlines()])
         assert np.allclose(rows[:, 1], rows[:, 0] ** 2)
 
+    def test_two_part_gamma_i_parts_a_unit_apart(self, tmp_path):
+        mesh = build_initial_mesh("square", ("bottom", "top"))
+        for _ in range(2):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
+        path = tmp_path / "flux.txt"
+        export_flux_txt(gamma_i_flux(mesh, 1.0), path)
+        t = np.loadtxt(path)[:, 0]
+        assert np.all(np.diff(t) > 0.0)
+        # bottom 0, 0.5, 1, then top from 1.0 after the bottom's end
+        assert t.tolist() == [0.0, 0.5, 1.0, 2.0, 2.5, 3.0]
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_bytes_match_dof_lookup(self, tmp_path, name):
@@ -419,7 +433,7 @@ class TestFluxExport:
             gamma_i_vertices(mesh).size))
         path = tmp_path / "flux.txt"
         export_flux_txt(q, path)
-        vertex_ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_I, 0.0)
+        vertex_ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_I)
         values = dof_lookup_trace_values(q, vertex_ids)
         expected = "".join(f"{ti:.16e} {v:.16e}\n"
                            for ti, v in zip(t, values))

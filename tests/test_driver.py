@@ -369,6 +369,7 @@ class TestLoopConfig:
         dict(strategy="doerfler", theta=0.0),
         dict(tol=0.0),
         dict(tol=float("nan")),
+        dict(tol=math.inf),
     ])
     def test_bad_config_fails_before_work(self, monkeypatch, kwargs):
         import fluxrec.driver as driver
@@ -381,11 +382,16 @@ class TestLoopConfig:
             run_adaptive(builtin_problem("square_smooth"), LoopConfig(**kwargs))
 
     @pytest.mark.parametrize("key", ["max_iters", "max_triangles"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0, "3"],
-                             ids=["nan", "inf", "float", "str"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0, "3", True],
+                             ids=["nan", "inf", "float", "str", "bool"])
     def test_non_integer_loop_limit(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             LoopConfig(**{key: value})
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tol_names_key(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            LoopConfig(tol=tol)
 
 
 class TestSolverFailure:

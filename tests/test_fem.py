@@ -78,8 +78,7 @@ def trace_operators(mesh):
 
 def gamma_a_samples(mesh, g):
     """``g`` at the 2-point Gauss nodes of the GammaA faces."""
-    faces = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
-    return face_samples(mesh, g, faces, "u_a")[:, :2]
+    return face_samples(mesh, g, "u_a")[:, :2]
 
 
 class TestAssembleBilinear:
@@ -317,13 +316,13 @@ class TestAssembleLoad:
         assert np.isclose(F[1], 1.0 / 4.0, rtol=1e-13)
 
     def test_boundary_load_of_a_tag_without_faces(self):
-        """A tag no face carries gives a zero load and a zero integral."""
+        """A mesh with no GammaA face gives a zero load and a zero
+        integral."""
         mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 1, 2]]),
-                    edge_tags=[[BoundaryTag.GAMMA_A] * 3])
-        samples = face_samples(mesh, lambda x, y: np.ones_like(x),
-                               mesh.faces_with_tag(BoundaryTag.GAMMA_I), "g")
-        F, g_sq = boundary_load(mesh, samples[:, :2], BoundaryTag.GAMMA_I)
+                    edge_tags=[[BoundaryTag.GAMMA_I] * 3])
+        samples = face_samples(mesh, lambda x, y: np.ones_like(x), "g")
+        F, g_sq = boundary_load(mesh, samples[:, :2])
         assert F.tolist() == [0.0, 0.0, 0.0] and F.dtype == np.float64
         assert g_sq == 0.0 and type(g_sq) is float
 
