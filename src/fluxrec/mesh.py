@@ -141,6 +141,8 @@ class Mesh:
     def _validate_geometry(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (m, 3) array")
         if self.triangles.size and (self.triangles.min() < 0
@@ -365,13 +367,16 @@ def _split(mesh: Mesh, split):
             np.concatenate([mesh.vertex_parents, ends]))
 
 
-def boundary_paths(mesh: Mesh, tag: BoundaryTag):
-    """Ordered vertex chains of the boundary part with the given tag.
+def boundary_arclength(mesh: Mesh, tag: BoundaryTag):
+    """Vertex ids and arc-length abscissae along the boundary part ``tag``.
 
-    Each connected component is returned as a list of vertex ids walking
-    the component from end to end, starting at its lexicographically
-    smallest endpoint coordinate.  Components are ordered by their starting
-    coordinate, so the result is deterministic for a given geometry.
+    Each connected component is walked from end to end, starting at its
+    lexicographically smallest endpoint coordinate, and the components are
+    taken in the order of their starting coordinates, so the result is
+    deterministic for a given geometry.  Each is laid out with its true
+    length, starting a unit after the end of the one before, so no abscissa
+    repeats and no interpolation along ``t`` bridges two components.
+    Returns ``(vertex_ids, t)``, both concatenated over the components.
     """
     ends = mesh.faces[mesh.faces_with_tag(tag)]
     degree = np.bincount(ends.ravel(), minlength=mesh.n_vertices)
@@ -383,7 +388,8 @@ def boundary_paths(mesh: Mesh, tag: BoundaryTag):
     np.add.at(neighbour_sum, ends, ends[:, ::-1])
     starts = np.flatnonzero(degree == 1)
     x, y = mesh.vertices[starts].T
-    paths, walked = [], np.zeros(mesh.n_vertices, dtype=bool)
+    paths, out, walked = [], [], np.zeros(mesh.n_vertices, dtype=bool)
+    offset = 0.0
     for start in starts[np.lexsort((y, x))].tolist():
         if walked[start]:
             continue
@@ -393,27 +399,12 @@ def boundary_paths(mesh: Mesh, tag: BoundaryTag):
             v = int(neighbour_sum[v]) - chain[-2]
         chain.append(v)
         walked[chain] = True
-        paths.append(chain)
-    if walked.sum() != np.count_nonzero(degree):
-        raise MeshError("tagged boundary part contains a closed loop")
-    return paths
-
-
-def boundary_arclength(mesh: Mesh, tag: BoundaryTag):
-    """Vertex ids and arc-length abscissae along :func:`boundary_paths`.
-
-    The components are laid out one after another with their true lengths,
-    each starting a unit after the end of the one before, so no abscissa
-    repeats and no interpolation along ``t`` bridges two components.
-    Returns ``(vertex_ids, t)``, both concatenated over the components.
-    """
-    paths = boundary_paths(mesh, tag)
-    out = []
-    offset = 0.0
-    for path in paths:
-        pts = mesh.vertices[path]
+        pts = mesh.vertices[chain]
         seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         t = offset + np.concatenate([[0.0], np.cumsum(seg)])
+        paths.append(chain)
         out.append(t)
         offset = t[-1] + 1.0
+    if walked.sum() != np.count_nonzero(degree):
+        raise MeshError("tagged boundary part contains a closed loop")
     return np.concatenate(paths), np.concatenate(out)

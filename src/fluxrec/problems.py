@@ -17,7 +17,20 @@ from .fem import CoefficientSet, FeFunction, _eval_data
 from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bisect
 from .solver import DiscreteSystem, ProblemData, solve_state
 
-BUILTIN_NAMES = ("square_smooth", "square_jump", "lshape_spike")
+# name -> (domain, beta, true flux q_true(x, y)) of each built-in problem:
+# square_smooth, a smooth sine flux on the bottom of the unit square;
+# square_jump, the indicator of [1/4, 3/4] on it; lshape_spike, a narrow
+# Gaussian spike on the bottom of the L-shape
+_BUILTIN = {
+    "square_smooth": ("square", 1e-3, lambda x, y: np.sin(
+        np.pi * np.asarray(x, dtype=float))),
+    "square_jump": ("square", 1e-4, lambda x, y: np.where(
+        (np.asarray(x, dtype=float) >= 0.25)
+        & (np.asarray(x, dtype=float) <= 0.75), 1.0, 0.0)),
+    "lshape_spike": ("lshape", 1e-3, lambda x, y: np.exp(
+        -100.0 * (np.asarray(x, dtype=float) - 0.5) ** 2)),
+}
+BUILTIN_NAMES = tuple(_BUILTIN)
 # default uniform refinements of the initial mesh that generate the data
 MEASUREMENT_LEVELS = 5
 # most triangles a generation mesh may have (each level at least doubles them)
@@ -69,40 +82,22 @@ class ProblemSpec:
 
 
 def builtin_problem(name: str) -> ProblemSpec:
-    """Benchmark problems with frozen coefficients.
+    """The built-in problem ``name``, one of :data:`BUILTIN_NAMES`.
 
-    square_smooth : unit square, smooth sine flux on the bottom edge.
-    square_jump   : unit square, indicator flux on [1/4, 3/4] of the bottom.
-    lshape_spike  : L-shape, narrow Gaussian spike flux on the bottom.
+    Every one has alpha = gamma = 1, source ``f = 1``, ambient ``u_a = 0``
+    and GammaI the bottom side; the table above gives its domain, beta and
+    true flux.
     """
-    if name == "square_smooth":
-        return ProblemSpec(
-            name=name, domain="square", gamma_i=("bottom",),
-            coeffs=CoefficientSet(alpha=1.0, gamma=1.0, beta=1e-3),
-            f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-            u_a=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-            q_true=lambda x, y: np.sin(np.pi * np.asarray(x, dtype=float)),
-        )
-    if name == "square_jump":
-        return ProblemSpec(
-            name=name, domain="square", gamma_i=("bottom",),
-            coeffs=CoefficientSet(alpha=1.0, gamma=1.0, beta=1e-4),
-            f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-            u_a=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-            q_true=lambda x, y: np.where(
-                (np.asarray(x, dtype=float) >= 0.25)
-                & (np.asarray(x, dtype=float) <= 0.75), 1.0, 0.0),
-        )
-    if name == "lshape_spike":
-        return ProblemSpec(
-            name=name, domain="lshape", gamma_i=("bottom",),
-            coeffs=CoefficientSet(alpha=1.0, gamma=1.0, beta=1e-3),
-            f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-            u_a=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-            q_true=lambda x, y: np.exp(
-                -100.0 * (np.asarray(x, dtype=float) - 0.5) ** 2),
-        )
-    raise ValueError(f"unknown problem {name!r}; available: {BUILTIN_NAMES}")
+    if name not in BUILTIN_NAMES:
+        raise ValueError(f"unknown problem {name!r}; available: {BUILTIN_NAMES}")
+    domain, beta, q_true = _BUILTIN[name]
+    return ProblemSpec(
+        name=name, domain=domain, gamma_i=("bottom",),
+        coeffs=CoefficientSet(alpha=1.0, gamma=1.0, beta=beta),
+        f=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+        u_a=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        q_true=q_true,
+    )
 
 
 @dataclass

@@ -35,12 +35,8 @@ from .mesh import BoundaryTag, Mesh, MeshError
 
 class SolverError(RuntimeError):
     """The reduced CG did not converge in ``CG_MAX_ITERS`` iterations, or
-    lost positive definiteness, which a NaN in the iteration also trips."""
-
-    def __init__(self, message, iterations=None, residual=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+    lost positive definiteness, which a NaN in the iteration also trips;
+    the message gives the iteration count and the residual."""
 
 
 CG_MAX_ITERS = 1000
@@ -87,7 +83,6 @@ class OptimalTriplet:
     p: FeFunction
     q: FeFunction
     iterations: int = 0
-    residual: float = 0.0
 
     def __post_init__(self):
         if not (self.u.mesh is self.p.mesh is self.q.mesh):
@@ -388,8 +383,7 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
         if not denom > 0.0:
             raise SolverError(
                 "reduced operator lost positive definiteness "
-                f"after {iterations} iterations (residual {res:.3e})",
-                iterations=iterations, residual=res)
+                f"after {iterations} iterations (residual {res:.3e})")
         step = rho / denom
         q += step * d
         u -= step * du
@@ -402,11 +396,10 @@ def solve_optimality(system: DiscreteSystem, settings: SolverSettings,
     if not res <= tol:
         raise SolverError(
             f"reduced CG did not converge in {iterations} iterations "
-            f"(residual {res:.3e}, target {tol:.3e})",
-            iterations=iterations, residual=res)
+            f"(residual {res:.3e}, target {tol:.3e})")
 
     q_fun = FeFunction(ops.mesh, np.zeros(ops.mesh.n_vertices))
     q_fun.values[gi] = q
     u_fun = FeFunction(ops.mesh, u[ops.p_inv])
     return OptimalTriplet(u=u_fun, p=solve_costate(u_fun, system), q=q_fun,
-                          iterations=iterations, residual=res)
+                          iterations=iterations)

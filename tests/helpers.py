@@ -245,12 +245,13 @@ def cg_optimality(system, settings, warm_start=None) -> OptimalTriplet:
         rho = rho_new
         iterations += 1
     if not res <= tol:
-        raise SolverError("oracle CG did not converge", iterations, res)
+        raise SolverError(f"oracle CG did not converge in {iterations} "
+                          f"iterations (residual {res:.3e})")
     q_fun = gamma_i_flux(ops.mesh)
     q_fun.values[ops.gamma_i] = q
     u = solve_state(q_fun, system)
     return OptimalTriplet(u=u, p=solve_costate(u, system), q=q_fun,
-                          iterations=iterations, residual=res)
+                          iterations=iterations)
 
 
 def plane_gradient(points, values):
@@ -1028,9 +1029,25 @@ def dict_face_table(vertices, triangles, boundary_tags) -> dict:
                 face_tags=tags, face_normals=normals, face_lengths=lengths)
 
 
+def arclength_chains(mesh: Mesh, tag: BoundaryTag):
+    """The vertex chains of :func:`fluxrec.mesh.boundary_arclength`'s walk,
+    recovered from its ids: a new chain starts where two consecutive ids
+    share no face of the tag."""
+    ids = boundary_arclength(mesh, tag)[0].tolist()
+    faces = set(map(tuple, mesh.faces[mesh.faces_with_tag(tag)].tolist()))
+    chains = [[ids[0]]]
+    for a, b in zip(ids, ids[1:]):
+        if (min(a, b), max(a, b)) in faces:
+            chains[-1].append(b)
+        else:
+            chains.append([b])
+    return chains
+
+
 def dict_boundary_paths(mesh: Mesh, tag: BoundaryTag):
-    """Oracle for :func:`fluxrec.mesh.boundary_paths`: a walk over a Python
-    adjacency dict that takes the smallest unvisited neighbour.
+    """Oracle for the walk of :func:`fluxrec.mesh.boundary_arclength`: a
+    walk over a Python adjacency dict that takes the smallest unvisited
+    neighbour.
 
     Each connected component is returned as a list of vertex ids walking
     the component from end to end, starting at its lexicographically
@@ -1385,13 +1402,17 @@ def zero(x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-# A closed-form optimal triplet on the unit square, GammaI the bottom side,
-# alpha = gamma = 1 and beta = CLOSED_FORM_BETA, with its derivatives written
-# by hand: p = beta cos(pi x) cosh(pi y) is harmonic with dp/dy = 0 on
-# GammaI, q = p|GammaI / beta = cos(pi x), and u = y cos(pi x) + x^2 has
-# du/dy = q on GammaI.  The data follow from the weak forms: f = -alpha lap u,
-# u_a = u + (alpha / gamma) du/dn and z = u - (alpha dp/dn + gamma p) on
-# GammaA.
+# A closed-form optimal triplet with GammaI the bottom side, alpha = gamma = 1
+# and beta = CLOSED_FORM_BETA, with its derivatives written by hand:
+# p = beta cos(pi x) cosh(pi y) is harmonic with dp/dy = 0 on GammaI,
+# q = p|GammaI / beta = cos(pi x), and on the unit square u = y cos(pi x) + x^2
+# has du/dy = q on GammaI.  The data follow from the weak forms:
+# f = -alpha lap u, u_a = u + (alpha / gamma) du/dn and
+# z = u - (alpha dp/dn + gamma p) on GammaA.  On the L-shape, u also has the
+# corner function s = r^(2/3) sin(2 omega / 3) about the reentrant corner
+# (1/2, 1/2), omega measured from the edge inner_right, less y ds/dy(x, 0),
+# which keeps du/dy = q on GammaI; s is harmonic, so f gains only the smooth
+# y d^3s/dx^2dy(x, 0).
 CLOSED_FORM_BETA = 1e-3
 
 
@@ -1421,44 +1442,106 @@ def closed_form_f(x, y):
     return np.pi ** 2 * y * np.cos(np.pi * x) - 2.0
 
 
+def _corner_polar(x, y):
+    """Polar coordinates about (1/2, 1/2), omega in [-pi/4, 7 pi/4) from
+    the edge inner_right, so the branch cut runs inside the cut-out
+    quadrant and differences across GammaA see one smooth ``s``."""
+    omega = np.arctan2(y - 0.5, x - 0.5) - np.pi / 4
+    return (np.hypot(x - 0.5, y - 0.5),
+            np.mod(omega, 2 * np.pi) - np.pi / 4)
+
+
+def corner_s(x, y):
+    r, w = _corner_polar(x, y)
+    return r ** (2 / 3) * np.sin(2 * w / 3)
+
+
+def corner_grad_s(x, y):
+    r, w = _corner_polar(x, y)
+    c = -2 / 3 * r ** (-1 / 3)
+    return c * np.cos(w / 3), c * np.sin(w / 3)
+
+
+def _corner_bottom(x):
+    """``ds/dy(x, 0)`` and its first two derivatives in x."""
+    r, w = _corner_polar(x, np.zeros_like(x))
+    return (-2 / 3 * r ** (-1 / 3) * np.sin(w / 3),
+            2 / 9 * r ** (-4 / 3) * np.cos(4 * w / 3),
+            8 / 27 * r ** (-7 / 3) * np.sin(7 * w / 3))
+
+
+def lshape_u(x, y):
+    return closed_form_u(x, y) + corner_s(x, y) - y * _corner_bottom(x)[0]
+
+
+def lshape_grad_u(x, y):
+    ux, uy = closed_form_grad_u(x, y)
+    sx, sy = corner_grad_s(x, y)
+    g, dg, _ = _corner_bottom(x)
+    return ux + sx - y * dg, uy + sy - g
+
+
+def lshape_f(x, y):
+    return closed_form_f(x, y) + y * _corner_bottom(x)[2]
+
+
+# domain -> (u, grad u, f) of the closed-form triplet
+CLOSED_FORMS = {"square": (closed_form_u, closed_form_grad_u, closed_form_f),
+                "lshape": (lshape_u, lshape_grad_u, lshape_f)}
+# domain -> GammaA sides (start, end), walked from (0, 0) up the left side
+CLOSED_FORM_SIDES = {
+    "square": (((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0))),
+    "lshape": (((0, 0), (0, 1)), ((0, 1), (0.5, 1)), ((0.5, 1), (0.5, 0.5)),
+               ((0.5, 0.5), (1, 0.5)), ((1, 0.5), (1, 0))),
+}
+
+
 def _gamma_a_normal_derivative(grad, x, y):
-    """``grad . n`` on GammaA: the right side x = 1, the top y = 1 and the
+    """``grad . n`` on GammaA of either domain: the sides x = 1 and
+    x = 1/2 (above y = 1/2), y = 1 and y = 1/2 (right of x = 1/2), and the
     left side x = 0, taken in that order at a corner."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     gx, gy = grad(x, y)
-    return np.where(x == 1.0, gx, np.where(y == 1.0, gy, -gx))
+    return np.select([x == 1.0, y == 1.0, (x == 0.5) & (y > 0.5),
+                      (y == 0.5) & (x > 0.5)], [gx, gy, gx, gy], -gx)
 
 
-def closed_form_u_a(x, y):
-    return closed_form_u(x, y) + _gamma_a_normal_derivative(
-        closed_form_grad_u, x, y)
+def closed_form_u_a(x, y, domain="square"):
+    u, grad_u, _ = CLOSED_FORMS[domain]
+    return u(x, y) + _gamma_a_normal_derivative(grad_u, x, y)
 
 
-def closed_form_z(x, y):
-    return (closed_form_u(x, y) - closed_form_p(x, y)
+def closed_form_z(x, y, domain="square"):
+    return (CLOSED_FORMS[domain][0](x, y) - closed_form_p(x, y)
             - _gamma_a_normal_derivative(closed_form_grad_p, x, y))
 
 
-def closed_form_problem() -> ProblemSpec:
+def closed_form_problem(domain="square") -> ProblemSpec:
     return ProblemSpec(
-        name="square_closed_form", domain="square", gamma_i=("bottom",),
+        name=f"{domain}_closed_form", domain=domain, gamma_i=("bottom",),
         coeffs=CoefficientSet(alpha=1.0, gamma=1.0, beta=CLOSED_FORM_BETA),
-        f=closed_form_f, u_a=closed_form_u_a, q_true=closed_form_q)
+        f=CLOSED_FORMS[domain][2],
+        u_a=lambda x, y: closed_form_u_a(x, y, domain),
+        q_true=closed_form_q)
 
 
-def closed_form_measurement() -> Measurement:
+def closed_form_measurement(domain="square") -> Measurement:
     """The closed-form ``z`` sampled at 200 segments of each GammaA side,
-    walked from (0, 0) up the left side, along the top and down the right
-    side.  The samples cluster at the ends of each side as ``(1 - cos)/2``
-    does, since ``z`` jumps at the top corners, where the normal turns."""
+    walked as :data:`CLOSED_FORM_SIDES` lists them.  The samples cluster at
+    the ends of each side as ``(1 - cos)/2`` does, since ``z`` jumps at the
+    corners, where the normal turns."""
     s = 0.5 - 0.5 * np.cos(np.pi * np.arange(201) / 200)
-    zeros, ones = np.zeros_like(s), np.ones_like(s)
-    points = np.concatenate([np.column_stack([zeros, s]),
-                             np.column_stack([s, ones])[1:],
-                             np.column_stack([ones, 1.0 - s])[1:]])
-    return Measurement(points=points, values=closed_form_z(*points.T),
-                       arclength=np.concatenate([s, 1.0 + s[1:],
-                                                 2.0 + s[1:]]))
+    points, arclength, offset = [], [], 0.0
+    for k, (a, b) in enumerate(CLOSED_FORM_SIDES[domain]):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        part, length = (s if k == 0 else s[1:]), np.hypot(*(b - a))
+        points.append(a + part[:, None] * (b - a))
+        arclength.append(offset + length * part)
+        offset += length
+    points = np.concatenate(points)
+    return Measurement(points=points,
+                       values=closed_form_z(*points.T, domain),
+                       arclength=np.concatenate(arclength))
 
 
 # 6-point Dunavant rule on the reference triangle, degree 4: barycentric
@@ -1500,15 +1583,17 @@ def closed_form_flux_error(q: FeFunction) -> float:
     return float(np.sqrt((mesh.face_lengths[face_ids] * total).sum()))
 
 
-def closed_form_run(config):
+def closed_form_run(config, domain="square"):
     """``run_adaptive`` on the closed-form problem and its measurement.
 
     ``fluxrec.driver.estimate`` is patched for this one call to keep each
     iteration's triplet.  Returns the history and ``(n_vertices, eta,
-    err_u, err)`` per iteration: the exact H1 error of ``u`` and the total
-    exact error, of ``u`` and ``p`` in H1 and of ``q`` in L2(GammaI).
+    err_u, err_q, err)`` per iteration: the exact H1 error of ``u``, the
+    exact L2(GammaI) error of ``q`` and the total exact error, of ``u`` and
+    ``p`` in H1 and of ``q`` in L2(GammaI).
     """
     triplets, estimate = [], driver.estimate
+    exact_u, grad_u, _ = CLOSED_FORMS[domain]
 
     def recording(triplet, data):
         triplets.append(triplet)
@@ -1516,13 +1601,13 @@ def closed_form_run(config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(driver, "estimate", recording)
-        history = run_adaptive(closed_form_problem(), config,
-                               measurement=closed_form_measurement())
+        history = run_adaptive(closed_form_problem(domain), config,
+                               measurement=closed_form_measurement(domain))
     rows = []
     for record, t in zip(history.records, triplets):
-        err_u = closed_form_h1_error(t.u, closed_form_u, closed_form_grad_u)
+        err_u = closed_form_h1_error(t.u, exact_u, grad_u)
         err_p = closed_form_h1_error(t.p, closed_form_p, closed_form_grad_p)
         err_q = closed_form_flux_error(t.q)
-        rows.append((record.n_vertices, record.eta, err_u,
+        rows.append((record.n_vertices, record.eta, err_u, err_q,
                      math.sqrt(err_u ** 2 + err_p ** 2 + err_q ** 2)))
     return history, np.array(rows)

@@ -60,8 +60,7 @@ class TestRunCommand:
         def fail_at_iteration_1(system, settings, warm_start=None):
             calls.append(system.ops.mesh.n_triangles)
             if len(calls) == 2:
-                raise SolverError("injected failure", iterations=3,
-                                  residual=1.0)
+                raise SolverError("injected failure")
             return solve(system, settings, warm_start=warm_start)
 
         monkeypatch.setattr(driver, "solve_optimality", fail_at_iteration_1)

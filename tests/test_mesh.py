@@ -11,13 +11,14 @@ from fluxrec.mesh import (
     Mesh,
     MeshError,
     bisect,
-    boundary_paths,
+    boundary_arclength,
     build_initial_mesh,
     nvb_closure,
 )
 
 from helpers import (
     angles,
+    arclength_chains,
     boundary_tag_map,
     dict_boundary_paths,
     dict_face_table,
@@ -444,6 +445,19 @@ def square_with(square_mesh, *tags):
 
 
 class TestMeshErrors:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_non_finite_vertex_rejected(self, value, coord):
+        """A NaN area passes a ``<= 0`` test and an infinite one is
+        positive, so the coordinates are checked first."""
+        vertices = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        vertices[2, coord] = value
+        tags = [[BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_A,
+                 BoundaryTag.GAMMA_I]]
+        with pytest.raises(MeshError, match="vertex coordinates must be "
+                           "finite"):
+            Mesh(vertices, [(0, 1, 2)], tags)
+
     def test_non_manifold_face(self):
         """Three triangles on the edge (0, 1)."""
         vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0),
@@ -502,15 +516,15 @@ class TestMeshErrors:
                     (1.0, 1.0)]
         mesh = Mesh(vertices, [(0, 1, 2), (2, 4, 3)], [[1, 1, 2], [2, 1, 1]])
         with pytest.raises(MeshError, match="not a union of open paths"):
-            boundary_paths(mesh, BoundaryTag.GAMMA_A)
-        assert boundary_paths(mesh, BoundaryTag.GAMMA_I) == [[0, 1], [3, 4]]
+            boundary_arclength(mesh, BoundaryTag.GAMMA_A)
+        assert arclength_chains(mesh, BoundaryTag.GAMMA_I) == [[0, 1], [3, 4]]
 
     def test_closed_loop_path_rejected(self, square_mesh):
         tags = square_edge_tags(square_mesh)
         tags[tags == int(BoundaryTag.GAMMA_I)] = int(BoundaryTag.GAMMA_A)
         mesh = square_with(square_mesh, tags)
         with pytest.raises(MeshError, match="closed loop"):
-            boundary_paths(mesh, BoundaryTag.GAMMA_A)
+            boundary_arclength(mesh, BoundaryTag.GAMMA_A)
 
 
 class TestMeshSize:
@@ -597,10 +611,11 @@ class TestNormalsAndPaths:
                 st.integers(0, mesh.n_triangles - 1), min_size=1,
                 max_size=max(1, mesh.n_triangles // 2)), label="marked"))
         for tag in (BoundaryTag.GAMMA_A, BoundaryTag.GAMMA_I):
-            assert boundary_paths(mesh, tag) == dict_boundary_paths(mesh, tag)
+            want = dict_boundary_paths(mesh, tag)
+            assert arclength_chains(mesh, tag) == want
 
     def test_gamma_i_path_ordered(self, refined_square):
-        paths = boundary_paths(refined_square, BoundaryTag.GAMMA_I)
+        paths = arclength_chains(refined_square, BoundaryTag.GAMMA_I)
         assert len(paths) == 1
         pts = refined_square.vertices[paths[0]]
         assert np.allclose(pts[:, 1], 0.0)

@@ -30,6 +30,35 @@ from helpers import (
 
 
 class TestBuiltinProblems:
+    # name -> (domain, beta, true flux of x); each has gamma_i bottom,
+    # alpha = gamma = 1, f = 1 and u_a = 0
+    PINNED = {
+        "square_smooth": ("square", 1e-3, lambda x: np.sin(np.pi * x)),
+        "square_jump": ("square", 1e-4, lambda x: np.where(
+            (x >= 0.25) & (x <= 0.75), 1.0, 0.0)),
+        "lshape_spike": ("lshape", 1e-3,
+                         lambda x: np.exp(-100.0 * (x - 0.5) ** 2)),
+    }
+
+    def test_names(self):
+        assert problems.BUILTIN_NAMES == tuple(self.PINNED)
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pinned(self, name):
+        """Coefficients and the bytes of ``f``, ``u_a`` and ``q_true`` on a
+        grid whose x values include the jump's ends 0.25 and 0.75."""
+        domain, beta, q_true = self.PINNED[name]
+        p = builtin_problem(name)
+        assert (p.name, p.domain, p.gamma_i) == (name, domain, ("bottom",))
+        assert (p.coeffs.alpha, p.coeffs.gamma, p.coeffs.beta) \
+            == (1.0, 1.0, beta)
+        x, y = np.meshgrid(np.linspace(0.0, 1.0, 17), [0.0, 0.25, 0.5])
+        for got, want in ((p.f(x, y), np.ones_like(x)),
+                          (p.u_a(x, y), np.zeros_like(x)),
+                          (p.q_true(x, y), q_true(x))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_square_smooth_constants(self):
         p = builtin_problem("square_smooth")
         assert p.coeffs.beta == 1e-3
