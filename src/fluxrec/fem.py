@@ -14,12 +14,12 @@ on the vertices of its own boundary part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, MeshError
+from .mesh import BoundaryTag, Mesh, MeshError, boundary_arclength
 
 # 2-point Gauss rule on [0, 1] (weights sum to 1)
 GAUSS2_POINTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -175,17 +175,93 @@ def volume_load(mesh: Mesh, fv: np.ndarray) -> np.ndarray:
 _FACE_NODES = np.concatenate([GAUSS2_POINTS, GAUSS3_POINTS])
 
 
-def face_samples(mesh: Mesh, g, what) -> np.ndarray:
-    """Boundary data ``g`` on the GammaA faces, shape ``(k, 5)``: one row
-    per GammaA face in face order, the rows that :func:`boundary_load` and
-    the estimator's GammaA data read.
+def face_samples(mesh: Mesh, u_a) -> np.ndarray:
+    """The ambient temperature ``u_a`` on the GammaA faces, shape ``(k, 5)``:
+    one row per GammaA face in face order, as the estimator reads them.
 
     Columns 0-1 are the 2-point Gauss nodes of a face, which
     :func:`boundary_load` reads, and columns 2-4 its 3-point Gauss nodes.
     """
     ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)]]
     pts = ends[:, :1] + _FACE_NODES[:, None] * (ends[:, 1:] - ends[:, :1])
-    return _eval_data(g, pts[:, :, 0], pts[:, :, 1], what)
+    return _eval_data(u_a, pts[:, :, 0], pts[:, :, 1],
+                      "ambient temperature u_a")
+
+
+@dataclass
+class Measurement:
+    """Temperature samples at ``points`` on GammaA, a piecewise-linear
+    function of the arc length ``arclength``, which follows the layout of
+    :func:`~fluxrec.mesh.boundary_arclength`: each component walked from its
+    lexicographically smallest end, a unit after the end of the one before.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+    arclength: np.ndarray
+    generation_triangles: int = 0
+    generation_level: int = 0
+    _ends: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        self.arclength = np.asarray(self.arclength, dtype=float)
+        n = self.arclength.size
+        for name, shape in (("points", (n, 2)), ("values", (n,)),
+                            ("arclength", (n,))):
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"measurement {name} must have shape "
+                                 f"{shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"measurement {name} has non-finite "
+                                 "entries")
+        if np.any(np.diff(self.arclength) <= 0.0):
+            raise ValueError("samples must be strictly ordered in arc length")
+        # consecutive samples lie on one component when their arc-length gap
+        # matches their distance; ``_ends`` holds each component's two ends
+        geo = np.hypot(*(np.diff(self.points, axis=0).T))
+        same = np.abs(np.diff(self.arclength) - geo) < 1e-9
+        if not same.any():
+            raise ValueError(f"measurement has no boundary segment: none of "
+                             f"its {n} samples is followed by one on the "
+                             "same boundary component")
+        cut = np.flatnonzero(~same)
+        ends = np.column_stack([np.append(0, cut + 1), np.append(cut, n - 1)])
+        self._ends = np.column_stack([self.points, self.arclength])[ends]
+
+    def __call__(self, t):
+        """The samples interpolated linearly at the arc-length abscissae
+        ``t``, an array of the shape of ``t``."""
+        return np.interp(t, self.arclength, self.values)
+
+
+def measurement_samples(mesh: Mesh, z: Measurement) -> np.ndarray:
+    """The measurement ``z`` at the nodes of :func:`face_samples`, their
+    abscissae interpolated between those of the face ends on the GammaA walk
+    of :func:`~fluxrec.mesh.boundary_arclength`, in one call of ``z``.
+    Raises ``ValueError`` unless, to 1e-9, the walk's components match
+    those of ``z`` in number, end points and end abscissae, and each vertex
+    of the walk lies at its abscissa on the polyline of ``z``'s samples."""
+    faces = mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)]
+    ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
+    # the walk of a component starts and ends at its two vertices of degree 1
+    degree = np.bincount(faces.ravel(), minlength=mesh.n_vertices)
+    ends = np.column_stack([mesh.vertices[ids], t])[
+        np.flatnonzero(degree[ids] == 1).reshape(-1, 2)]
+    on_line = np.column_stack([np.interp(t, z.arclength, c)
+                               for c in z.points.T])
+    if (ends.shape != z._ends.shape or np.abs(ends - z._ends).max() > 1e-9
+            or np.abs(on_line - mesh.vertices[ids]).max() > 1e-9):
+        raise ValueError(
+            f"measurement z does not fit GammaA: its {len(z._ends)} "
+            f"component(s) and the mesh's {len(ends)} differ in number, end "
+            "points or end abscissae, or a vertex lies off its samples")
+    tv = np.empty(mesh.n_vertices)
+    tv[ids] = t
+    ta = tv[faces]
+    return z(ta[:, :1] + _FACE_NODES * (ta[:, 1:] - ta[:, :1]))
 
 
 def boundary_load(mesh: Mesh, gv: np.ndarray):

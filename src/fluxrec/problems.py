@@ -1,19 +1,20 @@
 """Built-in benchmark problems and synthetic measurement generation.
 
 Synthetic data are produced on a uniformly refined forward mesh, sampled at
-its accessible-boundary vertices and perturbed with multiplicative noise.
-Keeping the measurement as piecewise-linear samples along the boundary arc
-(rather than a closed-form callable) mimics sensor data and decouples the
-data from whatever mesh the inversion later uses.
+its accessible-boundary vertices along the mesh's GammaA walk and perturbed
+with multiplicative noise.  Keeping the measurement as piecewise-linear
+samples in GammaA's arc length mimics sensor data and decouples the data
+from whatever mesh the inversion later uses, as long as that mesh walks the
+same GammaA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import CoefficientSet, FeFunction, _eval_data
+from .fem import CoefficientSet, FeFunction, Measurement, _eval_data
 from .mesh import BoundaryTag, Mesh, boundary_arclength, build_initial_mesh, bisect
 from .solver import DiscreteSystem, ProblemData, solve_state
 
@@ -35,9 +36,6 @@ BUILTIN_NAMES = tuple(_BUILTIN)
 MEASUREMENT_LEVELS = 5
 # most triangles a generation mesh may have (each level at least doubles them)
 MEASUREMENT_MAX_TRIANGLES = 2 ** 20
-# most point-segment pairs one block of a measurement lookup holds, which
-# bounds its memory whatever the sample and point counts
-_LOCATE_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -100,89 +98,6 @@ def builtin_problem(name: str) -> ProblemSpec:
     )
 
 
-@dataclass
-class Measurement:
-    """Piecewise-linear boundary temperature samples along GammaA.
-
-    ``points`` are ordered along the boundary arc; ``values`` hold the
-    (possibly noisy) temperatures.  Evaluation interpolates linearly in arc
-    length between samples; at a sample it reproduces the stored value.
-    """
-
-    points: np.ndarray
-    values: np.ndarray
-    arclength: np.ndarray
-    generation_triangles: int = 0
-    generation_level: int = 0
-    _segments: np.ndarray = field(init=False, repr=False)
-    _seg_ends: np.ndarray = field(init=False, repr=False)
-    _seg_len: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.arclength = np.asarray(self.arclength, dtype=float)
-        n = self.arclength.size
-        for name, shape in (("points", (n, 2)), ("values", (n,)),
-                            ("arclength", (n,))):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"measurement {name} must have shape "
-                                 f"{shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"measurement {name} has non-finite "
-                                 "entries")
-        if np.any(np.diff(self.arclength) <= 0.0):
-            raise ValueError("samples must be strictly ordered in arc length")
-        # consecutive samples form a real boundary segment only when their
-        # arc-length gap matches the geometric distance (component gaps are
-        # padded and must never be interpolated across); ``_segments`` holds
-        # the first sample of each, ``_seg_ends`` its two end points
-        geo = np.hypot(*(np.diff(self.points, axis=0).T))
-        self._segments = np.flatnonzero(
-            np.abs(np.diff(self.arclength) - geo) < 1e-9)
-        if self._segments.size == 0:
-            raise ValueError(f"measurement has no boundary segment: none of "
-                             f"its {n} samples is followed by one on the "
-                             "same boundary component")
-        self._seg_ends = self.points[np.stack([self._segments,
-                                               self._segments + 1])]
-        self._seg_len = geo[self._segments]
-
-    def __call__(self, x, y):
-        """Evaluate at boundary points, vectorized over (x, y); the result
-        is an array of their broadcast shape, 0-d for scalar arguments."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float))
-        t = self._locate(np.column_stack([x.ravel(), y.ravel()]))
-        return np.interp(t, self.arclength, self.values).reshape(x.shape)
-
-    def _locate(self, pts, tol=1e-9):
-        """Arc-length parameter of points lying on the sample polyline.
-
-        A point is placed on the first segment it lies on.  The points go
-        in blocks of at most ``_LOCATE_PAIRS`` point-segment pairs (at
-        least one point), so memory stays linear in the sample count.
-        """
-        valid, (a, b), seg_len = self._segments, self._seg_ends, self._seg_len
-        step = max(1, _LOCATE_PAIRS // valid.size)
-        t = np.empty(pts.shape[0])
-        for lo in range(0, pts.shape[0], step):
-            block = pts[lo:lo + step]
-            d_a = np.hypot(block[:, None, 0] - a[None, :, 0],
-                           block[:, None, 1] - a[None, :, 1])
-            d_b = np.hypot(block[:, None, 0] - b[None, :, 0],
-                           block[:, None, 1] - b[None, :, 1])
-            on_seg = d_a + d_b - seg_len[None, :] < tol
-            if not on_seg.any(axis=1).all():
-                raise ValueError("measurement evaluated off the sampled "
-                                 "boundary")
-            which = on_seg.argmax(axis=1)
-            rows = np.arange(block.shape[0])
-            t[lo:lo + step] = self.arclength[valid[which]] + d_a[rows, which]
-        return t
-
-
 def generate_measurement(
         problem: ProblemSpec,
         extra_levels: int = MEASUREMENT_LEVELS) -> Measurement:
@@ -201,23 +116,24 @@ def generate_measurement(
         raise ValueError("extra_levels must be >= 2 to keep the forward mesh "
                          "finer than the inversion start")
     mesh = problem.initial_mesh()
-    if mesh.n_triangles << int(extra_levels) > MEASUREMENT_MAX_TRIANGLES:
+    # shifting the cap right stays small for any level count
+    if mesh.n_triangles > MEASUREMENT_MAX_TRIANGLES >> int(extra_levels):
         raise ValueError(f"extra_levels={extra_levels} would generate more "
                          f"than {MEASUREMENT_MAX_TRIANGLES} triangles")
     for _ in range(extra_levels):
         mesh = bisect(mesh, np.arange(mesh.n_triangles))
 
-    # the state solve reads no z: with a zero measurement A, F, M_i and the
-    # factor are the same bytes, and only Z, u0 and p0 are extra work
-    system = DiscreteSystem(mesh, problem.data(z=lambda x, y: 0.0))
+    # the state solve reads no z: with a zero measurement on this mesh's
+    # walk A, F, M_i and the factor are the same, and Z, u0, p0 extra work
+    vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
+    points = mesh.vertices[vertex_ids]
+    zero = Measurement(points, np.zeros(arclength.size), arclength)
+    system = DiscreteSystem(mesh, problem.data(z=zero))
     ids = system.ops.gamma_i
     q = FeFunction(mesh, np.zeros(mesh.n_vertices))
     q.values[ids] = _eval_data(problem.q_true, *mesh.vertices[ids].T,
                                "interpolated data")
     u = solve_state(q, system)
-
-    vertex_ids, arclength = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
-    points = mesh.vertices[vertex_ids]
     values = u.values[vertex_ids]
 
     if problem.noise > 0.0:

@@ -23,11 +23,13 @@ import scipy.sparse.linalg as spla
 from .fem import (
     CoefficientSet,
     FeFunction,
+    Measurement,
     assemble_bilinear,
     assemble_load,
     assemble_trace_operators,
     boundary_load,
     face_samples,
+    measurement_samples,
     midpoint_samples,
 )
 from .mesh import BoundaryTag, Mesh, MeshError
@@ -56,22 +58,26 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Coefficients and data callables defining one inversion problem.
+    """Coefficients and data defining one inversion problem.
 
-    ``f``, ``u_a`` and ``z`` are the source, the ambient temperature and the
-    measured temperature on GammaA, all required (zero data is a zero
-    callable).  All callables take vectorized ``(x, y)`` arguments.
+    ``f`` and ``u_a`` are the source and the ambient temperature, callables
+    of vectorized ``(x, y)`` arguments; ``z`` is the :class:`Measurement` of
+    the temperature on GammaA, read by arc length.  All are required (zero
+    data is a zero callable or a zero measurement).
     """
 
     coeffs: CoefficientSet
     f: object
     u_a: object
-    z: object
+    z: Measurement
 
     def __post_init__(self):
-        for name in ("f", "u_a", "z"):
+        for name in ("f", "u_a"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"problem data {name} must be callable")
+        if not isinstance(self.z, Measurement):
+            raise ValueError("problem data z must be a Measurement, got "
+                             f"{type(self.z).__name__}")
 
 
 @dataclass
@@ -178,7 +184,8 @@ class _MeshOperators:
     and ``osc_f_sq`` and the load ``F``; one sampling each of ``u_a`` and
     ``z`` at the 2-point and 3-point Gauss nodes of the GammaA faces gives
     ``F`` its boundary term, ``Z`` and ``z_sq``, and the estimator's
-    ``gamma_a_data``, so data that does not fit the boundary raises before
+    ``gamma_a_data``.  ``z`` is read by arc length along the GammaA walk,
+    so a measurement that does not fit the mesh's GammaA raises before
     ``A`` is ordered or assembled.  Last come the nested-dissection order
     ``p``, the factor positions ``gamma_i_pos`` and ``gamma_a_pos`` of the
     two boundary parts, ``A`` assembled in that order and its factor ``lu``
@@ -207,10 +214,10 @@ class _MeshOperators:
         self.f_sq = areas * (w_vol * fv ** 2).sum(axis=1)
         self.osc_f_sq = areas * (
             w_vol * (fv - fv.mean(axis=1)[:, None]) ** 2).sum(axis=1)
-        ua = face_samples(mesh, self.u_a, "ambient temperature u_a")
+        ua = face_samples(mesh, self.u_a)
         self.F = assemble_load(mesh, fv, ua[:, :2], self.coeffs)
         del fv
-        zv = face_samples(mesh, self.z, "measurement z")
+        zv = measurement_samples(mesh, self.z)
         self.Z, self.z_sq = boundary_load(mesh, zv[:, :2])
         # (gamma u_a, z) at the 3-point Gauss nodes of the GammaA faces
         self.gamma_a_data = _read_only(self.coeffs.gamma * ua[:, 2:],

@@ -160,7 +160,18 @@ def gauss3_gamma_a_data(mesh, data):
     pts = ends[:, :1] + GAUSS3_POINTS[:, None] * (ends[:, 1:] - ends[:, :1])
     x, y = pts[:, :, 0], pts[:, :, 1]
     return (data.coeffs.gamma * _eval_data(data.u_a, x, y, "u_a"),
-            _eval_data(data.z, x, y, "measurement z"))
+            data.z(gamma_a_abscissae(mesh, GAUSS3_POINTS)))
+
+
+def gamma_a_abscissae(mesh, s) -> np.ndarray:
+    """Arc length on the :func:`boundary_arclength` walk of GammaA of the
+    points at the fractions ``s`` of each GammaA face, one face at a time:
+    shape ``(k, len(s))``, GammaA faces in face order."""
+    ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
+    at = dict(zip(ids.tolist(), t.tolist()))
+    ends = mesh.faces[mesh.faces_with_tag(BoundaryTag.GAMMA_A)].tolist()
+    return np.array([[at[a] + x * (at[b] - at[a]) for x in np.atleast_1d(s)]
+                     for a, b in ends]).reshape(len(ends), -1)
 
 
 def assert_same_csr(got, want, rtol=0.0):
@@ -318,7 +329,7 @@ def brute_force_indicators(triplet, data):
                 ph = p[va] * (1 - t_par) + p[vb] * t_par
                 j1 = (gamma * float(data.u_a(x, y)) - gamma * uh
                       - alpha * grads_u[t0] @ normal)
-                j2 = (uh - float(data.z(x, y)) - gamma * ph
+                j2 = (uh - float(located_z(data.z, x, y)) - gamma * ph
                       - alpha * grads_p[t0] @ normal)
             else:
                 qh = q[va] * (1 - t_par) + q[vb] * t_par
@@ -400,7 +411,7 @@ class FaceSamples:
             u_vals = _face_trace_values(triplet.u.values, mesh, ga, tpar[ga])
             p_vals = _face_trace_values(triplet.p.values, mesh, ga, tpar[ga])
             j1[ga] = gamma * ua - gamma * u_vals - flux_u0[ga][:, None]
-            zv = _eval_data(data.z, x, y, "measurement z")
+            zv = located_z(data.z, x, y)
             j2[ga] = u_vals - zv - gamma * p_vals - flux_p0[ga][:, None]
 
         gi = np.flatnonzero(mesh.face_tags == int(BoundaryTag.GAMMA_I))
@@ -654,6 +665,17 @@ def nvb_chain(domain, data, refine=bisect):
     return chain
 
 
+def random_nvb_mesh(mesh, data):
+    """A few uniform sweeps, then a few random markings, drawn from data."""
+    for _ in range(data.draw(st.integers(0, 4), label="uniform")):
+        mesh = bisect(mesh, np.arange(mesh.n_triangles))
+    for _ in range(data.draw(st.integers(0, 4), label="steps")):
+        mesh = bisect(mesh, data.draw(st.lists(
+            st.integers(0, mesh.n_triangles - 1), min_size=1,
+            max_size=max(1, mesh.n_triangles // 2)), label="marked"))
+    return mesh
+
+
 def graded_mesh(initial, seed, sweeps=3):
     """``initial`` after a few bisections of a random half of the triangles."""
     rng = np.random.default_rng(seed)
@@ -858,7 +880,9 @@ def default_order_factor(A):
 def two_pass_measurement_moments(mesh, z):
     """Oracle for ``DiscreteSystem.Z`` and ``z_sq``, and with ``u_a`` for the
     boundary term of ``F``: ``z`` is sampled at the GammaA 2-point Gauss
-    nodes once for the load vector and once more for ``int z^2``."""
+    nodes once for the load vector and once more for ``int z^2``, a
+    measurement by :func:`gamma_a_abscissae` and a callable in the
+    plane."""
     face_ids = mesh.faces_with_tag(BoundaryTag.GAMMA_A)
     faces = mesh.faces[face_ids]
     pa = mesh.vertices[faces[:, 0]]
@@ -868,8 +892,10 @@ def two_pass_measurement_moments(mesh, z):
     def samples():
         for t, w in zip(GAUSS2_POINTS, GAUSS2_WEIGHTS):
             x = pa + t * (pb - pa)
-            zv = np.broadcast_to(np.asarray(z(x[:, 0], x[:, 1]), dtype=float),
-                                 x[:, 0].shape).astype(float)
+            zv = (z(gamma_a_abscissae(mesh, t)[:, 0])
+                  if isinstance(z, Measurement) else
+                  np.broadcast_to(np.asarray(z(x[:, 0], x[:, 1]), dtype=float),
+                                  x[:, 0].shape).astype(float))
             yield t, w * lens, zv
 
     Z = np.zeros(mesh.n_vertices)
@@ -883,9 +909,12 @@ def two_pass_measurement_moments(mesh, z):
 
 
 def dense_locate(measurement, pts, tol=1e-9):
-    """Oracle for ``Measurement._locate``: every point against every real
-    segment in one dense ``N_points x N_segments`` pass."""
-    valid = measurement._segments
+    """Arc length of boundary points ``pts`` on the measurement's sample
+    polyline: every point against every real segment, consecutive samples
+    whose arc-length gap is their distance, in one dense ``N_points x
+    N_segments`` pass.  A point goes to the first segment it lies on."""
+    geo = np.hypot(*np.diff(measurement.points, axis=0).T)
+    valid = np.flatnonzero(np.abs(np.diff(measurement.arclength) - geo) < 1e-9)
     a = measurement.points[:-1][valid]
     b = measurement.points[1:][valid]
     seg_len = np.hypot(*(b - a).T)
@@ -899,6 +928,17 @@ def dense_locate(measurement, pts, tol=1e-9):
     which = on_seg.argmax(axis=1)
     rows = np.arange(pts.shape[0])
     return measurement.arclength[valid[which]] + d_a[rows, which]
+
+
+def located_z(measurement, x, y):
+    """Oracle for the measurement at boundary points ``(x, y)``, as it was
+    read before it took arc lengths: :func:`dense_locate`, then
+    ``np.interp``; an array of the broadcast shape of ``x`` and ``y``."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    t = dense_locate(measurement, np.column_stack([x.ravel(), y.ravel()]))
+    return np.interp(t, measurement.arclength,
+                     measurement.values).reshape(x.shape)
 
 
 def inner_cg_solve(A, rhs, rtol=1e-11, maxiter=10_000):
@@ -1400,6 +1440,16 @@ def nodal_interpolant(fun, mesh: Mesh) -> FeFunction:
 def zero(x, y):
     """Zero data, vectorized like the problem callables."""
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def walk_measurement(mesh, z=zero) -> Measurement:
+    """The callable ``z`` sampled at the GammaA vertices of ``mesh`` along
+    its :func:`boundary_arclength` walk: a measurement that fits ``mesh``
+    and its descendants, linear in arc length between the samples."""
+    ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
+    points = mesh.vertices[ids]
+    return Measurement(points=points, arclength=t,
+                       values=_eval_data(z, *points.T, "measurement z"))
 
 
 # A closed-form optimal triplet with GammaI the bottom side, alpha = gamma = 1

@@ -144,6 +144,16 @@ class TestForwardCommand:
         assert "extra_levels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_level_count(self, tmp_path, capsys):
+        """A count far past the cap is refused as a runtime error too, not
+        by an overflow of the cap check."""
+        out = tmp_path / "m.txt"
+        rc = cli_main(["forward", "--levels", str(10 ** 20),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "extra_levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_problem(self, tmp_path, capsys):
         rc = cli_main(["forward", "--problem", "mystery",
                        "--out", str(tmp_path / "x.txt")])

@@ -19,6 +19,12 @@ L-shape   maximum   22     -0.499     -0.522         2.09-4.85
 On the L-shape, uniform refinement at 3,201 vertices leaves an L2(GammaI)
 flux error of 2.94e-2; Doerfler has 2.79e-3 at 2,824 vertices and maximum
 marking 4.55e-3 at 3,104.
+
+The theorem itself promises convergence, with no rate, for any marking
+whose set holds a triangle of largest indicator.  Maximum marking with
+theta = 1 marks only those; over 150 iterations the total exact error fell
+from 0.966 to 0.140 on the square (eta / error 3.50-4.91) and from 1.140
+to 0.127 on the L-shape (2.14-4.09).
 """
 
 import functools
@@ -51,6 +57,8 @@ MARKINGS = {"doerfler": ("doerfler", 0.5), "maximum": ("maximum", 0.5),
             "uniform": ("maximum", 0.0)}
 # domain -> band of eta over the total exact error on every iteration
 BANDS = {"square": (3.0, 6.0), "lshape": (1.5, 6.0)}
+# iterations of the runs under the weakest marking the theorem covers
+WEAKEST_ITERS = 150
 
 
 @functools.cache
@@ -152,11 +160,13 @@ class TestData:
         t, w = gauss_rule(3)
         s = ((np.arange(2000)[:, None] + t) / 2000).ravel()
         ws = np.tile(w, 2000) / 2000
-        err_sq = 0.0
+        err_sq, offset = 0.0, 0.0
         for a, b in np.array(CLOSED_FORM_SIDES[self.domain], dtype=float):
             x, y = a[:, None] + s * (b - a)[:, None]
-            err_sq += np.hypot(*(b - a)) * (ws * (
-                meas(x, y) - closed_form_z(x, y, self.domain)) ** 2).sum()
+            length = np.hypot(*(b - a))
+            diff = meas(offset + length * s) - closed_form_z(x, y, self.domain)
+            err_sq += length * (ws * diff ** 2).sum()
+            offset += length
         assert np.sqrt(err_sq) < 1e-4
 
 
@@ -191,6 +201,30 @@ class TestLShapeData(TestData):
         x, y = a[:, None] + np.linspace(0.05, 0.95, 7) * (b - a)[:, None]
         normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.hypot(*(b - a))
         self._check_gamma_a_data(x, y, normal, 1e-6)
+
+
+@functools.cache
+def weakest_rows(domain):
+    """The rows of :func:`adaptive_rows` for maximum marking with theta = 1
+    over ``WEAKEST_ITERS`` iterations."""
+    config = LoopConfig(strategy="maximum", theta=1.0, tol=1e-12,
+                        max_iters=WEAKEST_ITERS, max_triangles=CAP)
+    history, rows = closed_form_run(config, domain)
+    assert history.stop_reason == "max_iters"
+    return rows
+
+
+@pytest.mark.parametrize("domain", ["square", "lshape"])
+def test_convergence_under_the_weakest_marking(domain):
+    """Marking only the triangles of largest indicator, the total exact
+    error ends at least four times below its start, its last fifth reaches
+    below its earlier minimum, and eta stays in the domain's band."""
+    _, eta, _, _, err = weakest_rows(domain).T
+    assert err[-1] <= err[0] / 4.0
+    tail = len(err) // 5
+    assert err[-tail:].min() < err[:-tail].min()
+    lo, hi = BANDS[domain]
+    assert (eta / err).min() >= lo and (eta / err).max() <= hi
 
 
 @pytest.mark.parametrize("domain, marking", RUNS)

@@ -56,7 +56,7 @@ class TestRunAdaptive:
                     f=lambda x, y: 0.0 * x,
                     u_a=lambda x, y: 0.0 * x)
         zero_meas = problems.Measurement(
-            points=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),
+            points=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
             values=np.zeros(4),
             arclength=np.array([0.0, 1.0, 2.0, 3.0]))
         config = LoopConfig(max_iters=10, tol=1e-8)

@@ -37,6 +37,7 @@ from helpers import (
     monomial_integral_ref_triangle,
     nodal_interpolant,
     nvb_chain,
+    walk_measurement,
     zero,
 )
 
@@ -52,11 +53,11 @@ def make_triplet(mesh, u_vals=None, p_vals=None, q_vals=None):
     return OptimalTriplet(u=u, p=p, q=q)
 
 
-def zero_data(coeffs):
+def zero_data(coeffs, mesh):
     return ProblemData(coeffs=coeffs,
                        f=lambda x, y: 0.0 * x,
                        u_a=lambda x, y: 0.0 * x,
-                       z=lambda x, y: 0.0 * x)
+                       z=walk_measurement(mesh))
 
 
 def interior_jumps(triplet, data):
@@ -101,7 +102,7 @@ class TestElementResiduals:
         data = ProblemData(coeffs=smooth_problem.coeffs,
                            f=lambda x, y: x + y,
                            u_a=lambda x, y: 0.0 * x,
-                           z=lambda x, y: 0.0 * x)
+                           z=walk_measurement(refined_square))
         fs = FaceSamples(triplet, data)
         lengths = refined_square.face_lengths
         face2 = lengths * fs.norm_sq(fs.j2, lengths)
@@ -133,8 +134,8 @@ class TestFaceJumps:
                                                   smooth_problem):
         u = nodal_interpolant(lambda x, y: x, refined_square)
         triplet = make_triplet(refined_square, u_vals=u.values)
-        faces, jmp_u, _ = interior_jumps(triplet,
-                                         zero_data(smooth_problem.coeffs))
+        faces, jmp_u, _ = interior_jumps(
+            triplet, zero_data(smooth_problem.coeffs, refined_square))
         interior = refined_square.faces_with_tag(BoundaryTag.INTERIOR)
         assert np.array_equal(faces, interior)
         assert np.abs(jmp_u).max() < 1e-12
@@ -142,8 +143,8 @@ class TestFaceJumps:
     def test_gamma_i_zero_state_zero_flux(self, refined_square,
                                           smooth_problem):
         triplet = make_triplet(refined_square)
-        faces, j1, _, _ = boundary_samples(triplet,
-                                           zero_data(smooth_problem.coeffs))
+        faces, j1, _, _ = boundary_samples(
+            triplet, zero_data(smooth_problem.coeffs, refined_square))
         gi = refined_square.faces_with_tag(BoundaryTag.GAMMA_I)
         assert np.abs(j1[rows_of(faces, gi)]).max() == 0.0
 
@@ -153,8 +154,8 @@ class TestFaceJumps:
         mesh = build_initial_mesh("square", "bottom")
         u = nodal_interpolant(lambda x, y: y, mesh)
         triplet = make_triplet(mesh, u_vals=u.values)
-        faces, j1, _, _ = boundary_samples(triplet,
-                                           zero_data(smooth_problem.coeffs))
+        faces, j1, _, _ = boundary_samples(
+            triplet, zero_data(smooth_problem.coeffs, mesh))
         top = [f for f in mesh.faces_with_tag(BoundaryTag.GAMMA_A)
                if np.allclose(mesh.vertices[mesh.faces[f], 1], 1.0)]
         assert len(top) == 1
@@ -162,8 +163,8 @@ class TestFaceJumps:
 
     def test_weights_sum_to_one(self, refined_square, smooth_problem):
         triplet = make_triplet(refined_square)
-        faces, _, _, w = boundary_samples(triplet,
-                                          zero_data(smooth_problem.coeffs))
+        faces, _, _, w = boundary_samples(
+            triplet, zero_data(smooth_problem.coeffs, refined_square))
         assert np.array_equal(faces, np.flatnonzero(
             refined_square.face_tags != int(BoundaryTag.INTERIOR)))
         assert np.allclose(w.sum(axis=1), 1.0)
@@ -178,7 +179,7 @@ class TestFaceJumps:
         trip = make_triplet(mesh, q_vals=rng.standard_normal(
             gamma_i_vertices(mesh).size))
         faces, j1, _, _ = boundary_samples(
-            trip, zero_data(problem.coeffs))
+            trip, zero_data(problem.coeffs, mesh))
         gi = mesh.faces_with_tag(BoundaryTag.GAMMA_I)
         qa = dof_lookup_trace_values(trip.q, mesh.faces[gi, 0])
         qb = dof_lookup_trace_values(trip.q, mesh.faces[gi, 1])
@@ -218,7 +219,8 @@ class TestEstimate:
     def test_zero_problem_zero_estimator(self, refined_square,
                                          smooth_problem):
         triplet = make_triplet(refined_square)
-        ind = estimate(triplet, zero_data(smooth_problem.coeffs))
+        ind = estimate(triplet,
+                       zero_data(smooth_problem.coeffs, refined_square))
         assert ind.eta == 0.0
         assert ind.osc == 0.0
 
@@ -238,7 +240,7 @@ class TestEstimate:
             coeffs=data.coeffs,
             f=lambda x, y: 2.0 * data.f(x, y),
             u_a=lambda x, y: 2.0 * data.u_a(x, y),
-            z=lambda x, y: 2.0 * data.z(x, y))
+            z=dataclasses.replace(data.z, values=2.0 * data.z.values))
         scaled = OptimalTriplet(
             u=FeFunction(triplet.u.mesh, 2.0 * triplet.u.values),
             p=FeFunction(triplet.p.mesh, 2.0 * triplet.p.values),
@@ -273,7 +275,8 @@ class TestOscillations:
         # constant when q is constant, so those oscillations vanish
         u = nodal_interpolant(lambda x, y: y, refined_square)
         triplet = make_triplet(refined_square, u_vals=u.values, q_vals=2.0)
-        osc_j1 = estimate(triplet, zero_data(smooth_problem.coeffs)).osc_j1_sq
+        osc_j1 = estimate(
+            triplet, zero_data(smooth_problem.coeffs, refined_square)).osc_j1_sq
         gi = refined_square.faces_with_tag(BoundaryTag.GAMMA_I)
         interior = refined_square.faces_with_tag(BoundaryTag.INTERIOR)
         assert np.abs(osc_j1[gi]).max() < 1e-15
@@ -294,7 +297,7 @@ class TestOscillations:
         data = ProblemData(coeffs=smooth_problem.coeffs,
                            f=lambda x, y: x,
                            u_a=lambda x, y: 0.0 * x,
-                           z=lambda x, y: 0.0 * x)
+                           z=walk_measurement(mesh))
         ind = estimate(triplet, data)
         # exact: h_T^2 ||x - 1/3||^2 = 0.5 * (1/12 - 1/9 + 1/18) = 1/72
         exact = 0.5 * (monomial_integral_ref_triangle(2, 0)

@@ -10,6 +10,7 @@ from fluxrec.driver import true_errors
 from fluxrec.fem import (
     CoefficientSet,
     FeFunction,
+    Measurement,
     _boundary_mass,
     _mass,
     _p1_matrix,
@@ -47,6 +48,7 @@ from helpers import (
     nvb_chain,
     recursive_bisect,
     trace_coupling,
+    walk_measurement,
     zero,
 )
 
@@ -78,7 +80,7 @@ def trace_operators(mesh):
 
 def gamma_a_samples(mesh, g):
     """``g`` at the 2-point Gauss nodes of the GammaA faces."""
-    return face_samples(mesh, g, "u_a")[:, :2]
+    return face_samples(mesh, g)[:, :2]
 
 
 class TestAssembleBilinear:
@@ -321,7 +323,7 @@ class TestAssembleLoad:
         mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     triangles=np.array([[0, 1, 2]]),
                     edge_tags=[[BoundaryTag.GAMMA_I] * 3])
-        samples = face_samples(mesh, lambda x, y: np.ones_like(x), "g")
+        samples = face_samples(mesh, lambda x, y: np.ones_like(x))
         F, g_sq = boundary_load(mesh, samples[:, :2])
         assert F.tolist() == [0.0, 0.0, 0.0] and F.dtype == np.float64
         assert g_sq == 0.0 and type(g_sq) is float
@@ -353,7 +355,8 @@ class TestTraceOperators:
                               .toarray(), M_i.toarray())
 
     def test_b_row_support_is_gamma_i(self, refined_square, smooth_problem):
-        ops = DiscreteSystem(refined_square, smooth_problem.data(z=zero)).ops
+        ops = DiscreteSystem(refined_square, smooth_problem.data(
+            z=walk_measurement(refined_square))).ops
         load = ops.flux_load(np.ones(ops.gamma_i.size))
         assert np.array_equal(np.flatnonzero(load), ops.gamma_i)
         B = trace_coupling(refined_square, ops.gamma_i)
@@ -400,14 +403,16 @@ class TestGammaIVertices:
     """The flux lives on ``_MeshOperators.gamma_i``, the ascending GammaI
     vertex ids."""
 
-    def test_no_gamma_i_face_rejected_before_sampling(self):
+    def test_no_gamma_i_face_rejected_before_sampling(self, monkeypatch):
         """A mesh without a GammaI or without a GammaA face is rejected
-        before any data callable runs."""
+        before any data callable or the measurement runs."""
 
-        def forbidden(x, y):
+        def forbidden(*args):
             raise AssertionError("data sampled")
 
-        data = ProblemData(COEFFS, f=forbidden, u_a=forbidden, z=forbidden)
+        z = walk_measurement(build_initial_mesh("square", "bottom"))
+        monkeypatch.setattr(Measurement, "__call__", forbidden)
+        data = ProblemData(COEFFS, f=forbidden, u_a=forbidden, z=z)
         for tag, missing in ((BoundaryTag.GAMMA_A, "GammaI"),
                              (BoundaryTag.GAMMA_I, "GammaA")):
             mesh = Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0],
@@ -421,7 +426,7 @@ class TestGammaIVertices:
     @hyp_settings(max_examples=20, deadline=None)
     def test_match_face_endpoint_oracle(self, domain, data):
         mesh = nvb_chain(domain, data)[-1]
-        data = ProblemData(COEFFS, zero, zero, zero)
+        data = ProblemData(COEFFS, zero, zero, walk_measurement(mesh))
         ids = DiscreteSystem(mesh, data).ops.gamma_i
         assert np.array_equal(ids, gamma_i_vertices(mesh))
         assert ids.dtype == mesh.faces.dtype

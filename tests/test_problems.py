@@ -9,8 +9,15 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fluxrec import problems
-from fluxrec.fem import assemble_load, face_samples, midpoint_samples
-from fluxrec.mesh import bisect
+from fluxrec.fem import (
+    GAUSS2_POINTS,
+    GAUSS3_POINTS,
+    assemble_load,
+    face_samples,
+    measurement_samples,
+    midpoint_samples,
+)
+from fluxrec.mesh import BoundaryTag, bisect, build_initial_mesh
 from fluxrec.problems import (
     Measurement,
     builtin_problem,
@@ -20,12 +27,15 @@ from fluxrec.problems import (
 from fluxrec.solver import DiscreteSystem, solve_state
 
 from helpers import (
-    dense_locate,
+    closed_form_measurement,
+    closed_form_problem,
     gamma_i_flux,
     gamma_i_vertices,
+    located_z,
+    random_nvb_mesh,
     trace_coupling,
     vertex_order_bilinear,
-    zero,
+    walk_measurement,
 )
 
 
@@ -121,7 +131,7 @@ class TestGenerateMeasurement:
         for _ in range(problems.MEASUREMENT_LEVELS):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
         ids = gamma_i_vertices(mesh)
-        ua = face_samples(mesh, problem.u_a, "u_a")
+        ua = face_samples(mesh, problem.u_a)
         F = assemble_load(mesh, midpoint_samples(mesh, problem.f),
                           ua[:, :2], problem.coeffs)
         q = problem.q_true(*mesh.vertices[ids].T)
@@ -138,7 +148,7 @@ class TestGenerateMeasurement:
         """The state solve gives the same bytes under a zero and a real
         measurement, so generation may build its operators with zero."""
         states = []
-        for z in (zero, smooth_measurement):
+        for z in (walk_measurement(refined_square), smooth_measurement):
             system = DiscreteSystem(refined_square, smooth_problem.data(z=z))
             q = gamma_i_flux(refined_square)
             q.values[system.ops.gamma_i] = smooth_problem.q_true(
@@ -165,7 +175,7 @@ class TestGenerateMeasurement:
         with pytest.raises(ValueError, match="extra_levels"):
             generate_measurement(smooth_problem, extra_levels=1)
 
-    @pytest.mark.parametrize("levels", [20, 64])
+    @pytest.mark.parametrize("levels", [20, 64, 10 ** 20])
     def test_extra_levels_bounded_before_refining(self, smooth_problem,
                                                   levels):
         """Levels whose mesh would exceed the generation cap are refused
@@ -196,29 +206,26 @@ class TestGenerateMeasurement:
 class TestMeasurementEvaluation:
     def test_exact_at_sample_points(self, smooth_measurement):
         m = smooth_measurement
-        vals = m(m.points[:, 0], m.points[:, 1])
-        assert np.allclose(vals, m.values, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(m(m.arclength), m.values)
 
     def test_linear_between_samples(self, smooth_measurement):
         m = smooth_measurement
-        # midpoint of the first real segment
-        i = int(m._segments[0])
-        mid = 0.5 * (m.points[i] + m.points[i + 1])
-        expected = 0.5 * (m.values[i] + m.values[i + 1])
-        assert np.isclose(m(mid[0], mid[1]), expected, rtol=1e-14)
+        # midpoint of the first segment
+        mid = 0.5 * (m.arclength[0] + m.arclength[1])
+        expected = 0.5 * (m.values[0] + m.values[1])
+        assert np.isclose(m(mid), expected, rtol=1e-14)
 
     def test_off_boundary_query_rejected(self, smooth_measurement):
-        with pytest.raises(ValueError, match="off the sampled boundary"):
-            smooth_measurement(0.5, 0.5)
+        """The square's measurement read on the L-shape's GammaA."""
+        with pytest.raises(ValueError, match="does not fit GammaA"):
+            measurement_samples(build_initial_mesh("lshape", "bottom"),
+                                smooth_measurement)
 
     def test_scalar_and_array_calls(self, smooth_measurement):
         m = smooth_measurement
-        x0, y0 = m.points[0]
-        scalar = m(x0, y0)
-        assert isinstance(scalar, np.ndarray) and scalar.shape == ()
-        assert scalar == m.values[0]
-        arr = m(np.array([x0, x0]), np.array([y0, y0]))
-        assert arr.shape == (2,)
+        assert m(m.arclength[0]) == m.values[0]
+        assert m(m.arclength[:2]).shape == (2,)
+        assert m(np.tile(m.arclength[:5], (3, 1))).shape == (3, 5)
 
     def test_at_least_two_samples_per_face(self, smooth_problem):
         meas = generate_measurement(smooth_problem, extra_levels=2)
@@ -234,22 +241,29 @@ class TestMeasurementEvaluation:
 
 
 # (problem, GammaI sides): GammaA as one chain round three sides, as two
-# chains with a padded gap between them, and round a reentrant corner
+# chains with a padded gap between them, and round a reentrant corner;
+# then the closed forms' 601 and 1,001 samples clustered at the corners
 LOOKUP_CASES = [("square_smooth", ("bottom",)),
                 ("square_smooth", ("bottom", "top")),
-                ("lshape_spike", ("bottom",))]
+                ("lshape_spike", ("bottom",)),
+                ("closed_form", "square"), ("closed_form", "lshape")]
 
 
 @functools.lru_cache(maxsize=None)
-def lookup_measurement(name, gamma_i):
-    problem = replace(builtin_problem(name), gamma_i=gamma_i)
-    return generate_measurement(problem, extra_levels=3)
+def lookup_case(name, arg):
+    """The initial mesh of a case and its measurement."""
+    if name == "closed_form":
+        return (closed_form_problem(arg).initial_mesh(),
+                closed_form_measurement(arg))
+    problem = replace(builtin_problem(name), gamma_i=arg)
+    return problem.initial_mesh(), generate_measurement(problem,
+                                                         extra_levels=3)
 
 
 def square_polyline(s):
-    """Points at arc length ``s`` along the right, top and left sides of
-    the unit square."""
-    corners = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    """Points at arc length ``s`` along the left, top and right sides of
+    the unit square, as the GammaA walk of a bottom GammaI goes."""
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
     knots = [0.0, 1.0, 2.0, 3.0]
     return np.column_stack([np.interp(s, knots, corners[:, 0]),
                             np.interp(s, knots, corners[:, 1])])
@@ -259,46 +273,37 @@ class TestMeasurementLookup:
     @given(case=st.sampled_from(LOOKUP_CASES), data=st.data())
     @hyp_settings(max_examples=60, deadline=None)
     def test_matches_dense_oracle(self, case, data):
-        """Blocks of any size give the dense oracle's bytes: sample
-        vertices lie on two segments and take the first, a padded gap or
-        an interior point is rejected."""
-        m = lookup_measurement(*case)
-        real = m._segments
-        picks = data.draw(st.lists(st.tuples(
-            st.integers(0, len(m.points) - 1),
-            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-            min_size=1, max_size=60), label="points")
-        pts = [m.points[i] + t * (m.points[i + 1] - m.points[i])
-               if i in real else m.points[i] for i, t in picks]
-        gaps = [0.5 * (m.points[i] + m.points[i + 1])
-                for i in np.setdiff1d(np.arange(len(m.points) - 1),
-                                      m._segments)]
-        off = data.draw(st.sampled_from([None, (0.25, 0.25)] + gaps),
-                        label="off boundary")
-        if off is not None:
-            pts.insert(data.draw(st.integers(0, len(pts))), off)
-        pts = np.array(pts)
-        budget = data.draw(st.integers(1, 200) | st.just(2 ** 16),
-                           label="budget")
-        with mock.patch.object(problems, "_LOCATE_PAIRS", budget):
-            if off is None:
-                assert (m._locate(pts).tobytes()
-                        == dense_locate(m, pts).tobytes())
-            else:
-                for locate in (m._locate, functools.partial(dense_locate, m)):
-                    with pytest.raises(ValueError, match="off the sampled"):
-                        locate(pts)
+        """On random NVB meshes the samples read by arc length are those of
+        the former lookup, each node against every sample segment in the
+        plane, to 4 ulps: of the largest sample, and of the largest
+        abscissa times the steepest slope, as the abscissae round apart."""
+        initial, m = lookup_case(*case)
+        mesh = random_nvb_mesh(initial, data)
+        got = measurement_samples(mesh, m)
+        ends = mesh.vertices[mesh.faces[mesh.faces_with_tag(
+            BoundaryTag.GAMMA_A)]]
+        s = np.concatenate([GAUSS2_POINTS, GAUSS3_POINTS])[:, None]
+        x, y = np.moveaxis(ends[:, :1] + s * (ends[:, 1:] - ends[:, :1]), 2, 0)
+        want = located_z(m, x, y)
+        slope = np.abs(np.diff(m.values) / np.diff(m.arclength)).max()
+        ulp = (np.spacing(np.abs(m.values).max())
+               + slope * np.spacing(m.arclength.max()))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 4 * ulp
 
     def test_memory_stays_bounded(self):
-        """769 samples looked up at 1,152 points: the dense pass would hold
-        two 7 MB distance arrays at once."""
+        """769 samples read at the 960 nodes of an 8,192-triangle square:
+        the former dense lookup would hold two 5.9 MB distance arrays at
+        once."""
+        mesh = build_initial_mesh("square", "bottom")
+        for _ in range(12):
+            mesh = bisect(mesh, np.arange(mesh.n_triangles))
         s = np.linspace(0.0, 3.0, 769)
         m = Measurement(points=square_polyline(s), values=np.sin(s),
                         arclength=s)
-        x, y = square_polyline(np.linspace(0.0, 3.0, 1152)).T
         tracemalloc.start()
         try:
-            m(x, y)
+            assert measurement_samples(mesh, m).size == 960
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -324,7 +329,7 @@ class TestMeasurementValidation:
             "column_values", "nan_values", "infinite_arclength"])
     def test_rejects_malformed_samples(self, field, bad):
         samples = line_samples()
-        assert Measurement(**samples)(1.5, 0.0) == 1.5
+        assert Measurement(**samples)(1.5) == 1.5
         samples[field] = bad(samples)
         with pytest.raises(ValueError, match=f"measurement {field}"):
             Measurement(**samples)
@@ -372,10 +377,12 @@ class TestMultiComponentGammaA:
     def test_measurement_has_gap(self, split_problem):
         meas = generate_measurement(split_problem, extra_levels=3)
         # left and right sides only: a padded arc-length gap in between
-        gaps = np.setdiff1d(np.arange(len(meas.points) - 1), meas._segments)
-        assert gaps.size and meas._segments.size
-        # exactly one gap, one arc-length unit wide
-        assert np.diff(meas.arclength)[gaps].tolist() == [1.0]
+        step = np.diff(meas.arclength)
+        geo = np.hypot(*np.diff(meas.points, axis=0).T)
+        gaps = np.flatnonzero(np.abs(step - geo) > 1e-9)
+        # exactly one gap, one arc-length unit wide, between two components
+        assert step[gaps].tolist() == [1.0]
+        assert meas._ends.shape == (2, 2, 3)
 
     def test_evaluation_on_both_components(self, split_problem):
         meas = generate_measurement(split_problem, extra_levels=3)
@@ -383,15 +390,18 @@ class TestMultiComponentGammaA:
         on_right = np.isclose(meas.points[:, 0], 1.0)
         assert on_left.any() and on_right.any()
         assert (on_left | on_right).all()
-        vals = meas(meas.points[:, 0], meas.points[:, 1])
-        assert np.allclose(vals, meas.values, rtol=1e-14)
+        assert np.array_equal(meas(meas.arclength), meas.values)
+        mesh = bisect(split_problem.initial_mesh(), [0])
+        n_ga = mesh.faces_with_tag(BoundaryTag.GAMMA_A).size
+        assert measurement_samples(mesh, meas).shape == (n_ga, 5)
 
     def test_interpolation_stays_within_component(self, split_problem):
+        """The first segment of the second component."""
         meas = generate_measurement(split_problem, extra_levels=3)
-        i = int(meas._segments[0])
-        mid = 0.5 * (meas.points[i] + meas.points[i + 1])
+        i = int(np.flatnonzero(np.diff(meas.arclength) == 1.0)[0]) + 1
+        mid = 0.5 * (meas.arclength[i] + meas.arclength[i + 1])
         expected = 0.5 * (meas.values[i] + meas.values[i + 1])
-        assert np.isclose(meas(mid[0], mid[1]), expected, rtol=1e-14)
+        assert np.isclose(meas(mid), expected, rtol=1e-14)
 
     def test_adaptive_run_works(self, split_problem):
         from fluxrec.driver import LoopConfig, run_adaptive

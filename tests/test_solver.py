@@ -19,12 +19,20 @@ from fluxrec.driver import LoopConfig, run_adaptive, true_errors
 from fluxrec.export import export_flux_txt
 from fluxrec.fem import (
     FeFunction,
+    Measurement,
     assemble_bilinear,
     midpoint_samples,
     prolong,
     volume_load,
 )
-from fluxrec.mesh import BoundaryTag, Mesh, MeshError, bisect
+from fluxrec.mesh import (
+    BoundaryTag,
+    Mesh,
+    MeshError,
+    bisect,
+    boundary_arclength,
+    build_initial_mesh,
+)
 from fluxrec.problems import (
     BUILTIN_NAMES,
     builtin_problem,
@@ -56,12 +64,14 @@ from helpers import (
     nn_trace_operators,
     patches,
     permuted_factor_input,
+    random_nvb_mesh,
     reduced_gradient,
     residual_apply,
     trace_coupling,
     two_pass_measurement_moments,
     vertex_order_operators,
     vertex_order_step,
+    walk_measurement,
     zero,
 )
 
@@ -76,14 +86,15 @@ class TestSolveState:
         c = 2.5
         data = ProblemData(coeffs=smooth_problem.coeffs,
                            f=lambda x, y: 0.0 * x,
-                           u_a=lambda x, y: c + 0.0 * x, z=zero)
+                           u_a=lambda x, y: c + 0.0 * x,
+                           z=walk_measurement(refined_square))
         system = DiscreteSystem(refined_square, data)
         u = solve_state(zero_flux(system), system)
         assert np.allclose(u.values, c, atol=1e-10)
 
     def test_zero_data_zero_state(self, refined_square, smooth_problem):
         data = ProblemData(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
-                           z=zero)
+                           z=walk_measurement(refined_square))
         system = DiscreteSystem(refined_square, data)
         u = solve_state(zero_flux(system), system)
         assert np.abs(u.values).max() < 1e-12
@@ -107,7 +118,8 @@ class TestProblemData:
     @pytest.mark.parametrize("field", ["f", "u_a", "z"])
     @pytest.mark.parametrize("bad", [None, 0.0])
     def test_data_callables_required(self, smooth_problem, field, bad):
-        kwargs = dict(coeffs=smooth_problem.coeffs, f=zero, u_a=zero, z=zero)
+        kwargs = dict(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
+                      z=walk_measurement(smooth_problem.initial_mesh()))
         kwargs[field] = bad
         with pytest.raises(ValueError, match=f"problem data {field} "):
             ProblemData(**kwargs)
@@ -126,22 +138,11 @@ class TestSolverSettings:
 class TestSolveCostate:
     def test_matching_data_zero_costate(self, refined_square, smooth_problem):
         # z equals the trace of the state: zero misfit, zero costate
-        data0 = smooth_problem.data(z=zero)
+        data0 = smooth_problem.data(z=walk_measurement(refined_square))
         system0 = DiscreteSystem(refined_square, data0)
         u = solve_state(zero_flux(system0), system0)
-
-        def z(x, y):
-            # nodal interpolation of u along the boundary (P1 trace)
-            out = np.zeros_like(np.asarray(x, dtype=float))
-            pts = np.column_stack([np.ravel(x), np.ravel(y)])
-            vals = np.empty(len(pts))
-            verts = refined_square.vertices
-            for i, p in enumerate(pts):
-                # boundary quadrature points sit on GammaA faces; evaluate
-                # the P1 function by locating the face and interpolating
-                vals[i] = _eval_p1_on_boundary(refined_square, u.values, p)
-            return vals.reshape(np.shape(out))
-
+        ids, t = boundary_arclength(refined_square, BoundaryTag.GAMMA_A)
+        z = Measurement(refined_square.vertices[ids], u.values[ids], t)
         data = smooth_problem.data(z=z)
         system = DiscreteSystem(refined_square, data)
         p = solve_costate(u, system)
@@ -149,7 +150,7 @@ class TestSolveCostate:
 
     def test_zero_everything(self, refined_square, smooth_problem):
         data = ProblemData(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
-                           z=lambda x, y: 0.0 * x)
+                           z=walk_measurement(refined_square))
         system = DiscreteSystem(refined_square, data)
         u = FeFunction(system.ops.mesh, np.zeros(system.ops.mesh.n_vertices))
         p = solve_costate(u, system)
@@ -163,21 +164,6 @@ class TestSolveCostate:
         rhs = M_a @ u.values - smooth_system.ops.Z
         dense = np.linalg.solve(A.toarray(), rhs)
         assert np.abs(p.values - dense).max() < 1e-9
-
-
-def _eval_p1_on_boundary(mesh, values, point):
-    from fluxrec.mesh import BoundaryTag
-
-    for f in mesh.faces_with_tag(BoundaryTag.GAMMA_A):
-        a, b = mesh.faces[f]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        seg = np.linalg.norm(pb - pa)
-        da = np.linalg.norm(point - pa)
-        db = np.linalg.norm(pb - point)
-        if abs(da + db - seg) < 1e-12:
-            t = da / seg
-            return (1 - t) * values[a] + t * values[b]
-    raise AssertionError(f"point {point} not on GammaA")
 
 
 class TestReducedGradient:
@@ -226,7 +212,7 @@ class TestSolveOptimality:
                                              smooth_problem, settings):
         # f = 0, u_a = 0: the q=0 state is zero, so z = 0 is compatible
         data = ProblemData(coeffs=smooth_problem.coeffs, f=zero, u_a=zero,
-                           z=lambda x, y: 0.0 * x)
+                           z=walk_measurement(refined_square))
         system = DiscreteSystem(refined_square, data)
         triplet = solve_optimality(system, settings)
         assert np.abs(triplet.q.values).max() < 1e-12
@@ -428,15 +414,16 @@ class TestFluxOffGammaI:
 
 
 class CountingData:
-    """A data callable that counts the points it is evaluated at."""
+    """A data callable that counts the points it is evaluated at, the size
+    of its last argument."""
 
     def __init__(self, fun):
         self.fun = fun
         self.points = 0
 
-    def __call__(self, x, y):
-        self.points += np.size(x)
-        return self.fun(x, y)
+    def __call__(self, *args):
+        self.points += np.size(args[-1])
+        return self.fun(*args)
 
 
 class TestSharedStateOperator:
@@ -453,13 +440,16 @@ class TestSharedStateOperator:
         assert splu_shapes == [(n, n)]
 
     def test_beta_sweep_samples_data_once_per_mesh(
-            self, mesh32, smooth_problem, smooth_measurement, settings):
+            self, mesh32, smooth_problem, smooth_measurement, settings,
+            monkeypatch):
         f = CountingData(smooth_problem.f)
-        z = CountingData(smooth_measurement)
+        z = CountingData(Measurement.__call__)
+        monkeypatch.setattr(Measurement, "__call__", lambda m, t: z(m, t))
         problem = dataclasses.replace(smooth_problem, f=f)
         for k, mesh in enumerate((mesh32, fresh_copy(mesh32)), start=1):
             for beta in SWEEP_BETAS:
-                data = problem.with_overrides(beta=beta).data(z=z)
+                data = problem.with_overrides(beta=beta).data(
+                    z=smooth_measurement)
                 system = DiscreteSystem(mesh, data)
                 triplet = solve_optimality(system, settings)
                 estimate(triplet, data)
@@ -586,7 +576,8 @@ class TestSharedStateOperator:
 
     @pytest.mark.parametrize("case", ["no_gamma_a_face", "z_raises"])
     def test_failed_build_leaves_nothing(self, mesh32, smooth_problem,
-                                         smooth_measurement, settings, case):
+                                         smooth_measurement, settings, case,
+                                         monkeypatch):
         """A build that fails raises its own error again on a second try,
         with every system made so far still held, and leaves nothing in
         the mesh's weak map."""
@@ -598,11 +589,11 @@ class TestSharedStateOperator:
                                  BoundaryTag.GAMMA_I, tags))
             error, match = MeshError, "no GammaA face"
         else:
-            def z(x, y):
+            def z(*args):
                 raise ArithmeticError("z failed")
 
-            mesh, data = mesh32, dataclasses.replace(data, z=z)
-            error, match = ArithmeticError, "z failed"
+            monkeypatch.setattr(Measurement, "__call__", z)
+            mesh, error, match = mesh32, ArithmeticError, "z failed"
         held = []
         for _ in range(2):
             with pytest.raises(error, match=match):
@@ -650,17 +641,6 @@ class TestSharedStateOperator:
         for name in ("history.csv", "flux.txt", "final.vtk"):
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes()
-
-
-def random_nvb_mesh(mesh, data):
-    """A few uniform sweeps, then a few random markings, drawn from data."""
-    for _ in range(data.draw(st.integers(0, 4), label="uniform")):
-        mesh = bisect(mesh, np.arange(mesh.n_triangles))
-    for _ in range(data.draw(st.integers(0, 4), label="steps")):
-        mesh = bisect(mesh, data.draw(st.lists(
-            st.integers(0, mesh.n_triangles - 1), min_size=1,
-            max_size=max(1, mesh.n_triangles // 2)), label="marked"))
-    return mesh
 
 
 @pytest.fixture()
@@ -720,17 +700,32 @@ def raising_z(x, y):
 
 
 class TestSamplingBeforeFactor:
-    @pytest.mark.parametrize("case", ["mismatched", "raising", "nan"])
+    @pytest.mark.parametrize("case", [
+        "mismatched", "raising", "reversed", "shifted", "two_components",
+        "overlong"])
     def test_bad_measurement_fails_before_assembly_and_factor(
             self, mesh32, smooth_problem, builtin_data, monkeypatch, case):
         """A measurement that does not fit GammaA raises before ``A`` is
-        assembled, ordered or factored."""
+        assembled, ordered or factored; a ``z`` that is no measurement, as
+        the problem data are made.  ``mesh32`` is the square, GammaA one
+        chain round three sides, as long as the L-shape's; ``overlong``
+        runs on past the end of a GammaA of two sides."""
+        square = builtin_data["square_smooth"][1].z
+        mesh = mesh32
+        if case == "overlong":
+            mesh = build_initial_mesh("square", ("bottom", "right"))
         z, message = {
             "mismatched": (builtin_data["lshape_spike"][1].z,
-                           "off the sampled boundary"),
-            "raising": (raising_z, "no data here"),
-            "nan": (lambda x, y: np.full(np.shape(x), np.nan),
-                    "measurement z evaluated to a non-finite value")}[case]
+                           "does not fit GammaA"),
+            "raising": (raising_z, "problem data z must be a Measurement"),
+            "reversed": (Measurement(square.points[::-1], square.values[::-1],
+                                     square.arclength), "does not fit GammaA"),
+            "shifted": (Measurement(square.points, square.values,
+                                    square.arclength + 0.5),
+                        "does not fit GammaA"),
+            "two_components": (walk_measurement(build_initial_mesh(
+                "square", ("bottom", "top"))), "does not fit GammaA"),
+            "overlong": (square, "does not fit GammaA")}[case]
 
         def never(*args, **kwargs):
             raise AssertionError("built before the measurement was sampled")
@@ -739,7 +734,7 @@ class TestSamplingBeforeFactor:
             monkeypatch.setattr(solver, name, never)
         monkeypatch.setattr(solver.spla, "splu", never)
         with pytest.raises(ValueError, match=message):
-            DiscreteSystem(mesh32, smooth_problem.data(z=z))
+            DiscreteSystem(mesh, smooth_problem.data(z=z))
 
 
 def uniform_pair(problem, gamma_i_faces=32):
@@ -866,7 +861,8 @@ class TestNestedDissection:
         for _ in range(15):
             mesh = bisect(mesh, np.arange(mesh.n_triangles))
         assert mesh.n_triangles == 65_536
-        system = DiscreteSystem(mesh, smooth_problem.data(z=zero))
+        system = DiscreteSystem(mesh, smooth_problem.data(
+            z=walk_measurement(mesh)))
         system.ops.solve_A(system.ops.F)
         lu = system.ops.lu
         ref = default_order_factor(vertex_order_operators(system.ops)[0])
@@ -954,13 +950,18 @@ OBJECTIVE_SCRIPT = """
 import numpy as np
 from fluxrec import SolverSettings, bisect, builtin_problem
 from fluxrec.fem import FeFunction
+from fluxrec.fem import Measurement
+from fluxrec.mesh import BoundaryTag, boundary_arclength
 from fluxrec.solver import DiscreteSystem, objective
 problem = builtin_problem("square_jump")
 mesh = problem.initial_mesh()
 for _ in range(14):
     mesh = bisect(mesh, np.arange(mesh.n_triangles))
 assert mesh.n_vertices > 10_000
-system = DiscreteSystem(mesh, problem.data(z=lambda x, y: np.cos(3.0 * x) + y))
+ids, t = boundary_arclength(mesh, BoundaryTag.GAMMA_A)
+x, y = mesh.vertices[ids].T
+z = Measurement(mesh.vertices[ids], np.cos(3.0 * x) + y, t)
+system = DiscreteSystem(mesh, problem.data(z=z))
 rng = np.random.default_rng(1)
 u, q = (FeFunction(mesh, rng.standard_normal(mesh.n_vertices))
         for _ in range(2))
